@@ -3,13 +3,14 @@
 Subcommands: ``group`` (order/structure summary), ``subgroups`` (lattice
 enumeration with optional cache), ``graph`` (DOT/JSON export), ``analyze``
 (component report), ``verify`` (claim suites).  Exit codes: 0 pass, 1 a
-verification check failed, 2 parse/cache error, 3 order cap exceeded,
-4 lattice cap exceeded.
+verification check failed, 2 parse/cache/argument/file error, 3 order cap
+exceeded, 4 lattice cap exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -162,8 +163,18 @@ def _dump_json(doc: dict) -> str:
 
 
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    """Replace the file at path with text atomically: write a temporary file
+    beside it, then rename it over path, so that a run killed mid-write
+    leaves the previous file whole instead of a truncated cache or report."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +380,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidSpec, CacheMismatch, json.JSONDecodeError) as exc:
+    except (InvalidSpec, CacheMismatch, ValueError, OSError) as exc:
+        # ValueError: an argument value the library rejects (-p 4,
+        # --trials 0) or a malformed JSON file; OSError: an unusable path.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except OrderCapExceeded as exc:

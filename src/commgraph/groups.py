@@ -5,6 +5,11 @@ group, identity pinned at element id 0) and ``SubgroupSet`` (a membership
 bit vector over one table).  All operations are pure functions of their
 inputs; tables and subgroup sets are never mutated after construction, so
 any number of operations may run concurrently over shared objects.
+
+Every table is validated before it is wrapped.  Associativity is proven,
+not sampled, by Light's test (Clifford & Preston, *The Algebraic Theory of
+Semigroups* I, 1961, section 1.2) over a generating set of the table: one
+n x n comparison per generator rather than one per element.
 """
 
 from __future__ import annotations
@@ -24,12 +29,6 @@ from .errors import (
 )
 
 DEFAULT_ORDER_CAP = 5000
-
-# Above this order, associativity is spot-checked on random triples instead
-# of exhaustively; 10*n*n triples per the table contract.
-_ASSOC_EXHAUSTIVE_LIMIT = 512
-_ASSOC_SEED = 0x5EED
-_ASSOC_CHUNK = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +163,13 @@ class GroupTable:
 
 
 def _validate_table(tbl: np.ndarray) -> np.ndarray:
-    """Check the group-table invariants; return the inverse array.
+    """Check the group-table invariants other than associativity; return
+    the inverse array.
 
-    Raises InvalidGenerator with a reason when the table is not a group
-    table anchored at identity 0.  Associativity is exhaustive up to order
-    512 and randomized (>= 10*n*n seeded triples) above that.
+    Raises InvalidGenerator with a reason when the table is not square, has
+    an entry out of range, is not anchored at identity 0, or has a row
+    without exactly one 0 entry.  Associativity needs a generating set of
+    the table and is proven afterwards by ``_check_associative``.
     """
     n = tbl.shape[0]
     if tbl.shape != (n, n):
@@ -183,23 +184,25 @@ def _validate_table(tbl: np.ndarray) -> np.ndarray:
     zero_counts = (tbl == 0).sum(axis=1)
     if not np.all(zero_counts == 1):
         raise InvalidGenerator("some element has no unique inverse")
-    inv = np.argmax(tbl == 0, axis=1)
-    if n <= _ASSOC_EXHAUSTIVE_LIMIT:
-        for a in range(n):
-            if not np.array_equal(tbl[tbl[a]], tbl[a][tbl]):
-                raise InvalidGenerator(f"associativity fails at a={a}")
-    else:
-        rng = np.random.default_rng(_ASSOC_SEED)
-        remaining = 10 * n * n
-        while remaining > 0:
-            m = min(remaining, _ASSOC_CHUNK)
-            a = rng.integers(0, n, size=m)
-            b = rng.integers(0, n, size=m)
-            c = rng.integers(0, n, size=m)
-            if not np.array_equal(tbl[tbl[a, b], c], tbl[a, tbl[b, c]]):
-                raise InvalidGenerator("associativity fails on a random triple")
-            remaining -= m
-    return inv
+    return np.argmax(tbl == 0, axis=1)
+
+
+def _check_associative(tbl: np.ndarray, gens: Sequence[int]) -> None:
+    """Prove associativity of a table that passed ``_validate_table`` by
+    Light's test over gens; raise InvalidGenerator if it fails.
+
+    For each generator a the test compares (x*a)*y with x*(a*y) for all x
+    and y, as T[T[:, a], :] == T[:, T[a, :]].  The elements a that pass
+    contain the identity (row and column 0 are identity maps) and are
+    closed under products, so they are the whole table as soon as every
+    element is a left-nested product ((g1*g2)*g3)*... of gens in the table's
+    own multiplication.  Callers must pass such a set: the BFS generators
+    of ``_assemble_table`` or the greedy witnesses of the full table, whose
+    right-multiplication closure is the whole table by construction.
+    """
+    for a in gens:
+        if not np.array_equal(tbl[tbl[:, a], :], tbl[:, tbl[a, :]]):
+            raise InvalidGenerator(f"associativity fails at generator {a}")
 
 
 def _assemble_table(identity_rep, generator_reps: list, compose: Callable,
@@ -208,8 +211,9 @@ def _assemble_table(identity_rep, generator_reps: list, compose: Callable,
 
     Element ids follow deterministic BFS from the identity with the given
     generator ordering.  Only the generator columns are computed by actual
-    element composition; every other column y = x*g follows from the BFS
-    tree via mult[a][y] = mult[mult[a][x]][g], filled vectorized.
+    element composition, once per element and generator during the BFS;
+    every other column y = x*g follows from the BFS tree via
+    mult[a][y] = mult[mult[a][x]][g], filled vectorized.
 
     Returns (GroupTable, elements, index) where elements maps id -> rep and
     index maps rep -> id.
@@ -222,26 +226,29 @@ def _assemble_table(identity_rep, generator_reps: list, compose: Callable,
     elements = [identity_rep]
     index = {identity_rep: 0}
     tree: list[tuple[int, int] | None] = [None]
+    cols: list[list[int]] = [[] for _ in gens]
     qi = 0
     while qi < len(elements):
         x_rep = elements[qi]
         for j, g in enumerate(gens):
             y = compose(x_rep, g)
-            if y not in index:
+            y_id = index.get(y)
+            if y_id is None:
                 if len(elements) + 1 > order_cap:
                     raise OrderCapExceeded(
                         f"closure exceeds the order cap ({order_cap})")
-                index[y] = len(elements)
+                y_id = len(elements)
+                index[y] = y_id
                 elements.append(y)
                 tree.append((qi, j))
+            cols[j].append(y_id)
         qi += 1
 
     n = len(elements)
     gen_ids = [index[g] for g in gens]
     tbl = np.empty((n, n), dtype=np.int32)
     tbl[:, 0] = np.arange(n)
-    for j, g in enumerate(gens):
-        col = [index[compose(rep, g)] for rep in elements]
+    for j, col in enumerate(cols):
         tbl[:, gen_ids[j]] = col
     gen_id_set = set(gen_ids)
     for y in range(1, n):
@@ -251,6 +258,7 @@ def _assemble_table(identity_rep, generator_reps: list, compose: Callable,
         tbl[:, y] = tbl[tbl[:, x], gen_ids[j]]
 
     inv = _validate_table(tbl)
+    _check_associative(tbl, gen_ids)
     table = GroupTable(tbl.tolist(), inv.tolist(),
                        [label_of(rep) for rep in elements],
                        tuple(gen_ids))
@@ -317,6 +325,7 @@ def build_group_from_table(mult: Sequence[Sequence[int]],
         raise InvalidGenerator("labels length does not match table order")
     table = GroupTable(tbl.tolist(), inv.tolist(), list(labels), ())
     table.generators = _greedy_witnesses(table, (1 << n) - 1)
+    _check_associative(tbl, table.generators)
     return table
 
 

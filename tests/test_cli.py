@@ -174,6 +174,30 @@ def test_lattice_cache_mismatch_rejected(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ("graph", '{"sym": 3}', "-p", "4"),
+    ("verify", "lemmas", "--trials", "0"),
+    ("subgroups", '{"sym": 3}', "--cache", None),  # None: a directory
+], ids=["non-prime-p", "zero-trials", "directory-as-cache"])
+def test_bad_argument_values_exit_parse(argv, tmp_path, capsys):
+    argv = [str(tmp_path) if arg is None else arg for arg in argv]
+    assert run_cli(*argv) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_failed_write_keeps_existing_cache(tmp_path, capsys):
+    cache = tmp_path / "sym3.lattice.json"
+    assert run_cli("subgroups", '{"sym": 3}', "--cache", str(cache)) == EXIT_OK
+    capsys.readouterr()
+    before = cache.read_bytes()
+    # a lone surrogate cannot be encoded, so the write fails part way
+    with pytest.raises(UnicodeEncodeError):
+        cli._write_text(str(cache), '{"subgroups": "\ud800"}')
+    assert cache.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [cache.name]
+
+
 def test_load_lattice_cache_validates_canonical_order():
     spec = parse_group_spec('{"cyclic": 6}')
     table = construct(spec)

@@ -157,6 +157,32 @@ def test_explicit_table_rejects_non_group():
         build_group_from_table([[1, 0], [0, 1]])
 
 
+def test_explicit_table_rejects_non_associative_loop():
+    # A Latin square with identity 0 (a loop of order 5): it passes every
+    # check except associativity, e.g. (1*1)*2 = 2 but 1*(1*2) = 4.
+    loop = [[0, 1, 2, 3, 4],
+            [1, 0, 3, 4, 2],
+            [2, 4, 0, 1, 3],
+            [3, 2, 4, 0, 1],
+            [4, 3, 1, 2, 0]]
+    with pytest.raises(InvalidGenerator, match="associativity"):
+        build_group_from_table(loop)
+
+
+def test_explicit_table_rejects_one_swapped_pair_in_sym6():
+    mult = [list(row) for row in construct(sym(6)).mult]
+    row = mult[5]
+    assert 0 not in (row[7], row[9])  # row 5 keeps its unique inverse
+    row[7], row[9] = row[9], row[7]
+    with pytest.raises(InvalidGenerator, match="associativity"):
+        build_group_from_table(mult)
+
+
+def test_explicit_table_generators_are_greedy_witnesses():
+    table = build_group_from_table(construct(p2q(5)).mult)
+    assert table.generators == (1, 2, 3)
+
+
 # ---------------------------------------------------------------------------
 # element and subgroup basics
 
