@@ -36,7 +36,13 @@ from .graphs import (
     build_graph,
     components_and_diameters,
 )
-from .groups import DEFAULT_ORDER_CAP, GroupTable, derived_series, structure_flags
+from .groups import (
+    DEFAULT_ORDER_CAP,
+    GroupTable,
+    derived_series,
+    is_prime,
+    structure_flags,
+)
 from .lattice import Lattice, _finish_lattice, enumerate_subgroups
 from .verify import (
     DEFAULT_SEED,
@@ -133,18 +139,25 @@ def load_lattice_cache(doc: dict, spec: GroupSpec, table: GroupTable) -> Lattice
         raise CacheMismatch("cache order does not match the constructed group")
     if doc.get("element_labels") != list(table.labels):
         raise CacheMismatch("cache element labels do not match")
+    entries = doc.get("subgroups")
+    if not isinstance(entries, list):
+        raise CacheMismatch("cache subgroups must be a list")
     masks = []
-    for entry in doc.get("subgroups", []):
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise CacheMismatch("malformed subgroup entry in cache")
         members = entry.get("members")
+        # type() rather than isinstance(): JSON true/false are not ids
         if (not isinstance(members, list)
-                or members != sorted(set(members))
-                or any(not isinstance(x, int) or not 0 <= x < table.order
-                       for x in members)):
+                or any(type(x) is not int or not 0 <= x < table.order
+                       for x in members)
+                or members != sorted(set(members))):
             raise CacheMismatch("malformed member list in cache")
         mask = 0
         for x in members:
             mask |= 1 << x
-        if mask.bit_count() != entry.get("order"):
+        order = entry.get("order")
+        if type(order) is not int or mask.bit_count() != order:
             raise CacheMismatch("cached subgroup order mismatch")
         masks.append(mask)
     if len(set(masks)) != len(masks):
@@ -248,11 +261,19 @@ def cmd_subgroups(args) -> int:
     return EXIT_OK
 
 
-def cmd_graph(args) -> int:
+def _graph_for(args) -> tuple[GroupSpec, CommGraph]:
+    """The spec and graph that ``graph`` and ``analyze`` report on; -p is
+    checked before any group is constructed."""
+    if not is_prime(args.p):
+        raise ValueError(f"{args.p} is not prime")
     spec = parse_group_spec(args.spec)
     table = construct(spec, _order_cap(args))
     lat = _lattice_for(args, spec, table)
-    graph = build_graph(lat, args.p, _KINDS[args.kind])
+    return spec, build_graph(lat, args.p, _KINDS[args.kind])
+
+
+def cmd_graph(args) -> int:
+    spec, graph = _graph_for(args)
     if args.dot:
         _write_text(args.dot, export_dot(graph))
     if args.json:
@@ -263,10 +284,7 @@ def cmd_graph(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    spec = parse_group_spec(args.spec)
-    table = construct(spec, _order_cap(args))
-    lat = _lattice_for(args, spec, table)
-    graph = build_graph(lat, args.p, _KINDS[args.kind])
+    spec, graph = _graph_for(args)
     doc = analyze_doc(spec, graph)
     text = _dump_json(doc)
     if args.json:
@@ -293,6 +311,8 @@ def _load_corpus_file(path: str) -> list[CorpusMember]:
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise ValueError("trials must be >= 1")
     corpus = _load_corpus_file(args.corpus) if args.corpus else None
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     reports = [run_suite(name, corpus=corpus, trials=args.trials,
@@ -381,8 +401,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (InvalidSpec, CacheMismatch, ValueError, OSError) as exc:
-        # ValueError: an argument value the library rejects (-p 4,
-        # --trials 0) or a malformed JSON file; OSError: an unusable path.
+        # ValueError: an invalid argument value (-p 4, --trials 0) or a
+        # malformed JSON file; OSError: an unusable path.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except OrderCapExceeded as exc:

@@ -6,6 +6,10 @@ identity over a fixed generator ordering).  ``construct_detailed`` also
 returns the concrete element representations, which the verification
 suites use to locate specific elements such as transpositions or
 coordinate-slot generators.
+
+Every call builds a new table; nothing here is cached.  The program's only
+in-memory cache is in ``commgraph.verify``, the layer that repeats work over
+a fixed corpus.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ from .groups import (
     DEFAULT_ORDER_CAP,
     GroupTable,
     _assemble_table,
-    compose_permutations,
+    _permutation_group,
+    _triangular_group,
     is_prime,
     perm_from_cycles,
     perm_label,
@@ -164,19 +169,11 @@ class BuiltGroup:
     index: dict = field(repr=False)
 
 
-_BUILT_CACHE: dict[str, BuiltGroup] = {}
-
-
-def _canonical_key(spec: GroupSpec) -> str:
-    return json.dumps(spec_to_doc(spec), sort_keys=True, separators=(",", ":"))
-
-
 def construct_detailed(spec: GroupSpec, order_cap: int | None = None) -> BuiltGroup:
     """Construct the group, returning the table plus element reps.
 
-    Results are cached per canonical spec; tables are immutable so sharing
-    is safe.  The cap is enforced against the exact predicted order before
-    any materialization.
+    Every call builds a new table.  The cap is enforced against the exact
+    predicted order before any materialization.
     """
     cap = DEFAULT_ORDER_CAP if order_cap is None else order_cap
     _check_depth(spec)
@@ -184,12 +181,8 @@ def construct_detailed(spec: GroupSpec, order_cap: int | None = None) -> BuiltGr
     if predicted > cap:
         raise OrderCapExceeded(
             f"{spec_name(spec)} has order {predicted} > cap {cap}")
-    key = _canonical_key(spec)
-    built = _BUILT_CACHE.get(key)
-    if built is None:
-        built = _BUILDERS[spec.kind](spec, cap)
-        assert built.table.order == predicted
-        _BUILT_CACHE[key] = built
+    built = _BUILDERS[spec.kind](spec, cap)
+    assert built.table.order == predicted
     return built
 
 
@@ -204,9 +197,7 @@ def _build_sym(spec: GroupSpec, cap: int) -> BuiltGroup:
         gens.append(perm_from_cycles(n, [(1, 2)]))
     if n >= 3:
         gens.append(perm_from_cycles(n, [tuple(range(1, n + 1))]))
-    table, elements, index = _assemble_table(
-        tuple(range(n)), gens, compose_permutations, perm_label, cap)
-    return BuiltGroup(spec, table, elements, index)
+    return BuiltGroup(spec, *_permutation_group(n, gens, cap))
 
 
 def _build_cyclic(spec: GroupSpec, cap: int) -> BuiltGroup:
@@ -275,19 +266,11 @@ def _build_direct(spec: GroupSpec, cap: int) -> BuiltGroup:
 
 def _build_p2q(spec: GroupSpec, cap: int) -> BuiltGroup:
     q = spec.n
-
-    def compose(x, y):
-        return ((x[0] * y[0]) % q, (x[0] * y[1] + x[1] * y[2]) % q,
-                (x[2] * y[2]) % q)
-
     gens = [(1, 1, 1)]
     if q > 2:
         g = _primitive_root(q)
         gens += [(g, 0, 1), (1, 0, g)]
-    table, elements, index = _assemble_table(
-        (1, 0, 1), gens, compose,
-        lambda r: f"({r[0]},{r[1]},{r[2]})", cap)
-    return BuiltGroup(spec, table, elements, index)
+    return BuiltGroup(spec, *_triangular_group(q, gens, cap))
 
 
 def _primitive_root(q: int) -> int:

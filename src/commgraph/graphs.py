@@ -36,7 +36,7 @@ def commensurability_exponents(A: SubgroupSet, B: SubgroupSet,
     return (a, b)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CommGraph:
     """Simple undirected graph over lattice indices with p-power edge data.
 
@@ -68,11 +68,6 @@ def build_graph(lat: Lattice, p: int, kind: str) -> CommGraph:
         raise ValueError(f"{p} is not prime")
     if kind not in (KIND_COMMENSURABILITY, KIND_CONTAINMENT):
         raise ValueError(f"unknown graph kind {kind!r}")
-    memo = lat.parent._memo.setdefault("graphs", {})
-    cached = memo.get((id(lat), p, kind))
-    if cached is not None:
-        return cached
-
     subs = lat.subgroups
     m = len(subs)
     adjacency: list[list[int]] = [[] for _ in range(m)]
@@ -94,9 +89,7 @@ def build_graph(lat: Lattice, p: int, kind: str) -> CommGraph:
             adjacency[j].append(i)
     for neighbors in adjacency:
         neighbors.sort()
-    graph = CommGraph(kind, p, lat, adjacency, edge_data)
-    memo[(id(lat), p, kind)] = graph
-    return graph
+    return CommGraph(kind, p, lat, adjacency, edge_data)
 
 
 @dataclass
@@ -149,10 +142,6 @@ def components_and_diameters(graph: CommGraph) -> tuple[list[ComponentReport], i
     """Components (ordered by smallest vertex) with per-vertex
     eccentricities and diameters; the connected diameter is the maximum
     component diameter (0 when totally disconnected)."""
-    cached = graph.__dict__.get("_components")
-    if cached is not None:
-        return cached
-
     m = graph.vertex_count
     comp_of = [-1] * m
     comps: list[list[int]] = []
@@ -177,16 +166,7 @@ def components_and_diameters(graph: CommGraph) -> tuple[list[ComponentReport], i
         kind, center = classify_component(graph, vertices)
         reports.append(ComponentReport(vertices, diameter, eccs, kind, center))
         connected_diameter = max(connected_diameter, diameter)
-    result = (reports, connected_diameter)
-    graph.__dict__["_components"] = result
-    graph.__dict__["_comp_of"] = comp_of
-    return result
-
-
-def component_index(graph: CommGraph) -> list[int]:
-    """Vertex -> component id (component order as in components_and_diameters)."""
-    components_and_diameters(graph)
-    return graph.__dict__["_comp_of"]
+    return reports, connected_diameter
 
 
 def all_geodesics(graph: CommGraph, u: int, v: int) -> list[list[int]]:

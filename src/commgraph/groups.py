@@ -137,13 +137,14 @@ class GroupTable:
 
     mult[a][b] is the id of a*b; inv[a] the id of a**-1.  labels hold
     display strings for DOT/JSON output.  generators lists the element ids
-    of the construction generators (empty for the trivial group).
+    of the construction generators (empty for the trivial group), and
+    element_orders[x] is the order of element x.
     """
 
     identity = 0
 
     __slots__ = ("order", "mult", "inv", "labels", "order_factorization",
-                 "generators", "_memo")
+                 "generators", "element_orders")
 
     def __init__(self, mult: list[list[int]], inv: list[int], labels: list[str],
                  generators: tuple[int, ...]):
@@ -153,7 +154,14 @@ class GroupTable:
         self.labels = labels
         self.order_factorization = factorize(self.order)
         self.generators = generators
-        self._memo: dict = {}
+        orders = [1] * self.order
+        for x in range(1, self.order):
+            y, k = x, 1
+            while y != 0:
+                y = mult[y][x]
+                k += 1
+            orders[x] = k
+        self.element_orders = orders
 
     def elements(self) -> range:
         return range(self.order)
@@ -265,6 +273,23 @@ def _assemble_table(identity_rep, generator_reps: list, compose: Callable,
     return table, elements, index
 
 
+def _permutation_group(degree: int, reps: list, order_cap: int):
+    """_assemble_table over permutation image tuples of {0..degree-1}."""
+    return _assemble_table(tuple(range(degree)), reps, compose_permutations,
+                           perm_label, order_cap)
+
+
+def _triangular_group(q: int, reps: list, order_cap: int):
+    """_assemble_table over (a, b, d) triples encoding [[a, b], [0, d]] mod q."""
+
+    def compose(x, y):
+        return ((x[0] * y[0]) % q, (x[0] * y[1] + x[1] * y[2]) % q,
+                (x[2] * y[2]) % q)
+
+    return _assemble_table((1, 0, 1), reps, compose,
+                           lambda r: f"({r[0]},{r[1]},{r[2]})", order_cap)
+
+
 def build_group_from_permutations(degree: int, generators: Iterable,
                                   *, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     """Group generated by permutations of {1..degree}, given as cycle lists.
@@ -274,10 +299,7 @@ def build_group_from_permutations(degree: int, generators: Iterable,
     if degree < 1:
         raise InvalidGenerator("degree must be >= 1")
     reps = [perm_from_cycles(degree, cycles) for cycles in generators]
-    identity = tuple(range(degree))
-    table, _, _ = _assemble_table(identity, reps, compose_permutations,
-                                  perm_label, order_cap)
-    return table
+    return _permutation_group(degree, reps, order_cap)[0]
 
 
 def build_group_from_matrices(q: int, generators: Iterable[Sequence[int]],
@@ -295,14 +317,7 @@ def build_group_from_matrices(q: int, generators: Iterable[Sequence[int]],
         if a == 0 or d == 0:
             raise InvalidGenerator(f"matrix {tuple(g)} is not invertible mod {q}")
         reps.append((a, b, d))
-
-    def compose(x, y):
-        return ((x[0] * y[0]) % q, (x[0] * y[1] + x[1] * y[2]) % q,
-                (x[2] * y[2]) % q)
-
-    table, _, _ = _assemble_table((1, 0, 1), reps, compose,
-                                  lambda r: f"({r[0]},{r[1]},{r[2]})", order_cap)
-    return table
+    return _triangular_group(q, reps, order_cap)[0]
 
 
 def build_group_from_table(mult: Sequence[Sequence[int]],
@@ -323,10 +338,10 @@ def build_group_from_table(mult: Sequence[Sequence[int]],
         labels = [f"g{i}" for i in range(n)]
     elif len(labels) != n:
         raise InvalidGenerator("labels length does not match table order")
-    table = GroupTable(tbl.tolist(), inv.tolist(), list(labels), ())
-    table.generators = _greedy_witnesses(table, (1 << n) - 1)
-    _check_associative(tbl, table.generators)
-    return table
+    mult_rows = tbl.tolist()
+    generators = _greedy_witnesses(mult_rows, (1 << n) - 1)
+    _check_associative(tbl, generators)
+    return GroupTable(mult_rows, inv.tolist(), list(labels), generators)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +364,7 @@ def _closure_list(mult: list[list[int]], gens: Sequence[int]) -> tuple[int, list
     return mask, elems
 
 
-def _greedy_witnesses(G: GroupTable, mask: int) -> tuple[int, ...]:
+def _greedy_witnesses(mult: list[list[int]], mask: int) -> tuple[int, ...]:
     """Canonical irredundant generating list: scan member ids ascending,
     keep each element not yet generated.  Depends only on the member set,
     so serialized lattices reproduce identical witnesses."""
@@ -360,7 +375,7 @@ def _greedy_witnesses(G: GroupTable, mask: int) -> tuple[int, ...]:
     for x in _bits(mask):
         if not closed >> x & 1:
             wits.append(x)
-            closed, _ = _closure_list(G.mult, wits)
+            closed, _ = _closure_list(mult, wits)
             if closed == mask:
                 break
     return tuple(wits)
@@ -393,7 +408,7 @@ class SubgroupSet:
     @classmethod
     def from_members(cls, parent: GroupTable, members: int) -> "SubgroupSet":
         """Wrap a member mask, computing canonical greedy witnesses."""
-        return cls(parent, members, _greedy_witnesses(parent, members),
+        return cls(parent, members, _greedy_witnesses(parent.mult, members),
                    validate=False)
 
     def elements(self) -> Iterator[int]:
@@ -424,32 +439,13 @@ def trivial_subgroup(G: GroupTable) -> SubgroupSet:
 
 
 def full_subgroup(G: GroupTable) -> SubgroupSet:
-    full = G._memo.get("full")
-    if full is None:
-        full = SubgroupSet.from_members(G, (1 << G.order) - 1)
-        G._memo["full"] = full
-    return full
+    return SubgroupSet(G, (1 << G.order) - 1, G.generators, validate=False)
 
 
 def element_order(G: GroupTable, x: int) -> int:
     if not 0 <= x < G.order:
         raise ValueError(f"element id {x} out of range")
-    return _element_orders(G)[x]
-
-
-def _element_orders(G: GroupTable) -> list[int]:
-    orders = G._memo.get("element_orders")
-    if orders is None:
-        orders = [1] * G.order
-        for x in range(1, G.order):
-            y = x
-            k = 1
-            while y != 0:
-                y = G.mult[y][x]
-                k += 1
-            orders[x] = k
-        G._memo["element_orders"] = orders
-    return orders
+    return G.element_orders[x]
 
 
 def subgroup_closure(G: GroupTable, seed: Iterable[int]) -> SubgroupSet:
@@ -604,9 +600,6 @@ def _commutator_subgroup_mask(G: GroupTable, S: SubgroupSet) -> int:
 
 
 def derived_series(G: GroupTable) -> DerivedSeries:
-    series = G._memo.get("derived_series")
-    if series is not None:
-        return series
     terms = [full_subgroup(G)]
     while True:
         nxt = _commutator_subgroup_mask(G, terms[-1])
@@ -615,9 +608,7 @@ def derived_series(G: GroupTable) -> DerivedSeries:
         terms.append(SubgroupSet.from_members(G, nxt))
         if nxt == 1:
             break
-    series = DerivedSeries(tuple(terms))
-    G._memo["derived_series"] = series
-    return series
+    return DerivedSeries(tuple(terms))
 
 
 def sylow_subgroup(H: SubgroupSet, p: int) -> SubgroupSet:
@@ -638,7 +629,7 @@ def sylow_subgroup(H: SubgroupSet, p: int) -> SubgroupSet:
     if target == 1:
         return trivial_subgroup(G)
     mult, inv = G.mult, G.inv
-    orders = _element_orders(G)
+    orders = G.element_orders
     mask, elems = 1, [0]
     wits: tuple[int, ...] = ()
     while mask.bit_count() < target:
@@ -672,9 +663,6 @@ class StructureFlags:
 
 
 def structure_flags(G: GroupTable) -> StructureFlags:
-    flags = G._memo.get("structure_flags")
-    if flags is not None:
-        return flags
     mult = G.mult
     abelian = True
     for a in range(G.order):
@@ -689,9 +677,7 @@ def structure_flags(G: GroupTable) -> StructureFlags:
     solvable = series.terms[-1].order == 1
     metabelian = solvable and len(series.terms) <= 3
     nilpotent = abelian or is_nilpotent_subgroup(full_subgroup(G))
-    flags = StructureFlags(abelian, nilpotent, metabelian, solvable)
-    G._memo["structure_flags"] = flags
-    return flags
+    return StructureFlags(abelian, nilpotent, metabelian, solvable)
 
 
 def p_prime_complement(H: SubgroupSet, p: int) -> SubgroupSet:
@@ -701,7 +687,7 @@ def p_prime_complement(H: SubgroupSet, p: int) -> SubgroupSet:
         raise ValueError(f"{p} is not prime")
     if not is_nilpotent_subgroup(H):
         raise NotNilpotent("p'-complement requires a nilpotent subgroup")
-    orders = _element_orders(H.parent)
+    orders = H.parent.element_orders
     mask = 0
     for x in H.elements():
         if orders[x] % p != 0:

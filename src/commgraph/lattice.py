@@ -21,7 +21,7 @@ _ORACLE_MAX_ORDER = 100
 _SAMPLE_SEED = 0x1A77
 
 
-@dataclass
+@dataclass(frozen=True)
 class Lattice:
     """All subgroups of a table in canonical order.
 
@@ -30,7 +30,7 @@ class Lattice:
     """
 
     parent: GroupTable
-    subgroups: list[SubgroupSet]
+    subgroups: tuple[SubgroupSet, ...]
     by_order: dict[int, list[int]] = field(repr=False)
     index_of_members: dict[int, int] = field(repr=False)
 
@@ -51,7 +51,7 @@ def _finish_lattice(G: GroupTable, masks) -> Lattice:
     for i, s in enumerate(subs):
         by_order.setdefault(s.order, []).append(i)
         index_of[s.members] = i
-    lat = Lattice(G, subs, by_order, index_of)
+    lat = Lattice(G, tuple(subs), by_order, index_of)
     _check_lattice(lat)
     return lat
 
@@ -83,13 +83,6 @@ def enumerate_subgroups(G: GroupTable,
     Fixpoint: for each known subgroup S and each representative c of a
     cyclic subgroup not inside S, add the closure of S and c if new.
     """
-    cached = G._memo.get("lattice")
-    if cached is not None:
-        if len(cached) > lattice_cap:
-            raise LatticeCapExceeded(
-                f"{len(cached)} subgroups exceed the cap ({lattice_cap})")
-        return cached
-
     mult = G.mult
     cyclic_reps: list[tuple[int, int]] = []  # (representative element, mask)
     seen_cyclic: set[int] = set()
@@ -123,9 +116,7 @@ def enumerate_subgroups(G: GroupTable,
                 known[t_mask] = wits
                 worklist.append(t_mask)
 
-    lat = _finish_lattice(G, known.keys())
-    G._memo["lattice"] = lat
-    return lat
+    return _finish_lattice(G, known.keys())
 
 
 def oracle_enumerate_subgroups(G: GroupTable, max_gens: int) -> Lattice:

@@ -6,10 +6,16 @@ bounds, index identities under products and slices, geodesic shapes,
 triangular-matrix-group component classification) and returns a
 machine-readable VerdictReport.  Suites are deterministic given
 (corpus, seed).
+
+This module holds the program's one in-memory cache.  The library recomputes
+on every call; the suites, which evaluate the same corpus lattices, graphs and
+component reports several times over, share them through the bounded
+``functools.lru_cache`` helpers below.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass, field
@@ -29,14 +35,17 @@ from .constructions import (
 from .graphs import (
     KIND_COMMENSURABILITY,
     KIND_CONTAINMENT,
+    CommGraph,
+    ComponentReport,
     all_geodesics,
     all_simple_paths,
     build_graph,
     commensurability_exponents,
-    component_index,
     components_and_diameters,
 )
 from .groups import (
+    DerivedSeries,
+    GroupTable,
     SubgroupSet,
     derived_series,
     factorize,
@@ -48,6 +57,7 @@ from .groups import (
     p_power_exponent,
     p_prime_complement,
     perm_from_cycles,
+    perm_label,
     product_set,
     structure_flags,
     subgroup_closure,
@@ -64,6 +74,11 @@ DEFAULT_SEED = 7
 # At most this fraction of index-identity trials may fall back to a trivial
 # normal p-subgroup; four of five trials restrict to nontrivial cores.
 TRIVIAL_Q_CAP = 0.3
+
+# Entries per cache helper.  `verify all` over the default corpus needs 26
+# lattices and 196 graphs, so nothing is rebuilt; a larger corpus evicts the
+# least recently used entries instead of growing without bound.
+CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -139,8 +154,32 @@ def _lattice_members(corpus) -> list[CorpusMember]:
     return [m for m in corpus if m.enumerate_lattice]
 
 
-def _lattice_of(member: CorpusMember) -> Lattice:
-    return enumerate_subgroups(construct_detailed(member.spec).table)
+# The cache helpers call the library through this module's globals, so a
+# wrapper installed on those names sees every computation.
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _lattice(spec: GroupSpec) -> Lattice:
+    return enumerate_subgroups(construct_detailed(spec).table)
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _graph(spec: GroupSpec, p: int, kind: str) -> CommGraph:
+    return build_graph(_lattice(spec), p, kind)
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _components(spec: GroupSpec, p: int,
+                kind: str) -> tuple[list[ComponentReport], int]:
+    return components_and_diameters(_graph(spec, p, kind))
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _derived_series(table: GroupTable) -> DerivedSeries:
+    """Keyed by the table, not its spec: the terms are compared with that
+    table's subgroups, and a spec key could outlive an evicted lattice and
+    return terms over an older table."""
+    return derived_series(table)
 
 
 def _divides_primes(order: int) -> list[int]:
@@ -157,10 +196,9 @@ def verify_totaldisc(corpus=None, primes=PRIMES_UP_TO_13) -> VerdictReport:
     corpus = default_corpus() if corpus is None else corpus
     report = VerdictReport("totaldisc", 0)
     for member in _lattice_members(corpus):
-        lat = _lattice_of(member)
-        order = lat.parent.order
+        order = _lattice(member.spec).parent.order
         for p in primes:
-            graph = build_graph(lat, p, KIND_COMMENSURABILITY)
+            graph = _graph(member.spec, p, KIND_COMMENSURABILITY)
             expect_disconnected = order % p != 0
             report.records.append(CheckRecord(
                 member.name, p, {"order": order},
@@ -182,14 +220,12 @@ def verify_diameter_bounds(corpus=None) -> VerdictReport:
     corpus = default_corpus() if corpus is None else corpus
     report = VerdictReport("bounds", 0)
     for member in _lattice_members(corpus):
-        lat = _lattice_of(member)
-        table = lat.parent
+        table = _lattice(member.spec).parent
         flags = structure_flags(table)
-        series = derived_series(table)
+        series = _derived_series(table)
         derived = series.terms[1] if len(series.terms) > 1 else series.terms[0]
         for p in _divides_primes(table.order):
-            graph = build_graph(lat, p, KIND_COMMENSURABILITY)
-            _, diameter = components_and_diameters(graph)
+            _, diameter = _components(member.spec, p, KIND_COMMENSURABILITY)
             if flags.is_metabelian:
                 report.records.append(CheckRecord(
                     member.name, p, {"claim": "metabelian_diameter_bound"},
@@ -215,7 +251,7 @@ class _PropertyContext:
 
     def __init__(self, corpus):
         self.members = _lattice_members(corpus)
-        self.lattices = {m.name: _lattice_of(m) for m in self.members}
+        self.lattices = {m.name: _lattice(m.spec) for m in self.members}
         self.pairs: list[tuple[CorpusMember, int]] = []
         for m in self.members:
             for p in _divides_primes(self.lattices[m.name].parent.order):
@@ -226,18 +262,26 @@ class _PropertyContext:
         self._core_nontrivial: dict[tuple[str, int], list[int]] = {}
         self._nilpotent: dict[str, list[bool]] = {}
         self._slices: dict[tuple[str, int], list[tuple[int, int]]] = {}
+        self._comp_of: dict[tuple[str, int], dict[int, int]] = {}
 
     def lattice(self, member: CorpusMember) -> Lattice:
         return self.lattices[member.name]
 
-    def graph(self, member, p):
-        return build_graph(self.lattice(member), p, KIND_COMMENSURABILITY)
-
     def edges(self, member, p) -> list[tuple[int, int]]:
         key = (member.name, p)
         if key not in self._edges:
-            self._edges[key] = sorted(self.graph(member, p).edge_data)
+            graph = _graph(member.spec, p, KIND_COMMENSURABILITY)
+            self._edges[key] = sorted(graph.edge_data)
         return self._edges[key]
+
+    def component_of(self, member, p) -> dict[int, int]:
+        """Vertex -> index of its component in the p-commensurability graph."""
+        key = (member.name, p)
+        if key not in self._comp_of:
+            reports, _ = _components(member.spec, p, KIND_COMMENSURABILITY)
+            self._comp_of[key] = {v: c for c, report in enumerate(reports)
+                                  for v in report.vertices}
+        return self._comp_of[key]
 
     def normal_indices(self, member) -> list[int]:
         if member.name not in self._normals:
@@ -290,7 +334,7 @@ class _PropertyContext:
             table = lat.parent
             G = full_subgroup(table)
             out = []
-            for t_idx, term in enumerate(derived_series(table).terms):
+            for t_idx, term in enumerate(_derived_series(table).terms):
                 syl = sylow_subgroup(term, p)
                 if not is_normal(syl, term):
                     continue
@@ -413,10 +457,9 @@ def verify_lemma_suite(corpus=None, trials: int = DEFAULT_TRIALS,
             lat = ctx.lattice(member)
             table = lat.parent
             t_idx, qi = rng.choice(ctx.derived_slices(member, p))
-            term = derived_series(table).terms[t_idx]
+            term = _derived_series(table).terms[t_idx]
             Q = lat.subgroups[qi]
-            graph = ctx.graph(member, p)
-            comp_of = component_index(graph)
+            comp_of = ctx.component_of(member, p)
             outcome = None
             for _ in range(8):
                 V = lat.subgroups[rng.randrange(len(lat.subgroups))]
@@ -471,17 +514,6 @@ def verify_lemma_suite(corpus=None, trials: int = DEFAULT_TRIALS,
 # Sym4 geodesics in the 3-containment graph
 
 
-def _sym4_setup():
-    built = construct_detailed(sym(4))
-    lat = enumerate_subgroups(built.table)
-    graph = build_graph(lat, 3, KIND_CONTAINMENT)
-
-    def el(*cycles):
-        return built.index[perm_from_cycles(4, cycles)]
-
-    return built, lat, graph, el
-
-
 def verify_sym4_geodesics() -> VerdictReport:
     """The 3-containment graph of sym(4): connected diameter exactly 4,
     every geodesic between the two disjoint-transposition vertices matches
@@ -489,9 +521,14 @@ def verify_sym4_geodesics() -> VerdictReport:
     consecutive vertices sharing a mixed transposition."""
     started = time.monotonic()
     report = VerdictReport("sym4", 0)
-    _, lat, graph, el = _sym4_setup()
+    lat = _lattice(sym(4))
+    graph = _graph(sym(4), 3, KIND_CONTAINMENT)
 
-    _, cd3 = components_and_diameters(graph)
+    def el(*cycles):
+        # a sym table labels each element by its cycle notation
+        return lat.parent.labels.index(perm_label(perm_from_cycles(4, cycles)))
+
+    _, cd3 = _components(sym(4), 3, KIND_CONTAINMENT)
     report.records.append(CheckRecord(
         "sym(4)", 3, {"kind": KIND_CONTAINMENT, "check": "connected_diameter"},
         4, cd3, cd3 == 4))
@@ -560,11 +597,14 @@ def verify_construction(h_spec: GroupSpec | None = None,
     is_default = h_spec == cyclic(3)
     report = VerdictReport("construction", 0)
 
-    h_built = construct_detailed(h_spec, order_cap)
+    # bs(H) is built first: its order, 24|H|^4, is checked against the cap
+    # before any materialization, which covers H as well.
+    g_spec = bs(h_spec)
+    g_built = construct_detailed(g_spec, order_cap)
     h_name = spec_name(h_spec)
-    h_lat = enumerate_subgroups(h_built.table)
-    h_graph = build_graph(h_lat, 3, KIND_CONTAINMENT)
-    reports, cd3_h = components_and_diameters(h_graph)
+    h_lat = _lattice(h_spec)
+    h_graph = _graph(h_spec, 3, KIND_CONTAINMENT)
+    reports, cd3_h = _components(h_spec, 3, KIND_CONTAINMENT)
     report.records.append(CheckRecord(
         h_name, 3, {"check": "containment_diameter"},
         1 if is_default else cd3_h, cd3_h,
@@ -588,10 +628,8 @@ def verify_construction(h_spec: GroupSpec | None = None,
         chain = [0]
     chain_subs = [h_lat.subgroups[i] for i in chain]
 
-    g_spec = bs(h_spec)
-    g_built = construct_detailed(g_spec, order_cap)
     g_name = spec_name(g_spec)
-    expected_order = 24 * h_built.table.order ** 4
+    expected_order = 24 * h_lat.parent.order ** 4
     report.records.append(CheckRecord(
         g_name, 3, {"check": "group_order"},
         expected_order, g_built.table.order,
@@ -666,12 +704,9 @@ def verify_cd_inequality(corpus=None) -> VerdictReport:
     corpus = default_corpus() if corpus is None else corpus
     report = VerdictReport("cd", 0)
     for member in _lattice_members(corpus):
-        lat = _lattice_of(member)
-        for p in _divides_primes(lat.parent.order):
-            cont = build_graph(lat, p, KIND_CONTAINMENT)
-            comm = build_graph(lat, p, KIND_COMMENSURABILITY)
-            _, cd_p = components_and_diameters(cont)
-            _, diam = components_and_diameters(comm)
+        for p in _divides_primes(_lattice(member.spec).parent.order):
+            _, cd_p = _components(member.spec, p, KIND_CONTAINMENT)
+            _, diam = _components(member.spec, p, KIND_COMMENSURABILITY)
             bound = (cd_p - 1) // 2
             ok = diam >= bound
             enforced = p == 3
@@ -701,11 +736,9 @@ def verify_p2q(q_values=(3, 5, 7), primes=PRIMES_UP_TO_13) -> VerdictReport:
     report = VerdictReport("p2q", 0)
     max_diameter = 0
     for q in q_values:
-        lat = enumerate_subgroups(construct_detailed(p2q(q)).table)
         name = spec_name(p2q(q))
         for p in primes:
-            graph = build_graph(lat, p, KIND_COMMENSURABILITY)
-            comps, diameter = components_and_diameters(graph)
+            comps, diameter = _components(p2q(q), p, KIND_COMMENSURABILITY)
             max_diameter = max(max_diameter, diameter)
             kinds = sorted({c.kind for c in comps})
             class_ok = all(c.kind in ("singleton", "complete", "star")

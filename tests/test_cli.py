@@ -17,10 +17,12 @@ from commgraph.cli import (
 )
 from commgraph import (
     KIND_CONTAINMENT,
+    CacheMismatch,
     build_graph,
     construct,
     enumerate_subgroups,
     parse_group_spec,
+    sym,
 )
 
 
@@ -167,11 +169,28 @@ def test_lattice_cache_mismatch_rejected(tmp_path, capsys):
     assert run_cli("graph", '{"sym": 4}', "-p", "2", "--cache",
                    str(cache)) == EXIT_PARSE
     doc = json.loads(cache.read_text(encoding="utf-8"))
+    good = json.loads(json.dumps(doc))
     doc["subgroups"][1]["members"] = [0, 3]
     cache.write_text(json.dumps(doc), encoding="utf-8")
     assert run_cli("graph", '{"sym": 3}', "-p", "2", "--cache",
                    str(cache)) == EXIT_PARSE
     capsys.readouterr()
+
+    # malformed documents are a cache error (exit 2), never a traceback;
+    # JSON booleans are not element ids or orders
+    trivial = good["subgroups"][0]
+    for subgroups in ([1, 2], 5,
+                      [{**trivial, "members": [False]}, *good["subgroups"][1:]],
+                      [{**trivial, "order": True}, *good["subgroups"][1:]]):
+        cache.write_text(json.dumps({**good, "subgroups": subgroups}),
+                         encoding="utf-8")
+        with pytest.raises(CacheMismatch):
+            load_lattice_cache(json.loads(cache.read_text(encoding="utf-8")),
+                               sym(3), construct(sym(3)))
+        assert run_cli("graph", '{"sym": 3}', "-p", "2", "--cache",
+                       str(cache)) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -184,6 +203,20 @@ def test_bad_argument_values_exit_parse(argv, tmp_path, capsys):
     assert run_cli(*argv) == EXIT_PARSE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_bad_argument_values_rejected_before_any_work(monkeypatch, capsys):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("work started before the arguments were checked")
+
+    monkeypatch.setattr(cli, "construct", unreachable)
+    monkeypatch.setattr(cli, "run_suite", unreachable)
+    for argv in (("graph", '{"bs": {"cyclic": 2}}', "-p", "4"),
+                 ("analyze", '{"bs": {"cyclic": 2}}', "-p", "4"),
+                 ("verify", "all", "--trials", "0")):
+        assert run_cli(*argv) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_failed_write_keeps_existing_cache(tmp_path, capsys):
@@ -207,8 +240,6 @@ def test_load_lattice_cache_validates_canonical_order():
     assert [s.members for s in good.subgroups] \
         == [s.members for s in lat.subgroups]
     doc["subgroups"].reverse()
-    from commgraph import CacheMismatch
-
     with pytest.raises(CacheMismatch):
         load_lattice_cache(doc, spec, table)
 

@@ -99,9 +99,9 @@ def test_nesting_depth_guard():
     (bs(cyclic(1)), 24),
     (bs(cyclic(3)), 1944),
 ])
-def test_constructed_orders(spec, order):
+def test_constructed_orders(spec, order, built_group):
     assert predicted_order(spec) == order
-    assert construct(spec).order == order
+    assert built_group(spec).table.order == order
 
 
 def test_direct_order_multiplies():
@@ -140,22 +140,20 @@ def test_p2q_matches_matrix_realization():
         assert a in (1, 2) and d in (1, 2) and 0 <= b < 3
 
 
-def test_p2q_subgroup_dichotomy():
+def test_p2q_subgroup_dichotomy(corpus_lattice):
     """Every subgroup either contains the full unipotent part or has order
     coprime to q."""
-    from commgraph.lattice import enumerate_subgroups
-
     for q in (3, 5, 7):
-        built = construct_detailed(p2q(q))
-        unipotent = subgroup_closure(built.table, [built.index[(1, 1, 1)]])
+        lat = corpus_lattice(p2q(q))
+        table = lat.parent
+        unipotent = subgroup_closure(table, [table.labels.index("(1,1,1)")])
         assert unipotent.order == q
-        lat = enumerate_subgroups(built.table)
         for sub in lat.subgroups:
             assert unipotent.issubset(sub) or sub.order % q != 0
 
 
-def test_bs_contains_normal_coordinate_product():
-    built = construct_detailed(bs(cyclic(3)))
+def test_bs_contains_normal_coordinate_product(built_group):
+    built = built_group(bs(cyclic(3)))
     table = built.table
     assert table.order == 1944
     delta_gens = [built.index[(tuple(1 if i == s else 0 for i in range(4)),
@@ -172,7 +170,3 @@ def test_bs_coordinate_action_swaps_slots():
     slot1 = built.index[((1, 0, 0, 0), (0, 1, 2, 3))]
     conj = built.table.mult[built.table.mult[swap][slot1]][built.table.inv[swap]]
     assert built.elements[conj] == ((0, 1, 0, 0), (0, 1, 2, 3))
-
-
-def test_construct_caches_by_spec():
-    assert construct_detailed(sym(4)) is construct_detailed(sym(4))

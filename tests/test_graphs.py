@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from commgraph import (
@@ -191,7 +194,19 @@ def test_simple_paths_superset_of_geodesics(s4, s4_lattice):
     assert geos == sorted(geos)
 
 
-def test_graph_memoized_per_lattice(s4_lattice):
-    a = build_graph(s4_lattice, 2, KIND_COMMENSURABILITY)
-    b = build_graph(s4_lattice, 2, KIND_COMMENSURABILITY)
-    assert a is b
+def test_library_keeps_no_results():
+    """Every call computes afresh and nothing pins its result: reuse is
+    the caller's choice (see commgraph.verify)."""
+    lat = enumerate_subgroups(construct(sym(4)))
+    ref = weakref.ref(lat)
+    del lat
+    gc.collect()
+    assert ref() is None
+
+    assert construct_detailed(sym(4)) is not construct_detailed(sym(4))
+    lat = enumerate_subgroups(construct(sym(4)))
+    a = build_graph(lat, 2, KIND_COMMENSURABILITY)
+    b = build_graph(lat, 2, KIND_COMMENSURABILITY)
+    assert a is not b
+    assert a.edge_data == b.edge_data
+    assert components_and_diameters(a) is not components_and_diameters(a)

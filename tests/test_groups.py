@@ -338,13 +338,13 @@ def test_derived_series_orders(spec, orders):
         assert is_normal(nxt, prev)
 
 
-def test_derived_series_of_coordinate_product_against_oracle():
+def test_derived_series_of_coordinate_product_against_oracle(built_group):
     """All-pairs commutator oracle (vectorized) for the 1944-element group."""
     import numpy as np
 
     from commgraph import bs
 
-    table = construct(bs(cyclic(3)))
+    table = built_group(bs(cyclic(3))).table
     series = derived_series(table)
     assert series.orders == (1944, 324, 108, 27, 1)
     tbl = np.array(table.mult, dtype=np.int32)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -10,8 +11,10 @@ from commgraph import (
     bs,
     cyclic,
     default_corpus,
+    run_all,
     run_suite,
     spec_name,
+    verify,
     verify_construction,
     verify_lemma_suite,
 )
@@ -101,3 +104,30 @@ def test_unknown_suite_rejected():
         run_suite("nonsense")
     assert set(SUITE_NAMES) == {"totaldisc", "bounds", "lemmas", "sym4",
                                 "construction", "cd", "p2q"}
+
+
+def test_run_all_enumerates_each_spec_once(monkeypatch):
+    """verify holds the only cache: from cold, `verify all` enumerates the
+    lattice of each distinct spec once, whichever suites share it."""
+    for helper in (verify._lattice, verify._graph, verify._components,
+                   verify._derived_series):
+        helper.cache_clear()
+    spec_of = {}  # id(table) -> (spec, table); the table keeps its id
+    enumerated = Counter()
+    construct_detailed = verify.construct_detailed
+    enumerate_subgroups = verify.enumerate_subgroups
+
+    def constructing(spec, *args):
+        built = construct_detailed(spec, *args)
+        spec_of[id(built.table)] = (spec, built.table)
+        return built
+
+    def counting(table, *args):
+        enumerated[spec_of[id(table)][0]] += 1
+        return enumerate_subgroups(table, *args)
+
+    monkeypatch.setattr(verify, "construct_detailed", constructing)
+    monkeypatch.setattr(verify, "enumerate_subgroups", counting)
+    assert all(report.passed for report in run_all())
+    assert max(enumerated.values()) == 1
+    assert set(enumerated) == {m.spec for m in _lattice_members(default_corpus())}
