@@ -131,11 +131,14 @@ def lattice_cache_doc(spec: GroupSpec, lat: Lattice) -> dict:
 def load_lattice_cache(doc: dict, spec: GroupSpec, table: GroupTable) -> Lattice:
     """Rebuild a lattice from a cache document, validating it against the
     freshly constructed table."""
-    if not isinstance(doc, dict) or doc.get("format_version") != CACHE_FORMAT_VERSION:
+    # type() rather than ==: JSON true equals 1, which is both the format
+    # version and the order of the trivial group
+    if (not isinstance(doc, dict) or type(doc.get("format_version")) is not int
+            or doc["format_version"] != CACHE_FORMAT_VERSION):
         raise CacheMismatch("unsupported cache format")
     if doc.get("spec") != spec_to_doc(spec):
         raise CacheMismatch("cache file describes a different group spec")
-    if doc.get("order") != table.order:
+    if type(doc.get("order")) is not int or doc["order"] != table.order:
         raise CacheMismatch("cache order does not match the constructed group")
     if doc.get("element_labels") != list(table.labels):
         raise CacheMismatch("cache element labels do not match")

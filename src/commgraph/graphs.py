@@ -5,12 +5,23 @@ subgroups A, B are adjacent when both [A : A∩B] and [B : A∩B] are powers
 of p; in the containment graph, when one contains the other with index a
 positive power of p (so every containment edge is also a commensurability
 edge).  Path lengths and diameters count edges.
+
+A graph is two m×m numpy matrices over the m lattice members: the p-power
+exponent of every index [L[i] : L[i]∩L[j]] and the boolean adjacency.
+``build_graph`` gets all intersection orders from one product M·Mᵀ of the
+0/1 membership matrix; ``components_and_diameters`` runs a breadth-first
+search from every vertex at once, one matrix product per level.  The edge
+map, neighbor lists and edge count are read off the matrices on demand.
+``commensurability_exponents`` is the scalar form of the same test, for a
+single pair of subgroups.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import NotConnected, ParentMismatch
 from .groups import SubgroupSet, is_prime, p_power_exponent
@@ -36,19 +47,22 @@ def commensurability_exponents(A: SubgroupSet, B: SubgroupSet,
     return (a, b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CommGraph:
-    """Simple undirected graph over lattice indices with p-power edge data.
+    """Simple undirected graph over lattice indices, held as two read-only
+    m×m matrices (m = number of subgroups in the lattice).
 
-    edge_data maps each edge (i, j) with i < j to the exponent pair (a, b)
-    where [L[i] : L[i]∩L[j]] = p**a and [L[j] : L[i]∩L[j]] = p**b.
+    exponents[i, j] is a when [L[i] : L[i]∩L[j]] = p**a, else -1 (int8);
+    it is filled for every pair, edge or not.  adj is the symmetric bool
+    adjacency matrix with a false diagonal.  Equality is identity: the
+    matrices have no single truth value.
     """
 
     kind: str
     p: int
     lattice: Lattice
-    adjacency: list[list[int]] = field(repr=False)
-    edge_data: dict[tuple[int, int], tuple[int, int]] = field(repr=False)
+    exponents: np.ndarray = field(repr=False)
+    adj: np.ndarray = field(repr=False)
 
     @property
     def vertex_count(self) -> int:
@@ -56,40 +70,60 @@ class CommGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edge_data)
+        return int(np.count_nonzero(self.adj)) // 2
+
+    @property
+    def edge_data(self) -> dict[tuple[int, int], tuple[int, int]]:
+        """Each edge (i, j) with i < j, in ascending order, mapped to the
+        exponent pair (a, b) where [L[i] : L[i]∩L[j]] = p**a and
+        [L[j] : L[i]∩L[j]] = p**b.  Derived from the matrices on access."""
+        i, j = np.nonzero(np.triu(self.adj, 1))
+        pairs = zip(self.exponents[i, j].tolist(), self.exponents[j, i].tolist())
+        return dict(zip(zip(i.tolist(), j.tolist()), pairs))
+
+    def neighbors(self, i: int) -> list[int]:
+        """The neighbors of vertex i in ascending order."""
+        return np.flatnonzero(self.adj[i]).tolist()
 
     def adjacent(self, i: int, j: int) -> bool:
-        return (i, j) in self.edge_data if i < j else (j, i) in self.edge_data
+        return bool(self.adj[i, j])
+
+
+def _membership_matrix(lat: Lattice) -> np.ndarray:
+    """The m×n 0/1 matrix whose row i has a 1 at each element of L[i]."""
+    n = lat.parent.order
+    width = (n + 7) // 8
+    packed = b"".join(s.members.to_bytes(width, "little") for s in lat.subgroups)
+    rows = np.frombuffer(packed, dtype=np.uint8).reshape(-1, width)
+    return np.unpackbits(rows, axis=1, count=n, bitorder="little")
 
 
 def build_graph(lat: Lattice, p: int, kind: str) -> CommGraph:
-    """All-pairs evaluation of the edge predicate over the lattice."""
+    """Every intersection order from one M·Mᵀ over the membership matrix
+    M, then the p-power test on every index [L[i] : L[i]∩L[j]] by a
+    lookup table built from p_power_exponent."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if kind not in (KIND_COMMENSURABILITY, KIND_CONTAINMENT):
         raise ValueError(f"unknown graph kind {kind!r}")
-    subs = lat.subgroups
-    m = len(subs)
-    adjacency: list[list[int]] = [[] for _ in range(m)]
-    edge_data: dict[tuple[int, int], tuple[int, int]] = {}
-    for i in range(m):
-        mi = subs[i].members
-        for j in range(i + 1, m):
-            inter = (mi & subs[j].members).bit_count()
-            a = p_power_exponent(subs[i].order // inter, p)
-            if a is None:
-                continue
-            b = p_power_exponent(subs[j].order // inter, p)
-            if b is None:
-                continue
-            if kind == KIND_CONTAINMENT and 0 not in (a, b):
-                continue
-            edge_data[(i, j)] = (a, b)
-            adjacency[i].append(j)
-            adjacency[j].append(i)
-    for neighbors in adjacency:
-        neighbors.sort()
-    return CommGraph(kind, p, lat, adjacency, edge_data)
+    n = lat.parent.order
+    # float32 products are exact for counts below 2**24; orders and
+    # intersection orders are divisors of n, so the index dtype holds them
+    member = _membership_matrix(lat).astype(np.float32)
+    index_dtype = np.min_scalar_type(n)
+    inter = (member @ member.T).astype(index_dtype)
+    orders = np.array([s.order for s in lat.subgroups], dtype=index_dtype)
+    # lookup[k] is the exponent of index k, or -1; index 0 never occurs
+    powers = [p_power_exponent(k, p) for k in range(1, n + 1)]
+    lookup = np.array([-1] + [-1 if e is None else e for e in powers],
+                      dtype=np.int8)
+    exponents = lookup[orders[:, None] // inter]
+    adj = (exponents >= 0) & (exponents.T >= 0)
+    if kind == KIND_CONTAINMENT:
+        adj &= (exponents == 0) | (exponents.T == 0)
+    np.fill_diagonal(adj, False)
+    exponents.flags.writeable = adj.flags.writeable = False
+    return CommGraph(kind, p, lat, exponents, adj)
 
 
 @dataclass
@@ -109,7 +143,7 @@ def _bfs_distances(graph: CommGraph, start: int) -> dict[int, int]:
     queue = deque([start])
     while queue:
         x = queue.popleft()
-        for y in graph.adjacency[x]:
+        for y in graph.neighbors(x):
             if y not in dist:
                 dist[y] = dist[x] + 1
                 queue.append(y)
@@ -123,16 +157,15 @@ def classify_component(graph: CommGraph, vertices: list[int]) -> tuple[str, int 
     k = len(vertices)
     if k == 1:
         return ("singleton", None)
-    vset = set(vertices)
-    edges = sum(sum(1 for y in graph.adjacency[x] if y in vset)
-                for x in vertices) // 2
+    edges = int(np.count_nonzero(graph.adj[np.ix_(vertices, vertices)])) // 2
     if edges == k * (k - 1) // 2:
         return ("complete", None)
     if k >= 3 and edges == k - 1:
-        centers = [x for x in vertices if len(graph.adjacency[x]) == k - 1]
+        degrees = np.count_nonzero(graph.adj[vertices], axis=1)
+        centers = [x for x, d in zip(vertices, degrees) if d == k - 1]
         if len(centers) == 1:
-            leafs_ok = all(len(graph.adjacency[x]) == 1
-                           for x in vertices if x != centers[0])
+            leafs_ok = all(d == 1 for x, d in zip(vertices, degrees)
+                           if x != centers[0])
             if leafs_ok:
                 return ("star", centers[0])
     return ("other", None)
@@ -141,27 +174,35 @@ def classify_component(graph: CommGraph, vertices: list[int]) -> tuple[str, int 
 def components_and_diameters(graph: CommGraph) -> tuple[list[ComponentReport], int]:
     """Components (ordered by smallest vertex) with per-vertex
     eccentricities and diameters; the connected diameter is the maximum
-    component diameter (0 when totally disconnected)."""
+    component diameter (0 when totally disconnected).
+
+    A breadth-first search runs from every vertex at once: row v of the
+    frontier holds the vertices at distance d from v, and one matrix
+    product per level gives the next, for the rows still non-empty.  A
+    vertex's eccentricity is the last level at which its frontier is
+    non-empty; its component is the set of vertices it reached."""
     m = graph.vertex_count
-    comp_of = [-1] * m
-    comps: list[list[int]] = []
-    for start in range(m):
-        if comp_of[start] != -1:
-            continue
-        seen = sorted(_bfs_distances(graph, start))
-        for v in seen:
-            comp_of[v] = len(comps)
-        comps.append(seen)
+    step = graph.adj.astype(np.float32)
+    reached = graph.adj | np.eye(m, dtype=bool)
+    sources = np.arange(m)
+    frontier = graph.adj
+    ecc = np.zeros(m, dtype=np.int64)
+    level = 0
+    while True:
+        alive = frontier.any(axis=1)
+        if not alive.any():
+            break
+        level += 1
+        sources, frontier = sources[alive], frontier[alive]
+        ecc[sources] = level
+        frontier = (frontier.astype(np.float32) @ step > 0) & ~reached[sources]
+        reached[sources] |= frontier
 
     reports = []
     connected_diameter = 0
-    for vertices in comps:
-        eccs = []
-        for v in vertices:
-            dist = _bfs_distances(graph, v)
-            if len(dist) != len(vertices):
-                raise AssertionError("BFS escaped the component")
-            eccs.append(max(dist.values()))
+    for root in np.unique(reached.argmax(axis=1)).tolist():
+        vertices = np.flatnonzero(reached[root]).tolist()
+        eccs = ecc[vertices].tolist()
         diameter = max(eccs)
         kind, center = classify_component(graph, vertices)
         reports.append(ComponentReport(vertices, diameter, eccs, kind, center))
@@ -185,7 +226,7 @@ def all_geodesics(graph: CommGraph, u: int, v: int) -> list[list[int]]:
         if dist[head] == 0:
             paths.append(tail[::-1])
             return
-        for w in graph.adjacency[head]:
+        for w in graph.neighbors(head):
             if dist.get(w) == dist[head] - 1:
                 extend_back(tail + [w])
 
@@ -204,7 +245,7 @@ def all_simple_paths(graph: CommGraph, u: int, v: int) -> list[list[int]]:
         if x == v:
             paths.append(stack.copy())
             return
-        for y in graph.adjacency[x]:
+        for y in graph.neighbors(x):
             if y not in on_path:
                 on_path.add(y)
                 stack.append(y)

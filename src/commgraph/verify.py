@@ -617,8 +617,9 @@ def verify_construction(h_spec: GroupSpec | None = None,
             continue
         for a_pos, a in enumerate(comp.vertices):
             for b in comp.vertices[a_pos + 1:]:
-                if len(all_geodesics(h_graph, a, b)[0]) == cd3_h + 1:
-                    chain = all_geodesics(h_graph, a, b)[0]
+                first = all_geodesics(h_graph, a, b)[0]
+                if len(first) == cd3_h + 1:
+                    chain = first
                     break
             if chain:
                 break

@@ -20,6 +20,7 @@ from commgraph import (
     CacheMismatch,
     build_graph,
     construct,
+    cyclic,
     enumerate_subgroups,
     parse_group_spec,
     sym,
@@ -177,17 +178,26 @@ def test_lattice_cache_mismatch_rejected(tmp_path, capsys):
     capsys.readouterr()
 
     # malformed documents are a cache error (exit 2), never a traceback;
-    # JSON booleans are not element ids or orders
+    # JSON booleans are not element ids, orders or format versions (true
+    # equals 1, the version and the order of the trivial group)
     trivial = good["subgroups"][0]
-    for subgroups in ([1, 2], 5,
-                      [{**trivial, "members": [False]}, *good["subgroups"][1:]],
-                      [{**trivial, "order": True}, *good["subgroups"][1:]]):
-        cache.write_text(json.dumps({**good, "subgroups": subgroups}),
-                         encoding="utf-8")
+    cases = [('{"sym": 3}', sym(3), {**good, "subgroups": subgroups})
+             for subgroups in (
+                 [1, 2], 5,
+                 [{**trivial, "members": [False]}, *good["subgroups"][1:]],
+                 [{**trivial, "order": True}, *good["subgroups"][1:]])]
+    cases.append(('{"sym": 3}', sym(3), {**good, "format_version": True}))
+    one = tmp_path / "one.json"
+    assert run_cli("subgroups", '{"cyclic": 1}', "--cache", str(one)) == EXIT_OK
+    one_doc = json.loads(one.read_text(encoding="utf-8"))
+    cases.append(('{"cyclic": 1}', cyclic(1), {**one_doc, "order": True}))
+    capsys.readouterr()
+    for text, spec, bad in cases:
+        cache.write_text(json.dumps(bad), encoding="utf-8")
         with pytest.raises(CacheMismatch):
             load_lattice_cache(json.loads(cache.read_text(encoding="utf-8")),
-                               sym(3), construct(sym(3)))
-        assert run_cli("graph", '{"sym": 3}', "-p", "2", "--cache",
+                               spec, construct(spec))
+        assert run_cli("graph", text, "-p", "2", "--cache",
                        str(cache)) == EXIT_PARSE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1

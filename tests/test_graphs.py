@@ -75,7 +75,7 @@ def test_adjacency_symmetric_and_exponents_reverse(s4_lattice):
     graph = build_graph(s4_lattice, 2, KIND_COMMENSURABILITY)
     for (i, j), (a, b) in graph.edge_data.items():
         assert i < j
-        assert j in graph.adjacency[i] and i in graph.adjacency[j]
+        assert j in graph.neighbors(i) and i in graph.neighbors(j)
         sa = s4_lattice.subgroups[i]
         sb = s4_lattice.subgroups[j]
         assert commensurability_exponents(sb, sa, 2) == (b, a)
@@ -115,14 +115,14 @@ def test_classification_soundness():
         comps, _ = components_and_diameters(graph)
         for comp in comps:
             n = len(comp.vertices)
-            edges = sum(len(graph.adjacency[v]) for v in comp.vertices) // 2
+            edges = sum(len(graph.neighbors(v)) for v in comp.vertices) // 2
             if comp.kind == "singleton":
                 assert n == 1 and comp.diameter == 0
             elif comp.kind == "complete":
                 assert edges == n * (n - 1) // 2 and comp.diameter <= 1
             elif comp.kind == "star":
                 assert edges == n - 1 and comp.diameter == 2
-                assert len(graph.adjacency[comp.center]) == n - 1
+                assert len(graph.neighbors(comp.center)) == n - 1
             assert comp.diameter == max(comp.eccentricities)
 
 
@@ -159,7 +159,7 @@ def test_eccentricities_match_pairwise_bfs(s4_lattice):
             while frontier:
                 nxt = []
                 for x in frontier:
-                    for y in graph.adjacency[x]:
+                    for y in graph.neighbors(x):
                         if y not in dists:
                             dists[y] = dists[x] + 1
                             nxt.append(y)
