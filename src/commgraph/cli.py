@@ -39,9 +39,9 @@ from .graphs import (
 from .groups import (
     DEFAULT_ORDER_CAP,
     GroupTable,
+    _structure_flags,
     derived_series,
     is_prime,
-    structure_flags,
 )
 from .lattice import Lattice, _finish_lattice, enumerate_subgroups
 from .verify import (
@@ -227,8 +227,8 @@ def _lattice_for(args, spec: GroupSpec, table: GroupTable) -> Lattice:
 def cmd_group(args) -> int:
     spec = parse_group_spec(args.spec)
     table = construct(spec, _order_cap(args))
-    flags = structure_flags(table)
     series = derived_series(table)
+    flags = _structure_flags(table, series)
     factorization = "*".join(
         (f"{p}^{e}" if e > 1 else str(p)) for p, e in table.order_factorization) or "1"
     if args.json:

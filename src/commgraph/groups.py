@@ -663,6 +663,11 @@ class StructureFlags:
 
 
 def structure_flags(G: GroupTable) -> StructureFlags:
+    return _structure_flags(G, derived_series(G))
+
+
+def _structure_flags(G: GroupTable, series: DerivedSeries) -> StructureFlags:
+    """structure_flags over a derived series of G that the caller holds."""
     mult = G.mult
     abelian = True
     for a in range(G.order):
@@ -673,7 +678,6 @@ def structure_flags(G: GroupTable) -> StructureFlags:
                 break
         if not abelian:
             break
-    series = derived_series(G)
     solvable = series.terms[-1].order == 1
     metabelian = solvable and len(series.terms) <= 3
     nilpotent = abelian or is_nilpotent_subgroup(full_subgroup(G))

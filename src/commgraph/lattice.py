@@ -1,11 +1,12 @@
 """Complete subgroup lattice enumeration, plus a brute-force cross-check.
 
-``enumerate_subgroups`` seeds with every distinct cyclic subgroup and then
-extends known subgroups by single cyclic generators to a fixpoint, which
-finds every subgroup (each subgroup is generated by finitely many cyclic
-subgroups).  ``oracle_enumerate_subgroups`` instead closes all generator
-tuples of bounded size, level by level; with max_gens >= log2(order) it
-provably finds every subgroup, independently of the fixpoint route.
+``enumerate_subgroups`` is Neubüser's cyclic extension method (1960), as in
+GAP's ``LatticeByCyclicExtension``: from the trivial subgroup on, one
+subgroup per conjugacy class is extended by every cyclic subgroup of
+prime-power order it lacks, until no new class appears.
+``oracle_enumerate_subgroups`` instead closes all generator tuples of
+bounded size, level by level; with max_gens >= log2(order) it provably
+finds every subgroup, independently of the cyclic-extension route.
 """
 
 from __future__ import annotations
@@ -14,7 +15,13 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import LatticeCapExceeded, NotFound, OracleScaleExceeded
-from .groups import GroupTable, SubgroupSet, _closure_list
+from .groups import (
+    GroupTable,
+    SubgroupSet,
+    _closure_list,
+    _conjugate_mask,
+    factorize,
+)
 
 DEFAULT_LATTICE_CAP = 100000
 _ORACLE_MAX_ORDER = 100
@@ -76,47 +83,91 @@ def _check_lattice(lat: Lattice) -> None:
                 raise AssertionError("lattice not closed under intersection")
 
 
+def _zuppos(G: GroupTable) -> list[tuple[int, int]]:
+    """Every cyclic subgroup of prime-power order > 1, once, as
+    (generator, mask); the generator is the smallest element id that
+    generates it."""
+    seen: set[int] = set()
+    out = []
+    for x in range(1, G.order):
+        if len(factorize(G.element_orders[x])) != 1:
+            continue
+        mask, _ = _closure_list(G.mult, (x,))
+        if mask not in seen:
+            seen.add(mask)
+            out.append((x, mask))
+    return out
+
+
+def _cyclic_extension(mult: list[list[int]], s_mask: int,
+                      s_elems: list[int], c: int) -> tuple[int, list[int]]:
+    """<S, c> from S's members, one left coset of S at a time.
+
+    The members found so far are always a union of left cosets yS, so they
+    are closed under right multiplication by S; right multiplication by c
+    either stays inside them or lands in a coset that is wholly new.
+    """
+    mask, elems = s_mask, list(s_elems)
+    for x in elems:  # also visits the members appended below
+        y = mult[x][c]
+        if not mask >> y & 1:
+            row = mult[y]
+            for s in s_elems:
+                z = row[s]
+                mask |= 1 << z
+                elems.append(z)
+    return mask, elems
+
+
+def _conjugacy_class(G: GroupTable, mask: int) -> list[int]:
+    """Masks of the orbit of a subgroup under conjugation by G.generators."""
+    orbit = [mask]
+    seen = {mask}
+    for m in orbit:  # also visits the masks appended below
+        for g in G.generators:
+            image = _conjugate_mask(G, m, g)
+            if image not in seen:
+                seen.add(image)
+                orbit.append(image)
+    return orbit
+
+
 def enumerate_subgroups(G: GroupTable,
                         lattice_cap: int = DEFAULT_LATTICE_CAP) -> Lattice:
     """Every subgroup of G, canonically ordered.
 
-    Fixpoint: for each known subgroup S and each representative c of a
-    cyclic subgroup not inside S, add the closure of S and c if new.
+    Cyclic extension over zuppos (Neubüser 1960; GAP's
+    ``LatticeByCyclicExtension``): every subgroup is generated by the
+    cyclic subgroups of prime-power order it contains, so extending by one
+    such zuppo at a time from the trivial subgroup reaches every subgroup.
+    Since <S, c>^g = <S^g, c^g>, only one representative per conjugacy
+    class is extended: a new extension T brings in its whole orbit under
+    conjugation by ``G.generators`` at once, and only T is extended later.
+    Completeness needs only that the known subgroups stay closed under the
+    conjugations used; that ``G.generators`` generate G (every table
+    builder ensures it) is what makes each orbit a whole class, so no class
+    is extended twice.  Each extension is closed coset by coset from S's
+    member list (``_cyclic_extension``).  Raises LatticeCapExceeded as soon
+    as more than lattice_cap subgroups are known.
     """
     mult = G.mult
-    cyclic_reps: list[tuple[int, int]] = []  # (representative element, mask)
-    seen_cyclic: set[int] = set()
-    for x in range(1, G.order):
-        mask, _ = _closure_list(mult, (x,))
-        if mask not in seen_cyclic:
-            seen_cyclic.add(mask)
-            cyclic_reps.append((x, mask))
-
-    known: dict[int, tuple[int, ...]] = {1: ()}
-    worklist: list[int] = [1]
-    for x, mask in cyclic_reps:
-        if mask not in known:
-            known[mask] = (x,)
-            worklist.append(mask)
-
-    qi = 0
-    while qi < len(worklist):
-        s_mask = worklist[qi]
-        s_wits = known[s_mask]
-        qi += 1
-        for c, c_mask in cyclic_reps:
+    zuppos = _zuppos(G)
+    known = {1}
+    worklist: list[tuple[int, list[int]]] = [(1, [0])]
+    for s_mask, s_elems in worklist:  # also visits the entries appended below
+        for c, c_mask in zuppos:
             if c_mask & s_mask == c_mask:
                 continue
-            wits = s_wits + (c,)
-            t_mask, _ = _closure_list(mult, wits)
-            if t_mask not in known:
-                if len(known) + 1 > lattice_cap:
-                    raise LatticeCapExceeded(
-                        f"more than {lattice_cap} subgroups")
-                known[t_mask] = wits
-                worklist.append(t_mask)
+            t_mask, t_elems = _cyclic_extension(mult, s_mask, s_elems, c)
+            if t_mask in known:
+                continue
+            cls = _conjugacy_class(G, t_mask)
+            if len(known) + len(cls) > lattice_cap:
+                raise LatticeCapExceeded(f"more than {lattice_cap} subgroups")
+            known.update(cls)
+            worklist.append((t_mask, t_elems))
 
-    return _finish_lattice(G, known.keys())
+    return _finish_lattice(G, known)
 
 
 def oracle_enumerate_subgroups(G: GroupTable, max_gens: int) -> Lattice:

@@ -47,6 +47,7 @@ from .groups import (
     DerivedSeries,
     GroupTable,
     SubgroupSet,
+    _structure_flags,
     derived_series,
     factorize,
     full_subgroup,
@@ -59,7 +60,7 @@ from .groups import (
     perm_from_cycles,
     perm_label,
     product_set,
-    structure_flags,
+    structure_flags,  # not called here; perfbench/spans.py wraps this name
     subgroup_closure,
     sylow_subgroup,
 )
@@ -221,8 +222,8 @@ def verify_diameter_bounds(corpus=None) -> VerdictReport:
     report = VerdictReport("bounds", 0)
     for member in _lattice_members(corpus):
         table = _lattice(member.spec).parent
-        flags = structure_flags(table)
         series = _derived_series(table)
+        flags = _structure_flags(table, series)
         derived = series.terms[1] if len(series.terms) > 1 else series.terms[0]
         for p in _divides_primes(table.order):
             _, diameter = _components(member.spec, p, KIND_COMMENSURABILITY)

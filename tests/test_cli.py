@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 
@@ -9,6 +10,7 @@ import pytest
 
 from commgraph import cli
 from commgraph.cli import (
+    EXIT_LATTICE_CAP,
     EXIT_OK,
     EXIT_ORDER_CAP,
     EXIT_PARSE,
@@ -227,6 +229,13 @@ def test_bad_argument_values_rejected_before_any_work(monkeypatch, capsys):
         assert run_cli(*argv) == EXIT_PARSE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_lattice_cap_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "enumerate_subgroups",
+                        functools.partial(enumerate_subgroups, lattice_cap=29))
+    assert run_cli("subgroups", '{"sym": 4}') == EXIT_LATTICE_CAP
+    assert capsys.readouterr().err == "error: more than 29 subgroups\n"
 
 
 def test_failed_write_keeps_existing_cache(tmp_path, capsys):

@@ -14,6 +14,7 @@ from commgraph import (
     OracleScaleExceeded,
     abelian,
     build_group_from_permutations,
+    conjugate_subgroup,
     construct,
     construct_detailed,
     cyclic,
@@ -26,6 +27,7 @@ from commgraph import (
     subgroup_closure,
     sym,
 )
+from commgraph import lattice as lattice_module
 from commgraph.groups import perm_from_cycles
 
 
@@ -127,10 +129,41 @@ def test_subgroup_count_monotone_under_direct_factor():
         assert grown >= base
 
 
+@pytest.mark.parametrize("spec,classes", [
+    (sym(4), 11), (dihedral(4), 8), (p2q(3), 10), (sym(5), 19),
+])
+def test_extends_one_representative_per_conjugacy_class(spec, classes,
+                                                         monkeypatch):
+    """Only one subgroup per conjugacy class is extended; the full group,
+    which contains every zuppo, never is."""
+    table = construct(spec)
+    extend = lattice_module._cyclic_extension
+    extended = set()
+
+    def counting(mult, s_mask, s_elems, c):
+        extended.add(s_mask)
+        return extend(mult, s_mask, s_elems, c)
+
+    monkeypatch.setattr(lattice_module, "_cyclic_extension", counting)
+    lat = enumerate_subgroups(table)
+    orbits = {frozenset(conjugate_subgroup(s, g).members
+                        for g in range(table.order))
+              for s in lat.subgroups}
+    assert len(orbits) == classes
+    assert len(extended) == classes - 1
+    assert len({orbit for orbit in orbits if orbit & extended}) == classes - 1
+
+
 def test_lattice_cap():
     table = build_group_from_permutations(4, [[(1, 2)], [(1, 2, 3, 4)]])
     with pytest.raises(LatticeCapExceeded):
         enumerate_subgroups(table, lattice_cap=10)
+    # conjugacy classes arrive whole, yet the cap trips exactly when the
+    # total passes it: sym(4) has 30 subgroups
+    table = construct(sym(4))
+    assert len(enumerate_subgroups(table, lattice_cap=30)) == 30
+    with pytest.raises(LatticeCapExceeded, match=r"^more than 29 subgroups$"):
+        enumerate_subgroups(table, lattice_cap=29)
 
 
 def test_locate_subgroup():
