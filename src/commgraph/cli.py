@@ -307,9 +307,16 @@ def _load_corpus_file(path: str) -> list[CorpusMember]:
         if not isinstance(entry, dict) or "spec" not in entry:
             raise InvalidSpec("each corpus member needs a 'spec'")
         spec = spec_from_doc(entry["spec"])
-        name = entry.get("name") or spec_name(spec)
-        members.append(CorpusMember(name, spec,
-                                    bool(entry.get("enumerate", True))))
+        name = entry.get("name", "")
+        if not isinstance(name, str):
+            raise InvalidSpec("a corpus member 'name' must be a string")
+        name = name or spec_name(spec)
+        if any(m.name == name for m in members):  # suites key lattices by name
+            raise InvalidSpec(f"duplicate corpus member name {name!r}")
+        enumerate_lattice = entry.get("enumerate", True)
+        if not isinstance(enumerate_lattice, bool):
+            raise InvalidSpec("a corpus member 'enumerate' must be true or false")
+        members.append(CorpusMember(name, spec, enumerate_lattice))
     return members
 
 

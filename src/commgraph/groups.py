@@ -10,6 +10,11 @@ Every table is validated before it is wrapped.  Associativity is proven,
 not sampled, by Light's test (Clifford & Preston, *The Algebraic Theory of
 Semigroups* I, 1961, section 1.2) over a generating set of the table: one
 n x n comparison per generator rather than one per element.
+
+Subgroups grow by one route, ``_cyclic_extension`` (one coset at a time;
+Neubüser 1960), and are conjugated by one, ``_conjugate_mask``, whose
+orbits under the table's generators (``_conjugacy_class``) give normal
+cores and the lattice enumerator's classes.
 """
 
 from __future__ import annotations
@@ -348,19 +353,34 @@ def build_group_from_table(mult: Sequence[Sequence[int]],
 # subgroup sets
 
 
+def _cyclic_extension(mult: list[list[int]], s_mask: int,
+                      s_elems: list[int], c: int) -> tuple[int, list[int]]:
+    """<S, c> from S's members, one left coset of S at a time.
+
+    The members found so far are always a union of left cosets yS, so they
+    are closed under right multiplication by S; right multiplication by c
+    either stays inside them or lands in a coset that is wholly new.  The
+    returned list starts with s_elems.
+    """
+    mask, elems = s_mask, list(s_elems)
+    for x in elems:  # also visits the members appended below
+        y = mult[x][c]
+        if not mask >> y & 1:
+            row = mult[y]
+            for s in s_elems:
+                z = row[s]
+                mask |= 1 << z
+                elems.append(z)
+    return mask, elems
+
+
 def _closure_list(mult: list[list[int]], gens: Sequence[int]) -> tuple[int, list[int]]:
-    """Closure of a generator list: (bit mask, members in BFS order)."""
-    mask = 1
-    elems = [0]
-    qi = 0
-    while qi < len(elems):
-        row = mult[elems[qi]]
-        for g in gens:
-            y = row[g]
-            if not mask >> y & 1:
-                mask |= 1 << y
-                elems.append(y)
-        qi += 1
+    """Closure of a generator list: (bit mask, members), grown from the
+    trivial subgroup by one cyclic extension per generator it lacks."""
+    mask, elems = 1, [0]
+    for g in gens:
+        if not mask >> g & 1:
+            mask, elems = _cyclic_extension(mult, mask, elems, g)
     return mask, elems
 
 
@@ -368,16 +388,14 @@ def _greedy_witnesses(mult: list[list[int]], mask: int) -> tuple[int, ...]:
     """Canonical irredundant generating list: scan member ids ascending,
     keep each element not yet generated.  Depends only on the member set,
     so serialized lattices reproduce identical witnesses."""
-    if mask == 1:
-        return ()
     wits: list[int] = []
-    closed = 1
+    closed, elems = 1, [0]
     for x in _bits(mask):
+        if closed == mask:
+            break
         if not closed >> x & 1:
             wits.append(x)
-            closed, _ = _closure_list(mult, wits)
-            if closed == mask:
-                break
+            closed, elems = _cyclic_extension(mult, closed, elems, x)
     return tuple(wits)
 
 
@@ -484,18 +502,12 @@ def product_set(A: SubgroupSet, Q: SubgroupSet) -> SubgroupSet:
     G = A.parent
     if not is_normal(Q, full_subgroup(G)):
         raise NotNormal("second factor must be normal in the parent group")
-    mult = G.mult
-    q_ids = list(_bits(Q.members))
-    mask = 0
-    for a in A.elements():
-        row = mult[a]
-        for q in q_ids:
-            mask |= 1 << row[q]
+    wits = tuple(sorted(set(A.witnesses) | set(Q.witnesses)))
+    mask, _ = _closure_list(G.mult, wits)
     inter = (A.members & Q.members).bit_count()
     assert mask.bit_count() * inter == A.order * Q.order, \
         "|AQ| != |A||Q|/|A∩Q|"
-    wits = tuple(sorted(set(A.witnesses) | set(Q.witnesses)))
-    return SubgroupSet(G, mask, wits)
+    return SubgroupSet(G, mask, wits, validate=False)
 
 
 def conjugate_subgroup(A: SubgroupSet, g: int) -> SubgroupSet:
@@ -510,12 +522,27 @@ def conjugate_subgroup(A: SubgroupSet, g: int) -> SubgroupSet:
 
 
 def _conjugate_mask(G: GroupTable, mask: int, g: int) -> int:
+    """Member mask of g S g^-1 for the subgroup S with the given mask."""
     mult, gi = G.mult, G.inv[g]
     row = mult[g]
     out = 0
     for a in _bits(mask):
         out |= 1 << mult[row[a]][gi]
     return out
+
+
+def _conjugacy_class(G: GroupTable, mask: int) -> list[int]:
+    """Masks of the orbit of a subgroup under conjugation by G.generators,
+    starting with mask itself."""
+    orbit = [mask]
+    seen = {mask}
+    for m in orbit:  # also visits the masks appended below
+        for g in G.generators:
+            image = _conjugate_mask(G, m, g)
+            if image not in seen:
+                seen.add(image)
+                orbit.append(image)
+    return orbit
 
 
 def is_normal(A: SubgroupSet, B: SubgroupSet) -> bool:
@@ -526,26 +553,22 @@ def is_normal(A: SubgroupSet, B: SubgroupSet) -> bool:
     _require_same_parent(A, B)
     if A.members & B.members != A.members:
         raise NotContained("normality check requires A <= B")
-    mult, inv = A.parent.mult, A.parent.inv
-    mask = A.members
-    for g in B.witnesses:
-        row, gi = mult[g], inv[g]
-        for a in _bits(mask):
-            if not mask >> mult[row[a]][gi] & 1:
-                return False
-    return True
+    return all(_conjugate_mask(A.parent, A.members, g) == A.members
+               for g in B.witnesses)
 
 
 def normal_core(A: SubgroupSet, G: GroupTable) -> SubgroupSet:
-    """Largest normal subgroup of G inside A: the intersection of all
-    conjugates g A g^-1."""
+    """Largest normal subgroup of G inside A: the intersection of A's
+    conjugates, taken over its orbit under conjugation by G.generators.
+
+    That orbit is A's whole conjugacy class because G.generators generate
+    G, which every table builder ensures.
+    """
     if A.parent is not G:
         raise ParentMismatch("subgroup does not live over the given table")
     mask = A.members
-    for g in range(1, G.order):
-        mask &= _conjugate_mask(G, A.members, g)
-        if mask == 1:
-            break
+    for conjugate in _conjugacy_class(G, A.members):
+        mask &= conjugate
     return SubgroupSet.from_members(G, mask)
 
 
@@ -568,35 +591,28 @@ class DerivedSeries:
 def _commutator_subgroup_mask(G: GroupTable, S: SubgroupSet) -> int:
     """Member mask of [S, S].
 
-    Computed as the closure of all witness-pair commutators together with
-    their conjugates under the witnesses (the normal closure in S), which
-    equals the subgroup generated by all commutators of S.
+    Computed as the normal closure in S of all witness-pair commutators:
+    the subgroup they generate is extended by every conjugate of a member
+    under a witness that it lacks.  That equals the subgroup generated by
+    all commutators of S.
     """
     mult, inv = G.mult, G.inv
     wits = S.witnesses
-    if not wits:
-        return 1
-    gens: set[int] = set()
+    mask, elems = 1, [0]
     for i, a in enumerate(wits):
         for b in wits[i:]:
-            ab = mult[a][b]
-            c = mult[mult[ab][inv[a]]][inv[b]]
-            if c:
-                gens.add(c)
-    gen_list = sorted(gens)
-    mask, elems = _closure_list(mult, gen_list)
-    while True:
-        added: set[int] = set()
+            c = mult[mult[mult[a][b]][inv[a]]][inv[b]]
+            if not mask >> c & 1:
+                mask, elems = _cyclic_extension(mult, mask, elems, c)
+    i = 0
+    while i < len(elems):  # each extension keeps elems as its prefix
+        x = elems[i]
         for g in wits:
-            row, gi = mult[g], inv[g]
-            for x in elems:
-                c = mult[row[x]][gi]
-                if not mask >> c & 1:
-                    added.add(c)
-        if not added:
-            return mask
-        gen_list = sorted(set(gen_list) | added)
-        mask, elems = _closure_list(mult, gen_list)
+            c = mult[mult[g][x]][inv[g]]
+            if not mask >> c & 1:
+                mask, elems = _cyclic_extension(mult, mask, elems, c)
+        i += 1
+    return mask
 
 
 def derived_series(G: GroupTable) -> DerivedSeries:
@@ -628,20 +644,18 @@ def sylow_subgroup(H: SubgroupSet, p: int) -> SubgroupSet:
     target = H.order // m
     if target == 1:
         return trivial_subgroup(G)
-    mult, inv = G.mult, G.inv
     orders = G.element_orders
     mask, elems = 1, [0]
     wits: tuple[int, ...] = ()
-    while mask.bit_count() < target:
+    while len(elems) < target:
         for x in _bits(H.members):
             if mask >> x & 1:
                 continue
             if p_power_exponent(orders[x], p) is None:
                 continue
-            row, xi = mult[x], inv[x]
-            if all(mask >> mult[row[y]][xi] & 1 for y in elems):
+            if _conjugate_mask(G, mask, x) == mask:
                 wits += (x,)
-                mask, elems = _closure_list(mult, wits)
+                mask, elems = _cyclic_extension(G.mult, mask, elems, x)
                 break
         else:  # pragma: no cover - impossible for a valid group table
             raise RuntimeError("p-subgroup ascent stalled")
@@ -667,18 +681,11 @@ def structure_flags(G: GroupTable) -> StructureFlags:
 
 
 def _structure_flags(G: GroupTable, series: DerivedSeries) -> StructureFlags:
-    """structure_flags over a derived series of G that the caller holds."""
-    mult = G.mult
-    abelian = True
-    for a in range(G.order):
-        row = mult[a]
-        for b in range(a + 1, G.order):
-            if row[b] != mult[b][a]:
-                abelian = False
-                break
-        if not abelian:
-            break
+    """structure_flags over a derived series of G that the caller holds.
+    G is abelian when the series reaches 1 within one step (a perfect G
+    has a one-term series that does not)."""
     solvable = series.terms[-1].order == 1
+    abelian = solvable and len(series.terms) <= 2
     metabelian = solvable and len(series.terms) <= 3
     nilpotent = abelian or is_nilpotent_subgroup(full_subgroup(G))
     return StructureFlags(abelian, nilpotent, metabelian, solvable)

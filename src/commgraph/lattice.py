@@ -3,10 +3,12 @@
 ``enumerate_subgroups`` is Neubüser's cyclic extension method (1960), as in
 GAP's ``LatticeByCyclicExtension``: from the trivial subgroup on, one
 subgroup per conjugacy class is extended by every cyclic subgroup of
-prime-power order it lacks, until no new class appears.
-``oracle_enumerate_subgroups`` instead closes all generator tuples of
-bounded size, level by level; with max_gens >= log2(order) it provably
-finds every subgroup, independently of the cyclic-extension route.
+prime-power order it lacks, until no new class appears.  The extension
+and the class orbit are the ``groups`` primitives that close and conjugate
+every other subgroup.  ``oracle_enumerate_subgroups`` instead closes all
+generator tuples of bounded size, level by level; with max_gens >=
+log2(order) it provably finds every subgroup, independently of the
+cyclic-extension route.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from .groups import (
     GroupTable,
     SubgroupSet,
     _closure_list,
-    _conjugate_mask,
+    _conjugacy_class,
+    _cyclic_extension,
     factorize,
 )
 
@@ -97,39 +100,6 @@ def _zuppos(G: GroupTable) -> list[tuple[int, int]]:
             seen.add(mask)
             out.append((x, mask))
     return out
-
-
-def _cyclic_extension(mult: list[list[int]], s_mask: int,
-                      s_elems: list[int], c: int) -> tuple[int, list[int]]:
-    """<S, c> from S's members, one left coset of S at a time.
-
-    The members found so far are always a union of left cosets yS, so they
-    are closed under right multiplication by S; right multiplication by c
-    either stays inside them or lands in a coset that is wholly new.
-    """
-    mask, elems = s_mask, list(s_elems)
-    for x in elems:  # also visits the members appended below
-        y = mult[x][c]
-        if not mask >> y & 1:
-            row = mult[y]
-            for s in s_elems:
-                z = row[s]
-                mask |= 1 << z
-                elems.append(z)
-    return mask, elems
-
-
-def _conjugacy_class(G: GroupTable, mask: int) -> list[int]:
-    """Masks of the orbit of a subgroup under conjugation by G.generators."""
-    orbit = [mask]
-    seen = {mask}
-    for m in orbit:  # also visits the masks appended below
-        for g in G.generators:
-            image = _conjugate_mask(G, m, g)
-            if image not in seen:
-                seen.add(image)
-                orbit.append(image)
-    return orbit
 
 
 def enumerate_subgroups(G: GroupTable,

@@ -398,6 +398,9 @@ def verify_lemma_suite(corpus=None, trials: int = DEFAULT_TRIALS,
     for trial in range(trials):
         prop = properties[rng.randrange(len(properties))]
         if prop == "extension_by_normal_p_subgroup":
+            if not ctx.pairs:
+                report.skips += 1
+                continue
             restrict = trial % 5 != 0 and bool(core_pairs)
             member, p = rng.choice(core_pairs if restrict else ctx.pairs)
             lat = ctx.lattice(member)

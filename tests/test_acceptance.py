@@ -6,6 +6,7 @@ lines.  Criteria with runtime budgets are timed around the suite call.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -36,6 +37,7 @@ from commgraph import (
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
 
 def _report(criterion: int, label: str, ok: bool, detail: str = "") -> None:
@@ -211,6 +213,11 @@ def test_criterion_11_byte_identical_runs(tmp_path):
     doc = json.loads(outputs[0][0])
     all_pass = all(all(r["pass"] for r in rep["records"])
                    for rep in doc["reports"])
-    _report(11, "two independent `verify all --seed 7` runs are byte-identical",
-            identical and all_pass,
-            f"report {len(outputs[0][0])} bytes, DOT {len(outputs[0][1])} bytes")
+    pinned = json.loads(REFERENCE.read_text(encoding="utf-8"))[
+        "verify_all"]["verify all --seed 7"]["report_sha256"]
+    digest = hashlib.sha256(outputs[0][0]).hexdigest()
+    _report(11, "two independent `verify all --seed 7` runs are byte-identical "
+                "and match the pinned report digest",
+            identical and all_pass and digest == pinned,
+            f"report {len(outputs[0][0])} bytes, sha256 {digest[:12]}, "
+            f"DOT {len(outputs[0][1])} bytes")

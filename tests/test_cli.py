@@ -289,6 +289,35 @@ def test_verify_cli_corpus_override(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("members", [
+    [{"name": 5, "spec": {"cyclic": 2}}],
+    # the suites key lattices by name: sym(4) would go unchecked
+    [{"name": "x", "spec": {"sym": 4}}, {"name": "x", "spec": {"cyclic": 5}}],
+    [{"spec": {"cyclic": 2}, "enumerate": "no"}],
+], ids=["non-string-name", "duplicate-name", "non-boolean-enumerate"])
+def test_verify_cli_rejects_bad_corpus_member(members, tmp_path, capsys):
+    corpus_path = tmp_path / "corpus.json"
+    corpus_path.write_text(json.dumps({"members": members}), encoding="utf-8")
+    assert run_cli("verify", "lemmas", "--trials", "20", "--corpus",
+                   str(corpus_path)) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("members", [
+    [{"spec": {"cyclic": 1}}],
+    [{"spec": {"cyclic": 6}, "enumerate": False}],
+], ids=["trivial-group", "no-enumerated-member"])
+def test_verify_lemmas_without_member_prime_pairs_skips(members, tmp_path,
+                                                        capsys):
+    corpus_path = tmp_path / "corpus.json"
+    corpus_path.write_text(json.dumps({"members": members}), encoding="utf-8")
+    assert run_cli("verify", "lemmas", "--trials", "50", "--corpus",
+                   str(corpus_path)) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out == "lemmas: pass (0 checks, 0 failures, 50 skips, 0 warnings)\n"
+
+
 def test_dot_trivial_graph():
     lat = enumerate_subgroups(construct(parse_group_spec('{"cyclic": 1}')))
     graph = build_graph(lat, 2, KIND_CONTAINMENT)

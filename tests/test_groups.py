@@ -26,7 +26,9 @@ from commgraph import (
     cyclic,
     derived_series,
     dihedral,
+    direct,
     element_order,
+    enumerate_subgroups,
     factorize,
     full_subgroup,
     index_of,
@@ -38,6 +40,7 @@ from commgraph import (
     p_power_exponent,
     p_prime_complement,
     product_set,
+    spec_name,
     structure_flags,
     subgroup_closure,
     sylow_subgroup,
@@ -55,6 +58,33 @@ def brute_closure(table, seed):
         if new <= current:
             return current
         current |= new
+
+
+def brute_conjugates(table, members):
+    """Oracle: the member set of g A g^-1 for every g in the group."""
+    mult, inv = table.mult, table.inv
+    return [{mult[mult[g][x]][inv[g]] for x in members}
+            for g in range(table.order)]
+
+
+def _sym4_from_bare_table():
+    """sym(4) rebuilt from its table alone: its generators are the greedy
+    witnesses of the full group, not construction generators."""
+    return build_group_from_table(construct(sym(4)).mult)
+
+
+# Groups whose whole lattices the rewritten primitives are checked over.
+ORACLE_TABLES = {
+    "sym(4)": lambda: construct(sym(4)),
+    "dihedral(4)": lambda: construct(dihedral(4)),
+    "p2q(5)": lambda: construct(p2q(5)),
+    "table(sym(4))": _sym4_from_bare_table,
+}
+
+
+@pytest.fixture(scope="module")
+def oracle_lattices():
+    return [enumerate_subgroups(build()) for build in ORACLE_TABLES.values()]
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +234,20 @@ def test_closure_examples(s4, s4_els):
     assert sub.witnesses == tuple(sorted(set(seed)))
 
 
+@pytest.mark.parametrize("spec", [
+    sym(4), p2q(5), dihedral(6), direct([sym(3), cyclic(2)]),
+], ids=spec_name)
+def test_closure_matches_brute_closure(spec):
+    """The closure primitive, which both enumerators share, against the
+    fixpoint oracle on seeded random seeds of one to three elements."""
+    table = construct(spec)
+    rng = random.Random(5)
+    for _ in range(40):
+        seed = rng.sample(range(table.order), rng.randint(1, 3))
+        assert set(subgroup_closure(table, seed).elements()) \
+            == brute_closure(table, seed)
+
+
 def test_intersect_examples(s4, s4_els):
     a = subgroup_closure(s4.table, [s4_els((1, 2))])
     b = subgroup_closure(s4.table, [s4_els((3, 4))])
@@ -268,7 +312,7 @@ def test_conjugate_examples(s4, s4_els):
         assert conjugate_subgroup(v4, g) == v4
 
 
-def test_is_normal_examples(s4, s4_els):
+def test_is_normal_examples(s4, s4_els, oracle_lattices):
     full = full_subgroup(s4.table)
     assert is_normal(trivial_subgroup(s4.table), full)
     a4 = derived_series(s4.table).terms[1]
@@ -277,9 +321,16 @@ def test_is_normal_examples(s4, s4_els):
     assert not is_normal(a, full)
     with pytest.raises(NotContained):
         is_normal(full, a)
+    # every subgroup against conjugation by every element
+    for lat in oracle_lattices:
+        table = lat.parent
+        for sub in lat.subgroups:
+            members = set(sub.elements())
+            assert is_normal(sub, full_subgroup(table)) \
+                == all(c == members for c in brute_conjugates(table, members))
 
 
-def test_normal_core_examples(s4, s4_els):
+def test_normal_core_examples(s4, s4_els, oracle_lattices):
     full = full_subgroup(s4.table)
     a4 = derived_series(s4.table).terms[1]
     assert normal_core(a4, s4.table) == a4
@@ -297,6 +348,12 @@ def test_normal_core_examples(s4, s4_els):
                      for x in d8.elements()}
     assert set(core.elements()) == expected
     assert core.order == 4
+    for lat in oracle_lattices:
+        table = lat.parent
+        for sub in lat.subgroups:
+            members = set(sub.elements())
+            expected = set.intersection(*brute_conjugates(table, members))
+            assert set(normal_core(sub, table).elements()) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +439,11 @@ def test_sylow_order_is_exact_p_part(spec):
         assert sylow_subgroup(full, p).order == part
 
 
+def _alternating5():
+    """A5, whose derived series stops at A5 itself: perfect, not abelian."""
+    return build_group_from_permutations(5, [[(1, 2, 3)], [(1, 2, 3, 4, 5)]])
+
+
 def test_structure_flags_examples():
     c6 = structure_flags(construct(cyclic(6)))
     assert (c6.is_abelian, c6.is_nilpotent, c6.is_metabelian, c6.is_solvable) \
@@ -393,6 +455,14 @@ def test_structure_flags_examples():
     assert fp5.is_metabelian and not fp5.is_nilpotent
     fd4 = structure_flags(construct(dihedral(4)))
     assert fd4.is_nilpotent and not fd4.is_abelian
+    # is_abelian against the pairwise-commute oracle
+    for build in (*ORACLE_TABLES.values(), lambda: construct(cyclic(1)),
+                  lambda: construct(abelian([2, 2, 2])), _alternating5):
+        table = build()
+        mult = table.mult
+        commute = all(mult[a][b] == mult[b][a]
+                      for a in range(table.order) for b in range(table.order))
+        assert structure_flags(table).is_abelian == commute
 
 
 def test_p_prime_complement_examples():
@@ -459,16 +529,17 @@ def test_index_multiplicative_along_chains(s4):
             chains += 1
 
 
-def test_product_order_formula_on_normal_pairs(s4):
-    from commgraph.lattice import enumerate_subgroups
-
-    lat = enumerate_subgroups(s4.table)
-    full = full_subgroup(s4.table)
-    normals = [s for s in lat.subgroups if is_normal(s, full)]
-    for v in lat.subgroups:
-        for q in normals:
-            prod = product_set(v, q)
-            assert prod.order * intersect(v, q).order == v.order * q.order
+def test_product_order_formula_on_normal_pairs(oracle_lattices):
+    for lat in oracle_lattices:
+        mult = lat.parent.mult
+        full = full_subgroup(lat.parent)
+        normals = [s for s in lat.subgroups if is_normal(s, full)]
+        for v in lat.subgroups:
+            for q in normals:
+                prod = product_set(v, q)
+                assert set(prod.elements()) \
+                    == {mult[a][x] for a in v.elements() for x in q.elements()}
+                assert prod.order * intersect(v, q).order == v.order * q.order
 
 
 def test_subgroup_set_rejects_non_generating_witnesses(s4, s4_els):
