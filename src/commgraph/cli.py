@@ -296,22 +296,32 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _reject_unknown_keys(doc: dict, known: set[str], what: str) -> None:
+    unknown = sorted(set(doc) - known)
+    if unknown:
+        raise InvalidSpec(f"unknown {what} key(s): {', '.join(unknown)}")
+
+
 def _load_corpus_file(path: str) -> list[CorpusMember]:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     members_doc = doc.get("members") if isinstance(doc, dict) else None
     if not isinstance(members_doc, list) or not members_doc:
         raise InvalidSpec("corpus file needs a non-empty 'members' array")
+    _reject_unknown_keys(doc, {"members"}, "corpus file")
     members = []
     for entry in members_doc:
         if not isinstance(entry, dict) or "spec" not in entry:
             raise InvalidSpec("each corpus member needs a 'spec'")
+        _reject_unknown_keys(entry, {"spec", "name", "enumerate"},
+                             "corpus member")
         spec = spec_from_doc(entry["spec"])
         name = entry.get("name", "")
         if not isinstance(name, str):
             raise InvalidSpec("a corpus member 'name' must be a string")
         name = name or spec_name(spec)
-        if any(m.name == name for m in members):  # suites key lattices by name
+        # reports group records by member name: two members would merge
+        if any(m.name == name for m in members):
             raise InvalidSpec(f"duplicate corpus member name {name!r}")
         enumerate_lattice = entry.get("enumerate", True)
         if not isinstance(enumerate_lattice, bool):

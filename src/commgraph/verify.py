@@ -8,9 +8,10 @@ machine-readable VerdictReport.  Suites are deterministic given
 (corpus, seed).
 
 This module holds the program's one in-memory cache.  The library recomputes
-on every call; the suites, which evaluate the same corpus lattices, graphs and
-component reports several times over, share them through the bounded
-``functools.lru_cache`` helpers below.
+on every call; the suites, which evaluate the same corpus lattices, graphs,
+component reports and lemma sampling pools several times over, share them
+through the bounded ``functools.lru_cache`` helpers below, keyed by spec,
+by (spec, p), or by table for the derived series.
 """
 
 from __future__ import annotations
@@ -152,7 +153,17 @@ def _timed(report: VerdictReport, started: float) -> VerdictReport:
 
 
 def _lattice_members(corpus) -> list[CorpusMember]:
+    """The members whose lattices the suites enumerate; None means the
+    default corpus."""
+    corpus = default_corpus() if corpus is None else corpus
     return [m for m in corpus if m.enumerate_lattice]
+
+
+def _member_primes(corpus) -> list[tuple[CorpusMember, int]]:
+    """(member, p) for each lattice member and each prime p dividing its
+    order."""
+    return [(m, p) for m in _lattice_members(corpus)
+            for p, _ in factorize(_lattice(m.spec).parent.order)]
 
 
 # The cache helpers call the library through this module's globals, so a
@@ -183,8 +194,67 @@ def _derived_series(table: GroupTable) -> DerivedSeries:
     return derived_series(table)
 
 
-def _divides_primes(order: int) -> list[int]:
-    return [p for p, _ in factorize(order)]
+# The helpers below hold lattice indices, not subgroups.  Enumeration is
+# deterministic, so the indices stay valid when an evicted lattice is rebuilt.
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _edges(spec: GroupSpec, p: int) -> tuple[tuple[int, int], ...]:
+    """The p-commensurability edges (i, j), i < j, in ascending order."""
+    return tuple(_graph(spec, p, KIND_COMMENSURABILITY).edge_data)
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _component_of(spec: GroupSpec, p: int) -> dict[int, int]:
+    """Vertex -> index of its component in the p-commensurability graph."""
+    reports, _ = _components(spec, p, KIND_COMMENSURABILITY)
+    return {v: c for c, report in enumerate(reports) for v in report.vertices}
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _normal_indices(spec: GroupSpec) -> tuple[int, ...]:
+    lat = _lattice(spec)
+    G = full_subgroup(lat.parent)
+    return tuple(i for i, s in enumerate(lat.subgroups) if is_normal(s, G))
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _p_subgroups(spec: GroupSpec, p: int) -> tuple[int, ...]:
+    return tuple(i for i, s in enumerate(_lattice(spec).subgroups)
+                 if p_power_exponent(s.order, p) is not None)
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _core_nontrivial_p_subgroups(spec: GroupSpec, p: int) -> tuple[int, ...]:
+    lat = _lattice(spec)
+    return tuple(i for i in _p_subgroups(spec, p)
+                 if normal_core(lat.subgroups[i], lat.parent).order > 1)
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _nilpotent_edges(spec: GroupSpec, p: int) -> tuple[tuple[int, int], ...]:
+    nilpotent = [is_nilpotent_subgroup(s) for s in _lattice(spec).subgroups]
+    return tuple((i, j) for i, j in _edges(spec, p)
+                 if nilpotent[i] and nilpotent[j])
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _derived_slices(spec: GroupSpec, p: int) -> tuple[tuple[int, int], ...]:
+    """(term index, lattice index of Q) pairs where Q is a normal p-subgroup
+    of G whose slice by the derived term is that term's normal p-Sylow
+    subgroup."""
+    lat = _lattice(spec)
+    G = full_subgroup(lat.parent)
+    out = []
+    for t_idx, term in enumerate(_derived_series(lat.parent).terms):
+        syl = sylow_subgroup(term, p)
+        if not is_normal(syl, term):
+            continue
+        for qi in _p_subgroups(spec, p):
+            Q = lat.subgroups[qi]
+            if is_normal(Q, G) and Q.members & term.members == syl.members:
+                out.append((t_idx, qi))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +264,6 @@ def _divides_primes(order: int) -> list[int]:
 def verify_totaldisc(corpus=None, primes=PRIMES_UP_TO_13) -> VerdictReport:
     """Gamma_p(G) has no edges exactly when p does not divide |G|."""
     started = time.monotonic()
-    corpus = default_corpus() if corpus is None else corpus
     report = VerdictReport("totaldisc", 0)
     for member in _lattice_members(corpus):
         order = _lattice(member.spec).parent.order
@@ -218,14 +287,13 @@ def verify_diameter_bounds(corpus=None) -> VerdictReport:
     p-Sylow subgroup of the derived subgroup is normal, <= 1 for nilpotent
     groups."""
     started = time.monotonic()
-    corpus = default_corpus() if corpus is None else corpus
     report = VerdictReport("bounds", 0)
     for member in _lattice_members(corpus):
         table = _lattice(member.spec).parent
         series = _derived_series(table)
         flags = _structure_flags(table, series)
         derived = series.terms[1] if len(series.terms) > 1 else series.terms[0]
-        for p in _divides_primes(table.order):
+        for p, _ in factorize(table.order):
             _, diameter = _components(member.spec, p, KIND_COMMENSURABILITY)
             if flags.is_metabelian:
                 report.records.append(CheckRecord(
@@ -247,115 +315,13 @@ def verify_diameter_bounds(corpus=None) -> VerdictReport:
 # randomized index-identity properties
 
 
-class _PropertyContext:
-    """Precomputed sampling pools over the corpus lattices."""
-
-    def __init__(self, corpus):
-        self.members = _lattice_members(corpus)
-        self.lattices = {m.name: _lattice(m.spec) for m in self.members}
-        self.pairs: list[tuple[CorpusMember, int]] = []
-        for m in self.members:
-            for p in _divides_primes(self.lattices[m.name].parent.order):
-                self.pairs.append((m, p))
-        self._edges: dict[tuple[str, int], list[tuple[int, int]]] = {}
-        self._normals: dict[str, list[int]] = {}
-        self._p_subgroups: dict[tuple[str, int], list[int]] = {}
-        self._core_nontrivial: dict[tuple[str, int], list[int]] = {}
-        self._nilpotent: dict[str, list[bool]] = {}
-        self._slices: dict[tuple[str, int], list[tuple[int, int]]] = {}
-        self._comp_of: dict[tuple[str, int], dict[int, int]] = {}
-
-    def lattice(self, member: CorpusMember) -> Lattice:
-        return self.lattices[member.name]
-
-    def edges(self, member, p) -> list[tuple[int, int]]:
-        key = (member.name, p)
-        if key not in self._edges:
-            graph = _graph(member.spec, p, KIND_COMMENSURABILITY)
-            self._edges[key] = sorted(graph.edge_data)
-        return self._edges[key]
-
-    def component_of(self, member, p) -> dict[int, int]:
-        """Vertex -> index of its component in the p-commensurability graph."""
-        key = (member.name, p)
-        if key not in self._comp_of:
-            reports, _ = _components(member.spec, p, KIND_COMMENSURABILITY)
-            self._comp_of[key] = {v: c for c, report in enumerate(reports)
-                                  for v in report.vertices}
-        return self._comp_of[key]
-
-    def normal_indices(self, member) -> list[int]:
-        if member.name not in self._normals:
-            lat = self.lattice(member)
-            G = full_subgroup(lat.parent)
-            self._normals[member.name] = [
-                i for i, s in enumerate(lat.subgroups) if is_normal(s, G)]
-        return self._normals[member.name]
-
-    def p_subgroups(self, member, p) -> list[int]:
-        key = (member.name, p)
-        if key not in self._p_subgroups:
-            lat = self.lattice(member)
-            self._p_subgroups[key] = [
-                i for i, s in enumerate(lat.subgroups)
-                if p_power_exponent(s.order, p) is not None]
-        return self._p_subgroups[key]
-
-    def core_nontrivial_p_subgroups(self, member, p) -> list[int]:
-        key = (member.name, p)
-        if key not in self._core_nontrivial:
-            lat = self.lattice(member)
-            out = []
-            for i in self.p_subgroups(member, p):
-                core = normal_core(lat.subgroups[i], lat.parent)
-                if core.order > 1:
-                    out.append(i)
-            self._core_nontrivial[key] = out
-        return self._core_nontrivial[key]
-
-    def nilpotent_flags(self, member) -> list[bool]:
-        if member.name not in self._nilpotent:
-            lat = self.lattice(member)
-            self._nilpotent[member.name] = [
-                is_nilpotent_subgroup(s) for s in lat.subgroups]
-        return self._nilpotent[member.name]
-
-    def nilpotent_edges(self, member, p) -> list[tuple[int, int]]:
-        flags = self.nilpotent_flags(member)
-        return [(i, j) for i, j in self.edges(member, p)
-                if flags[i] and flags[j]]
-
-    def derived_slices(self, member, p) -> list[tuple[int, int]]:
-        """(term index, lattice index of Q) pairs where Q is a normal
-        p-subgroup of G whose slice by the derived term is that term's
-        normal p-Sylow subgroup."""
-        key = (member.name, p)
-        if key not in self._slices:
-            lat = self.lattice(member)
-            table = lat.parent
-            G = full_subgroup(table)
-            out = []
-            for t_idx, term in enumerate(_derived_series(table).terms):
-                syl = sylow_subgroup(term, p)
-                if not is_normal(syl, term):
-                    continue
-                for qi in self.p_subgroups(member, p):
-                    Q = lat.subgroups[qi]
-                    if not is_normal(Q, G):
-                        continue
-                    if Q.members & term.members == syl.members:
-                        out.append((t_idx, qi))
-            self._slices[key] = out
-        return self._slices[key]
-
-
-def _sample_q(ctx: _PropertyContext, member, p, rng: random.Random,
+def _sample_q(spec: GroupSpec, p: int, rng: random.Random,
               restrict_nontrivial: bool) -> SubgroupSet:
     """Random p-subgroup reduced to its normal core (always a normal
     p-subgroup of the parent)."""
-    lat = ctx.lattice(member)
-    pool = (ctx.core_nontrivial_p_subgroups(member, p)
-            if restrict_nontrivial else ctx.p_subgroups(member, p))
+    lat = _lattice(spec)
+    pool = (_core_nontrivial_p_subgroups(spec, p)
+            if restrict_nontrivial else _p_subgroups(spec, p))
     idx = rng.choice(pool)
     return normal_core(lat.subgroups[idx], lat.parent)
 
@@ -375,8 +341,7 @@ def verify_lemma_suite(corpus=None, trials: int = DEFAULT_TRIALS,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     started = time.monotonic()
-    corpus = default_corpus() if corpus is None else corpus
-    ctx = _PropertyContext(corpus)
+    pairs = _member_primes(corpus)
     rng = random.Random(seed)
     report = VerdictReport("lemmas", seed)
 
@@ -386,11 +351,13 @@ def verify_lemma_suite(corpus=None, trials: int = DEFAULT_TRIALS,
                   "derived_slice_equality",
                   "complement_absorbed_by_adjacency")
 
-    edge_pairs = [(m, p) for (m, p) in ctx.pairs if ctx.edges(m, p)]
-    nilp_edge_pairs = [(m, p) for (m, p) in ctx.pairs if ctx.nilpotent_edges(m, p)]
-    slice_pairs = [(m, p) for (m, p) in ctx.pairs if ctx.derived_slices(m, p)]
-    core_pairs = [(m, p) for (m, p) in ctx.pairs
-                  if ctx.core_nontrivial_p_subgroups(m, p)]
+    edge_pairs = [(m, p) for (m, p) in pairs if _edges(m.spec, p)]
+    nilp_edge_pairs = [(m, p) for (m, p) in pairs
+                       if _nilpotent_edges(m.spec, p)]
+    slice_pairs = [(m, p) for (m, p) in pairs if _derived_slices(m.spec, p)]
+    core_pairs = [(m, p) for (m, p) in pairs
+                  if _core_nontrivial_p_subgroups(m.spec, p)]
+    core_edge_pairs = [mp for mp in edge_pairs if mp in core_pairs]
 
     q_trials = 0
     trivial_q_trials = 0
@@ -398,13 +365,13 @@ def verify_lemma_suite(corpus=None, trials: int = DEFAULT_TRIALS,
     for trial in range(trials):
         prop = properties[rng.randrange(len(properties))]
         if prop == "extension_by_normal_p_subgroup":
-            if not ctx.pairs:
+            if not pairs:
                 report.skips += 1
                 continue
             restrict = trial % 5 != 0 and bool(core_pairs)
-            member, p = rng.choice(core_pairs if restrict else ctx.pairs)
-            lat = ctx.lattice(member)
-            Q = _sample_q(ctx, member, p, rng, restrict)
+            member, p = rng.choice(core_pairs if restrict else pairs)
+            lat = _lattice(member.spec)
+            Q = _sample_q(member.spec, p, rng, restrict)
             q_trials += 1
             trivial_q_trials += Q.order == 1
             V = lat.subgroups[rng.randrange(len(lat.subgroups))]
@@ -419,13 +386,11 @@ def verify_lemma_suite(corpus=None, trials: int = DEFAULT_TRIALS,
             if not edge_pairs:
                 report.skips += 1
                 continue
-            restricted_pool = [mp for mp in edge_pairs
-                               if ctx.core_nontrivial_p_subgroups(*mp)]
-            restrict = trial % 5 != 0 and bool(restricted_pool)
-            member, p = rng.choice(restricted_pool if restrict else edge_pairs)
-            lat = ctx.lattice(member)
-            i, j = rng.choice(ctx.edges(member, p))
-            Q = _sample_q(ctx, member, p, rng, restrict)
+            restrict = trial % 5 != 0 and bool(core_edge_pairs)
+            member, p = rng.choice(core_edge_pairs if restrict else edge_pairs)
+            lat = _lattice(member.spec)
+            i, j = rng.choice(_edges(member.spec, p))
+            Q = _sample_q(member.spec, p, rng, restrict)
             q_trials += 1
             trivial_q_trials += Q.order == 1
             AQ = product_set(lat.subgroups[i], Q)
@@ -441,9 +406,9 @@ def verify_lemma_suite(corpus=None, trials: int = DEFAULT_TRIALS,
                 report.skips += 1
                 continue
             member, p = rng.choice(edge_pairs)
-            lat = ctx.lattice(member)
-            i, j = rng.choice(ctx.edges(member, p))
-            ni = rng.choice(ctx.normal_indices(member))
+            lat = _lattice(member.spec)
+            i, j = rng.choice(_edges(member.spec, p))
+            ni = rng.choice(_normal_indices(member.spec))
             N = lat.subgroups[ni]
             VN = intersect(lat.subgroups[i], N)
             WN = intersect(lat.subgroups[j], N)
@@ -458,12 +423,11 @@ def verify_lemma_suite(corpus=None, trials: int = DEFAULT_TRIALS,
                 report.skips += 1
                 continue
             member, p = rng.choice(slice_pairs)
-            lat = ctx.lattice(member)
-            table = lat.parent
-            t_idx, qi = rng.choice(ctx.derived_slices(member, p))
-            term = _derived_series(table).terms[t_idx]
+            lat = _lattice(member.spec)
+            t_idx, qi = rng.choice(_derived_slices(member.spec, p))
+            term = _derived_series(lat.parent).terms[t_idx]
             Q = lat.subgroups[qi]
-            comp_of = ctx.component_of(member, p)
+            comp_of = _component_of(member.spec, p)
             outcome = None
             for _ in range(8):
                 V = lat.subgroups[rng.randrange(len(lat.subgroups))]
@@ -490,8 +454,8 @@ def verify_lemma_suite(corpus=None, trials: int = DEFAULT_TRIALS,
                 report.skips += 1
                 continue
             member, p = rng.choice(nilp_edge_pairs)
-            lat = ctx.lattice(member)
-            i, j = rng.choice(ctx.nilpotent_edges(member, p))
+            lat = _lattice(member.spec)
+            i, j = rng.choice(_nilpotent_edges(member.spec, p))
             d1 = lat.subgroups[i]
             d2 = lat.subgroups[j]
             inter = d1.members & d2.members
@@ -503,7 +467,12 @@ def verify_lemma_suite(corpus=None, trials: int = DEFAULT_TRIALS,
                 {"trial": trial, "property": prop, "edge": [i, j]},
                 "complement inside intersection", {"contained": ok}, ok))
 
-    if q_trials:
+    if q_trials and not core_pairs:
+        # no corpus group has a nontrivial normal p-subgroup to sample
+        report.warnings.append({
+            "code": "TRIVIAL_Q_ONLY", "group": "(corpus)", "p": None,
+            "detail": {"q_trials": q_trials}})
+    elif q_trials:
         fraction = trivial_q_trials / q_trials
         report.records.append(CheckRecord(
             "(corpus)", None,
@@ -706,24 +675,22 @@ def verify_cd_inequality(corpus=None) -> VerdictReport:
     extension-violation warning, not a failure.
     """
     started = time.monotonic()
-    corpus = default_corpus() if corpus is None else corpus
     report = VerdictReport("cd", 0)
-    for member in _lattice_members(corpus):
-        for p in _divides_primes(_lattice(member.spec).parent.order):
-            _, cd_p = _components(member.spec, p, KIND_CONTAINMENT)
-            _, diam = _components(member.spec, p, KIND_COMMENSURABILITY)
-            bound = (cd_p - 1) // 2
-            ok = diam >= bound
-            enforced = p == 3
-            if not ok and not enforced:
-                report.warnings.append({
-                    "code": "EXTENSION_VIOLATION", "group": member.name,
-                    "p": p, "detail": {"cd": cd_p, "diameter": diam}})
-            report.records.append(CheckRecord(
-                member.name, p,
-                {"cd": cd_p, "enforced": enforced},
-                {"min_diameter": bound}, {"diameter": diam},
-                ok or not enforced))
+    for member, p in _member_primes(corpus):
+        _, cd_p = _components(member.spec, p, KIND_CONTAINMENT)
+        _, diam = _components(member.spec, p, KIND_COMMENSURABILITY)
+        bound = (cd_p - 1) // 2
+        ok = diam >= bound
+        enforced = p == 3
+        if not ok and not enforced:
+            report.warnings.append({
+                "code": "EXTENSION_VIOLATION", "group": member.name,
+                "p": p, "detail": {"cd": cd_p, "diameter": diam}})
+        report.records.append(CheckRecord(
+            member.name, p,
+            {"cd": cd_p, "enforced": enforced},
+            {"min_diameter": bound}, {"diameter": diam},
+            ok or not enforced))
     return _timed(report, started)
 
 

@@ -289,19 +289,25 @@ def test_verify_cli_corpus_override(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("members", [
-    [{"name": 5, "spec": {"cyclic": 2}}],
-    # the suites key lattices by name: sym(4) would go unchecked
-    [{"name": "x", "spec": {"sym": 4}}, {"name": "x", "spec": {"cyclic": 5}}],
-    [{"spec": {"cyclic": 2}, "enumerate": "no"}],
-], ids=["non-string-name", "duplicate-name", "non-boolean-enumerate"])
-def test_verify_cli_rejects_bad_corpus_member(members, tmp_path, capsys):
+@pytest.mark.parametrize("doc", [
+    {"members": [{"name": 5, "spec": {"cyclic": 2}}]},
+    # reports group records by name: the two members would merge
+    {"members": [{"name": "x", "spec": {"sym": 4}},
+                 {"name": "x", "spec": {"cyclic": 5}}]},
+    {"members": [{"spec": {"cyclic": 2}, "enumerate": "no"}]},
+    # misspelt keys would otherwise enumerate a lattice meant to be skipped
+    {"members": [{"spec": {"cyclic": 4}, "enumerat": False, "nmae": "x"}]},
+    {"members": [{"spec": {"cyclic": 4}}], "extra": 1},
+], ids=["non-string-name", "duplicate-name", "non-boolean-enumerate",
+        "unknown-member-key", "unknown-top-level-key"])
+def test_verify_cli_rejects_bad_corpus_member(doc, tmp_path, capsys):
     corpus_path = tmp_path / "corpus.json"
-    corpus_path.write_text(json.dumps({"members": members}), encoding="utf-8")
+    corpus_path.write_text(json.dumps(doc), encoding="utf-8")
     assert run_cli("verify", "lemmas", "--trials", "20", "--corpus",
                    str(corpus_path)) == EXIT_PARSE
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("members", [
@@ -316,6 +322,20 @@ def test_verify_lemmas_without_member_prime_pairs_skips(members, tmp_path,
                    str(corpus_path)) == EXIT_OK
     out = capsys.readouterr().out
     assert out == "lemmas: pass (0 checks, 0 failures, 50 skips, 0 warnings)\n"
+
+
+def test_verify_lemmas_without_nontrivial_q_warns(tmp_path, capsys):
+    # sym(5) has no nontrivial normal p-subgroup, so every sampled Q is
+    # trivial: a warning, not a failed budget
+    corpus_path = tmp_path / "corpus.json"
+    corpus_path.write_text(json.dumps({"members": [{"spec": {"sym": 5}}]}),
+                           encoding="utf-8")
+    assert run_cli("verify", "lemmas", "--trials", "300", "--seed", "9",
+                   "--corpus", str(corpus_path)) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.startswith("lemmas: pass (240 checks, 0 failures, 60 skips, "
+                          "1 warnings)\n")
+    assert "warning TRIVIAL_Q_ONLY" in out
 
 
 def test_dot_trivial_graph():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from collections import Counter
 
@@ -11,9 +12,11 @@ from commgraph import (
     bs,
     cyclic,
     default_corpus,
+    p2q,
     run_all,
     run_suite,
     spec_name,
+    sym,
     verify,
     verify_construction,
     verify_lemma_suite,
@@ -63,6 +66,37 @@ def test_lemma_suite_counts_and_budget():
     assert len(budget) == 1 and budget[0].passed
 
 
+def _corpus(*specs):
+    return [CorpusMember(spec_name(s), s) for s in specs]
+
+
+@pytest.mark.parametrize("specs, digest", [
+    # sym(5) has no nontrivial normal p-subgroup, so only cyclic(6) feeds
+    # the restricted pool of extension_preserves_adjacency
+    ((sym(5), cyclic(6)),
+     "8c18747cd812a780572a8f185eb51e8b5094a4b10609a50f44eb5bbf1af48799"),
+    ((sym(4), p2q(5)),
+     "dafca2f7f0dd0a40ca5eec407d907c73e48b1d51d42cec6cc3f6e4bf4f4c1e76"),
+], ids=["sym5-cyclic6", "sym4-p2q5"])
+def test_lemma_suite_stream_pinned(specs, digest):
+    """The sampling stream over non-default corpora: the sha256 of the
+    indented report document."""
+    report = verify_lemma_suite(_corpus(*specs), trials=300, seed=9)
+    text = json.dumps(report.to_doc(), indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_lemma_suite_trivial_q_budget_still_enforced(monkeypatch):
+    # sym(4) has a nontrivial normal 2-subgroup, so the budget applies;
+    # every fifth Q trial samples the full pool and may be trivial
+    monkeypatch.setattr(verify, "TRIVIAL_Q_CAP", 0.0)
+    report = verify_lemma_suite(_corpus(sym(4)), trials=300, seed=9)
+    budget = [r for r in report.records
+              if r.params.get("property") == "trivial_q_budget"]
+    assert len(budget) == 1 and not budget[0].passed
+    assert not report.passed and report.warnings == []
+
+
 def test_lemma_suite_rejects_bad_trials():
     with pytest.raises(ValueError):
         verify_lemma_suite(trials=0)
@@ -109,9 +143,9 @@ def test_unknown_suite_rejected():
 def test_run_all_enumerates_each_spec_once(monkeypatch):
     """verify holds the only cache: from cold, `verify all` enumerates the
     lattice of each distinct spec once, whichever suites share it."""
-    for helper in (verify._lattice, verify._graph, verify._components,
-                   verify._derived_series):
-        helper.cache_clear()
+    for helper in vars(verify).values():
+        if hasattr(helper, "cache_clear"):
+            helper.cache_clear()
     spec_of = {}  # id(table) -> (spec, table); the table keeps its id
     enumerated = Counter()
     construct_detailed = verify.construct_detailed
