@@ -11,10 +11,12 @@ not sampled, by Light's test (Clifford & Preston, *The Algebraic Theory of
 Semigroups* I, 1961, section 1.2) over a generating set of the table: one
 n x n comparison per generator rather than one per element.
 
-Subgroups grow by one route, ``_cyclic_extension`` (one coset at a time;
-Neubüser 1960), and are conjugated by one, ``_conjugate_mask``, whose
+Subgroups are closed by one route, ``_cyclic_extension`` (one coset at a
+time; Neubüser 1960), and are conjugated by one, ``_conjugate_mask``, whose
 orbits under the table's generators (``_conjugacy_class``) give normal
-cores and the lattice enumerator's classes.
+cores and the lattice enumerator's classes.  Only the lattice enumerator
+also grows a subgroup without a closure, when the new generator
+normalizes it.
 """
 
 from __future__ import annotations

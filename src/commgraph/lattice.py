@@ -2,13 +2,15 @@
 
 ``enumerate_subgroups`` is Neubüser's cyclic extension method (1960), as in
 GAP's ``LatticeByCyclicExtension``: from the trivial subgroup on, one
-subgroup per conjugacy class is extended by every cyclic subgroup of
-prime-power order it lacks, until no new class appears.  The extension
-and the class orbit are the ``groups`` primitives that close and conjugate
-every other subgroup.  ``oracle_enumerate_subgroups`` instead closes all
-generator tuples of bounded size, level by level; with max_gens >=
-log2(order) it provably finds every subgroup, independently of the
-cyclic-extension route.
+subgroup S per conjugacy class is extended by cyclic subgroups <c> of
+prime-power order p^k, until no new class appears.  Only c with c^p in S
+are tried; when c normalizes S the extension is S's p cosets by the powers
+of c, read off the table, and in a solvable group no other c is needed.
+Other extensions are closed by ``groups._cyclic_extension``, and class
+orbits come from ``groups._conjugacy_class``.
+``oracle_enumerate_subgroups`` instead closes all generator tuples of
+bounded size, level by level; with max_gens >= log2(order) it provably
+finds every subgroup, independently of the cyclic-extension route.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .groups import (
     _closure_list,
     _conjugacy_class,
     _cyclic_extension,
+    derived_series,
     factorize,
 )
 
@@ -86,20 +89,53 @@ def _check_lattice(lat: Lattice) -> None:
                 raise AssertionError("lattice not closed under intersection")
 
 
-def _zuppos(G: GroupTable) -> list[tuple[int, int]]:
+def _zuppos(G: GroupTable) -> list[tuple[int, int, int]]:
     """Every cyclic subgroup of prime-power order > 1, once, as
-    (generator, mask); the generator is the smallest element id that
-    generates it."""
+    (generator, mask, mask of <c^p>) for c of order p^k; the generator is
+    the smallest element id that generates it."""
+    mult = G.mult
     seen: set[int] = set()
     out = []
     for x in range(1, G.order):
-        if len(factorize(G.element_orders[x])) != 1:
+        primes = factorize(G.element_orders[x])
+        if len(primes) != 1:
             continue
-        mask, _ = _closure_list(G.mult, (x,))
+        mask, _ = _closure_list(mult, (x,))
         if mask not in seen:
             seen.add(mask)
-            out.append((x, mask))
+            y = x
+            for _ in range(primes[0][0] - 1):
+                y = mult[y][x]
+            out.append((x, mask, _closure_list(mult, (y,))[0]))
     return out
+
+
+def _extend(G: GroupTable, solvable: bool, s_mask: int, s_elems: list[int],
+            s_gens: tuple[int, ...], c: int) -> tuple[int, list[int]] | None:
+    """<S, c> as (mask, members) for a zuppo c outside S with c^p in S, or
+    None when G is solvable and c does not normalize S (rule (c)).
+
+    s_gens generate S, so c normalizes S when it conjugates each of them
+    into S.  Then <S, c> is S, Sc, ..., Sc^(p-1) (rule (b)), each coset
+    read off one table row; otherwise it is closed by
+    ``_cyclic_extension``.  The returned list starts with s_elems.
+    """
+    mult = G.mult
+    row, c_inv = mult[c], G.inv[c]
+    if not all(s_mask >> mult[row[g]][c_inv] & 1 for g in s_gens):
+        if solvable:
+            return None
+        return _cyclic_extension(mult, s_mask, s_elems, c)
+    mask, elems = s_mask, list(s_elems)
+    y = c
+    while not s_mask >> y & 1:  # stops at y = c^p
+        y_row = mult[y]
+        coset = [y_row[s] for s in s_elems]
+        elems += coset
+        for x in coset:
+            mask |= 1 << x
+        y = row[y]
+    return mask, elems
 
 
 def enumerate_subgroups(G: GroupTable,
@@ -107,35 +143,60 @@ def enumerate_subgroups(G: GroupTable,
     """Every subgroup of G, canonically ordered.
 
     Cyclic extension over zuppos (Neubüser 1960; GAP's
-    ``LatticeByCyclicExtension``): every subgroup is generated by the
-    cyclic subgroups of prime-power order it contains, so extending by one
-    such zuppo at a time from the trivial subgroup reaches every subgroup.
-    Since <S, c>^g = <S^g, c^g>, only one representative per conjugacy
-    class is extended: a new extension T brings in its whole orbit under
-    conjugation by ``G.generators`` at once, and only T is extended later.
-    Completeness needs only that the known subgroups stay closed under the
-    conjugations used; that ``G.generators`` generate G (every table
-    builder ensures it) is what makes each orbit a whole class, so no class
-    is extended twice.  Each extension is closed coset by coset from S's
-    member list (``_cyclic_extension``).  Raises LatticeCapExceeded as soon
-    as more than lattice_cap subgroups are known.
+    ``LatticeByCyclicExtension``), restricted to normal extensions where G
+    is solvable.  A zuppo is a cyclic subgroup of prime-power order; every
+    subgroup is generated by the zuppos it contains.  From the trivial
+    subgroup on, one subgroup S per conjugacy class is extended by zuppos
+    <c> not in S, where c has order p^k, under three rules:
+
+    (a) Any G: extend S by c only when c^p is in S.  This is complete.
+        List the zuppos <z_1>, ..., <z_r> of a subgroup T by increasing
+        order.  <z_i^p> is an earlier one (or trivial), so each prefix
+        <z_1, ..., z_i> is the one before or an extension of it under
+        (a), and the last is T, since every element is a product of
+        powers of itself of prime-power order.
+    (b) Any G: when c normalizes S, <S, c> = S ∪ Sc ∪ ... ∪ Sc^(p-1).
+        S<c> is then a group, and <c> ∩ S = <c^p>, the one maximal
+        subgroup of <c>, as c is not in S; so [S<c> : S] = p.  The p
+        cosets are read off the table with no closure scan.  c normalizes
+        S as soon as it conjugates the generators that built S into S;
+        worklist entries carry them.
+    (c) Solvable G: skip every c that does not normalize S.  Every
+        subgroup T of a solvable group has a series 1 = T_0 < ... < T_m
+        = T with T_i normal of prime index p in T_{i+1}.  Take z, the
+        p-part of any element of T_{i+1} outside T_i: it lies outside
+        T_i, normalizes it, and z^p is in T_i, so T_{i+1} = T_i<z> is an
+        extension under (a), (b) and (c).  G is solvable when its
+        derived series ends at 1; other groups extend a non-normalizing
+        c by ``_cyclic_extension``.
+
+    Since <S, c>^g = <S^g, c^g>, and the conditions of (a), (b) and (c)
+    hold for c at S exactly when they hold for c^g at S^g and for every
+    generator of <c>, extending one representative per class reaches
+    every subgroup: a new extension T brings in its whole orbit under
+    conjugation by ``G.generators`` at once, and only T is extended
+    later.  That ``G.generators`` generate G (every table builder ensures
+    it) makes each orbit a whole class, so no class is extended twice.
+    Both routes run through ``_extend``.  Raises LatticeCapExceeded as
+    soon as more than lattice_cap subgroups are known.
     """
-    mult = G.mult
+    solvable = derived_series(G).terms[-1].order == 1
     zuppos = _zuppos(G)
     known = {1}
-    worklist: list[tuple[int, list[int]]] = [(1, [0])]
-    for s_mask, s_elems in worklist:  # also visits the entries appended below
-        for c, c_mask in zuppos:
-            if c_mask & s_mask == c_mask:
+    worklist: list[tuple[int, list[int], tuple[int, ...]]] = [(1, [0], ())]
+    for s_mask, s_elems, s_gens in worklist:  # also visits appended entries
+        for c, c_mask, cp_mask in zuppos:
+            if c_mask & s_mask == c_mask or cp_mask & s_mask != cp_mask:
                 continue
-            t_mask, t_elems = _cyclic_extension(mult, s_mask, s_elems, c)
-            if t_mask in known:
+            extension = _extend(G, solvable, s_mask, s_elems, s_gens, c)
+            if extension is None or extension[0] in known:
                 continue
+            t_mask, t_elems = extension
             cls = _conjugacy_class(G, t_mask)
             if len(known) + len(cls) > lattice_cap:
                 raise LatticeCapExceeded(f"more than {lattice_cap} subgroups")
             known.update(cls)
-            worklist.append((t_mask, t_elems))
+            worklist.append((t_mask, t_elems, s_gens + (c,)))
 
     return _finish_lattice(G, known)
 

@@ -24,11 +24,12 @@ from commgraph import (
     locate_subgroup,
     oracle_enumerate_subgroups,
     p2q,
+    spec_name,
     subgroup_closure,
     sym,
 )
 from commgraph import lattice as lattice_module
-from commgraph.groups import perm_from_cycles
+from commgraph.groups import _conjugate_mask, perm_from_cycles
 
 
 @pytest.mark.parametrize("spec,count", [
@@ -129,29 +130,80 @@ def test_subgroup_count_monotone_under_direct_factor():
         assert grown >= base
 
 
+def _record_extensions(monkeypatch) -> list[tuple[int, int, tuple | None]]:
+    """Route enumerate_subgroups' extensions through a recorder of
+    (S mask, zuppo generator, result) per call of ``lattice._extend``."""
+    extend = lattice_module._extend
+    calls = []
+
+    def recording(G, solvable, s_mask, s_elems, s_gens, c):
+        result = extend(G, solvable, s_mask, s_elems, s_gens, c)
+        calls.append((s_mask, c, result))
+        return result
+
+    monkeypatch.setattr(lattice_module, "_extend", recording)
+    return calls
+
+
+# conjugacy classes extended at least once in the solvable groups: rule (c)
+# leaves out classes with no admissible normalizing zuppo, such as the
+# self-normalizing S3 <= S4
+SOLVABLE_EXTENDED_CLASSES = {"sym(4)": 8, "dihedral(4)": 7, "p2q(3)": 8}
+
+
 @pytest.mark.parametrize("spec,classes", [
     (sym(4), 11), (dihedral(4), 8), (p2q(3), 10), (sym(5), 19),
 ])
 def test_extends_one_representative_per_conjugacy_class(spec, classes,
                                                          monkeypatch):
-    """Only one subgroup per conjugacy class is extended; the full group,
-    which contains every zuppo, never is."""
+    """Only one subgroup per conjugacy class is extended.  In the
+    non-solvable sym(5) every proper class is: rule (a) always leaves a
+    proper subgroup an admissible zuppo.  The full group, which contains
+    every zuppo, never is."""
     table = construct(spec)
-    extend = lattice_module._cyclic_extension
-    extended = set()
-
-    def counting(mult, s_mask, s_elems, c):
-        extended.add(s_mask)
-        return extend(mult, s_mask, s_elems, c)
-
-    monkeypatch.setattr(lattice_module, "_cyclic_extension", counting)
+    calls = _record_extensions(monkeypatch)
     lat = enumerate_subgroups(table)
     orbits = {frozenset(conjugate_subgroup(s, g).members
                         for g in range(table.order))
               for s in lat.subgroups}
     assert len(orbits) == classes
-    assert len(extended) == classes - 1
-    assert len({orbit for orbit in orbits if orbit & extended}) == classes - 1
+    extended = {s_mask for s_mask, _, result in calls if result is not None}
+    if spec == sym(5):
+        assert len(extended) == classes - 1
+    else:
+        assert len(extended) == SOLVABLE_EXTENDED_CLASSES[spec_name(spec)]
+    assert len({orbit for orbit in orbits if orbit & extended}) \
+        == len(extended)
+
+
+@pytest.mark.parametrize("spec,solvable", [
+    (sym(4), True), (p2q(5), True), (sym(5), False),
+])
+def test_solvable_groups_skip_non_normalizing_zuppos(spec, solvable,
+                                                     monkeypatch):
+    """Rule (c): a solvable group extends S only by zuppos that normalize
+    it, as p cosets, and never closes an extension; sym(5) falls back to
+    closing the non-normalizing ones."""
+    table = construct(spec)
+    calls = _record_extensions(monkeypatch)
+    closure = lattice_module._cyclic_extension
+    closed = []
+
+    def counting(mult, s_mask, s_elems, c):
+        closed.append((s_mask, c))
+        return closure(mult, s_mask, s_elems, c)
+
+    monkeypatch.setattr(lattice_module, "_cyclic_extension", counting)
+    enumerate_subgroups(table)
+    rejected = [(s_mask, c) for s_mask, c, result in calls if result is None]
+    not_cosets = set(closed) | set(rejected)
+    for s_mask, c, _ in calls:
+        normalizes = _conjugate_mask(table, s_mask, c) == s_mask
+        assert normalizes == ((s_mask, c) not in not_cosets)
+    if solvable:
+        assert not closed and rejected
+    else:
+        assert closed and not rejected
 
 
 def test_lattice_cap():

@@ -1,16 +1,23 @@
 """Equivalence gate for lattice enumeration above the brute-force oracle's
-reach (order 100).
+reach (order 100), and exact certificates for bs(cyclic(3)).
 
-Every count and digest below was recorded with the fixpoint enumerator that
-cyclic extension replaced, so these cases pin the canonical lattice of each
-group to what that enumerator produced.  The members digest is the sha256
-of each subgroup's member mask in canonical order, one hex line each, the
-same digest ``perfbench/reference.json`` records for its lattice ladder;
-the witnesses digest covers each subgroup's witness tuple likewise.
+The first seven counts and digests below were recorded with the fixpoint
+enumerator that cyclic extension replaced; the last three, p2q(13),
+direct(sym(4),sym(4)) and bs(cyclic(3)), with cyclic extension before its
+restriction to normal extensions.  These cases pin the canonical lattice
+of each group to what those enumerators produced.  The members digest is
+the sha256 of each subgroup's member mask in canonical order, one hex line
+each, the same digest ``perfbench/reference.json`` records for its lattice
+ladder; the witnesses digest covers each subgroup's witness tuple
+likewise.
+
+The certificates pin exact graph values of bs(cyclic(3)) = C3^4 ⋊ sym(4)
+at p = 3, the paper's coordinate-product step, over the pinned lattice.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from pathlib import Path
@@ -18,17 +25,24 @@ from pathlib import Path
 import pytest
 
 from commgraph import (
+    KIND_COMMENSURABILITY,
+    KIND_CONTAINMENT,
+    all_geodesics,
     bs,
+    build_graph,
     build_group_from_table,
+    components_and_diameters,
     construct,
     cyclic,
     direct,
     enumerate_subgroups,
     p2q,
     spec_name,
+    subgroup_closure,
     sym,
 )
-from commgraph.groups import _closure_list
+from commgraph import cli
+from commgraph.groups import _closure_list, perm_from_cycles
 from commgraph.verify import default_corpus
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
@@ -56,6 +70,15 @@ RECORDED = [
     (bs(cyclic(2)), 1659,
      "e630762a6ea7c33158b5242044fa1364e479e5fe6327d9f57680295e4f46c462",
      "09dbc22f4acbf9a195d8f779465ae4e048c5d83be914b183862c5406feaed90a"),
+    (p2q(13), 1188,
+     "fe1c43e72790b8e8b39aeeccbf679a9172216b46af5aef4672fc7ec8e6c35808",
+     "8de9686ad887987029854a32b1cc4e00cc4a329f2194aaba96888f2e71863dc4"),
+    (direct([sym(4), sym(4)]), 2976,
+     "7ce96a8d49ac1ee5f3b1f1579637ba0b2b09eaa167d13f50fa03cdfc7c2ff3c9",
+     "e41e1ddba2c1f8eaa706fd4d12017046ed331cc814e229f019539abb203ff781"),
+    (bs(cyclic(3)), 3104,
+     "ad9346f0752e190da14c9caecd69d77f3bef984344df2d12686b94274f3a3f65",
+     "2438feeadad8f139a94b74d08356e77ffef7eeebfe6f4b28044589ff6a7b24d6"),
 ]
 
 LADDER = ("sym(5)", "p2q(7)", "direct(sym(4),sym(3))", "direct(sym(5),cyclic(2))")
@@ -69,10 +92,18 @@ def _sha256(lines) -> str:
     return h.hexdigest()
 
 
+@pytest.fixture(scope="module")
+def lattice_of(built_group):
+    """Each spec's lattice, enumerated once for the module, so that the
+    bs(cyclic(3)) certificates run over the lattice pinned here."""
+    return functools.cache(
+        lambda spec: enumerate_subgroups(built_group(spec).table))
+
+
 @pytest.mark.parametrize("spec,count,members,witnesses", RECORDED,
                          ids=[spec_name(r[0]) for r in RECORDED])
-def test_lattice_matches_recorded(spec, count, members, witnesses, built_group):
-    lat = enumerate_subgroups(built_group(spec).table)
+def test_lattice_matches_recorded(spec, count, members, witnesses, lattice_of):
+    lat = lattice_of(spec)
     assert len(lat) == count
     assert _sha256(format(s.members, "x") for s in lat.subgroups) == members
     assert _sha256(repr(s.witnesses) for s in lat.subgroups) == witnesses
@@ -109,3 +140,62 @@ def test_generators_generate_a_table_group():
     table = build_group_from_table(construct(sym(4)).mult)
     mask, _ = _closure_list(table.mult, table.generators)
     assert mask == (1 << table.order) - 1
+
+
+BS3 = bs(cyclic(3))
+BS3_ANALYZE_SHA256 = \
+    "afbfdd93cdea7aebf59e62a06a6eba444cafee84d4b30f218c87a8c1542cfd7e"
+
+
+@pytest.fixture(scope="module")
+def bs3_analyze(tmp_path_factory) -> str:
+    """`analyze '{"bs": {"cyclic": 3}}' -p 3 --kind cont --json PATH`."""
+    path = tmp_path_factory.mktemp("bs3") / "analyze.json"
+    assert cli.main(["analyze", '{"bs": {"cyclic": 3}}', "-p", "3",
+                     "--kind", "cont", "--json", str(path)]) == cli.EXIT_OK
+    return path.read_text(encoding="utf-8")
+
+
+def _lifted_path_ends(built_group, lat) -> tuple[int, int]:
+    """Lattice indices of the ends of the construction suite's lifted
+    containment path for H = cyclic(3): C3 in coordinates 3 and 4 with the
+    transposition (1 2), and C3 in coordinates 1 and 2 with (3 4)."""
+    built = built_group(BS3)
+    identity = (0, 1, 2, 3)
+
+    def vertex(coordinates, transposition):
+        gens = [built.index[(tuple(int(t == i) for t in range(4)), identity)]
+                for i in coordinates]
+        gens.append(built.index[((0, 0, 0, 0),
+                                 perm_from_cycles(4, [transposition]))])
+        return lat.index_of_members[subgroup_closure(built.table, gens).members]
+
+    return vertex((2, 3), (1, 2)), vertex((0, 1), (3, 4))
+
+
+def test_bs3_analyze_report_digest(bs3_analyze):
+    h = hashlib.sha256(bs3_analyze.encode()).hexdigest()
+    assert h == BS3_ANALYZE_SHA256
+
+
+def test_bs3_containment_certificates(bs3_analyze, lattice_of, built_group):
+    """The 3-containment graph of bs(cyclic(3)) has connected diameter 4,
+    and the lifted path's ends lie at distance exactly 4 in a component of
+    912 vertices and diameter 4: one construction step takes the
+    containment diameter of cyclic(3), 1, to 4."""
+    lat = lattice_of(BS3)
+    assert len(lat) == 3104
+    graph = build_graph(lat, 3, KIND_CONTAINMENT)
+    assert graph.edge_count == 28258
+    doc = json.loads(bs3_analyze)
+    assert doc["connected_diameter"] == 4
+    a, b = _lifted_path_ends(built_group, lat)
+    assert len(all_geodesics(graph, a, b)[0]) - 1 == 4
+    (component,) = [c for c in doc["components"] if a in c["vertices"]]
+    assert b in component["vertices"]
+    assert (len(component["vertices"]), component["diameter"]) == (912, 4)
+
+
+def test_bs3_commensurability_connected_diameter(lattice_of):
+    graph = build_graph(lattice_of(BS3), 3, KIND_COMMENSURABILITY)
+    assert components_and_diameters(graph)[1] == 3
