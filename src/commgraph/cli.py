@@ -43,12 +43,7 @@ from .groups import (
     derived_series,
     is_prime,
 )
-from .lattice import (
-    DEFAULT_LATTICE_CAP,
-    Lattice,
-    _finish_lattice,
-    enumerate_subgroups,
-)
+from .lattice import Lattice, _finish_lattice, enumerate_subgroups
 from .verify import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
@@ -215,20 +210,15 @@ def _order_cap(args) -> int:
     return DEFAULT_ORDER_CAP
 
 
-def _check_lattice_cap(args) -> None:
-    if args.lattice_cap < 1:
-        raise ValueError("lattice cap must be >= 1")
-
-
 def _lattice_for(args, spec: GroupSpec, table: GroupTable) -> Lattice:
     """Lattice with optional file cache: read when present, else compute
     and write."""
-    cache_path = args.cache
+    cache_path = getattr(args, "cache", None)
     if cache_path and os.path.exists(cache_path):
         with open(cache_path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         return load_lattice_cache(doc, spec, table)
-    lat = enumerate_subgroups(table, args.lattice_cap)
+    lat = enumerate_subgroups(table)
     if cache_path:
         _write_text(cache_path, _dump_json(lattice_cache_doc(spec, lat)))
     return lat
@@ -262,7 +252,6 @@ def cmd_group(args) -> int:
 
 
 def cmd_subgroups(args) -> int:
-    _check_lattice_cap(args)
     spec = parse_group_spec(args.spec)
     table = construct(spec, _order_cap(args))
     lat = _lattice_for(args, spec, table)
@@ -276,11 +265,10 @@ def cmd_subgroups(args) -> int:
 
 
 def _graph_for(args) -> tuple[GroupSpec, CommGraph]:
-    """The spec and graph that ``graph`` and ``analyze`` report on; -p and
-    --lattice-cap are checked before any group is constructed."""
+    """The spec and graph that ``graph`` and ``analyze`` report on; -p is
+    checked before any group is constructed."""
     if not is_prime(args.p):
         raise ValueError(f"{args.p} is not prime")
-    _check_lattice_cap(args)
     spec = parse_group_spec(args.spec)
     table = construct(spec, _order_cap(args))
     lat = _lattice_for(args, spec, table)
@@ -381,13 +369,6 @@ def _add_spec_argument(parser) -> None:
                              f"env {ORDER_CAP_ENV})")
 
 
-def _add_lattice_arguments(parser) -> None:
-    parser.add_argument("--lattice-cap", type=int, default=DEFAULT_LATTICE_CAP,
-                        help="max subgroups to enumerate "
-                             f"(default {DEFAULT_LATTICE_CAP})")
-    parser.add_argument("--cache", help="lattice cache file (read or write)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="commgraph",
@@ -403,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_subs = sub.add_parser("subgroups", help="enumerate the subgroup lattice")
     _add_spec_argument(p_subs)
-    _add_lattice_arguments(p_subs)
+    p_subs.add_argument("--cache", help="lattice cache file (read or write)")
     p_subs.add_argument("--json", help="write the lattice document to PATH")
     p_subs.set_defaults(func=cmd_subgroups)
 
@@ -413,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_graph.add_argument("--kind", choices=("comm", "cont"), default="comm")
     p_graph.add_argument("--dot", help="write DOT to PATH")
     p_graph.add_argument("--json", help="write graph JSON to PATH")
-    _add_lattice_arguments(p_graph)
+    p_graph.add_argument("--cache", help="lattice cache file (read or write)")
     p_graph.set_defaults(func=cmd_graph)
 
     p_an = sub.add_parser("analyze", help="component/diameter report")
@@ -421,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("-p", type=int, required=True, help="prime p")
     p_an.add_argument("--kind", choices=("comm", "cont"), default="comm")
     p_an.add_argument("--json", help="also write the report to PATH")
-    _add_lattice_arguments(p_an)
+    p_an.add_argument("--cache", help="lattice cache file (read or write)")
     p_an.set_defaults(func=cmd_analyze)
 
     p_ver = sub.add_parser("verify", help="run claim-verification suites")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 
@@ -208,10 +209,7 @@ def test_lattice_cache_mismatch_rejected(tmp_path, capsys):
     ("graph", '{"sym": 3}', "-p", "4"),
     ("verify", "lemmas", "--trials", "0"),
     ("subgroups", '{"sym": 3}', "--cache", None),  # None: a directory
-    ("subgroups", '{"sym": 3}', "--lattice-cap", "0"),
-    ("analyze", '{"sym": 3}', "-p", "3", "--lattice-cap", "-1"),
-], ids=["non-prime-p", "zero-trials", "directory-as-cache", "zero-lattice-cap",
-        "negative-lattice-cap"])
+], ids=["non-prime-p", "zero-trials", "directory-as-cache"])
 def test_bad_argument_values_exit_parse(argv, tmp_path, capsys):
     argv = [str(tmp_path) if arg is None else arg for arg in argv]
     assert run_cli(*argv) == EXIT_PARSE
@@ -227,26 +225,17 @@ def test_bad_argument_values_rejected_before_any_work(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_suite", unreachable)
     for argv in (("graph", '{"bs": {"cyclic": 2}}', "-p", "4"),
                  ("analyze", '{"bs": {"cyclic": 2}}', "-p", "4"),
-                 ("verify", "all", "--trials", "0"),
-                 ("subgroups", '{"bs": {"cyclic": 2}}', "--lattice-cap", "0"),
-                 ("graph", '{"bs": {"cyclic": 2}}', "-p", "2",
-                  "--lattice-cap", "0"),
-                 ("analyze", '{"bs": {"cyclic": 2}}', "-p", "2",
-                  "--lattice-cap", "0")):
+                 ("verify", "all", "--trials", "0")):
         assert run_cli(*argv) == EXIT_PARSE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_lattice_cap_exit_code(capsys):
-    # sym(4) has 30 subgroups
-    for argv in (("subgroups", '{"sym": 4}'),
-                 ("graph", '{"sym": 4}', "-p", "2"),
-                 ("analyze", '{"sym": 4}', "-p", "2")):
-        assert run_cli(*argv, "--lattice-cap", "29") == EXIT_LATTICE_CAP
-        assert capsys.readouterr().err == "error: more than 29 subgroups\n"
-        assert run_cli(*argv, "--lattice-cap", "30") == EXIT_OK
-        capsys.readouterr()
+def test_lattice_cap_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "enumerate_subgroups",
+                        functools.partial(enumerate_subgroups, lattice_cap=29))
+    assert run_cli("subgroups", '{"sym": 4}') == EXIT_LATTICE_CAP
+    assert capsys.readouterr().err == "error: more than 29 subgroups\n"
 
 
 def test_failed_write_keeps_existing_cache(tmp_path, capsys):

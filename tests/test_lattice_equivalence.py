@@ -143,16 +143,22 @@ def test_generators_generate_a_table_group():
 
 
 BS3 = bs(cyclic(3))
+# the report of a 3-containment graph with connected diameter 4
 BS3_ANALYZE_SHA256 = \
     "afbfdd93cdea7aebf59e62a06a6eba444cafee84d4b30f218c87a8c1542cfd7e"
 
 
 @pytest.fixture(scope="module")
-def bs3_analyze(tmp_path_factory) -> str:
-    """`analyze '{"bs": {"cyclic": 3}}' -p 3 --kind cont --json PATH`."""
-    path = tmp_path_factory.mktemp("bs3") / "analyze.json"
+def bs3_analyze(tmp_path_factory, lattice_of) -> str:
+    """`analyze '{"bs": {"cyclic": 3}}' -p 3 --kind cont --json PATH`, over
+    the pinned lattice passed in as a ``--cache`` file."""
+    tmp = tmp_path_factory.mktemp("bs3")
+    cache, path = tmp / "lattice.json", tmp / "analyze.json"
+    cache.write_text(json.dumps(cli.lattice_cache_doc(BS3, lattice_of(BS3))),
+                     encoding="utf-8")
     assert cli.main(["analyze", '{"bs": {"cyclic": 3}}', "-p", "3",
-                     "--kind", "cont", "--json", str(path)]) == cli.EXIT_OK
+                     "--kind", "cont", "--cache", str(cache),
+                     "--json", str(path)]) == cli.EXIT_OK
     return path.read_text(encoding="utf-8")
 
 
@@ -179,19 +185,19 @@ def test_bs3_analyze_report_digest(bs3_analyze):
 
 
 def test_bs3_containment_certificates(bs3_analyze, lattice_of, built_group):
-    """The 3-containment graph of bs(cyclic(3)) has connected diameter 4,
-    and the lifted path's ends lie at distance exactly 4 in a component of
-    912 vertices and diameter 4: one construction step takes the
-    containment diameter of cyclic(3), 1, to 4."""
+    """The lifted path's ends lie at distance exactly 4 in a component of
+    912 vertices and diameter 4 of the 3-containment graph of
+    bs(cyclic(3)), whose connected diameter the report digest pins at 4:
+    one construction step takes the containment diameter of cyclic(3), 1,
+    to 4."""
     lat = lattice_of(BS3)
     assert len(lat) == 3104
     graph = build_graph(lat, 3, KIND_CONTAINMENT)
     assert graph.edge_count == 28258
-    doc = json.loads(bs3_analyze)
-    assert doc["connected_diameter"] == 4
     a, b = _lifted_path_ends(built_group, lat)
     assert len(all_geodesics(graph, a, b)[0]) - 1 == 4
-    (component,) = [c for c in doc["components"] if a in c["vertices"]]
+    (component,) = [c for c in json.loads(bs3_analyze)["components"]
+                    if a in c["vertices"]]
     assert b in component["vertices"]
     assert (len(component["vertices"]), component["diameter"]) == (912, 4)
 
