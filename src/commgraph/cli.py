@@ -58,8 +58,6 @@ EXIT_PARSE = 2
 EXIT_ORDER_CAP = 3
 EXIT_LATTICE_CAP = 4
 
-ORDER_CAP_ENV = "COMMGRAPH_ORDER_CAP"
-
 _KINDS = {"comm": KIND_COMMENSURABILITY, "cont": KIND_CONTAINMENT}
 
 CACHE_FORMAT_VERSION = 1
@@ -197,17 +195,14 @@ def _write_text(path: str, text: str) -> None:
 # command helpers
 
 
-def _order_cap(args) -> int:
-    if args.order_cap is not None:
-        return args.order_cap
-    env = os.environ.get(ORDER_CAP_ENV)
-    if env is not None:
+def _read_json(path: str):
+    """The JSON document in the file at path; a document nested too deeply
+    to decode is a ValueError like any other malformed file."""
+    with open(path, "r", encoding="utf-8") as fh:
         try:
-            return int(env)
-        except ValueError:
-            print(f"warning: ignoring non-integer {ORDER_CAP_ENV}={env!r}",
-                  file=sys.stderr)
-    return DEFAULT_ORDER_CAP
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _lattice_for(args, spec: GroupSpec, table: GroupTable) -> Lattice:
@@ -215,9 +210,7 @@ def _lattice_for(args, spec: GroupSpec, table: GroupTable) -> Lattice:
     and write."""
     cache_path = getattr(args, "cache", None)
     if cache_path and os.path.exists(cache_path):
-        with open(cache_path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        return load_lattice_cache(doc, spec, table)
+        return load_lattice_cache(_read_json(cache_path), spec, table)
     lat = enumerate_subgroups(table)
     if cache_path:
         _write_text(cache_path, _dump_json(lattice_cache_doc(spec, lat)))
@@ -226,7 +219,7 @@ def _lattice_for(args, spec: GroupSpec, table: GroupTable) -> Lattice:
 
 def cmd_group(args) -> int:
     spec = parse_group_spec(args.spec)
-    table = construct(spec, _order_cap(args))
+    table = construct(spec, args.order_cap)
     series = derived_series(table)
     flags = _structure_flags(table, series)
     factorization = "*".join(
@@ -253,7 +246,7 @@ def cmd_group(args) -> int:
 
 def cmd_subgroups(args) -> int:
     spec = parse_group_spec(args.spec)
-    table = construct(spec, _order_cap(args))
+    table = construct(spec, args.order_cap)
     lat = _lattice_for(args, spec, table)
     if args.json:
         _write_text(args.json, _dump_json(lattice_cache_doc(spec, lat)))
@@ -270,7 +263,7 @@ def _graph_for(args) -> tuple[GroupSpec, CommGraph]:
     if not is_prime(args.p):
         raise ValueError(f"{args.p} is not prime")
     spec = parse_group_spec(args.spec)
-    table = construct(spec, _order_cap(args))
+    table = construct(spec, args.order_cap)
     lat = _lattice_for(args, spec, table)
     return spec, build_graph(lat, args.p, _KINDS[args.kind])
 
@@ -303,8 +296,7 @@ def _reject_unknown_keys(doc: dict, known: set[str], what: str) -> None:
 
 
 def _load_corpus_file(path: str) -> list[CorpusMember]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _read_json(path)
     members_doc = doc.get("members") if isinstance(doc, dict) else None
     if not isinstance(members_doc, list) or not members_doc:
         raise InvalidSpec("corpus file needs a non-empty 'members' array")
@@ -346,7 +338,9 @@ def cmd_verify(args) -> int:
         _write_text(args.json, _dump_json(doc))
     all_pass = True
     for rep in reports:
-        status = "pass" if rep.passed else "FAIL"
+        # a suite that made no check failed none, but did not pass either
+        status = ("FAIL" if not rep.passed
+                  else "pass" if rep.records else "no checks")
         fails = sum(1 for r in rep.records if not r.passed)
         print(f"{rep.suite}: {status} ({len(rep.records)} checks, "
               f"{fails} failures, {rep.skips} skips, "
@@ -365,8 +359,7 @@ def cmd_verify(args) -> int:
 def _add_spec_argument(parser) -> None:
     parser.add_argument("spec", help="group spec document, e.g. '{\"sym\": 4}'")
     parser.add_argument("--order-cap", type=int, default=None,
-                        help=f"max group order (default {DEFAULT_ORDER_CAP}; "
-                             f"env {ORDER_CAP_ENV})")
+                        help=f"max group order (default {DEFAULT_ORDER_CAP})")
 
 
 def build_parser() -> argparse.ArgumentParser:

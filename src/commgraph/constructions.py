@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import InvalidSpec, OrderCapExceeded, SpecSyntaxError
 from .groups import (
@@ -84,7 +84,14 @@ def spec_to_doc(spec: GroupSpec):
 
 
 def spec_from_doc(doc) -> GroupSpec:
-    """Parse a one-key spec object; raises InvalidSpec on bad structure."""
+    """Parse a one-key spec object; raises InvalidSpec on bad structure or
+    on nesting deeper than MAX_SPEC_DEPTH."""
+    return _spec_from_doc(doc, 1)
+
+
+def _spec_from_doc(doc, depth: int) -> GroupSpec:
+    if depth > MAX_SPEC_DEPTH:
+        raise InvalidSpec(f"spec nesting deeper than {MAX_SPEC_DEPTH}")
     if not isinstance(doc, dict) or len(doc) != 1:
         raise InvalidSpec("a group spec is an object with exactly one key")
     key, value = next(iter(doc.items()))
@@ -105,8 +112,9 @@ def spec_from_doc(doc) -> GroupSpec:
     if key == "direct":
         if not isinstance(value, list) or not value:
             raise InvalidSpec("direct takes a non-empty list of specs")
-        return GroupSpec("direct", parts=tuple(spec_from_doc(v) for v in value))
-    return GroupSpec("bs", parts=(spec_from_doc(value),))
+        return GroupSpec("direct", parts=tuple(_spec_from_doc(v, depth + 1)
+                                               for v in value))
+    return GroupSpec("bs", parts=(_spec_from_doc(value, depth + 1),))
 
 
 def parse_group_spec(text: str) -> GroupSpec:
@@ -115,9 +123,9 @@ def parse_group_spec(text: str) -> GroupSpec:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecSyntaxError(str(exc), position=exc.pos) from None
-    spec = spec_from_doc(doc)
-    _check_depth(spec)
-    return spec
+    except RecursionError:
+        raise InvalidSpec("spec nested too deeply to decode") from None
+    return spec_from_doc(doc)
 
 
 def spec_name(spec: GroupSpec) -> str:
@@ -135,11 +143,6 @@ def spec_depth(spec: GroupSpec) -> int:
     if spec.parts:
         return 1 + max(spec_depth(p) for p in spec.parts)
     return 1
-
-
-def _check_depth(spec: GroupSpec) -> None:
-    if spec_depth(spec) > MAX_SPEC_DEPTH:
-        raise InvalidSpec(f"spec nesting deeper than {MAX_SPEC_DEPTH}")
 
 
 def predicted_order(spec: GroupSpec) -> int:
@@ -176,7 +179,8 @@ def construct_detailed(spec: GroupSpec, order_cap: int | None = None) -> BuiltGr
     predicted order before any materialization.
     """
     cap = DEFAULT_ORDER_CAP if order_cap is None else order_cap
-    _check_depth(spec)
+    if spec_depth(spec) > MAX_SPEC_DEPTH:
+        raise InvalidSpec(f"spec nesting deeper than {MAX_SPEC_DEPTH}")
     predicted = predicted_order(spec)
     if predicted > cap:
         raise OrderCapExceeded(
@@ -228,20 +232,9 @@ def _build_dihedral(spec: GroupSpec, cap: int) -> BuiltGroup:
 
 
 def _build_abelian(spec: GroupSpec, cap: int) -> BuiltGroup:
-    ns = spec.factors
-    k = len(ns)
-
-    def compose(x, y):
-        return tuple((x[i] + y[i]) % ns[i] for i in range(k))
-
-    gens = []
-    for i, n in enumerate(ns):
-        if n > 1:
-            gens.append(tuple(1 if j == i else 0 for j in range(k)))
-    table, elements, index = _assemble_table(
-        (0,) * k, gens, compose,
-        lambda r: "(" + ",".join(str(x) for x in r) + ")", cap)
-    return BuiltGroup(spec, table, elements, index)
+    """The direct product of the cyclic factors, under the abelian spec."""
+    built = _build_direct(direct([cyclic(n) for n in spec.factors]), cap)
+    return replace(built, spec=spec)
 
 
 def _build_direct(spec: GroupSpec, cap: int) -> BuiltGroup:

@@ -132,24 +132,16 @@ class VerdictReport:
     def passed(self) -> bool:
         return all(r.passed for r in self.records)
 
-    def finish(self) -> "VerdictReport":
-        """Canonical record order: (group, p, trial index)."""
-        self.records.sort(key=lambda r: (r.group, r.p if r.p is not None else -1,
-                                         r.params.get("trial", -1)))
-        return self
-
     def to_doc(self) -> dict:
-        # runtime_ms is measured but serialized as null: report files must
-        # be byte-identical across runs.
+        """Records in canonical order, (group, p, trial index).  runtime_ms
+        is measured but serialized as null: report files must be
+        byte-identical across runs."""
+        records = sorted(self.records, key=lambda r: (
+            r.group, r.p if r.p is not None else -1, r.params.get("trial", -1)))
         return {"suite": self.suite, "seed": self.seed,
-                "records": [r.to_doc() for r in self.records],
+                "records": [r.to_doc() for r in records],
                 "skips": self.skips, "warnings": self.warnings,
                 "runtime_ms": None}
-
-
-def _timed(report: VerdictReport, started: float) -> VerdictReport:
-    report.runtime_ms = (time.monotonic() - started) * 1000.0
-    return report.finish()
 
 
 def _lattice_members(corpus) -> list[CorpusMember]:
@@ -261,13 +253,12 @@ def _derived_slices(spec: GroupSpec, p: int) -> tuple[tuple[int, int], ...]:
 # total disconnection
 
 
-def verify_totaldisc(corpus=None, primes=PRIMES_UP_TO_13) -> VerdictReport:
+def verify_totaldisc(corpus=None) -> VerdictReport:
     """Gamma_p(G) has no edges exactly when p does not divide |G|."""
-    started = time.monotonic()
     report = VerdictReport("totaldisc", 0)
     for member in _lattice_members(corpus):
         order = _lattice(member.spec).parent.order
-        for p in primes:
+        for p in PRIMES_UP_TO_13:
             graph = _graph(member.spec, p, KIND_COMMENSURABILITY)
             expect_disconnected = order % p != 0
             report.records.append(CheckRecord(
@@ -275,7 +266,7 @@ def verify_totaldisc(corpus=None, primes=PRIMES_UP_TO_13) -> VerdictReport:
                 {"disconnected": expect_disconnected},
                 {"edges": graph.edge_count},
                 (graph.edge_count == 0) == expect_disconnected))
-    return _timed(report, started)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +277,6 @@ def verify_diameter_bounds(corpus=None) -> VerdictReport:
     """Connected diameter bounds: <= 4 for metabelian groups, <= 4 when a
     p-Sylow subgroup of the derived subgroup is normal, <= 1 for nilpotent
     groups."""
-    started = time.monotonic()
     report = VerdictReport("bounds", 0)
     for member in _lattice_members(corpus):
         table = _lattice(member.spec).parent
@@ -308,7 +298,7 @@ def verify_diameter_bounds(corpus=None) -> VerdictReport:
                 report.records.append(CheckRecord(
                     member.name, p, {"claim": "nilpotent_diameter_bound"},
                     {"max_diameter": 1}, {"diameter": diameter}, diameter <= 1))
-    return _timed(report, started)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -340,16 +330,9 @@ def verify_lemma_suite(corpus=None, trials: int = DEFAULT_TRIALS,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    started = time.monotonic()
     pairs = _member_primes(corpus)
     rng = random.Random(seed)
     report = VerdictReport("lemmas", seed)
-
-    properties = ("extension_by_normal_p_subgroup",
-                  "extension_preserves_adjacency",
-                  "normal_slice_preserves_adjacency",
-                  "derived_slice_equality",
-                  "complement_absorbed_by_adjacency")
 
     edge_pairs = [(m, p) for (m, p) in pairs if _edges(m.spec, p)]
     nilp_edge_pairs = [(m, p) for (m, p) in pairs
@@ -359,79 +342,60 @@ def verify_lemma_suite(corpus=None, trials: int = DEFAULT_TRIALS,
                   if _core_nontrivial_p_subgroups(m.spec, p)]
     core_edge_pairs = [mp for mp in edge_pairs if mp in core_pairs]
 
-    q_trials = 0
-    trivial_q_trials = 0
+    # property -> (its (member, p) pool, the pool restricted to nontrivial
+    # normal p-cores or None); a property whose pool is empty is skipped
+    pools = {"extension_by_normal_p_subgroup": (pairs, core_pairs),
+             "extension_preserves_adjacency": (edge_pairs, core_edge_pairs),
+             "normal_slice_preserves_adjacency": (edge_pairs, None),
+             "derived_slice_equality": (slice_pairs, None),
+             "complement_absorbed_by_adjacency": (nilp_edge_pairs, None)}
+    properties = tuple(pools)
+    q_orders = []  # the order of each Q sampled by _sample_q
 
     for trial in range(trials):
         prop = properties[rng.randrange(len(properties))]
+        pool, core_pool = pools[prop]
+        if not pool:
+            report.skips += 1
+            continue
+        # four of five trials sample Q from the nontrivial cores
+        restrict = trial % 5 != 0 and bool(core_pool)
+        member, p = rng.choice(core_pool if restrict else pool)
+        lat = _lattice(member.spec)
+        subs = lat.subgroups
         if prop == "extension_by_normal_p_subgroup":
-            if not pairs:
-                report.skips += 1
-                continue
-            restrict = trial % 5 != 0 and bool(core_pairs)
-            member, p = rng.choice(core_pairs if restrict else pairs)
-            lat = _lattice(member.spec)
             Q = _sample_q(member.spec, p, rng, restrict)
-            q_trials += 1
-            trivial_q_trials += Q.order == 1
-            V = lat.subgroups[rng.randrange(len(lat.subgroups))]
-            VQ = product_set(V, Q)
-            exp = p_power_exponent(VQ.order // V.order, p)
-            report.records.append(CheckRecord(
-                member.name, p,
-                {"trial": trial, "property": prop, "q_order": Q.order,
-                 "v_order": V.order},
-                "p-power index", {"exponent": exp}, exp is not None))
+            q_orders.append(Q.order)
+            V = subs[rng.randrange(len(subs))]
+            exp = p_power_exponent(product_set(V, Q).order // V.order, p)
+            params = {"q_order": Q.order, "v_order": V.order}
+            check = ("p-power index", {"exponent": exp}, exp is not None)
         elif prop == "extension_preserves_adjacency":
-            if not edge_pairs:
-                report.skips += 1
-                continue
-            restrict = trial % 5 != 0 and bool(core_edge_pairs)
-            member, p = rng.choice(core_edge_pairs if restrict else edge_pairs)
-            lat = _lattice(member.spec)
             i, j = rng.choice(_edges(member.spec, p))
             Q = _sample_q(member.spec, p, rng, restrict)
-            q_trials += 1
-            trivial_q_trials += Q.order == 1
-            AQ = product_set(lat.subgroups[i], Q)
-            BQ = product_set(lat.subgroups[j], Q)
-            exps = commensurability_exponents(AQ, BQ, p)
-            report.records.append(CheckRecord(
-                member.name, p,
-                {"trial": trial, "property": prop, "edge": [i, j],
-                 "q_order": Q.order},
-                "p-power index pair", {"exponents": exps}, exps is not None))
+            q_orders.append(Q.order)
+            exps = commensurability_exponents(
+                product_set(subs[i], Q), product_set(subs[j], Q), p)
+            params = {"edge": [i, j], "q_order": Q.order}
+            check = ("p-power index pair", {"exponents": exps},
+                     exps is not None)
         elif prop == "normal_slice_preserves_adjacency":
-            if not edge_pairs:
-                report.skips += 1
-                continue
-            member, p = rng.choice(edge_pairs)
-            lat = _lattice(member.spec)
             i, j = rng.choice(_edges(member.spec, p))
-            ni = rng.choice(_normal_indices(member.spec))
-            N = lat.subgroups[ni]
-            VN = intersect(lat.subgroups[i], N)
-            WN = intersect(lat.subgroups[j], N)
-            exps = commensurability_exponents(VN, WN, p)
-            report.records.append(CheckRecord(
-                member.name, p,
-                {"trial": trial, "property": prop, "edge": [i, j],
-                 "n_order": N.order},
-                "p-power index pair", {"exponents": exps}, exps is not None))
+            N = subs[rng.choice(_normal_indices(member.spec))]
+            exps = commensurability_exponents(
+                intersect(subs[i], N), intersect(subs[j], N), p)
+            params = {"edge": [i, j], "n_order": N.order}
+            check = ("p-power index pair", {"exponents": exps},
+                     exps is not None)
         elif prop == "derived_slice_equality":
-            if not slice_pairs:
-                report.skips += 1
-                continue
-            member, p = rng.choice(slice_pairs)
-            lat = _lattice(member.spec)
             t_idx, qi = rng.choice(_derived_slices(member.spec, p))
             term = _derived_series(lat.parent).terms[t_idx]
-            Q = lat.subgroups[qi]
+            Q = subs[qi]
             comp_of = _component_of(member.spec, p)
             outcome = None
             for _ in range(8):
-                V = lat.subgroups[rng.randrange(len(lat.subgroups))]
-                W = lat.subgroups[rng.randrange(len(lat.subgroups))]
+                V = subs[rng.randrange(len(subs))]
+                W = subs[rng.randrange(len(subs))]
                 VQ = product_set(V, Q)
                 WQ = product_set(W, Q)
                 vi = lat.index_of_members[VQ.members]
@@ -444,35 +408,29 @@ def verify_lemma_suite(corpus=None, trials: int = DEFAULT_TRIALS,
             if outcome is None:
                 report.skips += 1
                 continue
-            report.records.append(CheckRecord(
-                member.name, p,
-                {"trial": trial, "property": prop, "term_index": t_idx,
-                 "q_order": Q.order},
-                "equal slices", {"equal": outcome}, outcome))
+            params = {"term_index": t_idx, "q_order": Q.order}
+            check = ("equal slices", {"equal": outcome}, outcome)
         else:  # complement_absorbed_by_adjacency
-            if not nilp_edge_pairs:
-                report.skips += 1
-                continue
-            member, p = rng.choice(nilp_edge_pairs)
-            lat = _lattice(member.spec)
             i, j = rng.choice(_nilpotent_edges(member.spec, p))
-            d1 = lat.subgroups[i]
-            d2 = lat.subgroups[j]
+            d1, d2 = subs[i], subs[j]
             inter = d1.members & d2.members
             comp1 = p_prime_complement(d1, p).members
             comp2 = p_prime_complement(d2, p).members
             ok = (comp1 & inter == comp1) and (comp2 & inter == comp2)
-            report.records.append(CheckRecord(
-                member.name, p,
-                {"trial": trial, "property": prop, "edge": [i, j]},
-                "complement inside intersection", {"contained": ok}, ok))
+            params = {"edge": [i, j]}
+            check = ("complement inside intersection", {"contained": ok}, ok)
+        report.records.append(CheckRecord(
+            member.name, p, {"trial": trial, "property": prop, **params},
+            *check))
 
+    q_trials = len(q_orders)
     if q_trials and not core_pairs:
         # no corpus group has a nontrivial normal p-subgroup to sample
         report.warnings.append({
             "code": "TRIVIAL_Q_ONLY", "group": "(corpus)", "p": None,
             "detail": {"q_trials": q_trials}})
     elif q_trials:
+        trivial_q_trials = q_orders.count(1)
         fraction = trivial_q_trials / q_trials
         report.records.append(CheckRecord(
             "(corpus)", None,
@@ -480,7 +438,7 @@ def verify_lemma_suite(corpus=None, trials: int = DEFAULT_TRIALS,
              "q_trials": q_trials, "trivial_q_trials": trivial_q_trials},
             {"max_fraction": TRIVIAL_Q_CAP}, {"fraction": round(fraction, 4)},
             fraction <= TRIVIAL_Q_CAP))
-    return _timed(report, started)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +450,6 @@ def verify_sym4_geodesics() -> VerdictReport:
     every geodesic between the two disjoint-transposition vertices matches
     the five-vertex template, and every simple path between them passes two
     consecutive vertices sharing a mixed transposition."""
-    started = time.monotonic()
     report = VerdictReport("sym4", 0)
     lat = _lattice(sym(4))
     graph = _graph(sym(4), 3, KIND_CONTAINMENT)
@@ -548,15 +505,14 @@ def verify_sym4_geodesics() -> VerdictReport:
         {"check": "simple_paths_share_mixed_transposition",
          "path_count": len(paths)},
         {"violations": 0}, {"violations": len(bad)}, not bad))
-    return _timed(report, started)
+    return report
 
 
 # ---------------------------------------------------------------------------
 # the H^4 x sym(4) construction path
 
 
-def verify_construction(h_spec: GroupSpec | None = None,
-                        order_cap: int | None = None) -> VerdictReport:
+def verify_construction(h_spec: GroupSpec | None = None) -> VerdictReport:
     """Certify one level of the coordinate-product construction.
 
     Computes the containment diameter of H, materializes the explicit
@@ -565,7 +521,6 @@ def verify_construction(h_spec: GroupSpec | None = None,
     of 3 while the endpoints are distinct, mutually non-containing members
     of one component (hence that component has diameter >= 2).
     """
-    started = time.monotonic()
     h_spec = cyclic(3) if h_spec is None else h_spec
     is_default = h_spec == cyclic(3)
     report = VerdictReport("construction", 0)
@@ -573,7 +528,7 @@ def verify_construction(h_spec: GroupSpec | None = None,
     # bs(H) is built first: its order, 24|H|^4, is checked against the cap
     # before any materialization, which covers H as well.
     g_spec = bs(h_spec)
-    g_built = construct_detailed(g_spec, order_cap)
+    g_built = construct_detailed(g_spec)
     h_name = spec_name(h_spec)
     h_lat = _lattice(h_spec)
     h_graph = _graph(h_spec, 3, KIND_CONTAINMENT)
@@ -583,23 +538,18 @@ def verify_construction(h_spec: GroupSpec | None = None,
         1 if is_default else cd3_h, cd3_h,
         cd3_h == 1 if is_default else True))
 
-    # lexicographically first vertex pair realizing the diameter
-    chain = None
-    for comp in reports:
-        if comp.diameter != cd3_h:
-            continue
-        for a_pos, a in enumerate(comp.vertices):
-            for b in comp.vertices[a_pos + 1:]:
-                first = all_geodesics(h_graph, a, b)[0]
-                if len(first) == cd3_h + 1:
-                    chain = first
-                    break
-            if chain:
-                break
-        if chain:
-            break
-    if chain is None:  # diameter 0: totally disconnected base
+    # First geodesic of the lexicographically first vertex pair (a, b)
+    # realizing the diameter d: a is the first vertex of eccentricity d, and
+    # a vertex at distance d from a has eccentricity d too, so b > a.
+    if cd3_h == 0:  # totally disconnected base
         chain = [0]
+    else:
+        comp, a = next((c, v) for c in reports
+                       for v, e in zip(c.vertices, c.eccentricities)
+                       if e == cd3_h)
+        chain = next(path for path in (all_geodesics(h_graph, a, b)[0]
+                                       for b in comp.vertices if b > a)
+                     if len(path) == cd3_h + 1)
     chain_subs = [h_lat.subgroups[i] for i in chain]
 
     g_name = spec_name(g_spec)
@@ -661,7 +611,7 @@ def verify_construction(h_spec: GroupSpec | None = None,
          "component_diameter_at_least": 2},
         {"distinct": distinct, "mutually_non_containing": non_containing},
         distinct and non_containing))
-    return _timed(report, started)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -674,7 +624,6 @@ def verify_cd_inequality(corpus=None) -> VerdictReport:
     Enforced for p = 3; for other primes a violation is reported as an
     extension-violation warning, not a failure.
     """
-    started = time.monotonic()
     report = VerdictReport("cd", 0)
     for member, p in _member_primes(corpus):
         _, cd_p = _components(member.spec, p, KIND_CONTAINMENT)
@@ -691,7 +640,7 @@ def verify_cd_inequality(corpus=None) -> VerdictReport:
             {"cd": cd_p, "enforced": enforced},
             {"min_diameter": bound}, {"diameter": diam},
             ok or not enforced))
-    return _timed(report, started)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -704,7 +653,6 @@ def verify_p2q(q_values=(3, 5, 7), primes=PRIMES_UP_TO_13) -> VerdictReport:
     at most 2 and sharp across the run; complete components when p divides
     (q-1)^2 with p != q; stars or 2-vertex complete components when p = q;
     component counts for q=5 per the reference tallies."""
-    started = time.monotonic()
     report = VerdictReport("p2q", 0)
     max_diameter = 0
     for q in q_values:
@@ -754,32 +702,43 @@ def verify_p2q(q_values=(3, 5, 7), primes=PRIMES_UP_TO_13) -> VerdictReport:
                      "count_with_singletons": with_singletons},
                     wanted, ge2, count_ok or class_ok))
     report.records.append(CheckRecord(
-        "p2q(3,5,7)", None, {"check": "diameter_sharpness"},
-        2, max_diameter, max_diameter == 2))
-    return _timed(report, started)
+        f"p2q({','.join(map(str, q_values))})", None,
+        {"check": "diameter_sharpness"}, 2, max_diameter, max_diameter == 2))
+    return report
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 
 
+# Suite name -> its call.  The lambdas read the verify_* names from the
+# module globals when called, so a wrapper installed on them runs instead.
+_SUITE_CALLS = {
+    "totaldisc": lambda corpus, trials, seed: verify_totaldisc(corpus),
+    "bounds": lambda corpus, trials, seed: verify_diameter_bounds(corpus),
+    "lemmas": lambda corpus, trials, seed: verify_lemma_suite(
+        corpus, trials=trials, seed=seed),
+    "sym4": lambda corpus, trials, seed: verify_sym4_geodesics(),
+    "construction": lambda corpus, trials, seed: verify_construction(),
+    "cd": lambda corpus, trials, seed: verify_cd_inequality(corpus),
+    "p2q": lambda corpus, trials, seed: verify_p2q(),
+}
+
+
 def run_suite(name: str, *, corpus=None, trials: int = DEFAULT_TRIALS,
               seed: int = DEFAULT_SEED) -> VerdictReport:
-    if name == "totaldisc":
-        return verify_totaldisc(corpus)
-    if name == "bounds":
-        return verify_diameter_bounds(corpus)
-    if name == "lemmas":
-        return verify_lemma_suite(corpus, trials=trials, seed=seed)
-    if name == "sym4":
-        return verify_sym4_geodesics()
-    if name == "construction":
-        return verify_construction()
-    if name == "cd":
-        return verify_cd_inequality(corpus)
-    if name == "p2q":
-        return verify_p2q()
-    raise ValueError(f"unknown suite {name!r}")
+    """Run one suite: the one place that times a suite and sets its
+    runtime_ms, which a direct verify_* call leaves at 0.0.  A report that
+    made no check gets a NO_CHECKS warning."""
+    if name not in _SUITE_CALLS:
+        raise ValueError(f"unknown suite {name!r}")
+    started = time.monotonic()
+    report = _SUITE_CALLS[name](corpus, trials, seed)
+    report.runtime_ms = (time.monotonic() - started) * 1000.0
+    if not report.records:
+        report.warnings.append({"code": "NO_CHECKS", "group": "(corpus)",
+                                "p": None, "detail": {}})
+    return report
 
 
 def run_all(*, corpus=None, trials: int = DEFAULT_TRIALS,

@@ -77,13 +77,49 @@ def test_group_parse_and_cap_exit_codes(capsys):
     capsys.readouterr()
 
 
-def test_order_cap_env_and_flag_priority(capsys, monkeypatch):
-    monkeypatch.setenv(cli.ORDER_CAP_ENV, "10")
-    assert run_cli("group", '{"sym": 4}') == EXIT_ORDER_CAP
+def test_order_cap_env_and_flag_priority(capsys):
     assert run_cli("group", '{"sym": 4}', "--order-cap", "30") == EXIT_OK
-    monkeypatch.setenv(cli.ORDER_CAP_ENV, "bogus")
-    assert run_cli("group", '{"sym": 4}') == EXIT_OK
     capsys.readouterr()
+
+
+def _nested_spec(levels: int) -> str:
+    text = '{"cyclic": 2}'
+    for _ in range(levels):
+        text = '{"bs": ' + text + '}'
+    return text
+
+
+def _assert_one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+# 600 levels decode but recursed past the interpreter's limit in the spec
+# parser; 3000 levels exceed it in the JSON decoder itself
+@pytest.mark.parametrize("levels", [600, 3000])
+def test_deeply_nested_spec_exits_2(levels, capsys):
+    assert run_cli("group", _nested_spec(levels)) == EXIT_PARSE
+    _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("levels", [600, 3000])
+def test_deeply_nested_corpus_exits_2(levels, tmp_path, capsys):
+    corpus_path = tmp_path / "corpus.json"
+    corpus_path.write_text('{"members": [{"spec": ' + _nested_spec(levels)
+                           + '}]}', encoding="utf-8")
+    assert run_cli("verify", "totaldisc", "--corpus",
+                   str(corpus_path)) == EXIT_PARSE
+    _assert_one_error_line(capsys)
+
+
+def test_deeply_nested_cache_exits_2(tmp_path, capsys):
+    cache_path = tmp_path / "c4.lattice.json"
+    cache_path.write_text('{"spec": ' + "[" * 3000 + "]" * 3000 + "}",
+                          encoding="utf-8")
+    assert run_cli("subgroups", '{"cyclic": 4}', "--cache",
+                   str(cache_path)) == EXIT_PARSE
+    _assert_one_error_line(capsys)
 
 
 def test_subgroups_command_and_counts(capsys):
@@ -321,7 +357,27 @@ def test_verify_lemmas_without_member_prime_pairs_skips(members, tmp_path,
     assert run_cli("verify", "lemmas", "--trials", "50", "--corpus",
                    str(corpus_path)) == EXIT_OK
     out = capsys.readouterr().out
-    assert out == "lemmas: pass (0 checks, 0 failures, 50 skips, 0 warnings)\n"
+    assert out == ("lemmas: no checks (0 checks, 0 failures, 50 skips, "
+                   "1 warnings)\n  warning NO_CHECKS: {'code': 'NO_CHECKS', "
+                   "'group': '(corpus)', 'p': None, 'detail': {}}\n")
+
+
+@pytest.mark.parametrize("suite", ["bounds", "cd"])
+def test_verify_suite_without_checks_says_so(suite, tmp_path, capsys):
+    # the trivial group has no prime divisor, so no (group, p) is checked;
+    # no check failed, so the exit code is still 0
+    corpus_path = tmp_path / "corpus.json"
+    corpus_path.write_text(json.dumps({"members": [{"spec": {"cyclic": 1}}]}),
+                           encoding="utf-8")
+    report_path = tmp_path / "report.json"
+    assert run_cli("verify", suite, "--corpus", str(corpus_path),
+                   "--json", str(report_path)) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.startswith(f"{suite}: no checks (0 checks, 0 failures, "
+                          "0 skips, 1 warnings)\n")
+    doc = json.loads(report_path.read_text(encoding="utf-8"))
+    assert doc["records"] == []
+    assert [w["code"] for w in doc["warnings"]] == ["NO_CHECKS"]
 
 
 def test_verify_lemmas_without_nontrivial_q_warns(tmp_path, capsys):

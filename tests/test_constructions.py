@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from commgraph import (
@@ -80,6 +83,9 @@ def test_nesting_depth_guard():
     deep = bs(direct([direct([direct([cyclic(1)])])]))
     with pytest.raises(InvalidSpec):
         construct(deep)
+    # the document form is rejected while it is parsed
+    with pytest.raises(InvalidSpec):
+        spec_from_doc(spec_to_doc(deep))
 
 
 @pytest.mark.parametrize("spec,order", [
@@ -98,10 +104,30 @@ def test_nesting_depth_guard():
     (p2q(7), 252),
     (bs(cyclic(1)), 24),
     (bs(cyclic(3)), 1944),
+    (abelian([2, 4]), 8),
+    (abelian([4, 1, 2]), 8),
 ])
 def test_constructed_orders(spec, order, built_group):
     assert predicted_order(spec) == order
-    assert built_group(spec).table.order == order
+    table = built_group(spec).table
+    assert table.order == order
+    if spec in TABLE_SHA256:
+        doc = [table.mult, table.labels, list(table.generators)]
+        digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+        assert digest == TABLE_SHA256[spec]
+
+
+# sha256 of the JSON list [mult, labels, generators], recorded when abelian
+# groups had a builder of their own; they are now built as direct products
+# of cyclic groups, with the same tables
+TABLE_SHA256 = {
+    abelian([2, 4]):
+        "1d99483ad4564dfc7f21e3fbda36a6147716f826726caebddda3516bad9248de",
+    abelian([3, 3]):
+        "19c02774da87cf2307e1c33e31760e33860b61eac92b90ce1f1f2f7159d763fb",
+    abelian([4, 1, 2]):
+        "1c96334377c2c9d965cf2aebf9b7094a09be3cfd370b590df6b1b95240105d46",
+}
 
 
 def test_direct_order_multiplies():

@@ -20,6 +20,7 @@ from commgraph import (
     verify,
     verify_construction,
     verify_lemma_suite,
+    verify_p2q,
 )
 from commgraph.verify import SUITE_NAMES, CorpusMember, _lattice_members
 
@@ -115,6 +116,28 @@ def test_report_doc_shape():
     keys = [(r["group"], r["p"] if r["p"] is not None else -1,
              r["params"].get("trial", -1)) for r in doc["records"]]
     assert keys == sorted(keys)
+
+
+def test_run_suite_times_and_calls_the_module_attribute(monkeypatch):
+    """run_suite looks each suite up on the module when called, so a
+    wrapper installed there runs; it alone sets runtime_ms."""
+    calls = []
+    suite = verify.verify_sym4_geodesics
+
+    def wrapped():
+        calls.append(1)
+        return suite()
+
+    monkeypatch.setattr(verify, "verify_sym4_geodesics", wrapped)
+    assert run_suite("sym4").runtime_ms > 0 and calls == [1]
+    assert suite().runtime_ms == 0.0
+
+
+def test_p2q_sharpness_record_names_the_groups_examined():
+    report = verify_p2q(q_values=(5,), primes=(2, 5))
+    sharp = [r for r in report.records
+             if r.params.get("check") == "diameter_sharpness"]
+    assert [r.group for r in sharp] == ["p2q(5)"]
 
 
 def test_construction_suite_on_alternate_base():
