@@ -305,8 +305,7 @@ def _load_corpus_file(path: str) -> list[CorpusMember]:
     for entry in members_doc:
         if not isinstance(entry, dict) or "spec" not in entry:
             raise InvalidSpec("each corpus member needs a 'spec'")
-        _reject_unknown_keys(entry, {"spec", "name", "enumerate"},
-                             "corpus member")
+        _reject_unknown_keys(entry, {"spec", "name"}, "corpus member")
         spec = spec_from_doc(entry["spec"])
         name = entry.get("name", "")
         if not isinstance(name, str):
@@ -315,10 +314,7 @@ def _load_corpus_file(path: str) -> list[CorpusMember]:
         # reports group records by member name: two members would merge
         if any(m.name == name for m in members):
             raise InvalidSpec(f"duplicate corpus member name {name!r}")
-        enumerate_lattice = entry.get("enumerate", True)
-        if not isinstance(enumerate_lattice, bool):
-            raise InvalidSpec("a corpus member 'enumerate' must be true or false")
-        members.append(CorpusMember(name, spec, enumerate_lattice))
+        members.append(CorpusMember(name, spec))
     return members
 
 

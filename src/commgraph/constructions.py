@@ -139,12 +139,6 @@ def spec_name(spec: GroupSpec) -> str:
     return f"bs({spec_name(spec.parts[0])})"
 
 
-def spec_depth(spec: GroupSpec) -> int:
-    if spec.parts:
-        return 1 + max(spec_depth(p) for p in spec.parts)
-    return 1
-
-
 def predicted_order(spec: GroupSpec) -> int:
     """Exact order the construction will produce (product formulas)."""
     if spec.kind == "sym":
@@ -179,7 +173,10 @@ def construct_detailed(spec: GroupSpec, order_cap: int | None = None) -> BuiltGr
     predicted order before any materialization.
     """
     cap = DEFAULT_ORDER_CAP if order_cap is None else order_cap
-    if spec_depth(spec) > MAX_SPEC_DEPTH:
+    level = [spec]  # level by level, not recursively: specs may be deep
+    for _ in range(MAX_SPEC_DEPTH):
+        level = [p for s in level for p in s.parts]
+    if level:
         raise InvalidSpec(f"spec nesting deeper than {MAX_SPEC_DEPTH}")
     predicted = predicted_order(spec)
     if predicted > cap:

@@ -11,12 +11,14 @@ not sampled, by Light's test (Clifford & Preston, *The Algebraic Theory of
 Semigroups* I, 1961, section 1.2) over a generating set of the table: one
 n x n comparison per generator rather than one per element.
 
-Subgroups are closed by one route, ``_cyclic_extension`` (one coset at a
-time; Neubüser 1960), and are conjugated by one, ``_conjugate_mask``, whose
-orbits under the table's generators (``_conjugacy_class``) give normal
-cores and the lattice enumerator's classes.  Only the lattice enumerator
-also grows a subgroup without a closure, when the new generator
-normalizes it.
+A subgroup passes between functions as its member mask and generators;
+member lists exist only inside a closure loop.  Subgroups are closed by
+one route, ``_cyclic_extension`` (one coset at a time; Neubüser 1960), and
+conjugated by one, ``_conjugate_mask``, whose orbits under the table's
+generators (``_conjugacy_class``) give normal cores and the lattice
+enumerator's classes.  g normalizes S when it conjugates S's generators
+into S (``_normalizes``); only the lattice enumerator then grows S by g
+without a closure.
 """
 
 from __future__ import annotations
@@ -338,8 +340,6 @@ def build_group_from_table(mult: Sequence[Sequence[int]],
         tbl = np.array(mult, dtype=np.int32)
     except ValueError as exc:
         raise InvalidGenerator(f"malformed table: {exc}") from None
-    if tbl.ndim != 2 or tbl.shape[0] != tbl.shape[1]:
-        raise InvalidGenerator("multiplication table must be square")
     inv = _validate_table(tbl)
     if labels is None:
         labels = [f"g{i}" for i in range(n)]
@@ -376,14 +376,14 @@ def _cyclic_extension(mult: list[list[int]], s_mask: int,
     return mask, elems
 
 
-def _closure_list(mult: list[list[int]], gens: Sequence[int]) -> tuple[int, list[int]]:
-    """Closure of a generator list: (bit mask, members), grown from the
+def _closure_mask(mult: list[list[int]], gens: Sequence[int]) -> int:
+    """Member mask of the subgroup that gens generate, grown from the
     trivial subgroup by one cyclic extension per generator it lacks."""
     mask, elems = 1, [0]
     for g in gens:
         if not mask >> g & 1:
             mask, elems = _cyclic_extension(mult, mask, elems, g)
-    return mask, elems
+    return mask
 
 
 def _greedy_witnesses(mult: list[list[int]], mask: int) -> tuple[int, ...]:
@@ -421,8 +421,7 @@ class SubgroupSet:
         if parent.order % self.order != 0:
             raise ValueError("subgroup order does not divide the group order")
         if validate:
-            mask, _ = _closure_list(parent.mult, self.witnesses)
-            if mask != members:
+            if _closure_mask(parent.mult, self.witnesses) != members:
                 raise ValueError("witnesses do not generate the member set")
 
     @classmethod
@@ -475,8 +474,7 @@ def subgroup_closure(G: GroupTable, seed: Iterable[int]) -> SubgroupSet:
     for x in wits:
         if not 0 <= x < G.order:
             raise ValueError(f"element id {x} out of range")
-    mask, _ = _closure_list(G.mult, wits)
-    return SubgroupSet(G, mask, wits, validate=False)
+    return SubgroupSet(G, _closure_mask(G.mult, wits), wits, validate=False)
 
 
 def _require_same_parent(A: SubgroupSet, B: SubgroupSet) -> None:
@@ -505,7 +503,7 @@ def product_set(A: SubgroupSet, Q: SubgroupSet) -> SubgroupSet:
     if not is_normal(Q, full_subgroup(G)):
         raise NotNormal("second factor must be normal in the parent group")
     wits = tuple(sorted(set(A.witnesses) | set(Q.witnesses)))
-    mask, _ = _closure_list(G.mult, wits)
+    mask = _closure_mask(G.mult, wits)
     inter = (A.members & Q.members).bit_count()
     assert mask.bit_count() * inter == A.order * Q.order, \
         "|AQ| != |A||Q|/|A∩Q|"
@@ -533,6 +531,14 @@ def _conjugate_mask(G: GroupTable, mask: int, g: int) -> int:
     return out
 
 
+def _normalizes(G: GroupTable, mask: int, gens: Sequence[int], g: int) -> bool:
+    """True iff g normalizes the subgroup with the given member mask that
+    gens generate: g conjugates each of gens into it."""
+    mult, gi = G.mult, G.inv[g]
+    row = mult[g]
+    return all(mask >> mult[row[x]][gi] & 1 for x in gens)
+
+
 def _conjugacy_class(G: GroupTable, mask: int) -> list[int]:
     """Masks of the orbit of a subgroup under conjugation by G.generators,
     starting with mask itself."""
@@ -555,7 +561,7 @@ def is_normal(A: SubgroupSet, B: SubgroupSet) -> bool:
     _require_same_parent(A, B)
     if A.members & B.members != A.members:
         raise NotContained("normality check requires A <= B")
-    return all(_conjugate_mask(A.parent, A.members, g) == A.members
+    return all(_normalizes(A.parent, A.members, A.witnesses, g)
                for g in B.witnesses)
 
 
@@ -594,26 +600,26 @@ def _commutator_subgroup_mask(G: GroupTable, S: SubgroupSet) -> int:
     """Member mask of [S, S].
 
     Computed as the normal closure in S of all witness-pair commutators:
-    the subgroup they generate is extended by every conjugate of a member
-    under a witness that it lacks.  That equals the subgroup generated by
-    all commutators of S.
+    the subgroup they generate is extended by every conjugate of one of
+    its generators under a witness that it lacks.  That equals the
+    subgroup generated by all commutators of S.
     """
     mult, inv = G.mult, G.inv
     wits = S.witnesses
     mask, elems = 1, [0]
+    gens: list[int] = []
     for i, a in enumerate(wits):
         for b in wits[i:]:
             c = mult[mult[mult[a][b]][inv[a]]][inv[b]]
             if not mask >> c & 1:
                 mask, elems = _cyclic_extension(mult, mask, elems, c)
-    i = 0
-    while i < len(elems):  # each extension keeps elems as its prefix
-        x = elems[i]
+                gens.append(c)
+    for x in gens:  # also visits the generators appended below
         for g in wits:
             c = mult[mult[g][x]][inv[g]]
             if not mask >> c & 1:
                 mask, elems = _cyclic_extension(mult, mask, elems, c)
-        i += 1
+                gens.append(c)
     return mask
 
 
@@ -655,7 +661,7 @@ def sylow_subgroup(H: SubgroupSet, p: int) -> SubgroupSet:
                 continue
             if p_power_exponent(orders[x], p) is None:
                 continue
-            if _conjugate_mask(G, mask, x) == mask:
+            if _normalizes(G, mask, wits, x):
                 wits += (x,)
                 mask, elems = _cyclic_extension(G.mult, mask, elems, x)
                 break

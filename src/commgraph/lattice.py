@@ -3,11 +3,12 @@
 ``enumerate_subgroups`` is Neubüser's cyclic extension method (1960), as in
 GAP's ``LatticeByCyclicExtension``: from the trivial subgroup on, one
 subgroup S per conjugacy class is extended by cyclic subgroups <c> of
-prime-power order p^k, until no new class appears.  Only c with c^p in S
-are tried; when c normalizes S the extension is S's p cosets by the powers
-of c, read off the table, and in a solvable group no other c is needed.
-Other extensions are closed by ``groups._cyclic_extension``, and class
-orbits come from ``groups._conjugacy_class``.
+prime-power order p^k, until no new class appears; S is carried as its
+member mask and generators.  Only c with c^p in S are tried; when c
+normalizes S the extension is S's p cosets by the powers of c, read off
+the table, and in a solvable group no other c is needed.  Other
+extensions are closed by ``groups._cyclic_extension``, and class orbits
+come from ``groups._conjugacy_class``.
 ``oracle_enumerate_subgroups`` instead closes all generator tuples of
 bounded size, level by level; with max_gens >= log2(order) it provably
 finds every subgroup, independently of the cyclic-extension route.
@@ -22,9 +23,11 @@ from .errors import LatticeCapExceeded, NotFound, OracleScaleExceeded
 from .groups import (
     GroupTable,
     SubgroupSet,
-    _closure_list,
+    _bits,
+    _closure_mask,
     _conjugacy_class,
     _cyclic_extension,
+    _normalizes,
     derived_series,
     factorize,
 )
@@ -100,45 +103,41 @@ def _zuppos(G: GroupTable) -> list[tuple[int, int, int]]:
         primes = factorize(G.element_orders[x])
         if len(primes) != 1:
             continue
-        mask, _ = _closure_list(mult, (x,))
+        mask = _closure_mask(mult, (x,))
         if mask not in seen:
             seen.add(mask)
             y = x
             for _ in range(primes[0][0] - 1):
                 y = mult[y][x]
-            out.append((x, mask, _closure_list(mult, (y,))[0]))
+            out.append((x, mask, _closure_mask(mult, (y,))))
     return out
 
 
 def _extend(G: GroupTable, solvable: bool, s_mask: int, s_elems: list[int],
-            s_gens: tuple[int, ...], c: int) -> tuple[int, list[int]] | None:
-    """<S, c> as (mask, members) for a zuppo c outside S with c^p in S, or
+            s_gens: tuple[int, ...], c: int) -> int | None:
+    """The member mask of <S, c> for a zuppo c outside S with c^p in S, or
     None when G is solvable and c does not normalize S (rule (c)).
 
-    s_gens generate S, so c normalizes S when it conjugates each of them
-    into S.  Then <S, c> is S, Sc, ..., Sc^(p-1) (rule (b)), each coset
-    read off one table row; otherwise it is closed by
-    ``_cyclic_extension``.  That would give the same cosets for a
-    normalizing c too, but testing every product x*c for membership as it
-    goes nearly doubles the time to enumerate bs(cyclic(3)) or p2q(13).
-    The returned list starts with s_elems.
+    s_elems are S's members and s_gens generate S, so c normalizes S when
+    it conjugates each of s_gens into S.  Then <S, c> is S, Sc, ...,
+    Sc^(p-1) (rule (b)), each coset ORed into the mask off one table row;
+    otherwise it is closed by ``_cyclic_extension``.  That would give the
+    same cosets for a normalizing c too, but testing every product x*c for
+    membership as it goes nearly doubles the time to enumerate
+    bs(cyclic(3)) or p2q(13).
     """
     mult = G.mult
-    row, c_inv = mult[c], G.inv[c]
-    if not all(s_mask >> mult[row[g]][c_inv] & 1 for g in s_gens):
+    if not _normalizes(G, s_mask, s_gens, c):
         if solvable:
             return None
-        return _cyclic_extension(mult, s_mask, s_elems, c)
-    mask, elems = s_mask, list(s_elems)
-    y = c
+        return _cyclic_extension(mult, s_mask, s_elems, c)[0]
+    mask, y = s_mask, c
     while not s_mask >> y & 1:  # stops at y = c^p
         y_row = mult[y]
-        coset = [y_row[s] for s in s_elems]
-        elems += coset
-        for x in coset:
-            mask |= 1 << x
-        y = row[y]
-    return mask, elems
+        for s in s_elems:
+            mask |= 1 << y_row[s]
+        y = y_row[c]
+    return mask
 
 
 def enumerate_subgroups(G: GroupTable,
@@ -163,7 +162,8 @@ def enumerate_subgroups(G: GroupTable,
         subgroup of <c>, as c is not in S; so [S<c> : S] = p.  The p
         cosets are read off the table with no closure scan.  c normalizes
         S as soon as it conjugates the generators that built S into S;
-        worklist entries carry them.
+        worklist entries are S's member mask and those generators, and
+        S's members are read off the mask once, when S is extended.
     (c) Solvable G: skip every c that does not normalize S.  Every
         subgroup T of a solvable group has a series 1 = T_0 < ... < T_m
         = T with T_i normal of prime index p in T_{i+1}.  Take z, the
@@ -186,20 +186,20 @@ def enumerate_subgroups(G: GroupTable,
     solvable = derived_series(G).terms[-1].order == 1
     zuppos = _zuppos(G)
     known = {1}
-    worklist: list[tuple[int, list[int], tuple[int, ...]]] = [(1, [0], ())]
-    for s_mask, s_elems, s_gens in worklist:  # also visits appended entries
+    worklist: list[tuple[int, tuple[int, ...]]] = [(1, ())]
+    for s_mask, s_gens in worklist:  # also visits appended entries
+        s_elems = list(_bits(s_mask))
         for c, c_mask, cp_mask in zuppos:
             if c_mask & s_mask == c_mask or cp_mask & s_mask != cp_mask:
                 continue
-            extension = _extend(G, solvable, s_mask, s_elems, s_gens, c)
-            if extension is None or extension[0] in known:
+            t_mask = _extend(G, solvable, s_mask, s_elems, s_gens, c)
+            if t_mask is None or t_mask in known:
                 continue
-            t_mask, t_elems = extension
             cls = _conjugacy_class(G, t_mask)
             if len(known) + len(cls) > lattice_cap:
                 raise LatticeCapExceeded(f"more than {lattice_cap} subgroups")
             known.update(cls)
-            worklist.append((t_mask, t_elems, s_gens + (c,)))
+            worklist.append((t_mask, s_gens + (c,)))
 
     return _finish_lattice(G, known)
 
@@ -227,7 +227,7 @@ def oracle_enumerate_subgroups(G: GroupTable, max_gens: int) -> Lattice:
             for x in range(1, G.order):
                 if s_mask >> x & 1:
                     continue
-                t_mask, _ = _closure_list(mult, tup + (x,))
+                t_mask = _closure_mask(mult, tup + (x,))
                 if t_mask not in known:
                     known[t_mask] = tup + (x,)
                     nxt.append(t_mask)
@@ -239,7 +239,7 @@ def oracle_enumerate_subgroups(G: GroupTable, max_gens: int) -> Lattice:
 
 def locate_subgroup(lat: Lattice, generator_ids) -> int:
     """Index of the lattice member generated by the given element ids."""
-    mask, _ = _closure_list(lat.parent.mult, sorted(set(generator_ids)))
+    mask = _closure_mask(lat.parent.mult, sorted(set(generator_ids)))
     idx = lat.index_of_members.get(mask)
     if idx is None:
         raise NotFound("closure of the generators is missing from the lattice")

@@ -191,6 +191,12 @@ def test_lattice_cache_roundtrip(tmp_path, capsys):
     for entry in doc["subgroups"]:
         assert entry["members"] == sorted(entry["members"])
 
+    # `subgroups --json` writes the same document as the cache
+    lattice_json = tmp_path / "sym4.json"
+    assert run_cli("subgroups", '{"sym": 4}', "--json",
+                   str(lattice_json)) == EXIT_OK
+    assert lattice_json.read_text(encoding="utf-8") == first
+
     # reading the cache reproduces the same lattice and DOT output
     dot_a = tmp_path / "a.dot"
     dot_b = tmp_path / "b.dot"
@@ -225,6 +231,11 @@ def test_lattice_cache_mismatch_rejected(tmp_path, capsys):
                  [{**trivial, "members": [False]}, *good["subgroups"][1:]],
                  [{**trivial, "order": True}, *good["subgroups"][1:]])]
     cases.append(('{"sym": 3}', sym(3), {**good, "format_version": True}))
+    cases.append(('{"sym": 3}', sym(3),
+                  {**good, "element_labels": good["element_labels"][::-1]}))
+    # well formed, but without the full group it is not a lattice
+    cases.append(('{"sym": 3}', sym(3),
+                  {**good, "subgroups": good["subgroups"][:-1]}))
     one = tmp_path / "one.json"
     assert run_cli("subgroups", '{"cyclic": 1}', "--cache", str(one)) == EXIT_OK
     one_doc = json.loads(one.read_text(encoding="utf-8"))
@@ -334,8 +345,11 @@ def test_verify_cli_corpus_override(tmp_path, capsys):
     # misspelt keys would otherwise enumerate a lattice meant to be skipped
     {"members": [{"spec": {"cyclic": 4}, "enumerat": False, "nmae": "x"}]},
     {"members": [{"spec": {"cyclic": 4}}], "extra": 1},
+    {"members": [{"name": "x"}]},
+    {"members": [{"spec": {"cyclic": 6}, "enumerate": False}]},
 ], ids=["non-string-name", "duplicate-name", "non-boolean-enumerate",
-        "unknown-member-key", "unknown-top-level-key"])
+        "unknown-member-key", "unknown-top-level-key", "no-spec",
+        "enumerate-key"])
 def test_verify_cli_rejects_bad_corpus_member(doc, tmp_path, capsys):
     corpus_path = tmp_path / "corpus.json"
     corpus_path.write_text(json.dumps(doc), encoding="utf-8")
@@ -348,8 +362,7 @@ def test_verify_cli_rejects_bad_corpus_member(doc, tmp_path, capsys):
 
 @pytest.mark.parametrize("members", [
     [{"spec": {"cyclic": 1}}],
-    [{"spec": {"cyclic": 6}, "enumerate": False}],
-], ids=["trivial-group", "no-enumerated-member"])
+], ids=["trivial-group"])
 def test_verify_lemmas_without_member_prime_pairs_skips(members, tmp_path,
                                                         capsys):
     corpus_path = tmp_path / "corpus.json"

@@ -86,6 +86,14 @@ def test_nesting_depth_guard():
     # the document form is rejected while it is parsed
     with pytest.raises(InvalidSpec):
         spec_from_doc(spec_to_doc(deep))
+    # specs built in Python may nest far deeper than the recursion limit
+    for wrap in (bs, lambda s: direct([s])):
+        for levels in (600, 3000):
+            deep = cyclic(2)
+            for _ in range(levels):
+                deep = wrap(deep)
+            with pytest.raises(InvalidSpec):
+                construct(deep)
 
 
 @pytest.mark.parametrize("spec,order", [

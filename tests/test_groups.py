@@ -185,6 +185,8 @@ def test_explicit_table_rejects_non_group():
         build_group_from_table([[0, 1], [1, 1]])
     with pytest.raises(InvalidGenerator):
         build_group_from_table([[1, 0], [0, 1]])
+    with pytest.raises(InvalidGenerator, match="square"):
+        build_group_from_table([[0, 1, 2], [1, 2, 0]])
 
 
 def test_explicit_table_rejects_non_associative_loop():
