@@ -14,6 +14,7 @@ import contextlib
 import json
 import os
 import sys
+from collections import Counter
 
 from .constructions import (
     GroupSpec,
@@ -252,8 +253,8 @@ def cmd_subgroups(args) -> int:
         _write_text(args.json, _dump_json(lattice_cache_doc(spec, lat)))
     print(f"group {spec_name(spec)}: order {table.order}, "
           f"{len(lat.subgroups)} subgroups")
-    for order in sorted(lat.by_order):
-        print(f"  order {order}: {len(lat.by_order[order])}")
+    for order, count in sorted(Counter(s.order for s in lat.subgroups).items()):
+        print(f"  order {order}: {count}")
     return EXIT_OK
 
 

@@ -389,7 +389,9 @@ def _closure_mask(mult: list[list[int]], gens: Sequence[int]) -> int:
 def _greedy_witnesses(mult: list[list[int]], mask: int) -> tuple[int, ...]:
     """Canonical irredundant generating list: scan member ids ascending,
     keep each element not yet generated.  Depends only on the member set,
-    so serialized lattices reproduce identical witnesses."""
+    so serialized lattices reproduce identical witnesses.  Raises
+    ValueError when the closure grows past the mask, as it does exactly
+    when the mask is not a subgroup."""
     wits: list[int] = []
     closed, elems = 1, [0]
     for x in _bits(mask):
@@ -398,6 +400,8 @@ def _greedy_witnesses(mult: list[list[int]], mask: int) -> tuple[int, ...]:
         if not closed >> x & 1:
             wits.append(x)
             closed, elems = _cyclic_extension(mult, closed, elems, x)
+    if closed != mask:
+        raise ValueError("member set is not a subgroup")
     return tuple(wits)
 
 

@@ -6,9 +6,11 @@ subgroup S per conjugacy class is extended by cyclic subgroups <c> of
 prime-power order p^k, until no new class appears; S is carried as its
 member mask and generators.  Only c with c^p in S are tried; when c
 normalizes S the extension is S's p cosets by the powers of c, read off
-the table, and in a solvable group no other c is needed.  Other
-extensions are closed by ``groups._cyclic_extension``, and class orbits
-come from ``groups._conjugacy_class``.
+the table.  Any other c is needed only when S and c lie in the solvable
+residuum G^(∞), the last term of the derived series (trivial in a
+solvable group); those extensions are closed by
+``groups._cyclic_extension``, and class orbits come from
+``groups._conjugacy_class``.
 ``oracle_enumerate_subgroups`` instead closes all generator tuples of
 bounded size, level by level; with max_gens >= log2(order) it provably
 finds every subgroup, independently of the cyclic-extension route.
@@ -47,7 +49,6 @@ class Lattice:
 
     parent: GroupTable
     subgroups: tuple[SubgroupSet, ...]
-    by_order: dict[int, list[int]] = field(repr=False)
     index_of_members: dict[int, int] = field(repr=False)
 
     def __len__(self) -> int:
@@ -62,12 +63,8 @@ def _finish_lattice(G: GroupTable, masks) -> Lattice:
     n = G.order
     subs = [SubgroupSet.from_members(G, m) for m in masks]
     subs.sort(key=lambda s: (s.order, _lex_key(s.members, n)))
-    by_order: dict[int, list[int]] = {}
-    index_of = {}
-    for i, s in enumerate(subs):
-        by_order.setdefault(s.order, []).append(i)
-        index_of[s.members] = i
-    lat = Lattice(G, tuple(subs), by_order, index_of)
+    index_of = {s.members: i for i, s in enumerate(subs)}
+    lat = Lattice(G, tuple(subs), index_of)
     _check_lattice(lat)
     return lat
 
@@ -113,10 +110,11 @@ def _zuppos(G: GroupTable) -> list[tuple[int, int, int]]:
     return out
 
 
-def _extend(G: GroupTable, solvable: bool, s_mask: int, s_elems: list[int],
+def _extend(G: GroupTable, residuum: int, s_mask: int, s_elems: list[int],
             s_gens: tuple[int, ...], c: int) -> int | None:
     """The member mask of <S, c> for a zuppo c outside S with c^p in S, or
-    None when G is solvable and c does not normalize S (rule (c)).
+    None when c does not normalize S and S and c do not both lie in the
+    solvable residuum, whose member mask is residuum (rule (c)).
 
     s_elems are S's members and s_gens generate S, so c normalizes S when
     it conjugates each of s_gens into S.  Then <S, c> is S, Sc, ...,
@@ -128,7 +126,7 @@ def _extend(G: GroupTable, solvable: bool, s_mask: int, s_elems: list[int],
     """
     mult = G.mult
     if not _normalizes(G, s_mask, s_gens, c):
-        if solvable:
+        if not residuum >> c & 1 or s_mask | residuum != residuum:
             return None
         return _cyclic_extension(mult, s_mask, s_elems, c)[0]
     mask, y = s_mask, c
@@ -145,45 +143,49 @@ def enumerate_subgroups(G: GroupTable,
     """Every subgroup of G, canonically ordered.
 
     Cyclic extension over zuppos (Neubüser 1960; GAP's
-    ``LatticeByCyclicExtension``), restricted to normal extensions where G
-    is solvable.  A zuppo is a cyclic subgroup of prime-power order; every
-    subgroup is generated by the zuppos it contains.  From the trivial
-    subgroup on, one subgroup S per conjugacy class is extended by zuppos
-    <c> not in S, where c has order p^k, under three rules:
+    ``LatticeByCyclicExtension``), restricted to normal extensions outside
+    the solvable residuum R = G^(∞), the last term of G's derived series.
+    A zuppo is a cyclic subgroup of prime-power order; every subgroup is
+    generated by the zuppos it contains.  From the trivial subgroup on,
+    one subgroup S per conjugacy class is extended by zuppos <c> not in
+    S, where c has order p^k, under three rules:
 
-    (a) Any G: extend S by c only when c^p is in S.  This is complete.
-        List the zuppos <z_1>, ..., <z_r> of a subgroup T by increasing
-        order.  <z_i^p> is an earlier one (or trivial), so each prefix
+    (a) Extend S by c only when c^p is in S.  This is complete.  List the
+        zuppos <z_1>, ..., <z_r> of a subgroup T by increasing order.
+        <z_i^p> is an earlier one (or trivial), so each prefix
         <z_1, ..., z_i> is the one before or an extension of it under
         (a), and the last is T, since every element is a product of
         powers of itself of prime-power order.
-    (b) Any G: when c normalizes S, <S, c> = S ∪ Sc ∪ ... ∪ Sc^(p-1).
-        S<c> is then a group, and <c> ∩ S = <c^p>, the one maximal
-        subgroup of <c>, as c is not in S; so [S<c> : S] = p.  The p
-        cosets are read off the table with no closure scan.  c normalizes
-        S as soon as it conjugates the generators that built S into S;
-        worklist entries are S's member mask and those generators, and
-        S's members are read off the mask once, when S is extended.
-    (c) Solvable G: skip every c that does not normalize S.  Every
-        subgroup T of a solvable group has a series 1 = T_0 < ... < T_m
-        = T with T_i normal of prime index p in T_{i+1}.  Take z, the
-        p-part of any element of T_{i+1} outside T_i: it lies outside
-        T_i, normalizes it, and z^p is in T_i, so T_{i+1} = T_i<z> is an
-        extension under (a), (b) and (c).  G is solvable when its
-        derived series ends at 1; other groups extend a non-normalizing
-        c by ``_cyclic_extension``.
+    (b) When c normalizes S, <S, c> = S ∪ Sc ∪ ... ∪ Sc^(p-1).  S<c> is
+        then a group, and <c> ∩ S = <c^p>, the one maximal subgroup of
+        <c>, as c is not in S; so [S<c> : S] = p.  The p cosets are read
+        off the table with no closure scan.  c normalizes S as soon as it
+        conjugates the generators that built S into S; worklist entries
+        are S's member mask and those generators, and S's members are
+        read off the mask once, when S is extended.
+    (c) Skip a c that does not normalize S unless S ≤ R and c ∈ R; then
+        close <S, c> by ``_cyclic_extension``.  Take any subgroup T.
+        P = T^(∞) is perfect, so it lies in R.  The chain of (a) from 1
+        to P passes only through subgroups of P and extends them by
+        zuppos of P, so every step has S ≤ R and c ∈ R.  T/P is
+        solvable, so P = T_0 < ... < T_m = T with T_i normal of prime
+        index p in T_{i+1}.  Take z, the p-part of any element of
+        T_{i+1} outside T_i: it lies outside T_i, normalizes it, and z^p
+        is in T_i, so T_{i+1} = T_i<z> is an extension under (a) and
+        (b).  In a solvable G, R = 1 and no extension is closed.
 
-    Since <S, c>^g = <S^g, c^g>, and the conditions of (a), (b) and (c)
-    hold for c at S exactly when they hold for c^g at S^g and for every
-    generator of <c>, extending one representative per class reaches
-    every subgroup: a new extension T brings in its whole orbit under
-    conjugation by ``G.generators`` at once, and only T is extended
-    later.  That ``G.generators`` generate G (every table builder ensures
-    it) makes each orbit a whole class, so no class is extended twice.
-    Both routes run through ``_extend``.  Raises LatticeCapExceeded as
-    soon as more than lattice_cap subgroups are known.
+    Since <S, c>^g = <S^g, c^g> and R is normal, the conditions of (a),
+    (b) and (c) hold for c at S exactly when they hold for c^g at S^g and
+    for every generator of <c>.  So extending one representative per
+    class reaches every subgroup: a new extension T brings in its whole
+    orbit under conjugation by ``G.generators`` at once, and only T is
+    extended later.  That ``G.generators`` generate G (every table
+    constructor ensures it) makes each orbit a whole class, so no class
+    is extended twice.  Both routes run through ``_extend``.  Raises
+    LatticeCapExceeded as soon as more than lattice_cap subgroups are
+    known.
     """
-    solvable = derived_series(G).terms[-1].order == 1
+    residuum = derived_series(G).terms[-1].members
     zuppos = _zuppos(G)
     known = {1}
     worklist: list[tuple[int, tuple[int, ...]]] = [(1, ())]
@@ -192,7 +194,7 @@ def enumerate_subgroups(G: GroupTable,
         for c, c_mask, cp_mask in zuppos:
             if c_mask & s_mask == c_mask or cp_mask & s_mask != cp_mask:
                 continue
-            t_mask = _extend(G, solvable, s_mask, s_elems, s_gens, c)
+            t_mask = _extend(G, residuum, s_mask, s_elems, s_gens, c)
             if t_mask is None or t_mask in known:
                 continue
             cls = _conjugacy_class(G, t_mask)

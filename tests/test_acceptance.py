@@ -182,7 +182,7 @@ def test_criterion_10_oracle_equivalence():
             same = same and len(lat.subgroups) == 30
         ok = ok and same
         checked += 1
-    _report(10, "fixpoint enumeration matches tuple-closure oracle exactly",
+    _report(10, "cyclic-extension enumeration matches tuple-closure oracle exactly",
             ok and checked >= 20, f"{checked} corpus groups of order <= 100")
 
 

@@ -240,6 +240,14 @@ def test_lattice_cache_mismatch_rejected(tmp_path, capsys):
     assert run_cli("subgroups", '{"cyclic": 1}', "--cache", str(one)) == EXIT_OK
     one_doc = json.loads(one.read_text(encoding="utf-8"))
     cases.append(('{"cyclic": 1}', cyclic(1), {**one_doc, "order": True}))
+    # canonically ordered, orders dividing 6, closed under intersection,
+    # but {0, 1} is not closed under multiplication in cyclic(6)
+    six = tmp_path / "six.json"
+    assert run_cli("subgroups", '{"cyclic": 6}', "--cache", str(six)) == EXIT_OK
+    six_doc = json.loads(six.read_text(encoding="utf-8"))
+    (two,) = [e for e in six_doc["subgroups"] if e["order"] == 2]
+    two["members"] = [0, 1]
+    cases.append(('{"cyclic": 6}', cyclic(6), six_doc))
     capsys.readouterr()
     for text, spec, bad in cases:
         cache.write_text(json.dumps(bad), encoding="utf-8")
@@ -341,15 +349,12 @@ def test_verify_cli_corpus_override(tmp_path, capsys):
     # reports group records by name: the two members would merge
     {"members": [{"name": "x", "spec": {"sym": 4}},
                  {"name": "x", "spec": {"cyclic": 5}}]},
-    {"members": [{"spec": {"cyclic": 2}, "enumerate": "no"}]},
-    # misspelt keys would otherwise enumerate a lattice meant to be skipped
     {"members": [{"spec": {"cyclic": 4}, "enumerat": False, "nmae": "x"}]},
     {"members": [{"spec": {"cyclic": 4}}], "extra": 1},
     {"members": [{"name": "x"}]},
     {"members": [{"spec": {"cyclic": 6}, "enumerate": False}]},
-], ids=["non-string-name", "duplicate-name", "non-boolean-enumerate",
-        "unknown-member-key", "unknown-top-level-key", "no-spec",
-        "enumerate-key"])
+], ids=["non-string-name", "duplicate-name", "unknown-member-key",
+        "unknown-top-level-key", "no-spec", "enumerate-key"])
 def test_verify_cli_rejects_bad_corpus_member(doc, tmp_path, capsys):
     corpus_path = tmp_path / "corpus.json"
     corpus_path.write_text(json.dumps(doc), encoding="utf-8")

@@ -18,6 +18,7 @@ from commgraph import (
     construct,
     construct_detailed,
     cyclic,
+    derived_series,
     dihedral,
     direct,
     enumerate_subgroups,
@@ -130,14 +131,14 @@ def test_subgroup_count_monotone_under_direct_factor():
         assert grown >= base
 
 
-def _record_extensions(monkeypatch) -> list[tuple[int, int, tuple | None]]:
+def _record_extensions(monkeypatch) -> list[tuple[int, int, int | None]]:
     """Route enumerate_subgroups' extensions through a recorder of
     (S mask, zuppo generator, result) per call of ``lattice._extend``."""
     extend = lattice_module._extend
     calls = []
 
-    def recording(G, solvable, s_mask, s_elems, s_gens, c):
-        result = extend(G, solvable, s_mask, s_elems, s_gens, c)
+    def recording(G, residuum, s_mask, s_elems, s_gens, c):
+        result = extend(G, residuum, s_mask, s_elems, s_gens, c)
         calls.append((s_mask, c, result))
         return result
 
@@ -145,10 +146,11 @@ def _record_extensions(monkeypatch) -> list[tuple[int, int, tuple | None]]:
     return calls
 
 
-# conjugacy classes extended at least once in the solvable groups: rule (c)
-# leaves out classes with no admissible normalizing zuppo, such as the
-# self-normalizing S3 <= S4
-SOLVABLE_EXTENDED_CLASSES = {"sym(4)": 8, "dihedral(4)": 7, "p2q(3)": 8}
+# conjugacy classes extended at least once: the full group has no zuppo
+# outside it, and rule (c) leaves out classes outside the solvable
+# residuum that no admissible zuppo normalizes, such as the
+# self-normalizing S3 <= S4, or S4, S3 x S2, D4 and AGL(1,5) <= S5
+EXTENDED_CLASSES = {"sym(4)": 8, "dihedral(4)": 7, "p2q(3)": 8, "sym(5)": 14}
 
 
 @pytest.mark.parametrize("spec,classes", [
@@ -156,10 +158,7 @@ SOLVABLE_EXTENDED_CLASSES = {"sym(4)": 8, "dihedral(4)": 7, "p2q(3)": 8}
 ])
 def test_extends_one_representative_per_conjugacy_class(spec, classes,
                                                          monkeypatch):
-    """Only one subgroup per conjugacy class is extended.  In the
-    non-solvable sym(5) every proper class is: rule (a) always leaves a
-    proper subgroup an admissible zuppo.  The full group, which contains
-    every zuppo, never is."""
+    """Only one subgroup per conjugacy class is extended."""
     table = construct(spec)
     calls = _record_extensions(monkeypatch)
     lat = enumerate_subgroups(table)
@@ -168,10 +167,7 @@ def test_extends_one_representative_per_conjugacy_class(spec, classes,
               for s in lat.subgroups}
     assert len(orbits) == classes
     extended = {s_mask for s_mask, _, result in calls if result is not None}
-    if spec == sym(5):
-        assert len(extended) == classes - 1
-    else:
-        assert len(extended) == SOLVABLE_EXTENDED_CLASSES[spec_name(spec)]
+    assert len(extended) == EXTENDED_CLASSES[spec_name(spec)]
     assert len({orbit for orbit in orbits if orbit & extended}) \
         == len(extended)
 
@@ -179,12 +175,15 @@ def test_extends_one_representative_per_conjugacy_class(spec, classes,
 @pytest.mark.parametrize("spec,solvable", [
     (sym(4), True), (p2q(5), True), (sym(5), False),
 ])
-def test_solvable_groups_skip_non_normalizing_zuppos(spec, solvable,
-                                                     monkeypatch):
-    """Rule (c): a solvable group extends S only by zuppos that normalize
-    it, as p cosets, and never closes an extension; sym(5) falls back to
-    closing the non-normalizing ones."""
+def test_closes_non_normalizing_zuppos_only_inside_residuum(spec, solvable,
+                                                            monkeypatch):
+    """Rule (c), for every group: S is extended by a zuppo c as p cosets
+    exactly when c normalizes S.  Otherwise <S, c> is closed exactly when
+    S and c lie in the solvable residuum R, and c is rejected when not.
+    In a solvable group R is trivial, so nothing is closed; sym(5), with
+    R = A5, both closes and rejects."""
     table = construct(spec)
+    residuum = derived_series(table).terms[-1].members
     calls = _record_extensions(monkeypatch)
     closure = lattice_module._cyclic_extension
     closed = []
@@ -195,15 +194,16 @@ def test_solvable_groups_skip_non_normalizing_zuppos(spec, solvable,
 
     monkeypatch.setattr(lattice_module, "_cyclic_extension", counting)
     enumerate_subgroups(table)
-    rejected = [(s_mask, c) for s_mask, c, result in calls if result is None]
-    not_cosets = set(closed) | set(rejected)
+    closed = set(closed)
+    rejected = {(s_mask, c) for s_mask, c, result in calls if result is None}
     for s_mask, c, _ in calls:
-        normalizes = _conjugate_mask(table, s_mask, c) == s_mask
-        assert normalizes == ((s_mask, c) not in not_cosets)
-    if solvable:
-        assert not closed and rejected
-    else:
-        assert closed and not rejected
+        route = ((s_mask, c) in closed, (s_mask, c) in rejected)
+        if _conjugate_mask(table, s_mask, c) == s_mask:
+            assert route == (False, False)
+        else:
+            inside = s_mask | residuum == residuum and bool(residuum >> c & 1)
+            assert route == (inside, not inside)
+    assert rejected and bool(closed) != solvable
 
 
 def test_lattice_cap():

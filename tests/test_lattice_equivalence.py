@@ -2,10 +2,13 @@
 reach (order 100), and exact certificates for bs(cyclic(3)).
 
 The first seven counts and digests below were recorded with the fixpoint
-enumerator that cyclic extension replaced; the last three, p2q(13),
+enumerator that cyclic extension replaced; the next three, p2q(13),
 direct(sym(4),sym(4)) and bs(cyclic(3)), with cyclic extension before its
-restriction to normal extensions.  These cases pin the canonical lattice
-of each group to what those enumerators produced.  The members digest is
+restriction to normal extensions; and direct(sym(5),sym(3)) with the
+restricted enumerator that still closed every non-normalizing extension
+in a non-solvable group, before closures were confined to the solvable
+residuum.  These cases pin the canonical lattice of each group to what
+those enumerators produced.  The members digest is
 the sha256 of each subgroup's member mask in canonical order, one hex line
 each, the same digest ``perfbench/reference.json`` records for its lattice
 ladder; the witnesses digest covers each subgroup's witness tuple
@@ -79,6 +82,9 @@ RECORDED = [
     (bs(cyclic(3)), 3104,
      "ad9346f0752e190da14c9caecd69d77f3bef984344df2d12686b94274f3a3f65",
      "2438feeadad8f139a94b74d08356e77ffef7eeebfe6f4b28044589ff6a7b24d6"),
+    (direct([sym(5), sym(3)]), 2088,
+     "21724fdec9fa45ba26aec6304f8f55a2df8374f85920d7726b9905a20de89bb1",
+     "e6a5e2f848a1f7bd9429b511a2e11b26af7a97f86d0db39c38cf3f6c8aa23cae"),
 ]
 
 LADDER = ("sym(5)", "p2q(7)", "direct(sym(4),sym(3))", "direct(sym(5),cyclic(2))")

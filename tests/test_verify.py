@@ -140,6 +140,15 @@ def test_p2q_sharpness_record_names_the_groups_examined():
     assert [r.group for r in sharp] == ["p2q(5)"]
 
 
+def test_p2q_classification_at_q_11_and_13():
+    """The appendix classification beyond the default q = 3, 5, 7."""
+    report = verify_p2q(q_values=(11, 13))
+    assert report.passed and len(report.records) == 31
+    (sharp,) = [r for r in report.records
+                if r.params.get("check") == "diameter_sharpness"]
+    assert (sharp.group, sharp.observed) == ("p2q(11,13)", 2)
+
+
 def test_construction_suite_on_alternate_base():
     # cyclic(2) has containment diameter 0 at p=3; the explicit path still
     # certifies two non-adjacent connected endpoints inside C2^4 x sym(4)
