@@ -40,6 +40,7 @@ from .graphs import (
 from .groups import (
     DEFAULT_ORDER_CAP,
     GroupTable,
+    _closure_mask,
     _structure_flags,
     derived_series,
     is_prime,
@@ -129,7 +130,12 @@ def lattice_cache_doc(spec: GroupSpec, lat: Lattice) -> dict:
 
 def load_lattice_cache(doc: dict, spec: GroupSpec, table: GroupTable) -> Lattice:
     """Rebuild a lattice from a cache document, validating it against the
-    freshly constructed table."""
+    freshly constructed table.
+
+    The cached member sets must be subgroups, in canonical order, and
+    every cyclic subgroup <g> of the table must be among them.  That last
+    check is necessary for a complete lattice, not sufficient: a cache
+    that leaves out only non-cyclic subgroups still loads."""
     # type() rather than ==: JSON true equals 1, which is both the format
     # version and the order of the trivial group
     if (not isinstance(doc, dict) or type(doc.get("format_version")) is not int
@@ -170,6 +176,10 @@ def load_lattice_cache(doc: dict, spec: GroupSpec, table: GroupTable) -> Lattice
         raise CacheMismatch(f"cache is not a valid lattice: {exc}") from None
     if [s.members for s in lat.subgroups] != masks:
         raise CacheMismatch("cache subgroups are not in canonical order")
+    for g in range(table.order):
+        if _closure_mask(table.mult, (g,)) not in lat.index_of_members:
+            raise CacheMismatch(
+                f"cache lacks the cyclic subgroup generated by element {g}")
     return lat
 
 

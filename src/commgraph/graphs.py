@@ -9,9 +9,12 @@ edge).  Path lengths and diameters count edges.
 A graph is two m×m numpy matrices over the m lattice members: the p-power
 exponent of every index [L[i] : L[i]∩L[j]] and the boolean adjacency.
 ``build_graph`` gets all intersection orders from one product M·Mᵀ of the
-0/1 membership matrix; ``components_and_diameters`` runs a breadth-first
-search from every vertex at once, one matrix product per level.  The edge
-map, neighbor lists and edge count are read off the matrices on demand.
+0/1 membership matrix.  ``components_and_diameters`` labels the isolated
+vertices in bulk, grows every other component from its smallest vertex,
+and runs a breadth-first search from all of a component's vertices at
+once inside its own block of the adjacency matrix, one matrix product per
+level.  The edge map, neighbor lists and edge count are read off the
+matrices on demand.
 ``commensurability_exponents`` is the scalar form of the same test, for a
 single pair of subgroups.
 """
@@ -150,25 +153,57 @@ def _bfs_distances(graph: CommGraph, start: int) -> dict[int, int]:
     return dist
 
 
-def classify_component(graph: CommGraph, vertices: list[int]) -> tuple[str, int | None]:
-    """Classification follows the component shape exactly: a 2-vertex
-    component is complete, and a star (>= 3 vertices) has a unique center
-    meeting every edge and no other edges."""
+def _classify(block: np.ndarray, vertices: list[int]) -> tuple[str, int | None]:
+    """Classify the graph on vertices whose adjacency matrix is block."""
     k = len(vertices)
     if k == 1:
         return ("singleton", None)
-    edges = int(np.count_nonzero(graph.adj[np.ix_(vertices, vertices)])) // 2
+    degrees = np.count_nonzero(block, axis=1)
+    edges = int(degrees.sum()) // 2
     if edges == k * (k - 1) // 2:
         return ("complete", None)
+    # with k - 1 edges, a vertex of degree k - 1 meets every edge, so the
+    # others are leaves; for k >= 3 no second vertex can have that degree
     if k >= 3 and edges == k - 1:
-        degrees = np.count_nonzero(graph.adj[vertices], axis=1)
-        centers = [x for x, d in zip(vertices, degrees) if d == k - 1]
-        if len(centers) == 1:
-            leafs_ok = all(d == 1 for x, d in zip(vertices, degrees)
-                           if x != centers[0])
-            if leafs_ok:
-                return ("star", centers[0])
+        hubs = np.flatnonzero(degrees == k - 1).tolist()
+        if hubs:
+            return ("star", vertices[hubs[0]])
     return ("other", None)
+
+
+def classify_component(graph: CommGraph, vertices: list[int]) -> tuple[str, int | None]:
+    """Classification of the subgraph on vertices (a component, in
+    practice) follows its shape exactly: a 2-vertex component is complete,
+    and a star (>= 3 vertices) has a unique center meeting every edge and
+    no other edges."""
+    return _classify(graph.adj[np.ix_(vertices, vertices)], vertices)
+
+
+def _eccentricities(block: np.ndarray) -> np.ndarray:
+    """Eccentricities in the connected graph on k >= 2 vertices whose
+    adjacency matrix is block, by a breadth-first search from every vertex
+    at once.
+
+    Row v of frontier holds the vertices at distance d from v, and one
+    matrix product gives the next level, for the rows whose reached set is
+    not yet every vertex.  A source is dropped once it has reached every
+    vertex, so a complete graph needs no product; any other source's next
+    level is non-empty, which makes its eccentricity one more than d."""
+    k = len(block)
+    step = block.astype(np.float32)
+    reached = block | np.eye(k, dtype=bool)
+    sources = np.arange(k)
+    frontier = block
+    ecc = np.ones(k, dtype=np.int64)
+    while True:
+        open_rows = ~reached.all(axis=1)
+        if not open_rows.any():
+            return ecc
+        sources = sources[open_rows]
+        frontier, reached = frontier[open_rows], reached[open_rows]
+        frontier = (frontier.astype(np.float32) @ step > 0) & ~reached
+        reached |= frontier
+        ecc[sources] += 1
 
 
 def components_and_diameters(graph: CommGraph) -> tuple[list[ComponentReport], int]:
@@ -176,37 +211,36 @@ def components_and_diameters(graph: CommGraph) -> tuple[list[ComponentReport], i
     eccentricities and diameters; the connected diameter is the maximum
     component diameter (0 when totally disconnected).
 
-    A breadth-first search runs from every vertex at once: row v of the
-    frontier holds the vertices at distance d from v, and one matrix
-    product per level gives the next, for the rows still non-empty.  A
-    vertex's eccentricity is the last level at which its frontier is
-    non-empty; its component is the set of vertices it reached."""
+    Distances never cross components, so the components come first.  The
+    isolated vertices are singletons, found in one pass.  Every other
+    component is grown from its smallest vertex not yet labelled, a level
+    of neighbors at a time, and its eccentricities come from a
+    breadth-first search inside its own block of the adjacency matrix
+    (``_eccentricities``), which costs the cube of the component's size
+    per level instead of the cube of the graph's."""
+    adj = graph.adj
     m = graph.vertex_count
-    step = graph.adj.astype(np.float32)
-    reached = graph.adj | np.eye(m, dtype=bool)
-    sources = np.arange(m)
-    frontier = graph.adj
-    ecc = np.zeros(m, dtype=np.int64)
-    level = 0
-    while True:
-        alive = frontier.any(axis=1)
-        if not alive.any():
-            break
-        level += 1
-        sources, frontier = sources[alive], frontier[alive]
-        ecc[sources] = level
-        frontier = (frontier.astype(np.float32) @ step > 0) & ~reached[sources]
-        reached[sources] |= frontier
-
-    reports = []
-    connected_diameter = 0
-    for root in np.unique(reached.argmax(axis=1)).tolist():
-        vertices = np.flatnonzero(reached[root]).tolist()
-        eccs = ecc[vertices].tolist()
-        diameter = max(eccs)
-        kind, center = classify_component(graph, vertices)
-        reports.append(ComponentReport(vertices, diameter, eccs, kind, center))
-        connected_diameter = max(connected_diameter, diameter)
+    isolated = ~adj.any(axis=1)
+    reports = [ComponentReport([v], 0, [0], "singleton", None)
+               for v in np.flatnonzero(isolated).tolist()]
+    seen = isolated.copy()
+    while not seen.all():
+        root = int(seen.argmin())
+        component = np.zeros(m, dtype=bool)
+        component[root] = True
+        frontier = component.copy()
+        while frontier.any():
+            frontier = adj[frontier].any(axis=0) & ~component
+            component |= frontier
+        seen |= component
+        vs = np.flatnonzero(component)
+        block = adj if len(vs) == m else adj[np.ix_(vs, vs)]
+        vertices = vs.tolist()
+        eccs = _eccentricities(block).tolist()
+        kind, center = _classify(block, vertices)
+        reports.append(ComponentReport(vertices, max(eccs), eccs, kind, center))
+    reports.sort(key=lambda r: r.vertices[0])
+    connected_diameter = max((r.diameter for r in reports), default=0)
     return reports, connected_diameter
 
 

@@ -245,6 +245,10 @@ def test_lattice_cache_mismatch_rejected(tmp_path, capsys):
     six = tmp_path / "six.json"
     assert run_cli("subgroups", '{"cyclic": 6}', "--cache", str(six)) == EXIT_OK
     six_doc = json.loads(six.read_text(encoding="utf-8"))
+    # a lattice of subgroups, but not all of them: <3> = {0, 3} is missing
+    cases.append(('{"cyclic": 6}', cyclic(6),
+                  {**six_doc, "subgroups": [e for e in six_doc["subgroups"]
+                                            if e["order"] != 2]}))
     (two,) = [e for e in six_doc["subgroups"] if e["order"] == 2]
     two["members"] = [0, 1]
     cases.append(('{"cyclic": 6}', cyclic(6), six_doc))

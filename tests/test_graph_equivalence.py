@@ -16,7 +16,9 @@ import pytest
 from commgraph import (
     KIND_COMMENSURABILITY,
     KIND_CONTAINMENT,
+    abelian,
     build_graph,
+    classify_component,
     commensurability_exponents,
     components_and_diameters,
     construct,
@@ -30,7 +32,8 @@ from commgraph.cli import _dump_json, analyze_doc, export_dot, graph_json_doc
 from commgraph.graphs import _bfs_distances
 
 SPECS = {"sym(4)": sym(4), "p2q(5)": p2q(5),
-         "D4xD4": direct([dihedral(4), dihedral(4)])}
+         "D4xD4": direct([dihedral(4), dihedral(4)]),
+         "S4xV4": direct([sym(4), abelian([2, 2])])}
 
 # (spec, kind, p) -> (edges, DOT sha256, graph JSON sha256, analyze JSON sha256)
 GOLDEN = {
@@ -142,3 +145,26 @@ def test_matrices_and_eccentricities_match_oracle(lattices, name, kind, p):
             dist = _bfs_distances(graph, v)
             assert sorted(dist) == report.vertices
             assert max(dist.values()) == ecc
+
+
+@pytest.mark.parametrize("kind", [KIND_COMMENSURABILITY, KIND_CONTAINMENT])
+def test_scattered_singletons_match_oracle(lattices, kind):
+    """At p = 3 the 420 subgroups of S4 x V4 fall into 263 components, 231
+    of them isolated vertices scattered among the other 32."""
+    graph = build_graph(lattices["S4xV4"], 3, kind)
+    reports, connected = components_and_diameters(graph)
+    assert len(reports) == 263
+    assert sum(len(r.vertices) == 1 for r in reports) == 231
+    roots = [r.vertices[0] for r in reports]
+    assert roots == sorted(roots)
+    assert sorted(v for r in reports for v in r.vertices) == \
+        list(range(graph.vertex_count))
+    for report in reports:
+        for v, ecc in zip(report.vertices, report.eccentricities):
+            dist = _bfs_distances(graph, v)
+            assert sorted(dist) == report.vertices
+            assert max(dist.values()) == ecc
+        assert report.diameter == max(report.eccentricities)
+        assert (report.kind, report.center) == \
+            classify_component(graph, report.vertices)
+    assert connected == max(r.diameter for r in reports)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import weakref
 
+import numpy as np
 import pytest
 
 from commgraph import (
@@ -27,6 +28,7 @@ from commgraph import (
     subgroup_closure,
     sym,
 )
+from commgraph.graphs import _eccentricities
 from commgraph.groups import perm_from_cycles
 
 
@@ -165,6 +167,33 @@ def test_eccentricities_match_pairwise_bfs(s4_lattice):
                             nxt.append(y)
                 frontier = nxt
             assert max(dists.values()) == ecc
+
+
+def _eccentricities_and_products(edges: list[tuple[int, int]]):
+    """_eccentricities of the 5-vertex graph with these edges, and the
+    number of matrix products it took."""
+    products = []
+
+    class Counted(np.ndarray):
+        def __matmul__(self, other):
+            products.append(len(self))
+            return np.asarray(self) @ np.asarray(other)
+
+    block = np.zeros((5, 5), dtype=bool)
+    for i, j in edges:
+        block[i, j] = block[j, i] = True
+    return _eccentricities(block.view(Counted)).tolist(), len(products)
+
+
+def test_block_bfs_drops_finished_sources():
+    """A source that has reached every vertex takes no further product, so
+    a graph of diameter d needs d - 1 products."""
+    complete = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    assert _eccentricities_and_products(complete) == ([1] * 5, 0)
+    star = [(0, i) for i in range(1, 5)]
+    assert _eccentricities_and_products(star) == ([1, 2, 2, 2, 2], 1)
+    path = [(i, i + 1) for i in range(4)]
+    assert _eccentricities_and_products(path) == ([4, 3, 2, 3, 4], 3)
 
 
 def test_geodesics_trivial_cases(s4, s4_lattice):

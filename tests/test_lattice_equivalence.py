@@ -16,6 +16,10 @@ likewise.
 
 The certificates pin exact graph values of bs(cyclic(3)) = C3^4 ⋊ sym(4)
 at p = 3, the paper's coordinate-product step, over the pinned lattice.
+Its 2-commensurability graph, with 580 components, pins the component
+reports where most components are small; that digest was recorded with
+the breadth-first search over the whole adjacency matrix that the
+component-blocked search replaced.
 """
 
 from __future__ import annotations
@@ -152,6 +156,9 @@ BS3 = bs(cyclic(3))
 # the report of a 3-containment graph with connected diameter 4
 BS3_ANALYZE_SHA256 = \
     "afbfdd93cdea7aebf59e62a06a6eba444cafee84d4b30f218c87a8c1542cfd7e"
+# the report of the 2-commensurability graph: 580 components, diameter 4
+BS3_P2_ANALYZE_SHA256 = \
+    "3519afcf30874afc0cdb6ff164ce74164b4448f0187e557b8648ff527da29a90"
 
 
 @pytest.fixture(scope="module")
@@ -211,3 +218,11 @@ def test_bs3_containment_certificates(bs3_analyze, lattice_of, built_group):
 def test_bs3_commensurability_connected_diameter(lattice_of):
     graph = build_graph(lattice_of(BS3), 3, KIND_COMMENSURABILITY)
     assert components_and_diameters(graph)[1] == 3
+
+
+def test_bs3_commensurability_p2_components(lattice_of):
+    graph = build_graph(lattice_of(BS3), 2, KIND_COMMENSURABILITY)
+    reports, connected = components_and_diameters(graph)
+    assert (graph.edge_count, len(reports), connected) == (87452, 580, 4)
+    text = cli._dump_json(cli.analyze_doc(BS3, graph))
+    assert hashlib.sha256(text.encode()).hexdigest() == BS3_P2_ANALYZE_SHA256
