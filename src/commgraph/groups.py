@@ -9,7 +9,10 @@ any number of operations may run concurrently over shared objects.
 Every table is validated before it is wrapped.  Associativity is proven,
 not sampled, by Light's test (Clifford & Preston, *The Algebraic Theory of
 Semigroups* I, 1961, section 1.2) over a generating set of the table: one
-n x n comparison per generator rather than one per element.
+n x n comparison per generator rather than one per element.  A table is
+built and checked as an int16 ndarray (int32 above order 2**15) and then
+kept as rows of Python ints that all rows share: n int objects in all
+rather than one per entry, so the scalar loops below index plain lists.
 
 A subgroup passes between functions as its member mask and generators;
 member lists exist only inside a closure loop.  Subgroups are closed by
@@ -24,6 +27,7 @@ without a closure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -144,7 +148,9 @@ def compose_permutations(x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
 class GroupTable:
     """A finite group with elements 0..order-1 and identity 0.
 
-    mult[a][b] is the id of a*b; inv[a] the id of a**-1.  labels hold
+    mult[a][b] is the id of a*b; inv[a] the id of a**-1.  mult is a list
+    of row lists of plain ints, and every row holds the same n int objects
+    0..n-1, so the table costs n² references, not n² ints.  labels hold
     display strings for DOT/JSON output.  generators lists the element ids
     of the construction generators (empty for the trivial group), and
     element_orders[x] is the order of element x.
@@ -209,7 +215,8 @@ def _check_associative(tbl: np.ndarray, gens: Sequence[int]) -> None:
     Light's test over gens; raise InvalidGenerator if it fails.
 
     For each generator a the test compares (x*a)*y with x*(a*y) for all x
-    and y, as T[T[:, a], :] == T[:, T[a, :]].  The elements a that pass
+    and y, as T[T[:, a], :] == T[:, T[a, :]], each side one ``take`` of
+    whole rows or columns.  The elements a that pass
     contain the identity (row and column 0 are identity maps) and are
     closed under products, so they are the whole table as soon as every
     element is a left-nested product ((g1*g2)*g3)*... of gens in the table's
@@ -218,8 +225,22 @@ def _check_associative(tbl: np.ndarray, gens: Sequence[int]) -> None:
     right-multiplication closure is the whole table by construction.
     """
     for a in gens:
-        if not np.array_equal(tbl[tbl[:, a], :], tbl[:, tbl[a, :]]):
+        if not np.array_equal(tbl.take(tbl[:, a], axis=0),
+                              tbl.take(tbl[a, :], axis=1)):
             raise InvalidGenerator(f"associativity fails at generator {a}")
+
+
+def _entry_dtype(n: int) -> type:
+    """The narrowest signed dtype that holds every element id of an order-n
+    table: int16 up to order 2**15, which covers the default order cap."""
+    return np.int16 if n <= 1 << 15 else np.int32
+
+
+def _shared_rows(tbl: np.ndarray) -> list[list[int]]:
+    """tbl as row lists of plain ints, every row gathered from one object
+    array of the n ints 0..n-1, so that the rows share n int objects."""
+    ints = np.array(range(tbl.shape[0]), dtype=object)
+    return [ints.take(row).tolist() for row in tbl]
 
 
 def _assemble_table(identity_rep, generator_reps: list, compose: Callable,
@@ -230,7 +251,9 @@ def _assemble_table(identity_rep, generator_reps: list, compose: Callable,
     generator ordering.  Only the generator columns are computed by actual
     element composition, once per element and generator during the BFS;
     every other column y = x*g follows from the BFS tree via
-    mult[a][y] = mult[mult[a][x]][g], filled vectorized.
+    mult[a][y] = mult[mult[a][x]][g], filled vectorized into an ndarray of
+    ``_entry_dtype(n)``.  That array is validated and proven associative,
+    then kept as ``_shared_rows``.
 
     Returns (GroupTable, elements, index) where elements maps id -> rep and
     index maps rep -> id.
@@ -263,7 +286,7 @@ def _assemble_table(identity_rep, generator_reps: list, compose: Callable,
 
     n = len(elements)
     gen_ids = [index[g] for g in gens]
-    tbl = np.empty((n, n), dtype=np.int32)
+    tbl = np.empty((n, n), dtype=_entry_dtype(n))
     tbl[:, 0] = np.arange(n)
     for j, col in enumerate(cols):
         tbl[:, gen_ids[j]] = col
@@ -276,7 +299,7 @@ def _assemble_table(identity_rep, generator_reps: list, compose: Callable,
 
     inv = _validate_table(tbl)
     _check_associative(tbl, gen_ids)
-    table = GroupTable(tbl.tolist(), inv.tolist(),
+    table = GroupTable(_shared_rows(tbl), inv.tolist(),
                        [label_of(rep) for rep in elements],
                        tuple(gen_ids))
     return table, elements, index
@@ -332,20 +355,34 @@ def build_group_from_matrices(q: int, generators: Iterable[Sequence[int]],
 def build_group_from_table(mult: Sequence[Sequence[int]],
                            labels: Sequence[str] | None = None,
                            *, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
-    """Group from an explicit multiplication table (identity must be id 0)."""
+    """Group from an explicit multiplication table (identity must be id 0).
+
+    Every entry must be an integer (Python or numpy, not bool) in range;
+    anything else raises InvalidGenerator, before the table is narrowed to
+    ``_entry_dtype``.
+    """
     n = len(mult)
     if n > order_cap:
         raise OrderCapExceeded(f"table order {n} exceeds the cap ({order_cap})")
     try:
-        tbl = np.array(mult, dtype=np.int32)
+        kinds = set(map(type, chain.from_iterable(mult)))
+    except TypeError:
+        raise InvalidGenerator("malformed table: a row is not a sequence") from None
+    if any(k is bool or not issubclass(k, (int, np.integer)) for k in kinds):
+        raise InvalidGenerator("table entries must be integers")
+    try:
+        tbl = np.array(mult, dtype=np.int64)
     except ValueError as exc:
         raise InvalidGenerator(f"malformed table: {exc}") from None
+    except OverflowError:
+        raise InvalidGenerator("table entry out of range") from None
     inv = _validate_table(tbl)
     if labels is None:
         labels = [f"g{i}" for i in range(n)]
     elif len(labels) != n:
         raise InvalidGenerator("labels length does not match table order")
-    mult_rows = tbl.tolist()
+    tbl = tbl.astype(_entry_dtype(n))
+    mult_rows = _shared_rows(tbl)
     generators = _greedy_witnesses(mult_rows, (1 << n) - 1)
     _check_associative(tbl, generators)
     return GroupTable(mult_rows, inv.tolist(), list(labels), generators)

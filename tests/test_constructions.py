@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from commgraph import (
@@ -14,6 +16,7 @@ from commgraph import (
     abelian,
     bs,
     build_group_from_permutations,
+    build_group_from_table,
     construct,
     construct_detailed,
     cyclic,
@@ -136,6 +139,64 @@ TABLE_SHA256 = {
     abelian([4, 1, 2]):
         "1c96334377c2c9d965cf2aebf9b7094a09be3cfd370b590df6b1b95240105d46",
 }
+
+
+def _entries_digest(table):
+    h = hashlib.sha256()
+    for part in (table.mult, table.inv, list(table.generators)):
+        h.update(np.asarray(part, np.int32).tobytes())
+    return h.hexdigest()
+
+
+# sha256 of mult, inv and generators, each as int32 bytes in that order, for
+# tables above order 256, where entries are no longer Python's cached small
+# ints; recorded at commit 0e63d89, while tables were still assembled as
+# int32 arrays and kept by ndarray.tolist()
+ENTRIES_SHA256 = {
+    bs(cyclic(2)):
+        "83dd4771e67e68c60b51959de58ec3606bb8b34f7ce942d8a3301bb4a5075bea",
+    sym(6):
+        "2579dd9bc780677f0dc40bc2dca9c45b1e71fac0e83a86fc148a8a31eba449b2",
+    bs(cyclic(3)):
+        "1dd0f32bfc59feef7fee332d490036154a03d71f2c7eb7dc3f1c7068989cada7",
+}
+
+
+@pytest.mark.parametrize("spec", list(ENTRIES_SHA256), ids=spec_name)
+def test_large_table_entries_pinned(spec, built_group):
+    assert _entries_digest(built_group(spec).table) == ENTRIES_SHA256[spec]
+
+
+def _assert_shared_int_rows(table):
+    """mult is a list of lists of plain ints holding only n int objects, so
+    no numpy scalar reaches the scalar loops and no entry has an int of its
+    own."""
+    mult = table.mult
+    assert all(type(row) is list for row in mult)
+    assert all(type(x) is int for row in mult for x in row)
+    assert len({id(x) for row in mult for x in row}) == table.order
+
+
+def test_table_rows_share_int_objects():
+    table = construct(bs(cyclic(2)))
+    _assert_shared_int_rows(table)
+    rebuilt = build_group_from_table(table.mult)
+    _assert_shared_int_rows(rebuilt)
+    assert rebuilt.mult == table.mult
+    assert rebuilt.inv == table.inv
+
+
+def test_order_1944_table_memory():
+    """The order-1944 table holds 3.8 M entries; as one int object each they
+    took 144.6 MB at peak to build, as n shared ints about 37 MB."""
+    tracemalloc.start()
+    try:
+        table = construct(bs(cyclic(3)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.order == 1944
+    assert peak < 64 * 2**20
 
 
 def test_direct_order_multiplies():

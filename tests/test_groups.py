@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -187,6 +188,29 @@ def test_explicit_table_rejects_non_group():
         build_group_from_table([[1, 0], [0, 1]])
     with pytest.raises(InvalidGenerator, match="square"):
         build_group_from_table([[0, 1, 2], [1, 2, 0]])
+
+
+@pytest.mark.parametrize("mult,reason", [
+    ([[0, 1], [1.7, 0]], "integers"),
+    ([[0, True], [1, 0]], "integers"),
+    ([[0, "1"], ["1", 0]], "integers"),
+    ([[0, 65537], [1, 0]], "out of range"),
+    ([[0, -1], [1, 0]], "out of range"),
+])
+def test_explicit_table_rejects_bad_entries(mult, reason):
+    """A float, bool or string entry is no longer coerced into cyclic(2);
+    an entry beyond int16 is out of range, not wrapped into it."""
+    with pytest.raises(InvalidGenerator, match=reason):
+        build_group_from_table(mult)
+
+
+def test_entry_dtype_holds_every_element_id():
+    from commgraph.groups import _entry_dtype
+
+    for n in (1, 5000, 2**15):
+        assert np.iinfo(_entry_dtype(n)).max >= n - 1
+    assert _entry_dtype(5000) == np.int16
+    assert _entry_dtype(2**15 + 1) == np.int32
 
 
 def test_explicit_table_rejects_non_associative_loop():
@@ -399,8 +423,6 @@ def test_derived_series_orders(spec, orders):
 
 def test_derived_series_of_coordinate_product_against_oracle(built_group):
     """All-pairs commutator oracle (vectorized) for the 1944-element group."""
-    import numpy as np
-
     from commgraph import bs
 
     table = built_group(bs(cyclic(3))).table
