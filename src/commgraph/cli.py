@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: ``group`` (order/structure summary), ``subgroups`` (lattice
-enumeration with optional cache), ``graph`` (DOT/JSON export), ``analyze``
-(component report), ``verify`` (claim suites).  Exit codes: 0 pass, 1 a
-verification check failed, 2 parse/cache/argument/file error, 3 order cap
-exceeded, 4 lattice cap exceeded.
+enumeration, optionally written as JSON), ``graph`` (DOT/JSON export),
+``analyze`` (component report), ``verify`` (claim suites).  Every lattice
+comes from ``enumerate_subgroups``; none is read from a file.  Exit codes:
+0 pass, 1 a verification check failed, 2 parse/argument/file error, 3 order
+cap exceeded, 4 lattice cap exceeded.
 """
 
 from __future__ import annotations
@@ -24,12 +25,7 @@ from .constructions import (
     spec_name,
     spec_to_doc,
 )
-from .errors import (
-    CacheMismatch,
-    InvalidSpec,
-    LatticeCapExceeded,
-    OrderCapExceeded,
-)
+from .errors import InvalidSpec, LatticeCapExceeded, OrderCapExceeded
 from .graphs import (
     KIND_COMMENSURABILITY,
     KIND_CONTAINMENT,
@@ -39,13 +35,11 @@ from .graphs import (
 )
 from .groups import (
     DEFAULT_ORDER_CAP,
-    GroupTable,
-    _closure_mask,
     _structure_flags,
     derived_series,
     is_prime,
 )
-from .lattice import Lattice, _finish_lattice, enumerate_subgroups
+from .lattice import Lattice, enumerate_subgroups
 from .verify import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
@@ -62,7 +56,7 @@ EXIT_LATTICE_CAP = 4
 
 _KINDS = {"comm": KIND_COMMENSURABILITY, "cont": KIND_CONTAINMENT}
 
-CACHE_FORMAT_VERSION = 1
+LATTICE_FORMAT_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +110,7 @@ def analyze_doc(spec: GroupSpec, graph: CommGraph) -> dict:
             "components": comps, "connected_diameter": connected}
 
 
-def lattice_cache_doc(spec: GroupSpec, lat: Lattice) -> dict:
+def lattice_doc(spec: GroupSpec, lat: Lattice) -> dict:
     return {
         "spec": spec_to_doc(spec),
         "order": lat.parent.order,
@@ -124,63 +118,8 @@ def lattice_cache_doc(spec: GroupSpec, lat: Lattice) -> dict:
         "subgroups": [{"order": s.order,
                        "members": [x for x in s.elements()]}
                       for s in lat.subgroups],
-        "format_version": CACHE_FORMAT_VERSION,
+        "format_version": LATTICE_FORMAT_VERSION,
     }
-
-
-def load_lattice_cache(doc: dict, spec: GroupSpec, table: GroupTable) -> Lattice:
-    """Rebuild a lattice from a cache document, validating it against the
-    freshly constructed table.
-
-    The cached member sets must be subgroups, in canonical order, and
-    every cyclic subgroup <g> of the table must be among them.  That last
-    check is necessary for a complete lattice, not sufficient: a cache
-    that leaves out only non-cyclic subgroups still loads."""
-    # type() rather than ==: JSON true equals 1, which is both the format
-    # version and the order of the trivial group
-    if (not isinstance(doc, dict) or type(doc.get("format_version")) is not int
-            or doc["format_version"] != CACHE_FORMAT_VERSION):
-        raise CacheMismatch("unsupported cache format")
-    if doc.get("spec") != spec_to_doc(spec):
-        raise CacheMismatch("cache file describes a different group spec")
-    if type(doc.get("order")) is not int or doc["order"] != table.order:
-        raise CacheMismatch("cache order does not match the constructed group")
-    if doc.get("element_labels") != list(table.labels):
-        raise CacheMismatch("cache element labels do not match")
-    entries = doc.get("subgroups")
-    if not isinstance(entries, list):
-        raise CacheMismatch("cache subgroups must be a list")
-    masks = []
-    for entry in entries:
-        if not isinstance(entry, dict):
-            raise CacheMismatch("malformed subgroup entry in cache")
-        members = entry.get("members")
-        # type() rather than isinstance(): JSON true/false are not ids
-        if (not isinstance(members, list)
-                or any(type(x) is not int or not 0 <= x < table.order
-                       for x in members)
-                or members != sorted(set(members))):
-            raise CacheMismatch("malformed member list in cache")
-        mask = 0
-        for x in members:
-            mask |= 1 << x
-        order = entry.get("order")
-        if type(order) is not int or mask.bit_count() != order:
-            raise CacheMismatch("cached subgroup order mismatch")
-        masks.append(mask)
-    if len(set(masks)) != len(masks):
-        raise CacheMismatch("duplicate subgroups in cache")
-    try:
-        lat = _finish_lattice(table, masks)
-    except (AssertionError, ValueError) as exc:
-        raise CacheMismatch(f"cache is not a valid lattice: {exc}") from None
-    if [s.members for s in lat.subgroups] != masks:
-        raise CacheMismatch("cache subgroups are not in canonical order")
-    for g in range(table.order):
-        if _closure_mask(table.mult, (g,)) not in lat.index_of_members:
-            raise CacheMismatch(
-                f"cache lacks the cyclic subgroup generated by element {g}")
-    return lat
 
 
 def _dump_json(doc: dict) -> str:
@@ -190,7 +129,7 @@ def _dump_json(doc: dict) -> str:
 def _write_text(path: str, text: str) -> None:
     """Replace the file at path with text atomically: write a temporary file
     beside it, then rename it over path, so that a run killed mid-write
-    leaves the previous file whole instead of a truncated cache or report."""
+    leaves the previous file whole instead of a truncated one."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -214,18 +153,6 @@ def _read_json(path: str):
             return json.load(fh)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
-
-
-def _lattice_for(args, spec: GroupSpec, table: GroupTable) -> Lattice:
-    """Lattice with optional file cache: read when present, else compute
-    and write."""
-    cache_path = getattr(args, "cache", None)
-    if cache_path and os.path.exists(cache_path):
-        return load_lattice_cache(_read_json(cache_path), spec, table)
-    lat = enumerate_subgroups(table)
-    if cache_path:
-        _write_text(cache_path, _dump_json(lattice_cache_doc(spec, lat)))
-    return lat
 
 
 def cmd_group(args) -> int:
@@ -258,9 +185,9 @@ def cmd_group(args) -> int:
 def cmd_subgroups(args) -> int:
     spec = parse_group_spec(args.spec)
     table = construct(spec, args.order_cap)
-    lat = _lattice_for(args, spec, table)
+    lat = enumerate_subgroups(table)
     if args.json:
-        _write_text(args.json, _dump_json(lattice_cache_doc(spec, lat)))
+        _write_text(args.json, _dump_json(lattice_doc(spec, lat)))
     print(f"group {spec_name(spec)}: order {table.order}, "
           f"{len(lat.subgroups)} subgroups")
     for order, count in sorted(Counter(s.order for s in lat.subgroups).items()):
@@ -275,8 +202,8 @@ def _graph_for(args) -> tuple[GroupSpec, CommGraph]:
         raise ValueError(f"{args.p} is not prime")
     spec = parse_group_spec(args.spec)
     table = construct(spec, args.order_cap)
-    lat = _lattice_for(args, spec, table)
-    return spec, build_graph(lat, args.p, _KINDS[args.kind])
+    return spec, build_graph(enumerate_subgroups(table), args.p,
+                             _KINDS[args.kind])
 
 
 def cmd_graph(args) -> int:
@@ -384,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_subs = sub.add_parser("subgroups", help="enumerate the subgroup lattice")
     _add_spec_argument(p_subs)
-    p_subs.add_argument("--cache", help="lattice cache file (read or write)")
     p_subs.add_argument("--json", help="write the lattice document to PATH")
     p_subs.set_defaults(func=cmd_subgroups)
 
@@ -394,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_graph.add_argument("--kind", choices=("comm", "cont"), default="comm")
     p_graph.add_argument("--dot", help="write DOT to PATH")
     p_graph.add_argument("--json", help="write graph JSON to PATH")
-    p_graph.add_argument("--cache", help="lattice cache file (read or write)")
     p_graph.set_defaults(func=cmd_graph)
 
     p_an = sub.add_parser("analyze", help="component/diameter report")
@@ -402,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("-p", type=int, required=True, help="prime p")
     p_an.add_argument("--kind", choices=("comm", "cont"), default="comm")
     p_an.add_argument("--json", help="also write the report to PATH")
-    p_an.add_argument("--cache", help="lattice cache file (read or write)")
     p_an.set_defaults(func=cmd_analyze)
 
     p_ver = sub.add_parser("verify", help="run claim-verification suites")
@@ -420,7 +344,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidSpec, CacheMismatch, ValueError, OSError) as exc:
+    except (InvalidSpec, ValueError, OSError) as exc:
         # ValueError: an invalid argument value (-p 4, --trials 0) or a
         # malformed JSON file; OSError: an unusable path.
         print(f"error: {exc}", file=sys.stderr)

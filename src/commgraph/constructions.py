@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import InvalidSpec, OrderCapExceeded, SpecSyntaxError
 from .groups import (
@@ -100,8 +100,13 @@ def _spec_from_doc(doc, depth: int) -> GroupSpec:
     if key in ("sym", "cyclic", "dihedral", "p2q"):
         if not isinstance(value, int) or isinstance(value, bool) or value < 1:
             raise InvalidSpec(f"{key} takes a positive integer")
-        if key == "p2q" and not is_prime(value):
-            raise InvalidSpec(f"p2q modulus {value} must be prime")
+        if key == "p2q":
+            try:
+                prime = is_prime(value)
+            except ValueError as exc:  # too large to decide
+                raise InvalidSpec(str(exc)) from None
+            if not prime:
+                raise InvalidSpec(f"p2q modulus {value} must be prime")
         return GroupSpec(key, n=value)
     if key == "abelian":
         if (not isinstance(value, list) or not value
@@ -160,7 +165,6 @@ def predicted_order(spec: GroupSpec) -> int:
 class BuiltGroup:
     """A constructed table together with its concrete element reps."""
 
-    spec: GroupSpec
     table: GroupTable
     elements: list = field(repr=False)
     index: dict = field(repr=False)
@@ -198,7 +202,7 @@ def _build_sym(spec: GroupSpec, cap: int) -> BuiltGroup:
         gens.append(perm_from_cycles(n, [(1, 2)]))
     if n >= 3:
         gens.append(perm_from_cycles(n, [tuple(range(1, n + 1))]))
-    return BuiltGroup(spec, *_permutation_group(n, gens, cap))
+    return BuiltGroup(*_permutation_group(n, gens, cap))
 
 
 def _build_cyclic(spec: GroupSpec, cap: int) -> BuiltGroup:
@@ -206,7 +210,7 @@ def _build_cyclic(spec: GroupSpec, cap: int) -> BuiltGroup:
     gens = [1] if n > 1 else []
     table, elements, index = _assemble_table(
         0, gens, lambda x, y: (x + y) % n, str, cap)
-    return BuiltGroup(spec, table, elements, index)
+    return BuiltGroup(table, elements, index)
 
 
 def _build_dihedral(spec: GroupSpec, cap: int) -> BuiltGroup:
@@ -225,13 +229,12 @@ def _build_dihedral(spec: GroupSpec, cap: int) -> BuiltGroup:
 
     gens = ([(1, 0)] if n > 1 else []) + [(0, 1)]
     table, elements, index = _assemble_table((0, 0), gens, compose, label, cap)
-    return BuiltGroup(spec, table, elements, index)
+    return BuiltGroup(table, elements, index)
 
 
 def _build_abelian(spec: GroupSpec, cap: int) -> BuiltGroup:
     """The direct product of the cyclic factors, under the abelian spec."""
-    built = _build_direct(direct([cyclic(n) for n in spec.factors]), cap)
-    return replace(built, spec=spec)
+    return _build_direct(direct([cyclic(n) for n in spec.factors]), cap)
 
 
 def _build_direct(spec: GroupSpec, cap: int) -> BuiltGroup:
@@ -251,7 +254,7 @@ def _build_direct(spec: GroupSpec, cap: int) -> BuiltGroup:
         for g in child.table.generators:
             gens.append(tuple(g if j == i else 0 for j in range(k)))
     table, elements, index = _assemble_table((0,) * k, gens, compose, label, cap)
-    return BuiltGroup(spec, table, elements, index)
+    return BuiltGroup(table, elements, index)
 
 
 def _build_p2q(spec: GroupSpec, cap: int) -> BuiltGroup:
@@ -260,7 +263,7 @@ def _build_p2q(spec: GroupSpec, cap: int) -> BuiltGroup:
     if q > 2:
         g = _primitive_root(q)
         gens += [(g, 0, 1), (1, 0, g)]
-    return BuiltGroup(spec, *_triangular_group(q, gens, cap))
+    return BuiltGroup(*_triangular_group(q, gens, cap))
 
 
 def _primitive_root(q: int) -> int:
@@ -304,7 +307,7 @@ def _build_bs(spec: GroupSpec, cap: int) -> BuiltGroup:
     gens.append(((0, 0, 0, 0), perm_from_cycles(4, [(1, 2, 3, 4)])))
     table, elements, index = _assemble_table(
         ((0, 0, 0, 0), (0, 1, 2, 3)), gens, compose, label, cap)
-    return BuiltGroup(spec, table, elements, index)
+    return BuiltGroup(table, elements, index)
 
 
 _BUILDERS = {

@@ -55,7 +55,3 @@ class SpecSyntaxError(InvalidSpec):
     def __init__(self, message: str, position: int = -1):
         super().__init__(message)
         self.position = position
-
-
-class CacheMismatch(CommGraphError):
-    """A lattice cache file does not match the requested group."""

@@ -67,21 +67,46 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases", 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Whether n is prime, by deterministic Miller-Rabin; raises ValueError
+    for n >= _MR_BOUND, where these bases no longer decide it."""
+    if n >= _MR_BOUND:
+        raise ValueError(f"{n} is too large to test for primality "
+                         f"(limit {_MR_BOUND})")
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
 def p_power_exponent(n: int, p: int) -> int | None:
-    """Return k if n == p**k (k >= 0), else None."""
+    """Return k if n == p**k (k >= 0), else None; p must be at least 2."""
     if n < 1:
         raise ValueError(f"expected a positive integer, got {n}")
+    if p < 2:
+        raise ValueError(f"expected a base of at least 2, got {p}")
     k = 0
     while n % p == 0:
         n //= p

@@ -1,10 +1,12 @@
-"""CLI surface: exit codes, DOT grammar, JSON documents, lattice cache."""
+"""CLI surface: exit codes, DOT grammar, JSON documents."""
 
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import re
+import time
 
 import pytest
 
@@ -15,17 +17,13 @@ from commgraph.cli import (
     EXIT_ORDER_CAP,
     EXIT_PARSE,
     export_dot,
-    load_lattice_cache,
 )
 from commgraph import (
     KIND_CONTAINMENT,
-    CacheMismatch,
     build_graph,
     construct,
-    cyclic,
     enumerate_subgroups,
     parse_group_spec,
-    sym,
 )
 
 
@@ -113,15 +111,6 @@ def test_deeply_nested_corpus_exits_2(levels, tmp_path, capsys):
     _assert_one_error_line(capsys)
 
 
-def test_deeply_nested_cache_exits_2(tmp_path, capsys):
-    cache_path = tmp_path / "c4.lattice.json"
-    cache_path.write_text('{"spec": ' + "[" * 3000 + "]" * 3000 + "}",
-                          encoding="utf-8")
-    assert run_cli("subgroups", '{"cyclic": 4}', "--cache",
-                   str(cache_path)) == EXIT_PARSE
-    _assert_one_error_line(capsys)
-
-
 def test_subgroups_command_and_counts(capsys):
     assert run_cli("subgroups", '{"sym": 4}') == EXIT_OK
     out = capsys.readouterr().out
@@ -179,96 +168,65 @@ def test_analyze_command(capsys):
     assert all(c["class"] == "singleton" for c in doc["components"])
 
 
-def test_lattice_cache_roundtrip(tmp_path, capsys):
-    cache = tmp_path / "sym4.lattice.json"
-    assert run_cli("subgroups", '{"sym": 4}', "--cache", str(cache)) == EXIT_OK
-    first = cache.read_text(encoding="utf-8")
-    doc = json.loads(first)
-    assert doc["format_version"] == 1
+def test_subgroups_json_document(tmp_path, capsys):
+    path = tmp_path / "sym4.lattice.json"
+    assert run_cli("subgroups", '{"sym": 4}', "--json", str(path)) == EXIT_OK
+    capsys.readouterr()
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert doc["format_version"] == cli.LATTICE_FORMAT_VERSION == 1
     assert doc["order"] == 24
     assert [s["order"] for s in doc["subgroups"]] \
         == sorted(s["order"] for s in doc["subgroups"])
     for entry in doc["subgroups"]:
         assert entry["members"] == sorted(entry["members"])
 
-    # `subgroups --json` writes the same document as the cache
-    lattice_json = tmp_path / "sym4.json"
-    assert run_cli("subgroups", '{"sym": 4}', "--json",
-                   str(lattice_json)) == EXIT_OK
-    assert lattice_json.read_text(encoding="utf-8") == first
 
-    # reading the cache reproduces the same lattice and DOT output
-    dot_a = tmp_path / "a.dot"
-    dot_b = tmp_path / "b.dot"
-    assert run_cli("graph", '{"sym": 4}', "-p", "3", "--kind", "cont",
-                   "--dot", str(dot_a), "--cache", str(cache)) == EXIT_OK
-    assert run_cli("graph", '{"sym": 4}', "-p", "3", "--kind", "cont",
-                   "--dot", str(dot_b)) == EXIT_OK
-    assert dot_a.read_bytes() == dot_b.read_bytes()
+# sha256 of `subgroups SPEC --json PATH`, recorded when the document was
+# still also written and read as a lattice cache file
+SUBGROUPS_JSON_SHA256 = {
+    '{"sym": 4}':
+        "f24e022283fcda80431ff76652096354facc5442e42b2f1b14c7ea3ea0e24bb8",
+    '{"p2q": 5}':
+        "22be2a6ca15e9896bde6e2afeb2bb6e0c692021ab1724cb8b11a4ff1e1d96b46",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(SUBGROUPS_JSON_SHA256))
+def test_subgroups_json_pinned(spec, tmp_path, capsys):
+    path = tmp_path / "lattice.json"
+    assert run_cli("subgroups", spec, "--json", str(path)) == EXIT_OK
     capsys.readouterr()
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == SUBGROUPS_JSON_SHA256[spec]
 
 
-def test_lattice_cache_mismatch_rejected(tmp_path, capsys):
-    cache = tmp_path / "bad.json"
-    assert run_cli("subgroups", '{"sym": 3}', "--cache", str(cache)) == EXIT_OK
-    assert run_cli("graph", '{"sym": 4}', "-p", "2", "--cache",
-                   str(cache)) == EXIT_PARSE
-    doc = json.loads(cache.read_text(encoding="utf-8"))
-    good = json.loads(json.dumps(doc))
-    doc["subgroups"][1]["members"] = [0, 3]
-    cache.write_text(json.dumps(doc), encoding="utf-8")
-    assert run_cli("graph", '{"sym": 3}', "-p", "2", "--cache",
-                   str(cache)) == EXIT_PARSE
-    capsys.readouterr()
-
-    # malformed documents are a cache error (exit 2), never a traceback;
-    # JSON booleans are not element ids, orders or format versions (true
-    # equals 1, the version and the order of the trivial group)
-    trivial = good["subgroups"][0]
-    cases = [('{"sym": 3}', sym(3), {**good, "subgroups": subgroups})
-             for subgroups in (
-                 [1, 2], 5,
-                 [{**trivial, "members": [False]}, *good["subgroups"][1:]],
-                 [{**trivial, "order": True}, *good["subgroups"][1:]])]
-    cases.append(('{"sym": 3}', sym(3), {**good, "format_version": True}))
-    cases.append(('{"sym": 3}', sym(3),
-                  {**good, "element_labels": good["element_labels"][::-1]}))
-    # well formed, but without the full group it is not a lattice
-    cases.append(('{"sym": 3}', sym(3),
-                  {**good, "subgroups": good["subgroups"][:-1]}))
-    one = tmp_path / "one.json"
-    assert run_cli("subgroups", '{"cyclic": 1}', "--cache", str(one)) == EXIT_OK
-    one_doc = json.loads(one.read_text(encoding="utf-8"))
-    cases.append(('{"cyclic": 1}', cyclic(1), {**one_doc, "order": True}))
-    # canonically ordered, orders dividing 6, closed under intersection,
-    # but {0, 1} is not closed under multiplication in cyclic(6)
-    six = tmp_path / "six.json"
-    assert run_cli("subgroups", '{"cyclic": 6}', "--cache", str(six)) == EXIT_OK
-    six_doc = json.loads(six.read_text(encoding="utf-8"))
-    # a lattice of subgroups, but not all of them: <3> = {0, 3} is missing
-    cases.append(('{"cyclic": 6}', cyclic(6),
-                  {**six_doc, "subgroups": [e for e in six_doc["subgroups"]
-                                            if e["order"] != 2]}))
-    (two,) = [e for e in six_doc["subgroups"] if e["order"] == 2]
-    two["members"] = [0, 1]
-    cases.append(('{"cyclic": 6}', cyclic(6), six_doc))
-    capsys.readouterr()
-    for text, spec, bad in cases:
-        cache.write_text(json.dumps(bad), encoding="utf-8")
-        with pytest.raises(CacheMismatch):
-            load_lattice_cache(json.loads(cache.read_text(encoding="utf-8")),
-                               spec, construct(spec))
-        assert run_cli("graph", text, "-p", "2", "--cache",
-                       str(cache)) == EXIT_PARSE
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+@pytest.mark.parametrize("argv", [
+    ("subgroups", '{"sym": 3}'),
+    ("graph", '{"sym": 3}', "-p", "2"),
+    ("analyze", '{"sym": 3}', "-p", "2"),
+], ids=["subgroups", "graph", "analyze"])
+def test_cache_option_is_gone(argv, tmp_path, capsys):
+    """Every lattice is enumerated; no file can stand in for one."""
+    cache = tmp_path / "lattice.json"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--cache", str(cache))
+    assert exc.value.code == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ")
+    assert "unrecognized arguments: --cache" in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [
     ("graph", '{"sym": 3}', "-p", "4"),
     ("verify", "lemmas", "--trials", "0"),
-    ("subgroups", '{"sym": 3}', "--cache", None),  # None: a directory
-], ids=["non-prime-p", "zero-trials", "directory-as-cache"])
+    ("graph", '{"sym": 3}', "-p", "2", "--json", None),  # None: a directory
+    ("graph", '{"sym": 3}', "-p", "2305843009213693953"),  # 2**61 + 1
+    # the first composite that Miller-Rabin over the primes to 41 passes
+    ("analyze", '{"sym": 3}', "-p", "3317044064679887385961981"),
+], ids=["non-prime-p", "zero-trials", "directory-as-json", "large-composite-p",
+        "undecidable-p"])
 def test_bad_argument_values_exit_parse(argv, tmp_path, capsys):
     argv = [str(tmp_path) if arg is None else arg for arg in argv]
     assert run_cli(*argv) == EXIT_PARSE
@@ -298,28 +256,28 @@ def test_lattice_cap_exit_code(monkeypatch, capsys):
 
 
 def test_failed_write_keeps_existing_cache(tmp_path, capsys):
-    cache = tmp_path / "sym3.lattice.json"
-    assert run_cli("subgroups", '{"sym": 3}', "--cache", str(cache)) == EXIT_OK
+    """A write that fails part way leaves the file it would replace whole."""
+    path = tmp_path / "sym3.lattice.json"
+    assert run_cli("subgroups", '{"sym": 3}', "--json", str(path)) == EXIT_OK
     capsys.readouterr()
-    before = cache.read_bytes()
+    before = path.read_bytes()
     # a lone surrogate cannot be encoded, so the write fails part way
     with pytest.raises(UnicodeEncodeError):
-        cli._write_text(str(cache), '{"subgroups": "\ud800"}')
-    assert cache.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == [cache.name]
+        cli._write_text(str(path), '{"subgroups": "\ud800"}')
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
-def test_load_lattice_cache_validates_canonical_order():
-    spec = parse_group_spec('{"cyclic": 6}')
-    table = construct(spec)
-    lat = enumerate_subgroups(table)
-    doc = cli.lattice_cache_doc(spec, lat)
-    good = load_lattice_cache(doc, spec, table)
-    assert [s.members for s in good.subgroups] \
-        == [s.members for s in lat.subgroups]
-    doc["subgroups"].reverse()
-    with pytest.raises(CacheMismatch):
-        load_lattice_cache(doc, spec, table)
+def test_large_prime_p_is_fast(capsys):
+    """-p 2**61 - 1 is decided prime at once, not by ~1.5e9 trial
+    divisions; no index in sym(3) is a power of it, so every subgroup is
+    a singleton component."""
+    start = time.perf_counter()
+    assert run_cli("analyze", '{"sym": 3}', "-p", str(2**61 - 1)) == EXIT_OK
+    assert time.perf_counter() - start < 2.0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["components"]) == 6
+    assert all(c["class"] == "singleton" for c in doc["components"])
 
 
 def test_verify_cli_pass_and_report(tmp_path, capsys):

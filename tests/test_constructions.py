@@ -58,6 +58,8 @@ def test_parse_syntax_error_carries_position():
     '{"sym": 0}',
     '{"sym": true}',
     '{"p2q": 4}',
+    # too large for is_prime to decide
+    '{"p2q": 3317044064679887385961981}',
     '{"abelian": []}',
     '{"abelian": [2, 0]}',
     '{"direct": []}',

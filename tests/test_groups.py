@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -36,6 +37,7 @@ from commgraph import (
     intersect,
     is_nilpotent_subgroup,
     is_normal,
+    is_prime,
     normal_core,
     p2q,
     p_power_exponent,
@@ -134,6 +136,31 @@ def test_p_power_exponent_examples():
     assert p_power_exponent(1, 2) == 0
     assert p_power_exponent(8, 2) == 3
     assert p_power_exponent(12, 2) is None
+
+
+@pytest.mark.parametrize("p", [0, 1, -2])
+def test_p_power_exponent_rejects_base_below_2(p):
+    # base 1 looped forever and base 0 divided by zero
+    with pytest.raises(ValueError):
+        p_power_exponent(8, p)
+
+
+def test_is_prime_matches_trial_division():
+    def by_trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert all(is_prime(n) == by_trial_division(n) for n in range(-3, 10**5))
+
+
+def test_is_prime_large_values():
+    # 3215031751 is a strong pseudoprime to bases 2, 3, 5 and 7
+    assert is_prime(2**31 - 1) and is_prime(2**61 - 1)
+    assert not any(is_prime(n) for n in (2**61 + 1, (2**31 - 1) ** 2,
+                                         3215031751))
+    # the least strong pseudoprime to every prime base up to 41: beyond
+    # what these bases decide, so it is refused rather than called prime
+    with pytest.raises(ValueError):
+        is_prime(3317044064679887385961981)
 
 
 # ---------------------------------------------------------------------------

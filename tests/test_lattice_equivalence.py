@@ -163,15 +163,15 @@ BS3_P2_ANALYZE_SHA256 = \
 
 @pytest.fixture(scope="module")
 def bs3_analyze(tmp_path_factory, lattice_of) -> str:
-    """`analyze '{"bs": {"cyclic": 3}}' -p 3 --kind cont --json PATH`, over
-    the pinned lattice passed in as a ``--cache`` file."""
-    tmp = tmp_path_factory.mktemp("bs3")
-    cache, path = tmp / "lattice.json", tmp / "analyze.json"
-    cache.write_text(json.dumps(cli.lattice_cache_doc(BS3, lattice_of(BS3))),
-                     encoding="utf-8")
-    assert cli.main(["analyze", '{"bs": {"cyclic": 3}}', "-p", "3",
-                     "--kind", "cont", "--cache", str(cache),
-                     "--json", str(path)]) == cli.EXIT_OK
+    """`analyze '{"bs": {"cyclic": 3}}' -p 3 --kind cont --json PATH`, with
+    the CLI's enumerator returning the pinned lattice rather than
+    enumerating it a second time."""
+    path = tmp_path_factory.mktemp("bs3") / "analyze.json"
+    pinned = lattice_of(BS3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "enumerate_subgroups", lambda table: pinned)
+        assert cli.main(["analyze", '{"bs": {"cyclic": 3}}', "-p", "3",
+                         "--kind", "cont", "--json", str(path)]) == cli.EXIT_OK
     return path.read_text(encoding="utf-8")
 
 
