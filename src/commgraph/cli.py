@@ -129,15 +129,18 @@ def _dump_json(doc: dict) -> str:
 def _write_text(path: str, text: str) -> None:
     """Replace the file at path with text atomically: write a temporary file
     beside it, then rename it over path, so that a run killed mid-write
-    leaves the previous file whole instead of a truncated one."""
+    leaves the previous file whole instead of a truncated one.  An OSError
+    names path, not the temporary file."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 

@@ -174,9 +174,12 @@ def construct_detailed(spec: GroupSpec, order_cap: int | None = None) -> BuiltGr
     """Construct the group, returning the table plus element reps.
 
     Every call builds a new table.  The cap is enforced against the exact
-    predicted order before any materialization.
+    predicted order before any materialization; a cap below 1, which no
+    group meets, raises ValueError.
     """
     cap = DEFAULT_ORDER_CAP if order_cap is None else order_cap
+    if cap < 1:
+        raise ValueError(f"order cap must be at least 1, got {cap}")
     level = [spec]  # level by level, not recursively: specs may be deep
     for _ in range(MAX_SPEC_DEPTH):
         level = [p for s in level for p in s.parts]

@@ -9,19 +9,21 @@ any number of operations may run concurrently over shared objects.
 Every table is validated before it is wrapped.  Associativity is proven,
 not sampled, by Light's test (Clifford & Preston, *The Algebraic Theory of
 Semigroups* I, 1961, section 1.2) over a generating set of the table: one
-n x n comparison per generator rather than one per element.  A table is
-built and checked as an int16 ndarray (int32 above order 2**15) and then
-kept as rows of Python ints that all rows share: n int objects in all
-rather than one per entry, so the scalar loops below index plain lists.
+n x n comparison per generator rather than one per element, run over
+blocks of rows.  A table is built and checked as an int16 ndarray (int32
+above order 2**15), which is then made read-only and kept as the table's
+only storage: ``mult`` is a list of memoryviews of its rows, so
+``mult[a][b]`` is a plain int and no row can be written.
 
 A subgroup passes between functions as its member mask and generators;
 member lists exist only inside a closure loop.  Subgroups are closed by
 one route, ``_cyclic_extension`` (one coset at a time; Neubüser 1960), and
-conjugated by one, ``_conjugate_mask``, whose orbits under the table's
-generators (``_conjugacy_class``) give normal cores and the lattice
-enumerator's classes.  g normalizes S when it conjugates S's generators
-into S (``_normalizes``); only the lattice enumerator then grows S by g
-without a closure.
+conjugated by one, ``_conjugate_mask`` under the permutation x -> gxg^-1
+(``_conjugation``).  The table keeps that permutation for each of its
+generators, and orbits under them (``_conjugacy_class``) give normal
+cores and the lattice enumerator's classes.  g normalizes S when it
+conjugates S's generators into S (``_normalizes``); only the lattice
+enumerator then grows S by g without a closure.
 """
 
 from __future__ import annotations
@@ -173,27 +175,31 @@ def compose_permutations(x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
 class GroupTable:
     """A finite group with elements 0..order-1 and identity 0.
 
-    mult[a][b] is the id of a*b; inv[a] the id of a**-1.  mult is a list
-    of row lists of plain ints, and every row holds the same n int objects
-    0..n-1, so the table costs n² references, not n² ints.  labels hold
-    display strings for DOT/JSON output.  generators lists the element ids
-    of the construction generators (empty for the trivial group), and
+    mult[a][b] is the id of a*b, a plain int; inv[a] the id of a**-1.  The
+    table is built from a checked n x n integer array, which it marks
+    read-only and keeps as its only storage: mult is the list of
+    memoryviews of the array's rows, so writing an entry raises TypeError.
+    labels hold display strings for DOT/JSON output.  generators lists the
+    element ids of the construction generators (empty for the trivial
+    group), and conjugations[i] is ``_conjugation`` by generators[i].
     element_orders[x] is the order of element x.
     """
 
     identity = 0
 
     __slots__ = ("order", "mult", "inv", "labels", "order_factorization",
-                 "generators", "element_orders")
+                 "generators", "conjugations", "element_orders")
 
-    def __init__(self, mult: list[list[int]], inv: list[int], labels: list[str],
+    def __init__(self, tbl: np.ndarray, inv: list[int], labels: list[str],
                  generators: tuple[int, ...]):
-        self.order = len(mult)
-        self.mult = mult
+        tbl.flags.writeable = False
+        self.order = len(tbl)
+        self.mult = mult = [memoryview(row) for row in tbl]
         self.inv = inv
         self.labels = labels
         self.order_factorization = factorize(self.order)
         self.generators = generators
+        self.conjugations = tuple(_conjugation(self, g) for g in generators)
         orders = [1] * self.order
         for x in range(1, self.order):
             y, k = x, 1
@@ -235,13 +241,19 @@ def _validate_table(tbl: np.ndarray) -> np.ndarray:
     return np.argmax(tbl == 0, axis=1)
 
 
+# entries per block of rows in ``_check_associative``: 512 KB per int16
+# temporary, small beside the 7.6 MB order-1944 table
+_ASSOC_BLOCK = 1 << 18
+
+
 def _check_associative(tbl: np.ndarray, gens: Sequence[int]) -> None:
     """Prove associativity of a table that passed ``_validate_table`` by
     Light's test over gens; raise InvalidGenerator if it fails.
 
     For each generator a the test compares (x*a)*y with x*(a*y) for all x
-    and y, as T[T[:, a], :] == T[:, T[a, :]], each side one ``take`` of
-    whole rows or columns.  The elements a that pass
+    and y, as T[T[:, a], :] == T[:, T[a, :]], each side one ``take`` per
+    block of rows of about _ASSOC_BLOCK entries, so that no n x n
+    temporary lives beside the table.  The elements a that pass
     contain the identity (row and column 0 are identity maps) and are
     closed under products, so they are the whole table as soon as every
     element is a left-nested product ((g1*g2)*g3)*... of gens in the table's
@@ -249,23 +261,20 @@ def _check_associative(tbl: np.ndarray, gens: Sequence[int]) -> None:
     of ``_assemble_table`` or the greedy witnesses of the full table, whose
     right-multiplication closure is the whole table by construction.
     """
+    n = tbl.shape[0]
+    step = max(1, _ASSOC_BLOCK // n)
     for a in gens:
-        if not np.array_equal(tbl.take(tbl[:, a], axis=0),
-                              tbl.take(tbl[a, :], axis=1)):
-            raise InvalidGenerator(f"associativity fails at generator {a}")
+        for lo in range(0, n, step):
+            hi = lo + step
+            if not np.array_equal(tbl.take(tbl[lo:hi, a], axis=0),
+                                  tbl[lo:hi].take(tbl[a], axis=1)):
+                raise InvalidGenerator(f"associativity fails at generator {a}")
 
 
 def _entry_dtype(n: int) -> type:
     """The narrowest signed dtype that holds every element id of an order-n
     table: int16 up to order 2**15, which covers the default order cap."""
     return np.int16 if n <= 1 << 15 else np.int32
-
-
-def _shared_rows(tbl: np.ndarray) -> list[list[int]]:
-    """tbl as row lists of plain ints, every row gathered from one object
-    array of the n ints 0..n-1, so that the rows share n int objects."""
-    ints = np.array(range(tbl.shape[0]), dtype=object)
-    return [ints.take(row).tolist() for row in tbl]
 
 
 def _assemble_table(identity_rep, generator_reps: list, compose: Callable,
@@ -277,8 +286,8 @@ def _assemble_table(identity_rep, generator_reps: list, compose: Callable,
     element composition, once per element and generator during the BFS;
     every other column y = x*g follows from the BFS tree via
     mult[a][y] = mult[mult[a][x]][g], filled vectorized into an ndarray of
-    ``_entry_dtype(n)``.  That array is validated and proven associative,
-    then kept as ``_shared_rows``.
+    ``_entry_dtype(n)``.  That array is validated, proven associative and
+    kept by the ``GroupTable`` as its rows.
 
     Returns (GroupTable, elements, index) where elements maps id -> rep and
     index maps rep -> id.
@@ -324,7 +333,7 @@ def _assemble_table(identity_rep, generator_reps: list, compose: Callable,
 
     inv = _validate_table(tbl)
     _check_associative(tbl, gen_ids)
-    table = GroupTable(_shared_rows(tbl), inv.tolist(),
+    table = GroupTable(tbl, inv.tolist(),
                        [label_of(rep) for rep in elements],
                        tuple(gen_ids))
     return table, elements, index
@@ -407,10 +416,10 @@ def build_group_from_table(mult: Sequence[Sequence[int]],
     elif len(labels) != n:
         raise InvalidGenerator("labels length does not match table order")
     tbl = tbl.astype(_entry_dtype(n))
-    mult_rows = _shared_rows(tbl)
-    generators = _greedy_witnesses(mult_rows, (1 << n) - 1)
+    generators = _greedy_witnesses([memoryview(row) for row in tbl],
+                                   (1 << n) - 1)
     _check_associative(tbl, generators)
-    return GroupTable(mult_rows, inv.tolist(), list(labels), generators)
+    return GroupTable(tbl, inv.tolist(), list(labels), generators)
 
 
 # ---------------------------------------------------------------------------
@@ -581,19 +590,23 @@ def conjugate_subgroup(A: SubgroupSet, g: int) -> SubgroupSet:
     G = A.parent
     if not 0 <= g < G.order:
         raise ValueError(f"element id {g} out of range")
-    mult, gi = G.mult, G.inv[g]
-    row = mult[g]
-    wits = tuple(mult[row[w]][gi] for w in A.witnesses)
-    return SubgroupSet(G, _conjugate_mask(G, A.members, g), wits, validate=False)
+    conj = _conjugation(G, g)
+    wits = tuple(conj[w] for w in A.witnesses)
+    return SubgroupSet(G, _conjugate_mask(conj, A.members), wits, validate=False)
 
 
-def _conjugate_mask(G: GroupTable, mask: int, g: int) -> int:
-    """Member mask of g S g^-1 for the subgroup S with the given mask."""
+def _conjugation(G: GroupTable, g: int) -> list[int]:
+    """The permutation x -> g x g^-1 of G's element ids, as a list."""
     mult, gi = G.mult, G.inv[g]
-    row = mult[g]
+    return [mult[y][gi] for y in mult[g]]
+
+
+def _conjugate_mask(conj: list[int], mask: int) -> int:
+    """Member mask of g S g^-1 for the subgroup S with the given mask, where
+    conj is ``_conjugation`` by g."""
     out = 0
     for a in _bits(mask):
-        out |= 1 << mult[row[a]][gi]
+        out |= 1 << conj[a]
     return out
 
 
@@ -611,8 +624,8 @@ def _conjugacy_class(G: GroupTable, mask: int) -> list[int]:
     orbit = [mask]
     seen = {mask}
     for m in orbit:  # also visits the masks appended below
-        for g in G.generators:
-            image = _conjugate_mask(G, m, g)
+        for conj in G.conjugations:
+            image = _conjugate_mask(conj, m)
             if image not in seen:
                 seen.add(image)
                 orbit.append(image)

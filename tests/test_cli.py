@@ -225,8 +225,10 @@ def test_cache_option_is_gone(argv, tmp_path, capsys):
     ("graph", '{"sym": 3}', "-p", "2305843009213693953"),  # 2**61 + 1
     # the first composite that Miller-Rabin over the primes to 41 passes
     ("analyze", '{"sym": 3}', "-p", "3317044064679887385961981"),
+    ("group", '{"sym": 3}', "--order-cap", "0"),
+    ("group", '{"sym": 3}', "--order-cap", "-5"),
 ], ids=["non-prime-p", "zero-trials", "directory-as-json", "large-composite-p",
-        "undecidable-p"])
+        "undecidable-p", "zero-order-cap", "negative-order-cap"])
 def test_bad_argument_values_exit_parse(argv, tmp_path, capsys):
     argv = [str(tmp_path) if arg is None else arg for arg in argv]
     assert run_cli(*argv) == EXIT_PARSE
@@ -266,6 +268,14 @@ def test_failed_write_keeps_existing_cache(tmp_path, capsys):
         cli._write_text(str(path), '{"subgroups": "\ud800"}')
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_failed_write_names_the_output_path(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    assert run_cli("subgroups", '{"sym": 3}', "--json", str(path)) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(str(path)) in err and ".tmp" not in err
 
 
 def test_large_prime_p_is_fast(capsys):

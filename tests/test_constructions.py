@@ -125,7 +125,8 @@ def test_constructed_orders(spec, order, built_group):
     table = built_group(spec).table
     assert table.order == order
     if spec in TABLE_SHA256:
-        doc = [table.mult, table.labels, list(table.generators)]
+        doc = [[list(r) for r in table.mult], table.labels,
+               list(table.generators)]
         digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
         assert digest == TABLE_SHA256[spec]
 
@@ -169,28 +170,34 @@ def test_large_table_entries_pinned(spec, built_group):
     assert _entries_digest(built_group(spec).table) == ENTRIES_SHA256[spec]
 
 
-def _assert_shared_int_rows(table):
-    """mult is a list of lists of plain ints holding only n int objects, so
-    no numpy scalar reaches the scalar loops and no entry has an int of its
-    own."""
+def _assert_read_only_int_rows(table):
+    """Every row of mult has n entries, each a plain int, so no numpy
+    scalar reaches the scalar loops, and no entry can be written."""
     mult = table.mult
-    assert all(type(row) is list for row in mult)
+    assert len(mult) == table.order
+    assert all(len(row) == table.order for row in mult)
     assert all(type(x) is int for row in mult for x in row)
-    assert len({id(x) for row in mult for x in row}) == table.order
+    with pytest.raises(TypeError):
+        mult[1][1] = 0
 
 
-def test_table_rows_share_int_objects():
+@pytest.mark.parametrize("dtype", [np.int16, np.int32])
+def test_table_rows_are_read_only_ints(dtype):
     table = construct(bs(cyclic(2)))
-    _assert_shared_int_rows(table)
-    rebuilt = build_group_from_table(table.mult)
-    _assert_shared_int_rows(rebuilt)
-    assert rebuilt.mult == table.mult
-    assert rebuilt.inv == table.inv
+    _assert_read_only_int_rows(table)
+    rows = np.array(table.mult, dtype=dtype)
+    for mult in (table.mult, rows, [memoryview(r) for r in rows]):
+        rebuilt = build_group_from_table(mult)
+        _assert_read_only_int_rows(rebuilt)
+        assert [list(r) for r in rebuilt.mult] == rows.tolist()
+        assert rebuilt.inv == table.inv
+        assert rebuilt.element_orders == table.element_orders
 
 
 def test_order_1944_table_memory():
     """The order-1944 table holds 3.8 M entries; as one int object each they
-    took 144.6 MB at peak to build, as n shared ints about 37 MB."""
+    took 144.6 MB at peak to build, as rows sharing n ints about 37 MB, as
+    one read-only int16 array checked in row blocks about 12 MB."""
     tracemalloc.start()
     try:
         table = construct(bs(cyclic(3)))
@@ -198,7 +205,7 @@ def test_order_1944_table_memory():
     finally:
         tracemalloc.stop()
     assert table.order == 1944
-    assert peak < 64 * 2**20
+    assert peak < 16 * 2**20
 
 
 def test_direct_order_multiplies():
@@ -212,6 +219,9 @@ def test_order_cap_blocks_prediction():
         construct(sym(4), order_cap=20)
     with pytest.raises(OrderCapExceeded):
         construct(bs(sym(4)))  # 24^5 blows the default cap
+    for cap in (0, -5):  # no group meets such a cap: the cap is invalid
+        with pytest.raises(ValueError, match="order cap must be at least 1"):
+            construct_detailed(sym(1), order_cap=cap)
 
 
 def test_construction_is_deterministic():

@@ -19,6 +19,7 @@ from commgraph import (
     ParentMismatch,
     SubgroupSet,
     abelian,
+    bs,
     build_group_from_matrices,
     build_group_from_permutations,
     build_group_from_table,
@@ -50,7 +51,12 @@ from commgraph import (
     sym,
     trivial_subgroup,
 )
-from commgraph.groups import perm_from_cycles
+from commgraph.groups import (
+    _bits,
+    _conjugate_mask,
+    _conjugation,
+    perm_from_cycles,
+)
 
 
 def brute_closure(table, seed):
@@ -253,12 +259,16 @@ def test_explicit_table_rejects_non_associative_loop():
 
 
 def test_explicit_table_rejects_one_swapped_pair_in_sym6():
-    mult = [list(row) for row in construct(sym(6)).mult]
-    row = mult[5]
-    assert 0 not in (row[7], row[9])  # row 5 keeps its unique inverse
-    row[7], row[9] = row[9], row[7]
-    with pytest.raises(InvalidGenerator, match="associativity"):
-        build_group_from_table(mult)
+    """Once in the first block of rows that Light's test compares and once
+    in the last."""
+    table = construct(sym(6))
+    for r in (5, 715):
+        mult = [list(row) for row in table.mult]
+        row = mult[r]
+        assert 0 not in (row[7], row[9])  # row r keeps its unique inverse
+        row[7], row[9] = row[9], row[7]
+        with pytest.raises(InvalidGenerator, match="associativity"):
+            build_group_from_table(mult)
 
 
 def test_explicit_table_generators_are_greedy_witnesses():
@@ -363,6 +373,24 @@ def test_conjugate_examples(s4, s4_els):
     v4 = sylow_subgroup(derived_series(s4.table).terms[1], 2)
     for g in range(s4.table.order):
         assert conjugate_subgroup(v4, g) == v4
+
+
+@pytest.mark.parametrize("spec", [sym(4), bs(cyclic(2))], ids=spec_name)
+def test_generator_conjugations(spec):
+    """The table's permutation x -> g x g^-1 for each generator g agrees
+    with the table, and maps each cyclic subgroup's mask onto its
+    conjugate's."""
+    table = construct(spec)
+    mult, inv = table.mult, table.inv
+    cyclics = {subgroup_closure(table, [x]).members for x in table.elements()}
+    assert len(table.conjugations) == len(table.generators) > 0
+    for g, conj in zip(table.generators, table.conjugations):
+        assert conj == _conjugation(table, g)
+        assert conj == [mult[mult[g][x]][inv[g]] for x in table.elements()]
+        assert sorted(conj) == list(table.elements())
+        for mask in cyclics:
+            members = {mult[mult[g][x]][inv[g]] for x in _bits(mask)}
+            assert _conjugate_mask(conj, mask) == sum(1 << y for y in members)
 
 
 def test_is_normal_examples(s4, s4_els, oracle_lattices):

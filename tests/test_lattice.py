@@ -30,7 +30,7 @@ from commgraph import (
     sym,
 )
 from commgraph import lattice as lattice_module
-from commgraph.groups import _conjugate_mask, perm_from_cycles
+from commgraph.groups import _conjugate_mask, _conjugation, perm_from_cycles
 
 
 @pytest.mark.parametrize("spec,count", [
@@ -198,7 +198,7 @@ def test_closes_non_normalizing_zuppos_only_inside_residuum(spec, solvable,
     rejected = {(s_mask, c) for s_mask, c, result in calls if result is None}
     for s_mask, c, _ in calls:
         route = ((s_mask, c) in closed, (s_mask, c) in rejected)
-        if _conjugate_mask(table, s_mask, c) == s_mask:
+        if _conjugate_mask(_conjugation(table, c), s_mask) == s_mask:
             assert route == (False, False)
         else:
             inside = s_mask | residuum == residuum and bool(residuum >> c & 1)
