@@ -20,8 +20,9 @@ member lists exist only inside a closure loop.  Subgroups are closed by
 one route, ``_cyclic_extension`` (one coset at a time; Neubüser 1960), and
 conjugated by one, ``_conjugate_mask`` under the permutation x -> gxg^-1
 (``_conjugation``).  The table keeps that permutation for each of its
-generators, and orbits under them (``_conjugacy_class``) give normal
-cores and the lattice enumerator's classes.  g normalizes S when it
+generators.  Orbits under them (``_conjugacy_class``) give normal cores;
+the lattice enumerator takes its classes as orbits under a subset that
+still generates G modulo its centre.  g normalizes S when it
 conjugates S's generators into S (``_normalizes``); only the lattice
 enumerator then grows S by g without a closure.
 """
@@ -618,13 +619,15 @@ def _normalizes(G: GroupTable, mask: int, gens: Sequence[int], g: int) -> bool:
     return all(mask >> mult[row[x]][gi] & 1 for x in gens)
 
 
-def _conjugacy_class(G: GroupTable, mask: int) -> list[int]:
-    """Masks of the orbit of a subgroup under conjugation by G.generators,
-    starting with mask itself."""
+def _conjugacy_class(conjugations: Sequence[list[int]],
+                     mask: int) -> list[int]:
+    """Masks of the orbit of a subgroup under the given ``_conjugation``
+    permutations, starting with mask itself: its orbit under the group
+    that their elements generate."""
     orbit = [mask]
     seen = {mask}
     for m in orbit:  # also visits the masks appended below
-        for conj in G.conjugations:
+        for conj in conjugations:
             image = _conjugate_mask(conj, m)
             if image not in seen:
                 seen.add(image)
@@ -654,7 +657,7 @@ def normal_core(A: SubgroupSet, G: GroupTable) -> SubgroupSet:
     if A.parent is not G:
         raise ParentMismatch("subgroup does not live over the given table")
     mask = A.members
-    for conjugate in _conjugacy_class(G, A.members):
+    for conjugate in _conjugacy_class(G.conjugations, A.members):
         mask &= conjugate
     return SubgroupSet.from_members(G, mask)
 

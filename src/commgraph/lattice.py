@@ -9,8 +9,11 @@ normalizes S the extension is S's p cosets by the powers of c, read off
 the table.  Any other c is needed only when S and c lie in the solvable
 residuum G^(∞), the last term of the derived series (trivial in a
 solvable group); those extensions are closed by
-``groups._cyclic_extension``, and class orbits come from
-``groups._conjugacy_class``.
+``groups._cyclic_extension``.  Once S has an extension T of prime
+index, every later c in T is skipped at S: by Lagrange, <S, c> could
+only be T again.  Class orbits come from ``groups._conjugacy_class``,
+under the conjugations of a subset of ``G.generators`` that leaves out
+central generators and generators the others already generate.
 ``oracle_enumerate_subgroups`` instead closes all generator tuples of
 bounded size, level by level; with max_gens >= log2(order) it provably
 finds every subgroup, independently of the cyclic-extension route.
@@ -90,10 +93,10 @@ def _check_lattice(lat: Lattice) -> None:
                 raise AssertionError("lattice not closed under intersection")
 
 
-def _zuppos(G: GroupTable) -> list[tuple[int, int, int]]:
+def _zuppos(G: GroupTable) -> list[tuple[int, int]]:
     """Every cyclic subgroup of prime-power order > 1, once, as
-    (generator, mask, mask of <c^p>) for c of order p^k; the generator is
-    the smallest element id that generates it."""
+    (generator, mask of <c^p>) for c of order p^k; the generator is the
+    smallest element id that generates it."""
     mult = G.mult
     seen: set[int] = set()
     out = []
@@ -107,8 +110,28 @@ def _zuppos(G: GroupTable) -> list[tuple[int, int, int]]:
             y = x
             for _ in range(primes[0][0] - 1):
                 y = mult[y][x]
-            out.append((x, mask, _closure_mask(mult, (y,))))
+            out.append((x, _closure_mask(mult, (y,))))
     return out
+
+
+def _class_conjugations(G: GroupTable) -> list[list[int]]:
+    """``G.conjugations`` less the conjugations by two kinds of generator:
+    central ones, whose conjugation is the identity, and then, one at a
+    time, each one that lies in the subgroup the others still kept
+    generate.  The kept generators and the centre generate G, and central
+    elements conjugate trivially, so every subgroup's orbit under the
+    kept conjugations is its whole conjugacy class."""
+    identity = list(range(G.order))
+    kept = [(g, conj) for g, conj in zip(G.generators, G.conjugations)
+            if conj != identity]
+    i = 0
+    while i < len(kept):
+        others = [h for j, (h, _) in enumerate(kept) if j != i]
+        if _closure_mask(G.mult, others) >> kept[i][0] & 1:
+            del kept[i]
+        else:
+            i += 1
+    return [conj for _, conj in kept]
 
 
 def _extend(G: GroupTable, residuum: int, s_mask: int, s_elems: list[int],
@@ -175,30 +198,51 @@ def enumerate_subgroups(G: GroupTable,
         is in T_i, so T_{i+1} = T_i<z> is an extension under (a) and
         (b).  In a solvable G, R = 1 and no extension is closed.
 
+    Prime-index cover: let T = <S, c> with [T : S] a prime p.  For every
+    c' in T outside S, S < <S, c'> <= T, so <S, c'> = T by Lagrange, or
+    c' is rejected under (a) or (c).  Each S therefore keeps one mask,
+    done, of S and every extension of S found so far whose index is
+    prime: every coset extension of (b), and every closure of (c) of
+    prime index, whether new or already known.  A zuppo whose generator
+    lies in done is skipped.  It could only give a subgroup already in
+    known, so the worklist, its generators, the classes and the lattice
+    are exactly those that trying every zuppo gives.
+
     Since <S, c>^g = <S^g, c^g> and R is normal, the conditions of (a),
     (b) and (c) hold for c at S exactly when they hold for c^g at S^g and
     for every generator of <c>.  So extending one representative per
     class reaches every subgroup: a new extension T brings in its whole
-    orbit under conjugation by ``G.generators`` at once, and only T is
-    extended later.  That ``G.generators`` generate G (every table
-    constructor ensures it) makes each orbit a whole class, so no class
-    is extended twice.  Both routes run through ``_extend``.  Raises
-    LatticeCapExceeded as soon as more than lattice_cap subgroups are
-    known.
+    orbit under conjugation at once, and only T is extended later.  The
+    orbit is taken under ``_class_conjugations``: the conjugations by
+    ``G.generators`` less central generators, which conjugate trivially,
+    and less each generator that the others kept generate.  The orbit
+    under a set of conjugations is the orbit under the group they
+    generate, and the kept generators with the centre generate G, since
+    ``G.generators`` do (every table constructor ensures it).  So each
+    orbit is a whole class, and no class is extended twice.  Both routes
+    run through ``_extend``.  Raises LatticeCapExceeded as soon as more
+    than lattice_cap subgroups are known.
     """
     residuum = derived_series(G).terms[-1].members
+    primes = {p for p, _ in G.order_factorization}
     zuppos = _zuppos(G)
+    conjugations = _class_conjugations(G)
     known = {1}
     worklist: list[tuple[int, tuple[int, ...]]] = [(1, ())]
     for s_mask, s_gens in worklist:  # also visits appended entries
         s_elems = list(_bits(s_mask))
-        for c, c_mask, cp_mask in zuppos:
-            if c_mask & s_mask == c_mask or cp_mask & s_mask != cp_mask:
+        done = s_mask  # S and every extension of S of prime index
+        for c, cp_mask in zuppos:
+            if done >> c & 1 or cp_mask & s_mask != cp_mask:
                 continue
             t_mask = _extend(G, residuum, s_mask, s_elems, s_gens, c)
-            if t_mask is None or t_mask in known:
+            if t_mask is None:
                 continue
-            cls = _conjugacy_class(G, t_mask)
+            if t_mask.bit_count() // len(s_elems) in primes:
+                done |= t_mask
+            if t_mask in known:
+                continue
+            cls = _conjugacy_class(conjugations, t_mask)
             if len(known) + len(cls) > lattice_cap:
                 raise LatticeCapExceeded(f"more than {lattice_cap} subgroups")
             known.update(cls)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import math
 
@@ -13,6 +14,7 @@ from commgraph import (
     NotFound,
     OracleScaleExceeded,
     abelian,
+    bs,
     build_group_from_permutations,
     conjugate_subgroup,
     construct,
@@ -30,7 +32,12 @@ from commgraph import (
     sym,
 )
 from commgraph import lattice as lattice_module
-from commgraph.groups import _conjugate_mask, _conjugation, perm_from_cycles
+from commgraph.groups import (
+    _conjugacy_class,
+    _conjugate_mask,
+    _conjugation,
+    perm_from_cycles,
+)
 
 
 @pytest.mark.parametrize("spec,count", [
@@ -110,12 +117,21 @@ def test_oracle_scale_guard():
         oracle_enumerate_subgroups(construct(sym(3)), 1)
 
 
+def _alternating_5():
+    return build_group_from_permutations(5, [[(1, 2, 3)], [(1, 2, 3, 4, 5)]])
+
+
 @pytest.mark.parametrize("spec", [
     sym(3), sym(4), cyclic(6), cyclic(12), abelian([2, 4]), dihedral(6),
     direct([sym(3), cyclic(2)]), p2q(3), p2q(5),
+    abelian([2, 2, 2, 2]), direct([dihedral(4), cyclic(2)]), _alternating_5,
 ])
 def test_enumeration_matches_oracle(spec):
-    table = construct(spec)
+    """The last three are cases where the prime-index cover skips many
+    zuppos.  A5, which no spec names and a builder supplies, is the one
+    whose closures under rule (c) have prime index, 3 and 5, so there the
+    cover also takes closed extensions."""
+    table = spec() if callable(spec) else construct(spec)
     assert table.order <= 100
     lat = enumerate_subgroups(table)
     oracle = oracle_enumerate_subgroups(table, math.ceil(math.log2(table.order)))
@@ -144,6 +160,82 @@ def _record_extensions(monkeypatch) -> list[tuple[int, int, int | None]]:
 
     monkeypatch.setattr(lattice_module, "_extend", recording)
     return calls
+
+
+# per group: the sha256 of the masks handed to ``lattice._conjugacy_class``,
+# one hex line per class in order, recorded before the prime-index cover
+# and the reduced conjugating set, which leave the worklist as it was; and
+# the number of ``lattice._extend`` calls, which the cover cut from 9517,
+# 5206, 12126 and 8072
+WORKLIST = {
+    "abelian(2x2x2x2x2)": (
+        "238d6d55196fffba7622ebf3f20440116d7912dbc765bce5df76b927b2385073",
+        2077),
+    "direct(sym(4),abelian(2x2))": (
+        "794def8ace957863cec0b781f5e73ee1e3c06f0d355a0d072ddd3b4fe024c747",
+        3049),
+    "p2q(13)": (
+        "da3f27ac265635d673d7f02114449286195dc543bd66ae0732d4b180a016f5dd",
+        6450),
+    "sym(6)": (
+        "43f2675445c7d41f366632cd8c56d696388e7cf299209c7edb2e7fa7a36dda06",
+        7348),
+}
+
+
+@pytest.mark.parametrize("spec", [
+    abelian([2, 2, 2, 2, 2]), direct([sym(4), abelian([2, 2])]), p2q(13),
+    sym(6),
+], ids=spec_name)
+def test_worklist_matches_recorded(spec, built_group, monkeypatch):
+    """The class representatives reach the worklist in the recorded order,
+    with the recorded number of extensions tried."""
+    conjugacy_class = lattice_module._conjugacy_class
+    masks = []
+
+    def recording(conjugations, mask):
+        masks.append(mask)
+        return conjugacy_class(conjugations, mask)
+
+    monkeypatch.setattr(lattice_module, "_conjugacy_class", recording)
+    calls = _record_extensions(monkeypatch)
+    enumerate_subgroups(built_group(spec).table)
+    h = hashlib.sha256()
+    for mask in masks:
+        h.update(format(mask, "x").encode() + b"\n")
+    assert (h.hexdigest(), len(calls)) == WORKLIST[spec_name(spec)]
+
+
+@pytest.mark.parametrize("spec", [
+    sym(4), bs(cyclic(2)), direct([sym(4), abelian([2, 2])]), p2q(5),
+], ids=spec_name)
+def test_class_conjugations_keep_every_class(spec, built_group):
+    """Every subgroup's orbit under the reduced conjugating set is its
+    orbit under the conjugations by all of G.generators."""
+    table = built_group(spec).table
+    kept = lattice_module._class_conjugations(table)
+    for s in enumerate_subgroups(table).subgroups:
+        assert set(_conjugacy_class(kept, s.members)) \
+            == set(_conjugacy_class(table.conjugations, s.members))
+
+
+KEPT_CONJUGATIONS = [
+    (abelian([2, 2, 2]), 0), (bs(cyclic(3)), 3),
+    (direct([sym(4), abelian([2, 2])]), 2), (sym(4), 2),
+]
+
+
+@pytest.mark.parametrize("spec,kept", KEPT_CONJUGATIONS,
+                         ids=[spec_name(spec) for spec, _ in KEPT_CONJUGATIONS])
+def test_class_conjugations_drop_central_and_redundant_generators(
+        spec, kept, built_group):
+    """An abelian group needs no conjugation; bs(cyclic(3)) keeps 3 of its
+    6 generators, and every kept one is a generator's conjugation."""
+    table = built_group(spec).table
+    conjugations = lattice_module._class_conjugations(table)
+    assert len(conjugations) == kept
+    assert all(any(c is conj for conj in table.conjugations)
+               for c in conjugations)
 
 
 # conjugacy classes extended at least once: the full group has no zuppo

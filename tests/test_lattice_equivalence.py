@@ -7,10 +7,12 @@ direct(sym(4),sym(4)) and bs(cyclic(3)), with cyclic extension before its
 restriction to normal extensions; and direct(sym(5),sym(3)) with the
 restricted enumerator that still closed every non-normalizing extension
 in a non-solvable group, before closures were confined to the solvable
-residuum.  These cases pin the canonical lattice of each group to what
-those enumerators produced.  The members digest is
-the sha256 of each subgroup's member mask in canonical order, one hex line
-each, the same digest ``perfbench/reference.json`` records for its lattice
+residuum.  p2q(17), the largest table under the default order cap, and
+abelian([2,2,2,2,2,2]) were recorded with the enumerator that tried
+every zuppo at every subgroup, before the prime-index cover.  These
+cases pin the canonical lattice of each group to what those enumerators
+produced.  The members digest is the sha256 of each subgroup's member
+mask in canonical order, one hex line each, the same digest ``perfbench/reference.json`` records for its lattice
 ladder; the witnesses digest covers each subgroup's witness tuple
 likewise.
 
@@ -34,6 +36,7 @@ import pytest
 from commgraph import (
     KIND_COMMENSURABILITY,
     KIND_CONTAINMENT,
+    abelian,
     all_geodesics,
     bs,
     build_graph,
@@ -89,6 +92,12 @@ RECORDED = [
     (direct([sym(5), sym(3)]), 2088,
      "21724fdec9fa45ba26aec6304f8f55a2df8374f85920d7726b9905a20de89bb1",
      "e6a5e2f848a1f7bd9429b511a2e11b26af7a97f86d0db39c38cf3f6c8aa23cae"),
+    (p2q(17), 1414,
+     "7cc26bde6d0925b90014d96676aa828d983df3db44116225914e11ae9361c46e",
+     "ee6c43bdafc6aa6d418083eabdba17514bbe31ef46e0fdeb23cc1abc1c2d544b"),
+    (abelian([2, 2, 2, 2, 2, 2]), 2825,
+     "a587ca9f7eed117f579573a2a991759d511a3caf5e4372c623b5cfc34eb23200",
+     "6e6d8825493e19a0a43254fc70c5c439c1feff5c2c99823ed95e2296e3891a68"),
 ]
 
 LADDER = ("sym(5)", "p2q(7)", "direct(sym(4),sym(3))", "direct(sym(5),cyclic(2))")
