@@ -7,6 +7,14 @@ returns the concrete element representations, which the verification
 suites use to locate specific elements such as transpositions or
 coordinate-slot generators.
 
+The product families, direct (and so abelian) and bs, never compose two
+reps.  Each element is coded as an integer in mixed radix over its
+coordinates: the factors' ids for a direct product; the four H ids and the
+rank of the Sym4 permutation for bs.  Each generator's right
+multiplication over all codes is computed with numpy from the factors'
+columns, the BFS reads it, and the reps and labels are decoded from the
+codes in bulk afterwards.
+
 Every call builds a new table; nothing here is cached.  The program's only
 in-memory cache is in ``commgraph.verify``, the layer that repeats work over
 a fixed corpus.
@@ -17,6 +25,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import permutations, product
+
+import numpy as np
 
 from .errors import InvalidSpec, OrderCapExceeded, SpecSyntaxError
 from .groups import (
@@ -25,6 +36,7 @@ from .groups import (
     _assemble_table,
     _permutation_group,
     _triangular_group,
+    compose_permutations,
     is_prime,
     perm_from_cycles,
     perm_label,
@@ -241,23 +253,24 @@ def _build_abelian(spec: GroupSpec, cap: int) -> BuiltGroup:
 
 
 def _build_direct(spec: GroupSpec, cap: int) -> BuiltGroup:
-    children = [construct_detailed(p, cap) for p in spec.parts]
-    mults = [c.table.mult for c in children]
-    k = len(children)
-
-    def compose(x, y):
-        return tuple(mults[i][x[i]][y[i]] for i in range(k))
-
-    def label(rep):
-        return "(" + ",".join(children[i].table.labels[rep[i]]
-                              for i in range(k)) + ")"
-
-    gens = []
-    for i, child in enumerate(children):
-        for g in child.table.generators:
-            gens.append(tuple(g if j == i else 0 for j in range(k)))
-    table, elements, index = _assemble_table((0,) * k, gens, compose, label, cap)
-    return BuiltGroup(table, elements, index)
+    tables = [construct_detailed(p, cap).table for p in spec.parts]
+    orders = [t.order for t in tables]
+    # code = sum(ids[:, i] * strides[i]), the first child's id most significant
+    strides = [math.prod(orders[i + 1:]) for i in range(len(orders))]
+    codes = np.arange(math.prod(orders))
+    ids = codes[:, None] // np.array(strides, dtype=np.intp) % np.array(
+        orders, dtype=np.intp)
+    maps = {}
+    for i, t in enumerate(tables):
+        x = ids[:, i]
+        for g in t.generators:  # changes child i's id x to x*g
+            maps[g * strides[i]] = (
+                codes + (t.array[x, g] - x) * strides[i]).tolist()
+    labels = ["(" + ",".join(parts) + ")"
+              for parts in product(*(t.labels for t in tables))]
+    table, by_id, _ = _assemble_table(
+        0, list(maps), lambda x, g: maps[g][x], labels.__getitem__, cap)
+    return _decoded(table, list(map(tuple, ids[by_id].tolist())))
 
 
 def _build_p2q(spec: GroupSpec, cap: int) -> BuiltGroup:
@@ -282,35 +295,48 @@ def _primitive_root(q: int) -> int:
 
 # Sym4 acts on the four coordinate slots of H^4 from the left:
 # (sigma.v)_i = v_{sigma^-1(i)}, and (u, sigma)(v, tau) = (u * sigma.v, sigma tau).
+# So (u, sigma) times the slot generator (g in slot s, e) multiplies
+# coordinate sigma(s) of u by g, and times (0, pi) it becomes (u, sigma pi).
+_PERMS4 = list(permutations(range(4)))  # by rank; rank 0 is the identity
+
+
 def _build_bs(spec: GroupSpec, cap: int) -> BuiltGroup:
-    inner = construct_detailed(spec.parts[0], cap)
-    hmult = inner.table.mult
-    hlabels = inner.table.labels
-
-    def compose(x, y):
-        u, s = x
-        v, t = y
-        s_inv = [0, 0, 0, 0]
-        for i in range(4):
-            s_inv[s[i]] = i
-        w = tuple(hmult[u[i]][v[s_inv[i]]] for i in range(4))
-        return (w, tuple(s[t[i]] for i in range(4)))
-
-    def label(rep):
-        u, s = rep
-        delta = "(" + ",".join(hlabels[h] for h in u) + ")"
-        return f"({delta},{perm_label(s)})"
-
-    gens = []
+    h = construct_detailed(spec.parts[0], cap).table
+    m = h.order
+    # code = (u_0 m^3 + u_1 m^2 + u_2 m + u_3) * 24 + rank of sigma
+    strides = np.array([24 * m ** 3, 24 * m ** 2, 24 * m, 24])
+    codes = np.arange(24 * m ** 4)
+    rank = codes % 24
+    coords = np.stack([codes // s % m for s in strides], axis=1)
+    perms = np.array(_PERMS4)
+    rank_of = {p: r for r, p in enumerate(_PERMS4)}
+    maps = {}
     for slot in range(4):
-        for g in inner.table.generators:
-            delta = tuple(g if i == slot else 0 for i in range(4))
-            gens.append((delta, (0, 1, 2, 3)))
-    gens.append(((0, 0, 0, 0), perm_from_cycles(4, [(1, 2)])))
-    gens.append(((0, 0, 0, 0), perm_from_cycles(4, [(1, 2, 3, 4)])))
-    table, elements, index = _assemble_table(
-        ((0, 0, 0, 0), (0, 1, 2, 3)), gens, compose, label, cap)
-    return BuiltGroup(table, elements, index)
+        target = perms[rank, slot]  # the coordinate sigma(slot)
+        old = coords[codes, target]
+        for g in h.generators:
+            maps[g * int(strides[slot])] = (
+                codes + (h.array[old, g] - old) * strides[target]).tolist()
+    for cycle in ((1, 2), (1, 2, 3, 4)):
+        pi = perm_from_cycles(4, [cycle])
+        times_pi = np.array([rank_of[compose_permutations(s, pi)]
+                             for s in _PERMS4])
+        maps[rank_of[pi]] = (codes - rank + times_pi[rank]).tolist()
+    hl = h.labels
+    labels = [f"(({a},{b},{c},{d}),{p})" for a, b, c, d, p in
+              product(hl, hl, hl, hl, map(perm_label, _PERMS4))]
+    table, by_id, _ = _assemble_table(
+        0, list(maps), lambda x, g: maps[g][x], labels.__getitem__, cap)
+    by_id = np.array(by_id)
+    return _decoded(table, list(zip(map(tuple, coords[by_id].tolist()),
+                                    map(_PERMS4.__getitem__,
+                                        (by_id % 24).tolist()))))
+
+
+def _decoded(table: GroupTable, elements: list) -> BuiltGroup:
+    """The built group of a product family from its reps in id order."""
+    return BuiltGroup(table, elements,
+                      dict(zip(elements, range(len(elements)))))
 
 
 _BUILDERS = {

@@ -10,10 +10,12 @@ Every table is validated before it is wrapped.  Associativity is proven,
 not sampled, by Light's test (Clifford & Preston, *The Algebraic Theory of
 Semigroups* I, 1961, section 1.2) over a generating set of the table: one
 n x n comparison per generator rather than one per element, run over
-blocks of rows.  A table is built and checked as an int16 ndarray (int32
-above order 2**15), which is then made read-only and kept as the table's
-only storage: ``mult`` is a list of memoryviews of its rows, so
-``mult[a][b]`` is a plain int and no row can be written.
+blocks of rows.  A built table is proven over the subset of its
+generators whose right products still reach every element.  A table is
+built row by row and checked as an int16 ndarray (int32 above order
+2**15), which is then made read-only and kept as the table's only storage:
+``mult`` is a list of memoryviews of its rows, so ``mult[a][b]`` is a
+plain int and no row can be written.
 
 A subgroup passes between functions as its member mask and generators;
 member lists exist only inside a closure loop.  Subgroups are closed by
@@ -178,37 +180,34 @@ class GroupTable:
 
     mult[a][b] is the id of a*b, a plain int; inv[a] the id of a**-1.  The
     table is built from a checked n x n integer array, which it marks
-    read-only and keeps as its only storage: mult is the list of
-    memoryviews of the array's rows, so writing an entry raises TypeError.
-    labels hold display strings for DOT/JSON output.  generators lists the
-    element ids of the construction generators (empty for the trivial
-    group), and conjugations[i] is ``_conjugation`` by generators[i].
-    element_orders[x] is the order of element x.
+    read-only and keeps as its only storage: ``array`` is that array and
+    mult the list of memoryviews of its rows, so writing an entry raises
+    TypeError.  labels hold display strings for DOT/JSON output.  generators
+    lists the element ids of the construction generators (empty for the
+    trivial group), and conjugations[i] is ``_conjugation`` by
+    generators[i], one gather over the array each.  element_orders[x] is
+    the order of element x, found by whole-array gathers: the k-th
+    gathers every power x**k at once.
     """
 
     identity = 0
 
-    __slots__ = ("order", "mult", "inv", "labels", "order_factorization",
-                 "generators", "conjugations", "element_orders")
+    __slots__ = ("order", "array", "mult", "inv", "labels",
+                 "order_factorization", "generators", "conjugations",
+                 "element_orders")
 
     def __init__(self, tbl: np.ndarray, inv: list[int], labels: list[str],
                  generators: tuple[int, ...]):
         tbl.flags.writeable = False
         self.order = len(tbl)
-        self.mult = mult = [memoryview(row) for row in tbl]
+        self.array = tbl
+        self.mult = [memoryview(row) for row in tbl]
         self.inv = inv
         self.labels = labels
         self.order_factorization = factorize(self.order)
         self.generators = generators
         self.conjugations = tuple(_conjugation(self, g) for g in generators)
-        orders = [1] * self.order
-        for x in range(1, self.order):
-            y, k = x, 1
-            while y != 0:
-                y = mult[y][x]
-                k += 1
-            orders[x] = k
-        self.element_orders = orders
+        self.element_orders = _element_orders(tbl)
 
     def elements(self) -> range:
         return range(self.order)
@@ -217,14 +216,40 @@ class GroupTable:
         return f"<GroupTable order={self.order}>"
 
 
+def _element_orders(tbl: np.ndarray) -> list[int]:
+    """Order of every element of a group table, as a list: power[i] is
+    todo[i]**k, and each pass multiplies every power not yet the identity
+    by its base in one gather."""
+    orders = np.ones(len(tbl), dtype=np.intp)
+    todo = np.arange(1, len(tbl))
+    power = todo
+    k = 1
+    while todo.size:
+        k += 1
+        power = tbl[power, todo]
+        done = power == 0
+        orders[todo[done]] = k
+        todo, power = todo[~done], power[~done]
+    return orders.tolist()
+
+
+# entries per block of rows in ``_validate_table`` and
+# ``_check_associative``: 512 KB per int16 temporary, small beside the
+# 7.6 MB order-1944 table
+_ASSOC_BLOCK = 1 << 18
+
+
 def _validate_table(tbl: np.ndarray) -> np.ndarray:
     """Check the group-table invariants other than associativity; return
     the inverse array.
 
     Raises InvalidGenerator with a reason when the table is not square, has
     an entry out of range, is not anchored at identity 0, or has a row
-    without exactly one 0 entry.  Associativity needs a generating set of
-    the table and is proven afterwards by ``_check_associative``.
+    without exactly one 0 entry.  The inverses are read off one block of
+    rows of about _ASSOC_BLOCK entries at a time, with one ``== 0`` pass
+    per block, so that no n x n temporary lives beside the table.
+    Associativity needs a generating set of the table and is proven
+    afterwards by ``_check_associative``.
     """
     n = tbl.shape[0]
     if tbl.shape != (n, n):
@@ -236,15 +261,14 @@ def _validate_table(tbl: np.ndarray) -> np.ndarray:
     idx = np.arange(n)
     if not np.array_equal(tbl[0], idx) or not np.array_equal(tbl[:, 0], idx):
         raise InvalidGenerator("row/column 0 must be the identity maps")
-    zero_counts = (tbl == 0).sum(axis=1)
-    if not np.all(zero_counts == 1):
-        raise InvalidGenerator("some element has no unique inverse")
-    return np.argmax(tbl == 0, axis=1)
-
-
-# entries per block of rows in ``_check_associative``: 512 KB per int16
-# temporary, small beside the 7.6 MB order-1944 table
-_ASSOC_BLOCK = 1 << 18
+    inv = np.empty(n, dtype=np.intp)
+    step = max(1, _ASSOC_BLOCK // n)
+    for lo in range(0, n, step):
+        zero = tbl[lo:lo + step] == 0
+        if not np.all(zero.sum(axis=1) == 1):
+            raise InvalidGenerator("some element has no unique inverse")
+        inv[lo:lo + step] = zero.argmax(axis=1)
+    return inv
 
 
 def _check_associative(tbl: np.ndarray, gens: Sequence[int]) -> None:
@@ -254,22 +278,66 @@ def _check_associative(tbl: np.ndarray, gens: Sequence[int]) -> None:
     For each generator a the test compares (x*a)*y with x*(a*y) for all x
     and y, as T[T[:, a], :] == T[:, T[a, :]], each side one ``take`` per
     block of rows of about _ASSOC_BLOCK entries, so that no n x n
-    temporary lives beside the table.  The elements a that pass
-    contain the identity (row and column 0 are identity maps) and are
-    closed under products, so they are the whole table as soon as every
-    element is a left-nested product ((g1*g2)*g3)*... of gens in the table's
-    own multiplication.  Callers must pass such a set: the BFS generators
-    of ``_assemble_table`` or the greedy witnesses of the full table, whose
-    right-multiplication closure is the whole table by construction.
+    temporary lives beside the table.  Every block is written into the
+    same three buffers: a new temporary per block would be mapped and
+    faulted in afresh each time, which took two thirds of the test's time
+    at order 4352.  The elements a that pass contain the identity (row and
+    column 0 are identity maps) and are closed under products, so they are
+    the whole table as soon as every element is a left-nested product
+    ((g1*g2)*g3)*... of gens in the table's own multiplication.  Callers must pass such a set: the subset of the
+    BFS generators that ``_generating_subset`` keeps in ``_assemble_table``,
+    or the greedy witnesses of the full table, whose right-multiplication
+    closure is the whole table by construction.
     """
     n = tbl.shape[0]
-    step = max(1, _ASSOC_BLOCK // n)
+    step = min(n, max(1, _ASSOC_BLOCK // n))
+    left = np.empty((step, n), dtype=tbl.dtype)
+    right = np.empty_like(left)
+    same = np.empty(left.shape, dtype=bool)
     for a in gens:
         for lo in range(0, n, step):
-            hi = lo + step
-            if not np.array_equal(tbl.take(tbl[lo:hi, a], axis=0),
-                                  tbl[lo:hi].take(tbl[a], axis=1)):
+            m = min(step, n - lo)
+            # entries are in range, so "clip" never clips; unlike the
+            # default "raise" it writes to out without a buffered copy
+            tbl.take(tbl[lo:lo + m, a], axis=0, out=left[:m], mode="clip")
+            tbl[lo:lo + m].take(tbl[a], axis=1, out=right[:m], mode="clip")
+            if not np.equal(left[:m], right[:m], out=same[:m]).all():
                 raise InvalidGenerator(f"associativity fails at generator {a}")
+
+
+def _reaches_all(cols: np.ndarray) -> bool:
+    """Whether every id is reached from the identity by right products,
+    where cols[j][x] is the id of x*g_j: a BFS over boolean masks."""
+    n = cols.shape[1]
+    reached = np.zeros(n, dtype=bool)
+    reached[0] = True
+    frontier = np.zeros(1, dtype=np.intp)
+    count = 1
+    while frontier.size and count < n:
+        step = np.zeros(n, dtype=bool)
+        step[cols[:, frontier]] = True
+        np.greater(step, reached, out=step)  # step and not reached
+        reached |= step
+        frontier = step.nonzero()[0]
+        count += frontier.size
+    return count == n
+
+
+def _generating_subset(tbl: np.ndarray, gens: Sequence[int]) -> list[int]:
+    """A subset of gens from which every element of the table is a
+    left-nested product in the table's own multiplication, so that Light's
+    test over it is still a proof (``_check_associative``).
+
+    Goes through gens from last to first and drops each one whose removal
+    still lets a BFS over the remaining generator columns reach every id.
+    """
+    cols = tbl[:, list(gens)].T
+    keep = list(range(len(gens)))
+    for j in reversed(range(len(gens))):
+        rest = [i for i in keep if i != j]
+        if _reaches_all(cols[rest]):
+            keep = rest
+    return [gens[i] for i in keep]
 
 
 def _entry_dtype(n: int) -> type:
@@ -283,12 +351,21 @@ def _assemble_table(identity_rep, generator_reps: list, compose: Callable,
     """BFS-close the generators and materialize the full n x n table.
 
     Element ids follow deterministic BFS from the identity with the given
-    generator ordering.  Only the generator columns are computed by actual
-    element composition, once per element and generator during the BFS;
-    every other column y = x*g follows from the BFS tree via
-    mult[a][y] = mult[mult[a][x]][g], filled vectorized into an ndarray of
-    ``_entry_dtype(n)``.  That array is validated, proven associative and
-    kept by the ``GroupTable`` as its rows.
+    generator ordering, and compose(x, g) is called once per element and
+    generator; the product families pass integer codes with a compose that
+    reads a precomputed right-multiplication map.  The BFS records each
+    element's tree edge y = x*g_j and the generator columns.  The rest
+    needs no per-element composition:
+
+    - the row of each generator follows from g*y = (g*x)*g_j, one gather
+      per BFS level for all generators at once;
+    - every row y = x*g_j is then row x gathered at the row of g_j,
+      T[y] = T[x][T[g_j]], one contiguous ``take`` into an array of
+      ``_entry_dtype(n)``.
+
+    That array is validated and proven associative by Light's test over the
+    generators that ``_generating_subset`` keeps, and the ``GroupTable``
+    keeps it as its rows.
 
     Returns (GroupTable, elements, index) where elements maps id -> rep and
     index maps rep -> id.
@@ -300,7 +377,7 @@ def _assemble_table(identity_rep, generator_reps: list, compose: Callable,
 
     elements = [identity_rep]
     index = {identity_rep: 0}
-    tree: list[tuple[int, int] | None] = [None]
+    parent, via = [0], [0]  # the tree edge y = parent[y] * gens[via[y]]
     cols: list[list[int]] = [[] for _ in gens]
     qi = 0
     while qi < len(elements):
@@ -315,29 +392,50 @@ def _assemble_table(identity_rep, generator_reps: list, compose: Callable,
                 y_id = len(elements)
                 index[y] = y_id
                 elements.append(y)
-                tree.append((qi, j))
+                parent.append(qi)
+                via.append(j)
             cols[j].append(y_id)
         qi += 1
 
     n = len(elements)
     gen_ids = [index[g] for g in gens]
-    tbl = np.empty((n, n), dtype=_entry_dtype(n))
-    tbl[:, 0] = np.arange(n)
-    for j, col in enumerate(cols):
-        tbl[:, gen_ids[j]] = col
-    gen_id_set = set(gen_ids)
-    for y in range(1, n):
-        if y in gen_id_set:
-            continue
-        x, j = tree[y]  # type: ignore[misc]
-        tbl[:, y] = tbl[tbl[:, x], gen_ids[j]]
-
+    tbl = _fill_rows(np.array(cols, dtype=np.intp).reshape(len(gens), n),
+                     parent, via)
     inv = _validate_table(tbl)
-    _check_associative(tbl, gen_ids)
+    _check_associative(tbl, _generating_subset(tbl, gen_ids))
     table = GroupTable(tbl, inv.tolist(),
                        [label_of(rep) for rep in elements],
                        tuple(gen_ids))
     return table, elements, index
+
+
+def _fill_rows(cols: np.ndarray, parent: list[int],
+               via: list[int]) -> np.ndarray:
+    """The n x n table of a BFS: cols[j][x] is the id of x*g_j, and each
+    y > 0 is parent[y] * g_{via[y]}, with parent[y] in an earlier level.
+
+    rows[j][y] = g_j*y starts at rows[j][0] = cols[j][0], the id of g_j,
+    and comes from rows[j][parent[y]] by one column lookup, level by
+    level; a level is the run of ids whose parents precede its first id,
+    and parent is ascending.
+    """
+    rows = np.empty_like(cols)
+    rows[:, 0] = cols[:, 0]
+    n = cols.shape[1]
+    parents = np.array(parent, dtype=np.intp)
+    vias = np.array(via, dtype=np.intp)
+    lo = 1
+    while lo < n:
+        hi = int(np.searchsorted(parents, lo))
+        rows[:, lo:hi] = cols[vias[lo:hi], rows[:, parents[lo:hi]]]
+        lo = hi
+    tbl = np.empty((n, n), dtype=_entry_dtype(n))
+    tbl[0] = np.arange(n)
+    for y in range(1, n):
+        # rows hold valid ids, so "clip" never clips; unlike the default
+        # "raise" it writes to out without a buffered copy
+        tbl[parent[y]].take(rows[via[y]], out=tbl[y], mode="clip")
+    return tbl
 
 
 def _permutation_group(degree: int, reps: list, order_cap: int):
@@ -597,9 +695,10 @@ def conjugate_subgroup(A: SubgroupSet, g: int) -> SubgroupSet:
 
 
 def _conjugation(G: GroupTable, g: int) -> list[int]:
-    """The permutation x -> g x g^-1 of G's element ids, as a list."""
-    mult, gi = G.mult, G.inv[g]
-    return [mult[y][gi] for y in mult[g]]
+    """The permutation x -> g x g^-1 of G's element ids, as a list: column
+    g^-1 of the table gathered at row g."""
+    tbl = G.array
+    return tbl[tbl[g], G.inv[g]].tolist()
 
 
 def _conjugate_mask(conj: list[int], mask: int) -> int:

@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from commgraph import (
+    InvalidGenerator,
     InvalidSpec,
     OrderCapExceeded,
     SpecSyntaxError,
@@ -35,6 +40,7 @@ from commgraph import (
     subgroup_closure,
     sym,
 )
+from commgraph import groups
 from commgraph.groups import perm_from_cycles
 
 
@@ -101,7 +107,7 @@ def test_nesting_depth_guard():
                 construct(deep)
 
 
-@pytest.mark.parametrize("spec,order", [
+CONSTRUCTED_ORDERS = [
     (cyclic(1), 1),
     (sym(1), 1),
     (sym(3), 6),
@@ -119,7 +125,10 @@ def test_nesting_depth_guard():
     (bs(cyclic(3)), 1944),
     (abelian([2, 4]), 8),
     (abelian([4, 1, 2]), 8),
-])
+]
+
+
+@pytest.mark.parametrize("spec,order", CONSTRUCTED_ORDERS)
 def test_constructed_orders(spec, order, built_group):
     assert predicted_order(spec) == order
     table = built_group(spec).table
@@ -153,8 +162,10 @@ def _entries_digest(table):
 
 # sha256 of mult, inv and generators, each as int32 bytes in that order, for
 # tables above order 256, where entries are no longer Python's cached small
-# ints; recorded at commit 0e63d89, while tables were still assembled as
-# int32 arrays and kept by ndarray.tolist()
+# ints; the first three recorded at commit 0e63d89, while tables were still
+# assembled as int32 arrays and kept by ndarray.tolist(), the last two at
+# commit 6aa336a, while the product families still composed element by
+# element and every non-generator column was filled one at a time
 ENTRIES_SHA256 = {
     bs(cyclic(2)):
         "83dd4771e67e68c60b51959de58ec3606bb8b34f7ce942d8a3301bb4a5075bea",
@@ -162,12 +173,157 @@ ENTRIES_SHA256 = {
         "2579dd9bc780677f0dc40bc2dca9c45b1e71fac0e83a86fc148a8a31eba449b2",
     bs(cyclic(3)):
         "1dd0f32bfc59feef7fee332d490036154a03d71f2c7eb7dc3f1c7068989cada7",
+    p2q(17):
+        "181d47957d74703207b1ef1c98fcf966c06ec4f39ee5be450c9701e4077a87ed",
+    direct([sym(5), sym(3)]):
+        "5cc6e566cffa2e4c09604b9ba273d85aeb8ce2deb7afcf765cd76e08d831f054",
 }
 
 
 @pytest.mark.parametrize("spec", list(ENTRIES_SHA256), ids=spec_name)
 def test_large_table_entries_pinned(spec, built_group):
     assert _entries_digest(built_group(spec).table) == ENTRIES_SHA256[spec]
+
+
+# sha256 of the JSON list [labels, elements] of construct_detailed, recorded
+# at commit 6aa336a, while the product families still composed their
+# element reps one product at a time
+REPS_SHA256 = {
+    bs(cyclic(2)):
+        "b880a77238efb2475f48e1fd005a21817028eca3896a502eebbdd40deb2f5ffe",
+    bs(cyclic(3)):
+        "28324d6b98bddf035a056670eefffbeeeb1a0db66c99a7c18f38e0670ab59347",
+    direct([sym(4), sym(3)]):
+        "5f1d9d14be5d18b2f584488d3906df0f9e11e10be63bc3aef5485e6142e0ce81",
+    direct([sym(4), abelian([2, 2])]):
+        "ee541ddce567562d3f0cd7ad67a8fa279c2079aaade2ed61ebd2e29db028d713",
+    abelian([2, 2, 2, 2, 2]):
+        "4841b807d6d2522025b554e6bfb36db27b5f8accf30ade64cf9ab440c89f421a",
+}
+
+
+@pytest.mark.parametrize("spec", list(REPS_SHA256), ids=spec_name)
+def test_product_reps_and_labels_pinned(spec, built_group):
+    built = built_group(spec)
+    doc = [built.table.labels, built.elements]
+    digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+    assert digest == REPS_SHA256[spec]
+    assert len(built.index) == len(built.elements) == built.table.order
+    assert all(built.index[rep] == i for i, rep in enumerate(built.elements))
+
+
+def _right_product_closure(tbl, gens):
+    """Ids reached from the identity by right products with gens, read
+    entry by entry from the table."""
+    seen, todo = {0}, [0]
+    for x in todo:  # also visits the ids appended below
+        for g in gens:
+            y = int(tbl[x, g])
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return seen
+
+
+@pytest.fixture
+def associativity_calls(monkeypatch):
+    """Every (table, generators) pair handed to Light's test while the
+    fixture is active."""
+    calls = []
+    check = groups._check_associative
+
+    def recording(tbl, gens):
+        calls.append((tbl, list(gens)))
+        check(tbl, gens)
+
+    monkeypatch.setattr(groups, "_check_associative", recording)
+    return calls
+
+
+@pytest.mark.parametrize("spec,order", CONSTRUCTED_ORDERS)
+def test_associativity_subset_reaches_every_id(spec, order,
+                                               associativity_calls):
+    """Light's test is a proof only over a set whose left-nested products
+    are the whole table; the builders hand it a subset of the BFS
+    generators, for the table itself and for each factor it is built
+    from."""
+    table = construct(spec)
+    assert associativity_calls[-1][0] is table.array
+    for tbl, gens in associativity_calls:
+        assert set(gens) <= set(range(1, len(tbl)))
+        assert _right_product_closure(tbl, gens) == set(range(len(tbl)))
+
+
+def test_bs_associativity_subset(associativity_calls):
+    """bs(cyclic(3)) is proven over 3 of its 6 generators: the slot-0
+    generator, (1 2) and (1 2 3 4)."""
+    built = construct_detailed(bs(cyclic(3)))
+    assert len(built.table.generators) == 6
+    gens = associativity_calls[-1][1]
+    assert [built.elements[g] for g in gens] == [
+        ((1, 0, 0, 0), (0, 1, 2, 3)),
+        ((0, 0, 0, 0), perm_from_cycles(4, [(1, 2)])),
+        ((0, 0, 0, 0), perm_from_cycles(4, [(1, 2, 3, 4)])),
+    ]
+
+
+def test_associativity_subset_catches_swapped_pair(associativity_calls):
+    """A bs(cyclic(2)) table with two entries of one row swapped, outside
+    every generator column, passes validation but fails Light's test over
+    the subset its build was proven with."""
+    table = construct(bs(cyclic(2)))
+    gens = associativity_calls[-1][1]
+    assert len(gens) < len(table.generators)
+    outside = [c for c in range(1, table.order) if c not in table.generators]
+    for r in (7, table.order - 1):
+        bad = table.array.copy()
+        a, b = [c for c in outside if bad[r, c] != 0][:2]
+        bad[r, a], bad[r, b] = bad[r, b], bad[r, a]
+        groups._validate_table(bad)
+        with pytest.raises(InvalidGenerator, match="associativity"):
+            groups._check_associative(bad, gens)
+
+
+@pytest.mark.parametrize("spec", [sym(4), p2q(5), bs(cyclic(2)),
+                                  direct([sym(4), abelian([2, 2])])],
+                         ids=spec_name)
+def test_table_fields_match_scalar_definitions(spec, built_group):
+    """element_orders and conjugations, gathered over the whole array,
+    equal the walk x, x^2, ... to the identity and g*x*g^-1 from mult."""
+    table = built_group(spec).table
+    mult, inv = table.mult, table.inv
+    orders = []
+    for x in table.elements():
+        y, k = x, 1
+        while y != 0:
+            y, k = mult[y][x], k + 1
+        orders.append(k)
+    assert table.element_orders == orders
+    assert all(type(k) is int for k in table.element_orders)
+    assert len(table.conjugations) == len(table.generators)
+    for g, conj in zip(table.generators, table.conjugations):
+        assert conj == [mult[mult[g][x]][inv[g]] for x in table.elements()]
+
+
+def test_builds_load_no_new_numpy_module():
+    """The first call of some numpy functions (np.unique among them)
+    imports a numpy submodule, which costs milliseconds and RSS in every
+    fresh process; no table build may do that."""
+    code = (
+        "import sys\n"
+        "import commgraph\n"
+        "from commgraph import abelian, bs, construct, cyclic, direct, sym\n"
+        "before = {m for m in sys.modules if m.startswith('numpy')}\n"
+        "construct(direct([sym(4), abelian([2, 2])]))\n"
+        "construct(bs(cyclic(2)))\n"
+        "after = {m for m in sys.modules if m.startswith('numpy')}\n"
+        "print(sorted(after - before))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "[]"
 
 
 def _assert_read_only_int_rows(table):
@@ -212,6 +368,8 @@ def test_direct_order_multiplies():
     for a, b in [(cyclic(4), sym(3)), (dihedral(3), cyclic(5))]:
         assert (construct(direct([a, b])).order
                 == construct(a).order * construct(b).order)
+    empty = construct_detailed(direct([]))  # the empty product is trivial
+    assert (empty.elements, empty.table.labels) == ([()], ["()"])
 
 
 def test_order_cap_blocks_prediction():

@@ -271,6 +271,18 @@ def test_explicit_table_rejects_one_swapped_pair_in_sym6():
             build_group_from_table(mult)
 
 
+def test_explicit_table_rejects_missing_inverse_in_any_row_block():
+    """Inverses are read one block of rows at a time: a row without a 0
+    entry is caught in the first block of sym(6) and in the last."""
+    table = construct(sym(6))
+    for r in (5, 715):
+        mult = [list(row) for row in table.mult]
+        row = mult[r]
+        row[row.index(0)] = row[0]
+        with pytest.raises(InvalidGenerator, match="unique inverse"):
+            build_group_from_table(mult)
+
+
 def test_explicit_table_generators_are_greedy_witnesses():
     table = build_group_from_table(construct(p2q(5)).mult)
     assert table.generators == (1, 2, 3)
