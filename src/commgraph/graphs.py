@@ -244,9 +244,17 @@ def components_and_diameters(graph: CommGraph) -> tuple[list[ComponentReport], i
     return reports, connected_diameter
 
 
+def _check_vertices(graph: CommGraph, *vertices: int) -> None:
+    """Raise ValueError unless every vertex is a lattice index of graph."""
+    for v in vertices:
+        if not 0 <= v < graph.vertex_count:
+            raise ValueError(f"vertex {v} out of range")
+
+
 def all_geodesics(graph: CommGraph, u: int, v: int) -> list[list[int]]:
     """Every shortest path from u to v, lexicographically ordered by the
     vertex index sequence."""
+    _check_vertices(graph, u, v)
     dist = _bfs_distances(graph, u)
     if v not in dist:
         raise NotConnected(f"vertices {u} and {v} are not connected")
@@ -271,6 +279,7 @@ def all_geodesics(graph: CommGraph, u: int, v: int) -> list[list[int]]:
 
 def all_simple_paths(graph: CommGraph, u: int, v: int) -> list[list[int]]:
     """Every simple path from u to v (exhaustive DFS; small components only)."""
+    _check_vertices(graph, u, v)
     paths: list[list[int]] = []
     on_path = {u}
     stack = [u]

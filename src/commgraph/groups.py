@@ -10,23 +10,26 @@ Every table is validated before it is wrapped.  Associativity is proven,
 not sampled, by Light's test (Clifford & Preston, *The Algebraic Theory of
 Semigroups* I, 1961, section 1.2) over a generating set of the table: one
 n x n comparison per generator rather than one per element, run over
-blocks of rows.  A built table is proven over the subset of its
-generators whose right products still reach every element.  A table is
-built row by row and checked as an int16 ndarray (int32 above order
-2**15), which is then made read-only and kept as the table's only storage:
-``mult`` is a list of memoryviews of its rows, so ``mult[a][b]`` is a
-plain int and no row can be written.
+blocks of rows.  One routine picks every generating set,
+``_greedy_witnesses``: it keeps each candidate that the kept ones do not
+yet generate.  A built table is proven over the generators it keeps from
+its construction generators, and a subgroup's witnesses are the members
+it keeps in ascending order.  A table is built row by row and checked as
+an int16 ndarray (int32 above order 2**15), which is then made read-only
+and kept as the table's only storage: ``mult`` is a list of memoryviews
+of its rows, so ``mult[a][b]`` is a plain int and no row can be written.
 
 A subgroup passes between functions as its member mask and generators;
 member lists exist only inside a closure loop.  Subgroups are closed by
 one route, ``_cyclic_extension`` (one coset at a time; Neubüser 1960), and
 conjugated by one, ``_conjugate_mask`` under the permutation x -> gxg^-1
-(``_conjugation``).  The table keeps that permutation for each of its
-generators.  Orbits under them (``_conjugacy_class``) give normal cores;
-the lattice enumerator takes its classes as orbits under a subset that
-still generates G modulo its centre.  g normalizes S when it
-conjugates S's generators into S (``_normalizes``); only the lattice
-enumerator then grows S by g without a closure.
+(``_conjugation``).  The table keeps that permutation for each
+non-central generator that Light's test ran over; with the centre these
+generate G.  Orbits under them (``_conjugacy_class``) are whole
+conjugacy classes: they give normal cores and the lattice enumerator's
+classes.  g normalizes S when it conjugates S's generators into S
+(``_normalizes``); only the lattice enumerator then grows S by g without
+a closure.
 """
 
 from __future__ import annotations
@@ -184,10 +187,15 @@ class GroupTable:
     mult the list of memoryviews of its rows, so writing an entry raises
     TypeError.  labels hold display strings for DOT/JSON output.  generators
     lists the element ids of the construction generators (empty for the
-    trivial group), and conjugations[i] is ``_conjugation`` by
-    generators[i], one gather over the array each.  element_orders[x] is
-    the order of element x, found by whole-array gathers: the k-th
-    gathers every power x**k at once.
+    trivial group).  The table is given proven_over, the generating
+    subset that Light's test ran over (``_check_associative``), and
+    conjugations holds ``_conjugation`` by each of its non-central
+    members, one gather over the array each; g is central when row g
+    equals column g.  Those members with the centre generate G, and
+    central elements conjugate trivially, so an orbit under conjugations
+    is a whole conjugacy class.  element_orders[x] is the order of
+    element x, found by whole-array gathers: the k-th gathers every power
+    x**k at once.
     """
 
     identity = 0
@@ -197,16 +205,18 @@ class GroupTable:
                  "element_orders")
 
     def __init__(self, tbl: np.ndarray, inv: list[int], labels: list[str],
-                 generators: tuple[int, ...]):
+                 generators: tuple[int, ...], proven_over: Sequence[int]):
         tbl.flags.writeable = False
         self.order = len(tbl)
         self.array = tbl
-        self.mult = [memoryview(row) for row in tbl]
+        self.mult = _rows(tbl)
         self.inv = inv
         self.labels = labels
         self.order_factorization = factorize(self.order)
         self.generators = generators
-        self.conjugations = tuple(_conjugation(self, g) for g in generators)
+        self.conjugations = tuple(
+            _conjugation(self, g) for g in proven_over
+            if not np.array_equal(tbl[g], tbl[:, g]))
         self.element_orders = _element_orders(tbl)
 
     def elements(self) -> range:
@@ -214,6 +224,15 @@ class GroupTable:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<GroupTable order={self.order}>"
+
+
+def _rows(tbl: np.ndarray) -> list[memoryview]:
+    """The rows of a C-contiguous n x n table as memoryviews, each a slice
+    of one flat view: no numpy row view is made, and every row shares one
+    buffer export.  A read-only table gives read-only rows."""
+    n = len(tbl)
+    flat = memoryview(tbl).cast("B").cast(tbl.dtype.char)
+    return [flat[i:i + n] for i in range(0, n * n, n)]
 
 
 def _element_orders(tbl: np.ndarray) -> list[int]:
@@ -281,13 +300,18 @@ def _check_associative(tbl: np.ndarray, gens: Sequence[int]) -> None:
     temporary lives beside the table.  Every block is written into the
     same three buffers: a new temporary per block would be mapped and
     faulted in afresh each time, which took two thirds of the test's time
-    at order 4352.  The elements a that pass contain the identity (row and
-    column 0 are identity maps) and are closed under products, so they are
-    the whole table as soon as every element is a left-nested product
-    ((g1*g2)*g3)*... of gens in the table's own multiplication.  Callers must pass such a set: the subset of the
-    BFS generators that ``_generating_subset`` keeps in ``_assemble_table``,
-    or the greedy witnesses of the full table, whose right-multiplication
-    closure is the whole table by construction.
+    at order 4352.
+
+    The elements a that pass contain the identity (row and column 0 are
+    identity maps) and are closed under products: if a and b pass, so
+    does a*b.  So every product of gens passes, in any bracketing, and
+    the elements that pass are the whole table as soon as every element
+    is such a product in the table's own multiplication.  Callers pass the
+    generators that ``_greedy_witnesses`` keeps with the full table as
+    its mask.  Its closure, ``_cyclic_extension``, only ever forms
+    products x*c and y*s of elements it has already reached, starting
+    from the identity and the generators; so when that closure is the
+    full mask, every element is such a product and the test is a proof.
     """
     n = tbl.shape[0]
     step = min(n, max(1, _ASSOC_BLOCK // n))
@@ -303,41 +327,6 @@ def _check_associative(tbl: np.ndarray, gens: Sequence[int]) -> None:
             tbl[lo:lo + m].take(tbl[a], axis=1, out=right[:m], mode="clip")
             if not np.equal(left[:m], right[:m], out=same[:m]).all():
                 raise InvalidGenerator(f"associativity fails at generator {a}")
-
-
-def _reaches_all(cols: np.ndarray) -> bool:
-    """Whether every id is reached from the identity by right products,
-    where cols[j][x] is the id of x*g_j: a BFS over boolean masks."""
-    n = cols.shape[1]
-    reached = np.zeros(n, dtype=bool)
-    reached[0] = True
-    frontier = np.zeros(1, dtype=np.intp)
-    count = 1
-    while frontier.size and count < n:
-        step = np.zeros(n, dtype=bool)
-        step[cols[:, frontier]] = True
-        np.greater(step, reached, out=step)  # step and not reached
-        reached |= step
-        frontier = step.nonzero()[0]
-        count += frontier.size
-    return count == n
-
-
-def _generating_subset(tbl: np.ndarray, gens: Sequence[int]) -> list[int]:
-    """A subset of gens from which every element of the table is a
-    left-nested product in the table's own multiplication, so that Light's
-    test over it is still a proof (``_check_associative``).
-
-    Goes through gens from last to first and drops each one whose removal
-    still lets a BFS over the remaining generator columns reach every id.
-    """
-    cols = tbl[:, list(gens)].T
-    keep = list(range(len(gens)))
-    for j in reversed(range(len(gens))):
-        rest = [i for i in keep if i != j]
-        if _reaches_all(cols[rest]):
-            keep = rest
-    return [gens[i] for i in keep]
 
 
 def _entry_dtype(n: int) -> type:
@@ -364,8 +353,9 @@ def _assemble_table(identity_rep, generator_reps: list, compose: Callable,
       ``_entry_dtype(n)``.
 
     That array is validated and proven associative by Light's test over the
-    generators that ``_generating_subset`` keeps, and the ``GroupTable``
-    keeps it as its rows.
+    generators that ``_greedy_witnesses`` keeps when it scans them from
+    last to first until they generate the whole table; the ``GroupTable``
+    keeps the array as its rows and conjugates by those generators.
 
     Returns (GroupTable, elements, index) where elements maps id -> rep and
     index maps rep -> id.
@@ -402,10 +392,11 @@ def _assemble_table(identity_rep, generator_reps: list, compose: Callable,
     tbl = _fill_rows(np.array(cols, dtype=np.intp).reshape(len(gens), n),
                      parent, via)
     inv = _validate_table(tbl)
-    _check_associative(tbl, _generating_subset(tbl, gen_ids))
+    proof = _greedy_witnesses(_rows(tbl), reversed(gen_ids), (1 << n) - 1)
+    _check_associative(tbl, proof)
     table = GroupTable(tbl, inv.tolist(),
                        [label_of(rep) for rep in elements],
-                       tuple(gen_ids))
+                       tuple(gen_ids), proof)
     return table, elements, index
 
 
@@ -515,10 +506,9 @@ def build_group_from_table(mult: Sequence[Sequence[int]],
     elif len(labels) != n:
         raise InvalidGenerator("labels length does not match table order")
     tbl = tbl.astype(_entry_dtype(n))
-    generators = _greedy_witnesses([memoryview(row) for row in tbl],
-                                   (1 << n) - 1)
+    generators = _greedy_witnesses(_rows(tbl), range(1, n), (1 << n) - 1)
     _check_associative(tbl, generators)
-    return GroupTable(tbl, inv.tolist(), list(labels), generators)
+    return GroupTable(tbl, inv.tolist(), list(labels), generators, generators)
 
 
 # ---------------------------------------------------------------------------
@@ -556,22 +546,28 @@ def _closure_mask(mult: list[list[int]], gens: Sequence[int]) -> int:
     return mask
 
 
-def _greedy_witnesses(mult: list[list[int]], mask: int) -> tuple[int, ...]:
-    """Canonical irredundant generating list: scan member ids ascending,
-    keep each element not yet generated.  Depends only on the member set,
-    so serialized lattices reproduce identical witnesses.  Raises
-    ValueError when the closure grows past the mask, as it does exactly
-    when the mask is not a subgroup."""
+def _greedy_witnesses(mult: list[list[int]], candidates: Iterable[int],
+                      mask: int) -> tuple[int, ...]:
+    """The candidates, in the given order, that the ones kept before them
+    do not yet generate, up to the first set that generates mask.  The
+    one routine that picks generators: ascending over a subgroup's
+    members it gives canonical witnesses that depend only on the member
+    set, so serialized lattices reproduce identical witnesses; over a
+    table's generators it gives the set that Light's test and the class
+    orbits run over.  Raises ValueError when the closure ends anywhere
+    other than mask: when the candidates do not generate it, or when mask
+    is not a subgroup and the closure grows past it."""
     wits: list[int] = []
     closed, elems = 1, [0]
-    for x in _bits(mask):
+    for x in candidates:
         if closed == mask:
             break
         if not closed >> x & 1:
             wits.append(x)
             closed, elems = _cyclic_extension(mult, closed, elems, x)
     if closed != mask:
-        raise ValueError("member set is not a subgroup")
+        raise ValueError("candidates do not generate the member set, "
+                         "or it is not a subgroup")
     return tuple(wits)
 
 
@@ -595,13 +591,15 @@ class SubgroupSet:
         if parent.order % self.order != 0:
             raise ValueError("subgroup order does not divide the group order")
         if validate:
+            _check_ids(parent, self.witnesses)
             if _closure_mask(parent.mult, self.witnesses) != members:
                 raise ValueError("witnesses do not generate the member set")
 
     @classmethod
     def from_members(cls, parent: GroupTable, members: int) -> "SubgroupSet":
         """Wrap a member mask, computing canonical greedy witnesses."""
-        return cls(parent, members, _greedy_witnesses(parent.mult, members),
+        return cls(parent, members,
+                   _greedy_witnesses(parent.mult, _bits(members), members),
                    validate=False)
 
     def elements(self) -> Iterator[int]:
@@ -635,9 +633,15 @@ def full_subgroup(G: GroupTable) -> SubgroupSet:
     return SubgroupSet(G, (1 << G.order) - 1, G.generators, validate=False)
 
 
+def _check_ids(G: GroupTable, ids: Iterable[int]) -> None:
+    """Raise ValueError unless every id names an element of G."""
+    for x in ids:
+        if not 0 <= x < G.order:
+            raise ValueError(f"element id {x} out of range")
+
+
 def element_order(G: GroupTable, x: int) -> int:
-    if not 0 <= x < G.order:
-        raise ValueError(f"element id {x} out of range")
+    _check_ids(G, (x,))
     return G.element_orders[x]
 
 
@@ -645,9 +649,7 @@ def subgroup_closure(G: GroupTable, seed: Iterable[int]) -> SubgroupSet:
     """Smallest subgroup containing the seed; witnesses are the seed itself
     (deduplicated, sorted)."""
     wits = tuple(sorted(set(int(x) for x in seed)))
-    for x in wits:
-        if not 0 <= x < G.order:
-            raise ValueError(f"element id {x} out of range")
+    _check_ids(G, wits)
     return SubgroupSet(G, _closure_mask(G.mult, wits), wits, validate=False)
 
 
@@ -687,8 +689,7 @@ def product_set(A: SubgroupSet, Q: SubgroupSet) -> SubgroupSet:
 def conjugate_subgroup(A: SubgroupSet, g: int) -> SubgroupSet:
     """The conjugate g A g^-1."""
     G = A.parent
-    if not 0 <= g < G.order:
-        raise ValueError(f"element id {g} out of range")
+    _check_ids(G, (g,))
     conj = _conjugation(G, g)
     wits = tuple(conj[w] for w in A.witnesses)
     return SubgroupSet(G, _conjugate_mask(conj, A.members), wits, validate=False)
@@ -748,10 +749,8 @@ def is_normal(A: SubgroupSet, B: SubgroupSet) -> bool:
 
 def normal_core(A: SubgroupSet, G: GroupTable) -> SubgroupSet:
     """Largest normal subgroup of G inside A: the intersection of A's
-    conjugates, taken over its orbit under conjugation by G.generators.
-
-    That orbit is A's whole conjugacy class because G.generators generate
-    G, which every table builder ensures.
+    conjugates, taken over its orbit under ``G.conjugations``, which is
+    A's whole conjugacy class (see ``GroupTable``).
     """
     if A.parent is not G:
         raise ParentMismatch("subgroup does not live over the given table")

@@ -11,9 +11,9 @@ residuum G^(∞), the last term of the derived series (trivial in a
 solvable group); those extensions are closed by
 ``groups._cyclic_extension``.  Once S has an extension T of prime
 index, every later c in T is skipped at S: by Lagrange, <S, c> could
-only be T again.  Class orbits come from ``groups._conjugacy_class``,
-under the conjugations of a subset of ``G.generators`` that leaves out
-central generators and generators the others already generate.
+only be T again.  Class orbits come from ``groups._conjugacy_class``
+under ``G.conjugations``: the conjugations by the non-central members
+of the generating set that the table's Light's test ran over.
 ``oracle_enumerate_subgroups`` instead closes all generator tuples of
 bounded size, level by level; with max_gens >= log2(order) it provably
 finds every subgroup, independently of the cyclic-extension route.
@@ -29,6 +29,7 @@ from .groups import (
     GroupTable,
     SubgroupSet,
     _bits,
+    _check_ids,
     _closure_mask,
     _conjugacy_class,
     _cyclic_extension,
@@ -114,26 +115,6 @@ def _zuppos(G: GroupTable) -> list[tuple[int, int]]:
     return out
 
 
-def _class_conjugations(G: GroupTable) -> list[list[int]]:
-    """``G.conjugations`` less the conjugations by two kinds of generator:
-    central ones, whose conjugation is the identity, and then, one at a
-    time, each one that lies in the subgroup the others still kept
-    generate.  The kept generators and the centre generate G, and central
-    elements conjugate trivially, so every subgroup's orbit under the
-    kept conjugations is its whole conjugacy class."""
-    identity = list(range(G.order))
-    kept = [(g, conj) for g, conj in zip(G.generators, G.conjugations)
-            if conj != identity]
-    i = 0
-    while i < len(kept):
-        others = [h for j, (h, _) in enumerate(kept) if j != i]
-        if _closure_mask(G.mult, others) >> kept[i][0] & 1:
-            del kept[i]
-        else:
-            i += 1
-    return [conj for _, conj in kept]
-
-
 def _extend(G: GroupTable, residuum: int, s_mask: int, s_elems: list[int],
             s_gens: tuple[int, ...], c: int) -> int | None:
     """The member mask of <S, c> for a zuppo c outside S with c^p in S, or
@@ -213,20 +194,18 @@ def enumerate_subgroups(G: GroupTable,
     for every generator of <c>.  So extending one representative per
     class reaches every subgroup: a new extension T brings in its whole
     orbit under conjugation at once, and only T is extended later.  The
-    orbit is taken under ``_class_conjugations``: the conjugations by
-    ``G.generators`` less central generators, which conjugate trivially,
-    and less each generator that the others kept generate.  The orbit
-    under a set of conjugations is the orbit under the group they
-    generate, and the kept generators with the centre generate G, since
-    ``G.generators`` do (every table constructor ensures it).  So each
-    orbit is a whole class, and no class is extended twice.  Both routes
-    run through ``_extend``.  Raises LatticeCapExceeded as soon as more
-    than lattice_cap subgroups are known.
+    orbit is taken under ``G.conjugations``, the conjugations by the
+    non-central members of the generating set that the table's Light's
+    test ran over.  The orbit under a set of conjugations is the orbit
+    under the group they generate, and those members with the centre,
+    which conjugates trivially, generate G.  So each orbit is a whole
+    class, and no class is extended twice.  Both routes run through
+    ``_extend``.  Raises LatticeCapExceeded as soon as more than
+    lattice_cap subgroups are known.
     """
     residuum = derived_series(G).terms[-1].members
     primes = {p for p, _ in G.order_factorization}
     zuppos = _zuppos(G)
-    conjugations = _class_conjugations(G)
     known = {1}
     worklist: list[tuple[int, tuple[int, ...]]] = [(1, ())]
     for s_mask, s_gens in worklist:  # also visits appended entries
@@ -242,7 +221,7 @@ def enumerate_subgroups(G: GroupTable,
                 done |= t_mask
             if t_mask in known:
                 continue
-            cls = _conjugacy_class(conjugations, t_mask)
+            cls = _conjugacy_class(G.conjugations, t_mask)
             if len(known) + len(cls) > lattice_cap:
                 raise LatticeCapExceeded(f"more than {lattice_cap} subgroups")
             known.update(cls)
@@ -285,8 +264,11 @@ def oracle_enumerate_subgroups(G: GroupTable, max_gens: int) -> Lattice:
 
 
 def locate_subgroup(lat: Lattice, generator_ids) -> int:
-    """Index of the lattice member generated by the given element ids."""
-    mask = _closure_mask(lat.parent.mult, sorted(set(generator_ids)))
+    """Index of the lattice member generated by the given element ids;
+    raises ValueError for an id outside the table."""
+    ids = sorted(set(generator_ids))
+    _check_ids(lat.parent, ids)
+    mask = _closure_mask(lat.parent.mult, ids)
     idx = lat.index_of_members.get(mask)
     if idx is None:
         raise NotFound("closure of the generators is missing from the lattice")

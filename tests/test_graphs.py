@@ -223,6 +223,17 @@ def test_simple_paths_superset_of_geodesics(s4, s4_lattice):
     assert geos == sorted(geos)
 
 
+@pytest.mark.parametrize("paths", [all_simple_paths, all_geodesics],
+                         ids=["simple", "geodesics"])
+@pytest.mark.parametrize("u,v", [(-1, 29), (0, 30), (30, 0)])
+def test_paths_reject_vertices_outside_graph(s4_lattice, paths, u, v):
+    """sym(4) has 30 subgroups, so -1 and 30 name no vertex: a
+    ValueError, not paths through row -1 or a NotConnected."""
+    graph = build_graph(s4_lattice, 3, KIND_CONTAINMENT)
+    with pytest.raises(ValueError, match="out of range"):
+        paths(graph, u, v)
+
+
 def test_library_keeps_no_results():
     """Every call computes afresh and nothing pins its result: reuse is
     the caller's choice (see commgraph.verify)."""

@@ -54,7 +54,6 @@ from commgraph import (
 from commgraph.groups import (
     _bits,
     _conjugate_mask,
-    _conjugation,
     perm_from_cycles,
 )
 
@@ -388,16 +387,16 @@ def test_conjugate_examples(s4, s4_els):
 
 
 @pytest.mark.parametrize("spec", [sym(4), bs(cyclic(2))], ids=spec_name)
-def test_generator_conjugations(spec):
-    """The table's permutation x -> g x g^-1 for each generator g agrees
-    with the table, and maps each cyclic subgroup's mask onto its
-    conjugate's."""
+def test_generator_conjugations(spec, conjugating_generators):
+    """Each permutation the table keeps is x -> g x g^-1 for a distinct
+    non-central generator g, agrees with the table, and maps each cyclic
+    subgroup's mask onto its conjugate's."""
     table = construct(spec)
     mult, inv = table.mult, table.inv
     cyclics = {subgroup_closure(table, [x]).members for x in table.elements()}
-    assert len(table.conjugations) == len(table.generators) > 0
-    for g, conj in zip(table.generators, table.conjugations):
-        assert conj == _conjugation(table, g)
+    owners = conjugating_generators(table)
+    assert len(owners) == len(table.conjugations) > 0
+    for g, conj in zip(owners, table.conjugations):
         assert conj == [mult[mult[g][x]][inv[g]] for x in table.elements()]
         assert sorted(conj) == list(table.elements())
         for mask in cyclics:
@@ -639,3 +638,12 @@ def test_subgroup_set_rejects_non_generating_witnesses(s4, s4_els):
         SubgroupSet(s4.table, mask, ())
     with pytest.raises(ValueError):
         SubgroupSet(s4.table, mask >> 1 << 1, (s4_els((1, 2)),))
+
+
+@pytest.mark.parametrize("witness", [100, 24, -1])
+def test_subgroup_set_rejects_witness_outside_table(s4, s4_els, witness):
+    """A witness that names no element of the table is a ValueError, not
+    an IndexError or a shift error from inside the closure."""
+    mask = 1 | 1 << s4_els((1, 2))
+    with pytest.raises(ValueError, match="out of range"):
+        SubgroupSet(s4.table, mask, (witness,))

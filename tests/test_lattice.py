@@ -16,6 +16,7 @@ from commgraph import (
     abelian,
     bs,
     build_group_from_permutations,
+    build_group_from_table,
     conjugate_subgroup,
     construct,
     construct_detailed,
@@ -206,17 +207,22 @@ def test_worklist_matches_recorded(spec, built_group, monkeypatch):
     assert (h.hexdigest(), len(calls)) == WORKLIST[spec_name(spec)]
 
 
+# None stands for p2q(5)'s table rebuilt by build_group_from_table, whose
+# generators are its ascending greedy witnesses
 @pytest.mark.parametrize("spec", [
-    sym(4), bs(cyclic(2)), direct([sym(4), abelian([2, 2])]), p2q(5),
-], ids=spec_name)
+    sym(4), bs(cyclic(2)), direct([sym(4), abelian([2, 2])]), p2q(5), None,
+], ids=lambda spec: spec_name(spec) if spec else "table(p2q(5))")
 def test_class_conjugations_keep_every_class(spec, built_group):
-    """Every subgroup's orbit under the reduced conjugating set is its
-    orbit under the conjugations by all of G.generators."""
-    table = built_group(spec).table
-    kept = lattice_module._class_conjugations(table)
+    """Every subgroup's orbit under table.conjugations is its orbit under
+    the conjugations by all of G.generators."""
+    if spec is None:
+        table = build_group_from_table(built_group(p2q(5)).table.mult)
+    else:
+        table = built_group(spec).table
+    every = [_conjugation(table, g) for g in table.generators]
     for s in enumerate_subgroups(table).subgroups:
-        assert set(_conjugacy_class(kept, s.members)) \
-            == set(_conjugacy_class(table.conjugations, s.members))
+        assert set(_conjugacy_class(table.conjugations, s.members)) \
+            == set(_conjugacy_class(every, s.members))
 
 
 KEPT_CONJUGATIONS = [
@@ -228,14 +234,30 @@ KEPT_CONJUGATIONS = [
 @pytest.mark.parametrize("spec,kept", KEPT_CONJUGATIONS,
                          ids=[spec_name(spec) for spec, _ in KEPT_CONJUGATIONS])
 def test_class_conjugations_drop_central_and_redundant_generators(
-        spec, kept, built_group):
+        spec, kept, built_group, conjugating_generators):
     """An abelian group needs no conjugation; bs(cyclic(3)) keeps 3 of its
-    6 generators, and every kept one is a generator's conjugation."""
+    6 generators, and each kept permutation is the conjugation by a
+    distinct non-central generator."""
     table = built_group(spec).table
-    conjugations = lattice_module._class_conjugations(table)
-    assert len(conjugations) == kept
-    assert all(any(c is conj for conj in table.conjugations)
-               for c in conjugations)
+    assert len(table.conjugations) == kept
+    assert len(conjugating_generators(table)) == kept
+
+
+def test_enumeration_orbits_use_the_table_conjugations(monkeypatch):
+    """enumerate_subgroups hands ``_conjugacy_class`` the table's own
+    conjugations, so no second conjugating set is picked for the
+    lattice."""
+    table = construct(direct([sym(4), abelian([2, 2])]))
+    seen = []
+    conjugacy_class = lattice_module._conjugacy_class
+
+    def recording(conjugations, mask):
+        seen.append(conjugations)
+        return conjugacy_class(conjugations, mask)
+
+    monkeypatch.setattr(lattice_module, "_conjugacy_class", recording)
+    enumerate_subgroups(table)
+    assert seen and all(c is table.conjugations for c in seen)
 
 
 # conjugacy classes extended at least once: the full group has no zuppo
@@ -325,3 +347,12 @@ def test_locate_subgroup():
     corrupt = dataclasses.replace(lat, index_of_members={1: 0})
     with pytest.raises(NotFound):
         locate_subgroup(corrupt, [el((1, 2))])
+
+
+@pytest.mark.parametrize("ids", [[-1], [24], [1, 24]], ids=["-1", "24", "1,24"])
+def test_locate_subgroup_rejects_ids_outside_table(ids):
+    """An id that names no element of sym(4) is a ValueError, not a shift
+    error or an IndexError from inside the closure."""
+    lat = enumerate_subgroups(construct(sym(4)))
+    with pytest.raises(ValueError, match="out of range"):
+        locate_subgroup(lat, ids)
