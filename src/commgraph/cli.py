@@ -17,6 +17,8 @@ import os
 import sys
 from collections import Counter
 
+import numpy as np
+
 from .constructions import (
     GroupSpec,
     construct,
@@ -122,8 +124,62 @@ def lattice_doc(spec: GroupSpec, lat: Lattice) -> dict:
     }
 
 
-def _dump_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+def _dump_json(doc) -> str:
+    """``json.dumps(doc, indent=2) + "\n"``, byte for byte.
+
+    Given an indent, ``json`` encodes in pure Python, one small string per
+    token; on the `verify all` report that took about three times as long,
+    with a larger peak of memory, as this route.  So the C encoder writes
+    the compact text (ASCII, since ``ensure_ascii`` is on), and numpy puts
+    the line breaks back.  A structural character is one of ``{}[],``
+    outside a string; a quote after an odd run of backslashes is escaped
+    and does not end a string.  The depth is a running sum over the opens
+    and closes.  A newline and two spaces per level follow each non-empty
+    open and each comma and precede each non-empty close; an empty ``[]``
+    or ``{}`` stays as it is.
+    """
+    raw = json.dumps(doc, separators=(",", ": ")).encode("ascii")
+    a = np.frombuffer(raw, dtype=np.uint8)
+    quote = a == ord('"')
+    if b"\\" in raw:
+        # last[i]: the last position <= i that holds no backslash
+        last = np.where(a == ord("\\"), -1, np.arange(a.size, dtype=np.int32))
+        np.maximum.accumulate(last, out=last)
+        q = np.flatnonzero(quote[1:]) + 1
+        quote[q[(q - 1 - last[q - 1]) % 2 == 1]] = False
+        del last
+    marks = np.zeros(256, dtype=np.uint8)  # 1 open, 2 close, 3 comma
+    marks[list(b"[{")], marks[list(b"]}")], marks[ord(",")] = 1, 2, 3
+    kind = marks[a]
+    kind[np.logical_xor.accumulate(quote)] = 0  # inside a string
+    del quote
+    at = np.flatnonzero(kind)
+    kind = kind[at]
+    is_open, is_close = kind == 1, kind == 2
+    depth = np.cumsum(is_open.astype(np.int32) - is_close, dtype=np.int32)
+    # an open followed at once by a close is an empty container
+    empty = is_open[:-1] & is_close[1:] & (at[1:] == at[:-1] + 1)
+    keep = np.ones(at.size, dtype=bool)
+    keep[:-1] &= ~empty
+    keep[1:] &= ~empty
+    at, width, before = at[keep], 1 + 2 * depth[keep], is_close[keep]
+    # break k is a newline and its indent, width[k] characters, in front of
+    # character at[k] (a close) or at[k] + 1; body is the output before its
+    # final newline
+    body = a.size + int(width.sum(dtype=np.int64))
+    index = np.int32 if body < 2**31 else np.int64
+    start = (at + ~before).astype(index)
+    start += np.cumsum(width, dtype=index) - width
+    gap = np.zeros(body, dtype=np.int8)
+    gap[start] = 1
+    gap[start + width] = -1
+    np.cumsum(gap, dtype=np.int8, out=gap)
+    out = np.full(body + 1, ord(" "), dtype=np.uint8)
+    out[:body][gap == 0] = a
+    del gap, a, raw
+    out[start] = ord("\n")
+    out[-1] = ord("\n")
+    return str(out, "ascii")
 
 
 def _write_text(path: str, text: str) -> None:

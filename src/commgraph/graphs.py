@@ -86,9 +86,11 @@ class CommGraph:
 
     def neighbors(self, i: int) -> list[int]:
         """The neighbors of vertex i in ascending order."""
+        _check_vertices(self, i)
         return np.flatnonzero(self.adj[i]).tolist()
 
     def adjacent(self, i: int, j: int) -> bool:
+        _check_vertices(self, i, j)
         return bool(self.adj[i, j])
 
 
@@ -176,6 +178,7 @@ def classify_component(graph: CommGraph, vertices: list[int]) -> tuple[str, int 
     practice) follows its shape exactly: a 2-vertex component is complete,
     and a star (>= 3 vertices) has a unique center meeting every edge and
     no other edges."""
+    _check_vertices(graph, *vertices)
     return _classify(graph.adj[np.ix_(vertices, vertices)], vertices)
 
 

@@ -213,15 +213,35 @@ def _p_subgroups(spec: GroupSpec, p: int) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
-def _core_nontrivial_p_subgroups(spec: GroupSpec, p: int) -> tuple[int, ...]:
+def _p_cores(spec: GroupSpec) -> dict[int, int]:
+    """The index of each p-subgroup, over every prime p dividing |G|, ->
+    the index of its normal core.  The trivial subgroup is a p-subgroup
+    for every p; its core is computed once."""
     lat = _lattice(spec)
-    return tuple(i for i in _p_subgroups(spec, p)
-                 if normal_core(lat.subgroups[i], lat.parent).order > 1)
+    out: dict[int, int] = {}
+    for p, _ in factorize(lat.parent.order):
+        for i in _p_subgroups(spec, p):
+            if i not in out:
+                core = normal_core(lat.subgroups[i], lat.parent)
+                out[i] = lat.index_of_members[core.members]
+    return out
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _core_nontrivial_p_subgroups(spec: GroupSpec, p: int) -> tuple[int, ...]:
+    subs, cores = _lattice(spec).subgroups, _p_cores(spec)
+    return tuple(i for i in _p_subgroups(spec, p) if subs[cores[i]].order > 1)
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _nilpotent(spec: GroupSpec) -> tuple[bool, ...]:
+    """Whether each subgroup of the lattice is nilpotent."""
+    return tuple(is_nilpotent_subgroup(s) for s in _lattice(spec).subgroups)
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def _nilpotent_edges(spec: GroupSpec, p: int) -> tuple[tuple[int, int], ...]:
-    nilpotent = [is_nilpotent_subgroup(s) for s in _lattice(spec).subgroups]
+    nilpotent = _nilpotent(spec)
     return tuple((i, j) for i, j in _edges(spec, p)
                  if nilpotent[i] and nilpotent[j])
 
@@ -305,11 +325,10 @@ def _sample_q(spec: GroupSpec, p: int, rng: random.Random,
               restrict_nontrivial: bool) -> SubgroupSet:
     """Random p-subgroup reduced to its normal core (always a normal
     p-subgroup of the parent)."""
-    lat = _lattice(spec)
     pool = (_core_nontrivial_p_subgroups(spec, p)
             if restrict_nontrivial else _p_subgroups(spec, p))
     idx = rng.choice(pool)
-    return normal_core(lat.subgroups[idx], lat.parent)
+    return _lattice(spec).subgroups[_p_cores(spec)[idx]]
 
 
 def verify_lemma_suite(corpus=None, trials: int = DEFAULT_TRIALS,
@@ -348,6 +367,18 @@ def verify_lemma_suite(corpus=None, trials: int = DEFAULT_TRIALS,
     properties = tuple(pools)
     q_orders = []  # the order of each Q sampled by _sample_q
 
+    # Trials ask for the same products, intersections and complements many
+    # times over; each is computed once per distinct (table, member masks,
+    # p) in this call.
+    memo: dict = {}
+
+    def once(fn, A, *args):
+        key = (fn, A.parent, A.members,
+               *(a.members if isinstance(a, SubgroupSet) else a for a in args))
+        if key not in memo:
+            memo[key] = fn(A, *args)
+        return memo[key]
+
     for trial in range(trials):
         prop = properties[rng.randrange(len(properties))]
         pool, core_pool = pools[prop]
@@ -363,7 +394,7 @@ def verify_lemma_suite(corpus=None, trials: int = DEFAULT_TRIALS,
             Q = _sample_q(member.spec, p, rng, restrict)
             q_orders.append(Q.order)
             V = subs[rng.randrange(len(subs))]
-            exp = p_power_exponent(product_set(V, Q).order // V.order, p)
+            exp = p_power_exponent(once(product_set, V, Q).order // V.order, p)
             params = {"q_order": Q.order, "v_order": V.order}
             check = ("p-power index", {"exponent": exp}, exp is not None)
         elif prop == "extension_preserves_adjacency":
@@ -371,7 +402,8 @@ def verify_lemma_suite(corpus=None, trials: int = DEFAULT_TRIALS,
             Q = _sample_q(member.spec, p, rng, restrict)
             q_orders.append(Q.order)
             exps = commensurability_exponents(
-                product_set(subs[i], Q), product_set(subs[j], Q), p)
+                once(product_set, subs[i], Q),
+                once(product_set, subs[j], Q), p)
             params = {"edge": [i, j], "q_order": Q.order}
             check = ("p-power index pair", {"exponents": exps},
                      exps is not None)
@@ -379,7 +411,7 @@ def verify_lemma_suite(corpus=None, trials: int = DEFAULT_TRIALS,
             i, j = rng.choice(_edges(member.spec, p))
             N = subs[rng.choice(_normal_indices(member.spec))]
             exps = commensurability_exponents(
-                intersect(subs[i], N), intersect(subs[j], N), p)
+                once(intersect, subs[i], N), once(intersect, subs[j], N), p)
             params = {"edge": [i, j], "n_order": N.order}
             check = ("p-power index pair", {"exponents": exps},
                      exps is not None)
@@ -392,8 +424,8 @@ def verify_lemma_suite(corpus=None, trials: int = DEFAULT_TRIALS,
             for _ in range(8):
                 V = subs[rng.randrange(len(subs))]
                 W = subs[rng.randrange(len(subs))]
-                VQ = product_set(V, Q)
-                WQ = product_set(W, Q)
+                VQ = once(product_set, V, Q)
+                WQ = once(product_set, W, Q)
                 vi = lat.index_of_members[VQ.members]
                 wi = lat.index_of_members[WQ.members]
                 if comp_of[vi] != comp_of[wi]:
@@ -410,8 +442,8 @@ def verify_lemma_suite(corpus=None, trials: int = DEFAULT_TRIALS,
             i, j = rng.choice(_nilpotent_edges(member.spec, p))
             d1, d2 = subs[i], subs[j]
             inter = d1.members & d2.members
-            comp1 = p_prime_complement(d1, p).members
-            comp2 = p_prime_complement(d2, p).members
+            comp1 = once(p_prime_complement, d1, p).members
+            comp2 = once(p_prime_complement, d2, p).members
             ok = (comp1 & inter == comp1) and (comp2 & inter == comp2)
             params = {"edge": [i, j]}
             check = ("complement inside intersection", {"contained": ok}, ok)

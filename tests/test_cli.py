@@ -9,6 +9,8 @@ import re
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from commgraph import cli
 from commgraph.cli import (
@@ -399,6 +401,33 @@ def test_dot_cyclic6_line_counts():
     vertices, edges = parse_dot(export_dot(graph))
     assert len(vertices) == 4
     assert len(edges) == 2
+
+
+# Strings full of JSON's own syntax, escapes, control and non-ASCII text
+_json_strings = st.text(
+    st.sampled_from('"\\{}[],: a\n\t\x00\x1f\x7fé€😀') | st.characters(),
+    max_size=8)
+_json_strings = _json_strings | _json_strings.map(lambda s: s + "\\")
+_json_docs = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _json_strings,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(_json_strings, inner, max_size=4)),
+    max_leaves=40)
+
+
+@given(_json_docs)
+def test_dump_json_matches_indented_dumps(doc):
+    """The writer re-indents the C encoder's compact text; it must give
+    exactly what ``json.dumps(doc, indent=2)`` gives."""
+    assert cli._dump_json(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("doc", [
+    {}, [], 0, -1.5, float("inf"), float("nan"), True, None, "", '"',
+    "\\", 'a\\"b', "{[,]}", [[]], {"": {}}, [{}, [], [[{}]]],
+])
+def test_dump_json_edge_documents(doc):
+    assert cli._dump_json(doc) == json.dumps(doc, indent=2) + "\n"
 
 
 def test_exports_byte_identical_across_runs(tmp_path, capsys):

@@ -234,6 +234,21 @@ def test_paths_reject_vertices_outside_graph(s4_lattice, paths, u, v):
         paths(graph, u, v)
 
 
+@pytest.mark.parametrize("query", [
+    lambda g, v: g.neighbors(v),
+    lambda g, v: g.adjacent(v, 25),
+    lambda g, v: g.adjacent(25, v),
+    lambda g, v: classify_component(g, [v, 25]),
+], ids=["neighbors", "adjacent", "adjacent-second", "classify"])
+@pytest.mark.parametrize("v", [-1, 30])
+def test_vertex_queries_reject_ids_outside_graph(s4_lattice, query, v):
+    """-1 would index vertex 29's row and 30 would raise a bare
+    IndexError; both name no vertex of the 30-vertex graph."""
+    graph = build_graph(s4_lattice, 3, KIND_CONTAINMENT)
+    with pytest.raises(ValueError, match="out of range"):
+        query(graph, v)
+
+
 def test_library_keeps_no_results():
     """Every call computes afresh and nothing pins its result: reuse is
     the caller's choice (see commgraph.verify)."""

@@ -22,6 +22,7 @@ from commgraph import (
     verify_lemma_suite,
     verify_p2q,
 )
+from commgraph.groups import SubgroupSet
 from commgraph.verify import SUITE_NAMES, CorpusMember, _lattice_members
 
 
@@ -170,6 +171,32 @@ def test_unknown_suite_rejected():
         run_suite("nonsense")
     assert set(SUITE_NAMES) == {"totaldisc", "bounds", "lemmas", "sym4",
                                 "construction", "cd", "p2q"}
+
+
+def test_lemma_suite_computes_each_fact_once(monkeypatch):
+    """From cold (lattices aside), one lemma suite over the default corpus
+    asks each subgroup question once: no call to these operations repeats
+    its arguments, keyed by table, member masks and p."""
+    for name, helper in vars(verify).items():
+        if hasattr(helper, "cache_clear") and name != "_lattice":
+            helper.cache_clear()
+    calls = Counter()
+
+    def key(arg):
+        return ((arg.parent, arg.members) if isinstance(arg, SubgroupSet)
+                else arg)
+
+    for name in ("normal_core", "is_nilpotent_subgroup", "product_set",
+                 "p_prime_complement"):
+        def counting(*args, _name=name, _fn=getattr(verify, name)):
+            calls[(_name, *map(key, args))] += 1
+            return _fn(*args)
+        monkeypatch.setattr(verify, name, counting)
+    assert verify_lemma_suite().passed
+    assert {k[0] for k in calls} == {"normal_core", "is_nilpotent_subgroup",
+                                     "product_set", "p_prime_complement"}
+    repeated = {k: n for k, n in calls.items() if n > 1}
+    assert not repeated
 
 
 def test_run_all_enumerates_each_spec_once(monkeypatch):
