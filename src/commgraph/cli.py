@@ -73,7 +73,7 @@ def export_dot(graph: CommGraph) -> str:
     for idx, sub in enumerate(graph.lattice.subgroups):
         wits = ", ".join(table.labels[w] for w in sub.witnesses)
         lines.append(f'"S{idx}" [label="|H|={sub.order}: {wits}"];')
-    for i, j in sorted(graph.edge_data):
+    for i, j in graph.edge_data:
         lines.append(f'"S{i}" -- "S{j}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -100,7 +100,7 @@ def graph_json_doc(spec: GroupSpec, graph: CommGraph) -> dict:
         "vertices": [{"id": i, "order": s.order, "witnesses": list(s.witnesses)}
                      for i, s in enumerate(graph.lattice.subgroups)],
         "edges": [[i, j, a, b]
-                  for (i, j), (a, b) in sorted(graph.edge_data.items())],
+                  for (i, j), (a, b) in graph.edge_data.items()],
         "components": comps,
         "connected_diameter": connected,
     }

@@ -156,21 +156,32 @@ def spec_name(spec: GroupSpec) -> str:
     return f"bs({spec_name(spec.parts[0])})"
 
 
+def _order(spec: GroupSpec, cap: float) -> int:
+    """The order of spec if it is at most cap, else some number above cap:
+    each product formula stops at its first partial product above cap."""
+    if spec.kind == "sym":
+        factors = range(2, spec.n + 1)
+    elif spec.kind == "abelian":
+        factors = spec.factors
+    elif spec.kind in ("direct", "bs"):
+        factors = [_order(p, cap) for p in spec.parts]
+        if spec.kind == "bs":  # 24|H|^4
+            factors = [24] + factors * 4
+    else:
+        n = spec.n
+        factors = {"cyclic": (n,), "dihedral": (2, n),
+                   "p2q": (n, n - 1, n - 1)}[spec.kind]
+    order = 1
+    for f in factors:  # every factor is at least 1
+        order *= f
+        if order > cap:
+            break
+    return order
+
+
 def predicted_order(spec: GroupSpec) -> int:
     """Exact order the construction will produce (product formulas)."""
-    if spec.kind == "sym":
-        return math.factorial(spec.n)
-    if spec.kind == "cyclic":
-        return spec.n
-    if spec.kind == "dihedral":
-        return 2 * spec.n
-    if spec.kind == "abelian":
-        return math.prod(spec.factors)
-    if spec.kind == "direct":
-        return math.prod(predicted_order(p) for p in spec.parts)
-    if spec.kind == "p2q":
-        return spec.n * (spec.n - 1) ** 2
-    return 24 * predicted_order(spec.parts[0]) ** 4
+    return _order(spec, math.inf)
 
 
 @dataclass
@@ -185,9 +196,9 @@ class BuiltGroup:
 def construct_detailed(spec: GroupSpec, order_cap: int | None = None) -> BuiltGroup:
     """Construct the group, returning the table plus element reps.
 
-    Every call builds a new table.  The cap is enforced against the exact
-    predicted order before any materialization; a cap below 1, which no
-    group meets, raises ValueError.
+    Every call builds a new table.  The cap is enforced against the
+    predicted order, computed only until it passes the cap, before any
+    materialization; a cap below 1, which no group meets, raises ValueError.
     """
     cap = DEFAULT_ORDER_CAP if order_cap is None else order_cap
     if cap < 1:
@@ -197,10 +208,9 @@ def construct_detailed(spec: GroupSpec, order_cap: int | None = None) -> BuiltGr
         level = [p for s in level for p in s.parts]
     if level:
         raise InvalidSpec(f"spec nesting deeper than {MAX_SPEC_DEPTH}")
-    predicted = predicted_order(spec)
+    predicted = _order(spec, cap)
     if predicted > cap:
-        raise OrderCapExceeded(
-            f"{spec_name(spec)} has order {predicted} > cap {cap}")
+        raise OrderCapExceeded(f"{spec_name(spec)} has order above the cap {cap}")
     built = _BUILDERS[spec.kind](spec, cap)
     assert built.table.order == predicted
     return built

@@ -9,11 +9,11 @@ edge).  Path lengths and diameters count edges.
 A graph is two m×m numpy matrices over the m lattice members: the p-power
 exponent of every index [L[i] : L[i]∩L[j]] and the boolean adjacency.
 ``build_graph`` gets all intersection orders from one product M·Mᵀ of the
-0/1 membership matrix.  ``components_and_diameters`` labels the isolated
-vertices in bulk, grows every other component from its smallest vertex,
-and runs a breadth-first search from all of a component's vertices at
-once inside its own block of the adjacency matrix, one matrix product per
-level.  The edge map, neighbor lists and edge count are read off the
+0/1 membership matrix.  One breadth-first search, ``_levels``, gives the
+distance classes from one root: it grows each component and steers
+``all_geodesics``.  The other, ``_eccentricities``, runs from all of a
+component's vertices at once inside its own block of the adjacency
+matrix.  The edge map, neighbor lists and edge count are read off the
 matrices on demand.
 ``commensurability_exponents`` is the scalar form of the same test, for a
 single pair of subgroups.
@@ -21,7 +21,6 @@ single pair of subgroups.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,16 +142,19 @@ class ComponentReport:
     center: int | None = None
 
 
-def _bfs_distances(graph: CommGraph, start: int) -> dict[int, int]:
-    dist = {start: 0}
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        for y in graph.neighbors(x):
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                queue.append(y)
-    return dist
+def _levels(adj: np.ndarray, root: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """Breadth-first search from root in the graph whose adjacency matrix
+    is adj: the boolean mask of each distance class, nearest first (the
+    first holds root alone), and the mask of every vertex reached."""
+    reached = np.zeros(len(adj), dtype=bool)
+    reached[root] = True
+    frontier = reached.copy()
+    levels = []
+    while frontier.any():
+        levels.append(frontier)
+        frontier = adj[frontier].any(axis=0) & ~reached
+        reached |= frontier
+    return levels, reached
 
 
 def _classify(block: np.ndarray, vertices: list[int]) -> tuple[str, int | None]:
@@ -216,8 +218,8 @@ def components_and_diameters(graph: CommGraph) -> tuple[list[ComponentReport], i
 
     Distances never cross components, so the components come first.  The
     isolated vertices are singletons, found in one pass.  Every other
-    component is grown from its smallest vertex not yet labelled, a level
-    of neighbors at a time, and its eccentricities come from a
+    component is the set ``_levels`` reaches from its smallest vertex not
+    yet labelled, and its eccentricities come from a
     breadth-first search inside its own block of the adjacency matrix
     (``_eccentricities``), which costs the cube of the component's size
     per level instead of the cube of the graph's."""
@@ -228,13 +230,7 @@ def components_and_diameters(graph: CommGraph) -> tuple[list[ComponentReport], i
                for v in np.flatnonzero(isolated).tolist()]
     seen = isolated.copy()
     while not seen.all():
-        root = int(seen.argmin())
-        component = np.zeros(m, dtype=bool)
-        component[root] = True
-        frontier = component.copy()
-        while frontier.any():
-            frontier = adj[frontier].any(axis=0) & ~component
-            component |= frontier
+        component = _levels(adj, int(seen.argmin()))[1]
         seen |= component
         vs = np.flatnonzero(component)
         block = adj if len(vs) == m else adj[np.ix_(vs, vs)]
@@ -256,32 +252,23 @@ def _check_vertices(graph: CommGraph, *vertices: int) -> None:
 
 def all_geodesics(graph: CommGraph, u: int, v: int) -> list[list[int]]:
     """Every shortest path from u to v, lexicographically ordered by the
-    vertex index sequence."""
+    vertex index sequence: grown from u through each neighbor one level
+    nearer to v, in ascending order, which keeps equal-length paths sorted."""
     _check_vertices(graph, u, v)
-    dist = _bfs_distances(graph, u)
-    if v not in dist:
+    levels, reached = _levels(graph.adj, v)
+    if not reached[u]:
         raise NotConnected(f"vertices {u} and {v} are not connected")
-    if u == v:
-        return [[u]]
-
-    paths: list[list[int]] = []
-
-    def extend_back(tail: list[int]) -> None:
-        head = tail[-1]
-        if dist[head] == 0:
-            paths.append(tail[::-1])
-            return
-        for w in graph.neighbors(head):
-            if dist.get(w) == dist[head] - 1:
-                extend_back(tail + [w])
-
-    extend_back([v])
-    paths.sort()
+    d = next(i for i, level in enumerate(levels) if level[u])
+    paths = [[u]]
+    for level in reversed(levels[:d]):
+        paths = [path + [w] for path in paths
+                 for w in np.flatnonzero(graph.adj[path[-1]] & level).tolist()]
     return paths
 
 
 def all_simple_paths(graph: CommGraph, u: int, v: int) -> list[list[int]]:
-    """Every simple path from u to v (exhaustive DFS; small components only)."""
+    """Every simple path from u to v in lexicographic order (exhaustive DFS
+    over ascending neighbors; small components only)."""
     _check_vertices(graph, u, v)
     paths: list[list[int]] = []
     on_path = {u}
@@ -300,5 +287,4 @@ def all_simple_paths(graph: CommGraph, u: int, v: int) -> list[list[int]]:
                 on_path.remove(y)
 
     walk(u)
-    paths.sort()
     return paths

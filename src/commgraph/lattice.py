@@ -96,8 +96,8 @@ def _check_lattice(lat: Lattice) -> None:
 
 def _zuppos(G: GroupTable) -> list[tuple[int, int]]:
     """Every cyclic subgroup of prime-power order > 1, once, as
-    (generator, mask of <c^p>) for c of order p^k; the generator is the
-    smallest element id that generates it."""
+    (c, c^p) for its generator c of order p^k, the smallest element id
+    that generates it."""
     mult = G.mult
     seen: set[int] = set()
     out = []
@@ -111,7 +111,7 @@ def _zuppos(G: GroupTable) -> list[tuple[int, int]]:
             y = x
             for _ in range(primes[0][0] - 1):
                 y = mult[y][x]
-            out.append((x, _closure_mask(mult, (y,))))
+            out.append((x, y))
     return out
 
 
@@ -211,8 +211,8 @@ def enumerate_subgroups(G: GroupTable,
     for s_mask, s_gens in worklist:  # also visits appended entries
         s_elems = list(_bits(s_mask))
         done = s_mask  # S and every extension of S of prime index
-        for c, cp_mask in zuppos:
-            if done >> c & 1 or cp_mask & s_mask != cp_mask:
+        for c, cp in zuppos:  # <c^p> lies in the subgroup S when c^p does
+            if done >> c & 1 or not s_mask >> cp & 1:
                 continue
             t_mask = _extend(G, residuum, s_mask, s_elems, s_gens, c)
             if t_mask is None:

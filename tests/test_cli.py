@@ -77,6 +77,21 @@ def test_group_parse_and_cap_exit_codes(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("spec,short", [
+    ('{"sym": 1600}', True),
+    ('{"abelian": [' + ", ".join(["2"] * 15000) + ']}', False),  # named in full
+    ('{"bs": {"sym": 400}}', True),
+], ids=["sym1600", "abelian-15000-factors", "bs-sym400"])
+def test_huge_orders_exit_order_cap(spec, short, capsys):
+    """The cap is compared without writing out an order of thousands of
+    digits, which Python refuses to convert to a string."""
+    assert run_cli("group", spec) == EXIT_ORDER_CAP
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith(" cap 5000\n")
+    assert len(err) < 200 or not short
+
+
 def test_order_cap_env_and_flag_priority(capsys):
     assert run_cli("group", '{"sym": 4}', "--order-cap", "30") == EXIT_OK
     capsys.readouterr()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -380,6 +381,11 @@ def test_order_cap_blocks_prediction():
         construct(sym(4), order_cap=20)
     with pytest.raises(OrderCapExceeded):
         construct(bs(sym(4)))  # 24^5 blows the default cap
+    with pytest.raises(OrderCapExceeded, match=r"^sym\(1600\) .* cap 5000$"):
+        construct(sym(1600))  # 1600! has more digits than str() will write
+    # the cap test stops early; the prediction itself stays exact
+    assert predicted_order(sym(1600)) == math.factorial(1600)
+    assert predicted_order(bs(sym(400))) == 24 * math.factorial(400) ** 4
     for cap in (0, -5):  # no group meets such a cap: the cap is invalid
         with pytest.raises(ValueError, match="order cap must be at least 1"):
             construct_detailed(sym(1), order_cap=cap)

@@ -3,13 +3,15 @@
 The digests are sha256 sums of the DOT text and of the graph and analyze
 JSON documents, as the CLI writes them, recorded from the pairwise
 implementation that preceded the matrix layer.  The oracle checks every
-pair with the scalar predicate ``commensurability_exponents`` and every
-eccentricity with a single-source BFS.
+pair with the scalar predicate ``commensurability_exponents``, every
+eccentricity with a single-source BFS over a dict and a queue, and every
+geodesic list with the shortest of the exhaustive simple paths.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections import deque
 
 import pytest
 
@@ -17,6 +19,8 @@ from commgraph import (
     KIND_COMMENSURABILITY,
     KIND_CONTAINMENT,
     abelian,
+    all_geodesics,
+    all_simple_paths,
     build_graph,
     classify_component,
     commensurability_exponents,
@@ -29,7 +33,6 @@ from commgraph import (
     sym,
 )
 from commgraph.cli import _dump_json, analyze_doc, export_dot, graph_json_doc
-from commgraph.graphs import _bfs_distances
 
 SPECS = {"sym(4)": sym(4), "p2q(5)": p2q(5),
          "D4xD4": direct([dihedral(4), dihedral(4)]),
@@ -110,6 +113,20 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _bfs_distances(graph, start: int) -> dict[int, int]:
+    """The distance from start to every vertex it reaches, one neighbor
+    list at a time: the oracle for the matrix searches of the graph layer."""
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        x = queue.popleft()
+        for y in graph.neighbors(x):
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    return dist
+
+
 @pytest.mark.parametrize("key", sorted(GOLDEN), ids=lambda k: f"{k[0]}-{k[1]}-p{k[2]}")
 def test_outputs_match_golden_digests(lattices, key):
     name, kind, p = key
@@ -168,3 +185,29 @@ def test_scattered_singletons_match_oracle(lattices, kind):
         assert (report.kind, report.center) == \
             classify_component(graph, report.vertices)
     assert connected == max(r.diameter for r in reports)
+
+
+@pytest.mark.parametrize("name,p,kind", [
+    ("sym(4)", 3, KIND_COMMENSURABILITY),
+    ("sym(4)", 3, KIND_CONTAINMENT),
+    ("p2q(5)", 5, KIND_COMMENSURABILITY),
+    ("p2q(5)", 5, KIND_CONTAINMENT),
+    # not the p = 2 commensurability graph of D4: 9.9 million simple paths
+    ("D4", 2, KIND_CONTAINMENT),
+], ids=lambda x: str(x))
+def test_geodesics_are_the_shortest_simple_paths(lattices, name, p, kind):
+    """For every ordered pair in one component, the geodesics are exactly
+    the shortest simple paths, in the same order, and the simple paths
+    come out sorted."""
+    lat = (enumerate_subgroups(construct(dihedral(4))) if name == "D4"
+           else lattices[name])
+    graph = build_graph(lat, p, kind)
+    reports, _ = components_and_diameters(graph)
+    for report in reports:
+        for u in report.vertices:
+            for v in report.vertices:
+                paths = all_simple_paths(graph, u, v)
+                assert paths == sorted(paths)
+                shortest = min(map(len, paths))
+                assert all_geodesics(graph, u, v) == \
+                    [path for path in paths if len(path) == shortest]
