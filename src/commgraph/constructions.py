@@ -44,6 +44,8 @@ from .groups import (
 
 SPEC_KINDS = ("sym", "cyclic", "dihedral", "abelian", "direct", "p2q", "bs")
 MAX_SPEC_DEPTH = 4
+# an order-cap error names the spec by at most this many characters
+_ERROR_NAME_CHARS = 80
 
 
 @dataclass(frozen=True)
@@ -210,7 +212,10 @@ def construct_detailed(spec: GroupSpec, order_cap: int | None = None) -> BuiltGr
         raise InvalidSpec(f"spec nesting deeper than {MAX_SPEC_DEPTH}")
     predicted = _order(spec, cap)
     if predicted > cap:
-        raise OrderCapExceeded(f"{spec_name(spec)} has order above the cap {cap}")
+        name = spec_name(spec)
+        if len(name) > _ERROR_NAME_CHARS:
+            name = name[:_ERROR_NAME_CHARS] + "…"
+        raise OrderCapExceeded(f"{name} has order above the cap {cap}")
     built = _BUILDERS[spec.kind](spec, cap)
     assert built.table.order == predicted
     return built
@@ -263,7 +268,9 @@ def _build_abelian(spec: GroupSpec, cap: int) -> BuiltGroup:
 
 
 def _build_direct(spec: GroupSpec, cap: int) -> BuiltGroup:
-    tables = [construct_detailed(p, cap).table for p in spec.parts]
+    # a repeated factor is built once; the factor tables are only read
+    built = {p: construct_detailed(p, cap).table for p in dict.fromkeys(spec.parts)}
+    tables = [built[p] for p in spec.parts]
     orders = [t.order for t in tables]
     # code = sum(ids[:, i] * strides[i]), the first child's id most significant
     strides = [math.prod(orders[i + 1:]) for i in range(len(orders))]

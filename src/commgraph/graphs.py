@@ -8,13 +8,15 @@ edge).  Path lengths and diameters count edges.
 
 A graph is two m×m numpy matrices over the m lattice members: the p-power
 exponent of every index [L[i] : L[i]∩L[j]] and the boolean adjacency.
-``build_graph`` gets all intersection orders from one product M·Mᵀ of the
-0/1 membership matrix.  One breadth-first search, ``_levels``, gives the
-distance classes from one root: it grows each component and steers
-``all_geodesics``.  The other, ``_eccentricities``, runs from all of a
-component's vertices at once inside its own block of the adjacency
-matrix.  The edge map, neighbor lists and edge count are read off the
-matrices on demand.
+``build_graph`` reads the indices from ``Lattice.index_matrix``, which the
+lattice computes once, from one product M·Mᵀ of its 0/1 membership
+matrix, and keeps for every prime and kind; each graph is then one lookup
+of those indices in a table of the powers of p.  One breadth-first
+search, ``_levels``, gives the distance classes from one root: it grows
+each component and steers ``all_geodesics``.  The other,
+``_eccentricities``, runs from all of a component's vertices at once
+inside its own block of the adjacency matrix.  The edge map, neighbor
+lists and edge count are read off the matrices on demand.
 ``commensurability_exponents`` is the scalar form of the same test, for a
 single pair of subgroups.
 """
@@ -93,35 +95,26 @@ class CommGraph:
         return bool(self.adj[i, j])
 
 
-def _membership_matrix(lat: Lattice) -> np.ndarray:
-    """The m×n 0/1 matrix whose row i has a 1 at each element of L[i]."""
-    n = lat.parent.order
-    width = (n + 7) // 8
-    packed = b"".join(s.members.to_bytes(width, "little") for s in lat.subgroups)
-    rows = np.frombuffer(packed, dtype=np.uint8).reshape(-1, width)
-    return np.unpackbits(rows, axis=1, count=n, bitorder="little")
+def _p_power_lookup(n: int, p: int) -> np.ndarray:
+    """lookup[k] for k in 0..n is e when k = p**e, else -1."""
+    lookup = np.full(n + 1, -1, dtype=np.int8)
+    e = 0
+    while p ** e <= n:
+        lookup[p ** e] = e
+        e += 1
+    return lookup
 
 
 def build_graph(lat: Lattice, p: int, kind: str) -> CommGraph:
-    """Every intersection order from one M·Mᵀ over the membership matrix
-    M, then the p-power test on every index [L[i] : L[i]∩L[j]] by a
-    lookup table built from p_power_exponent."""
+    """The p-power test on every index [L[i] : L[i]∩L[j]] of the
+    lattice's index matrix, as one lookup through a table of the powers
+    of p up to the group order."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if kind not in (KIND_COMMENSURABILITY, KIND_CONTAINMENT):
         raise ValueError(f"unknown graph kind {kind!r}")
-    n = lat.parent.order
-    # float32 products are exact for counts below 2**24; orders and
-    # intersection orders are divisors of n, so the index dtype holds them
-    member = _membership_matrix(lat).astype(np.float32)
-    index_dtype = np.min_scalar_type(n)
-    inter = (member @ member.T).astype(index_dtype)
-    orders = np.array([s.order for s in lat.subgroups], dtype=index_dtype)
-    # lookup[k] is the exponent of index k, or -1; index 0 never occurs
-    powers = [p_power_exponent(k, p) for k in range(1, n + 1)]
-    lookup = np.array([-1] + [-1 if e is None else e for e in powers],
-                      dtype=np.int8)
-    exponents = lookup[orders[:, None] // inter]
+    lookup = _p_power_lookup(lat.parent.order, p)
+    exponents = lookup.take(lat.index_matrix)
     adj = (exponents >= 0) & (exponents.T >= 0)
     if kind == KIND_CONTAINMENT:
         adj &= (exponents == 0) | (exponents.T == 0)

@@ -17,12 +17,19 @@ of the generating set that the table's Light's test ran over.
 ``oracle_enumerate_subgroups`` instead closes all generator tuples of
 bounded size, level by level; with max_gens >= log2(order) it provably
 finds every subgroup, independently of the cyclic-extension route.
+
+A lattice computes ``Lattice.index_matrix``, every index
+[L[i] : L[i]∩L[j]], from one product M·Mᵀ of its 0/1 membership matrix
+on first use, and keeps it: the graphs of every prime and kind read it.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from .errors import LatticeCapExceeded, NotFound, OracleScaleExceeded
 from .groups import (
@@ -57,6 +64,31 @@ class Lattice:
 
     def __len__(self) -> int:
         return len(self.subgroups)
+
+    @cached_property
+    def index_matrix(self) -> np.ndarray:
+        """The read-only m×m matrix of indices [L[i] : L[i]∩L[j]], from one
+        product M·Mᵀ of the membership matrix M on first use, then kept.
+        It does not depend on p or on the graph kind."""
+        n = self.parent.order
+        # float32 products are exact for counts below 2**24; orders and
+        # intersection orders are divisors of n, so the index dtype holds them
+        member = _membership_matrix(self).astype(np.float32)
+        index_dtype = np.min_scalar_type(n)
+        inter = (member @ member.T).astype(index_dtype)
+        orders = np.array([s.order for s in self.subgroups], dtype=index_dtype)
+        index = orders[:, None] // inter
+        index.flags.writeable = False
+        return index
+
+
+def _membership_matrix(lat: Lattice) -> np.ndarray:
+    """The m×n 0/1 matrix whose row i has a 1 at each element of L[i]."""
+    n = lat.parent.order
+    width = (n + 7) // 8
+    packed = b"".join(s.members.to_bytes(width, "little") for s in lat.subgroups)
+    rows = np.frombuffer(packed, dtype=np.uint8).reshape(-1, width)
+    return np.unpackbits(rows, axis=1, count=n, bitorder="little")
 
 
 def _lex_key(mask: int, n: int) -> str:

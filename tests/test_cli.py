@@ -77,19 +77,33 @@ def test_group_parse_and_cap_exit_codes(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("spec,short", [
-    ('{"sym": 1600}', True),
-    ('{"abelian": [' + ", ".join(["2"] * 15000) + ']}', False),  # named in full
-    ('{"bs": {"sym": 400}}', True),
+_ABELIAN_15000 = '{"abelian": [' + ", ".join(["2"] * 15000) + ']}'
+
+
+@pytest.mark.parametrize("spec", [
+    '{"sym": 1600}', _ABELIAN_15000, '{"bs": {"sym": 400}}',
 ], ids=["sym1600", "abelian-15000-factors", "bs-sym400"])
-def test_huge_orders_exit_order_cap(spec, short, capsys):
+def test_huge_orders_exit_order_cap(spec, capsys):
     """The cap is compared without writing out an order of thousands of
     digits, which Python refuses to convert to a string."""
     assert run_cli("group", spec) == EXIT_ORDER_CAP
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert err.endswith(" cap 5000\n")
-    assert len(err) < 200 or not short
+    assert len(err) < 200
+
+
+def test_order_cap_error_cuts_a_long_spec_name(capsys):
+    """A spec name too long to read is cut, with a mark; a short one is
+    given whole."""
+    assert run_cli("group", _ABELIAN_15000) == EXIT_ORDER_CAP
+    err = capsys.readouterr().err
+    assert err.startswith("error: abelian(2x2x") and err.count("\n") == 1
+    assert err.endswith("2x… has order above the cap 5000\n")
+    assert len(err) < 200
+    assert run_cli("group", '{"sym": 1600}') == EXIT_ORDER_CAP
+    assert capsys.readouterr().err == \
+        "error: sym(1600) has order above the cap 5000\n"
 
 
 def test_order_cap_env_and_flag_priority(capsys):

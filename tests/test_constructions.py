@@ -41,7 +41,7 @@ from commgraph import (
     subgroup_closure,
     sym,
 )
-from commgraph import groups
+from commgraph import constructions, groups
 from commgraph.groups import perm_from_cycles
 
 
@@ -374,6 +374,22 @@ def test_direct_order_multiplies():
                 == construct(a).order * construct(b).order)
     empty = construct_detailed(direct([]))  # the empty product is trivial
     assert (empty.elements, empty.table.labels) == ([()], ["()"])
+
+
+def test_direct_builds_each_distinct_factor_once(monkeypatch):
+    calls = []
+    real = constructions.construct_detailed
+
+    def counted(spec, order_cap=None):
+        calls.append(spec)
+        return real(spec, order_cap)
+
+    monkeypatch.setattr(constructions, "construct_detailed", counted)
+    table = real(abelian([2, 2, 3, 2, 3])).table
+    assert calls == [cyclic(2), cyclic(3)]
+    assert table.order == 72
+    assert construct_detailed(direct([sym(3), sym(3)])) is not \
+        construct_detailed(direct([sym(3), sym(3)]))
 
 
 def test_order_cap_blocks_prediction():

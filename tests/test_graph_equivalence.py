@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 
+import numpy as np
 import pytest
 
 from commgraph import (
@@ -33,6 +34,8 @@ from commgraph import (
     sym,
 )
 from commgraph.cli import _dump_json, analyze_doc, export_dot, graph_json_doc
+from commgraph.graphs import _p_power_lookup
+from commgraph.groups import p_power_exponent
 
 SPECS = {"sym(4)": sym(4), "p2q(5)": p2q(5),
          "D4xD4": direct([dihedral(4), dihedral(4)]),
@@ -211,3 +214,47 @@ def test_geodesics_are_the_shortest_simple_paths(lattices, name, p, kind):
                 shortest = min(map(len, paths))
                 assert all_geodesics(graph, u, v) == \
                     [path for path in paths if len(path) == shortest]
+
+
+def test_index_matrix_is_computed_once_and_read_only(lattices):
+    lat = lattices["p2q(5)"]
+    index = lat.index_matrix
+    assert not index.flags.writeable
+    with pytest.raises(ValueError):
+        index[0, 0] = 2
+    for p in (2, 3, 5, 7):
+        for kind in (KIND_COMMENSURABILITY, KIND_CONTAINMENT):
+            build_graph(lat, p, kind)
+            assert lat.index_matrix is index
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_index_matrix_matches_intersections(lattices, name):
+    lat = lattices[name]
+    expected = [[A.order // (A.members & B.members).bit_count()
+                 for B in lat.subgroups] for A in lat.subgroups]
+    assert lat.index_matrix.tolist() == expected
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 97])
+def test_p_power_lookup_matches_p_power_exponent(p):
+    """Order 96 = 2^5 * 3: 5 does not divide it and 97 exceeds it."""
+    lookup = _p_power_lookup(96, p)
+    assert len(lookup) == 97 and lookup.dtype == np.int8
+    for k in range(1, 97):
+        e = p_power_exponent(k, p)
+        assert lookup[k] == (-1 if e is None else e)
+
+
+@pytest.mark.parametrize("p", [5, 97])
+@pytest.mark.parametrize("kind", [KIND_COMMENSURABILITY, KIND_CONTAINMENT])
+def test_primes_off_the_order_give_no_edges(lattices, p, kind):
+    """Only index 1 is a power of p: exponents is 0 exactly where L[i] is
+    contained in L[j], and -1 everywhere else."""
+    lat = lattices["S4xV4"]
+    graph = build_graph(lat, p, kind)
+    assert graph.edge_count == 0
+    contained = [[A.members & B.members == A.members for B in lat.subgroups]
+                 for A in lat.subgroups]
+    assert (graph.exponents == 0).tolist() == contained
+    assert ((graph.exponents == 0) | (graph.exponents == -1)).all()

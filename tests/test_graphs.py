@@ -251,7 +251,8 @@ def test_vertex_queries_reject_ids_outside_graph(s4_lattice, query, v):
 
 def test_library_keeps_no_results():
     """Every call computes afresh and nothing pins its result: reuse is
-    the caller's choice (see commgraph.verify)."""
+    the caller's choice (see commgraph.verify).  A lattice keeps its own
+    index matrix, which dies with it."""
     lat = enumerate_subgroups(construct(sym(4)))
     ref = weakref.ref(lat)
     del lat
@@ -265,3 +266,8 @@ def test_library_keeps_no_results():
     assert a is not b
     assert a.edge_data == b.edge_data
     assert components_and_diameters(a) is not components_and_diameters(a)
+    assert "index_matrix" in vars(lat)  # kept by the lattice alone
+    ref = weakref.ref(lat)
+    del a, b, lat
+    gc.collect()
+    assert ref() is None
