@@ -27,9 +27,10 @@ conjugated by one, ``_conjugate_mask`` under the permutation x -> gxg^-1
 non-central generator that Light's test ran over; with the centre these
 generate G.  Orbits under them (``_conjugacy_class``) are whole
 conjugacy classes: they give normal cores and the lattice enumerator's
-classes.  g normalizes S when it conjugates S's generators into S
-(``_normalizes``); only the lattice enumerator then grows S by g without
-a closure.
+classes.  Given the subgroup's generators, an orbit is first tested on
+them alone, so a normal subgroup's class costs no conjugated mask.  g
+normalizes S when it conjugates S's generators into S (``_normalizes``);
+only the lattice enumerator then grows S by g without a closure.
 """
 
 from __future__ import annotations
@@ -716,14 +717,25 @@ def _normalizes(G: GroupTable, mask: int, gens: Sequence[int], g: int) -> bool:
     gens generate: g conjugates each of gens into it."""
     mult, gi = G.mult, G.inv[g]
     row = mult[g]
-    return all(mask >> mult[row[x]][gi] & 1 for x in gens)
+    for x in gens:
+        if not mask >> mult[row[x]][gi] & 1:
+            return False
+    return True
 
 
-def _conjugacy_class(conjugations: Sequence[list[int]],
-                     mask: int) -> list[int]:
+def _conjugacy_class(conjugations: Sequence[list[int]], mask: int,
+                     gens: Sequence[int] = ()) -> list[int]:
     """Masks of the orbit of a subgroup under the given ``_conjugation``
     permutations, starting with mask itself: its orbit under the group
-    that their elements generate."""
+    that their elements generate.
+
+    gens, if given, generate the subgroup.  When every permutation maps
+    every one of gens into the mask, each maps the subgroup into itself,
+    and so onto itself, as a conjugate has the same order: the orbit is
+    [mask], found without conjugating a mask.  Otherwise the orbit is
+    walked in full."""
+    if gens and _fixes(conjugations, mask, gens):
+        return [mask]
     orbit = [mask]
     seen = {mask}
     for m in orbit:  # also visits the masks appended below
@@ -733,6 +745,16 @@ def _conjugacy_class(conjugations: Sequence[list[int]],
                 seen.add(image)
                 orbit.append(image)
     return orbit
+
+
+def _fixes(conjugations: Sequence[list[int]], mask: int,
+           gens: Sequence[int]) -> bool:
+    """True iff every permutation maps every one of gens into the mask."""
+    for conj in conjugations:
+        for x in gens:
+            if not mask >> conj[x] & 1:
+                return False
+    return True
 
 
 def is_normal(A: SubgroupSet, B: SubgroupSet) -> bool:
@@ -750,12 +772,14 @@ def is_normal(A: SubgroupSet, B: SubgroupSet) -> bool:
 def normal_core(A: SubgroupSet, G: GroupTable) -> SubgroupSet:
     """Largest normal subgroup of G inside A: the intersection of A's
     conjugates, taken over its orbit under ``G.conjugations``, which is
-    A's whole conjugacy class (see ``GroupTable``).
+    A's whole conjugacy class (see ``GroupTable``).  A normal A is its
+    own core, found from its witnesses without conjugating a mask.
     """
     if A.parent is not G:
         raise ParentMismatch("subgroup does not live over the given table")
     mask = A.members
-    for conjugate in _conjugacy_class(G.conjugations, A.members):
+    for conjugate in _conjugacy_class(G.conjugations, A.members,
+                                      A.witnesses):
         mask &= conjugate
     return SubgroupSet.from_members(G, mask)
 

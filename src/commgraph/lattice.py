@@ -6,17 +6,19 @@ subgroup S per conjugacy class is extended by cyclic subgroups <c> of
 prime-power order p^k, until no new class appears; S is carried as its
 member mask and generators.  Only c with c^p in S are tried; when c
 normalizes S the extension is S's p cosets by the powers of c, read off
-the table.  Any other c is needed only when S and c lie in the solvable
-residuum G^(∞), the last term of the derived series (trivial in a
-solvable group); those extensions are closed by
-``groups._cyclic_extension``.  Once S has an extension T of prime
-index, every later c in T is skipped at S: by Lagrange, <S, c> could
-only be T again.  Class orbits come from ``groups._conjugacy_class``
-under ``G.conjugations``: the conjugations by the non-central members
-of the generating set that the table's Light's test ran over.
-``oracle_enumerate_subgroups`` instead closes all generator tuples of
-bounded size, level by level; with max_gens >= log2(order) it provably
-finds every subgroup, independently of the cyclic-extension route.
+the table.  Every c normalizes a normal S, whose class has one member;
+the worklist carries that flag, so a normal S is not tested again.  Any
+other c is needed only when S and c lie in the solvable residuum G^(∞),
+the last term of the derived series (trivial in a solvable group); those
+extensions are closed by ``groups._cyclic_extension``.  Once S has an
+extension T of prime index, every later c in T is skipped at S: by
+Lagrange, <S, c> could only be T again.  Class orbits come from
+``groups._conjugacy_class`` under ``G.conjugations``: the conjugations
+by the non-central members of the generating set that the table's
+Light's test ran over.  ``oracle_enumerate_subgroups`` instead closes
+all generator tuples of bounded size, level by level; with max_gens >=
+log2(order) it provably finds every subgroup, independently of the
+cyclic-extension route.
 
 A lattice computes ``Lattice.index_matrix``, every index
 [L[i] : L[i]∩L[j]], from one product M·Mᵀ of its 0/1 membership matrix
@@ -91,8 +93,14 @@ def _membership_matrix(lat: Lattice) -> np.ndarray:
     return np.unpackbits(rows, axis=1, count=n, bitorder="little")
 
 
-def _lex_key(mask: int, n: int) -> str:
-    return format(mask, f"0{n}b")[::-1]
+# byte b with its bits in reverse order: bit 0 becomes the top bit
+_REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _lex_key(mask: int, n: int) -> bytes:
+    """A key that sorts n-bit masks as their bit-strings with bit 0 first
+    do: the little-endian bytes, each with its bits reversed."""
+    return mask.to_bytes((n + 7) // 8, "little").translate(_REVERSED_BITS)
 
 
 def _finish_lattice(G: GroupTable, masks) -> Lattice:
@@ -148,21 +156,21 @@ def _zuppos(G: GroupTable) -> list[tuple[int, int]]:
 
 
 def _extend(G: GroupTable, residuum: int, s_mask: int, s_elems: list[int],
-            s_gens: tuple[int, ...], c: int) -> int | None:
+            s_gens: tuple[int, ...], c: int, s_normal: bool) -> int | None:
     """The member mask of <S, c> for a zuppo c outside S with c^p in S, or
     None when c does not normalize S and S and c do not both lie in the
     solvable residuum, whose member mask is residuum (rule (c)).
 
     s_elems are S's members and s_gens generate S, so c normalizes S when
-    it conjugates each of s_gens into S.  Then <S, c> is S, Sc, ...,
-    Sc^(p-1) (rule (b)), each coset ORed into the mask off one table row;
-    otherwise it is closed by ``_cyclic_extension``.  That would give the
-    same cosets for a normalizing c too, but testing every product x*c for
-    membership as it goes nearly doubles the time to enumerate
-    bs(cyclic(3)) or p2q(13).
+    S is normal in G (s_normal) or c conjugates each of s_gens into S.
+    Then <S, c> is S, Sc, ..., Sc^(p-1) (rule (b)), each coset ORed into
+    the mask off one table row; otherwise it is closed by
+    ``_cyclic_extension``.  That would give the same cosets for a
+    normalizing c too, but testing every product x*c for membership as it
+    goes nearly doubles the time to enumerate bs(cyclic(3)) or p2q(13).
     """
     mult = G.mult
-    if not _normalizes(G, s_mask, s_gens, c):
+    if not s_normal and not _normalizes(G, s_mask, s_gens, c):
         if not residuum >> c & 1 or s_mask | residuum != residuum:
             return None
         return _cyclic_extension(mult, s_mask, s_elems, c)[0]
@@ -198,8 +206,10 @@ def enumerate_subgroups(G: GroupTable,
         <c>, as c is not in S; so [S<c> : S] = p.  The p cosets are read
         off the table with no closure scan.  c normalizes S as soon as it
         conjugates the generators that built S into S; worklist entries
-        are S's member mask and those generators, and S's members are
-        read off the mask once, when S is extended.
+        are S's member mask, those generators and whether S is normal in
+        G, and S's members are read off the mask once, when S is
+        extended.  A normal S, whose class has one member, needs no test:
+        every c normalizes it.
     (c) Skip a c that does not normalize S unless S ≤ R and c ∈ R; then
         close <S, c> by ``_cyclic_extension``.  Take any subgroup T.
         P = T^(∞) is perfect, so it lies in R.  The chain of (a) from 1
@@ -231,7 +241,9 @@ def enumerate_subgroups(G: GroupTable,
     test ran over.  The orbit under a set of conjugations is the orbit
     under the group they generate, and those members with the centre,
     which conjugates trivially, generate G.  So each orbit is a whole
-    class, and no class is extended twice.  Both routes run through
+    class, and no class is extended twice.  The class of T = <S, c> is
+    taken with S's generators and c, which generate T, so a normal T is
+    known as such without conjugating its mask.  Both routes run through
     ``_extend``.  Raises LatticeCapExceeded as soon as more than
     lattice_cap subgroups are known.
     """
@@ -239,25 +251,27 @@ def enumerate_subgroups(G: GroupTable,
     primes = {p for p, _ in G.order_factorization}
     zuppos = _zuppos(G)
     known = {1}
-    worklist: list[tuple[int, tuple[int, ...]]] = [(1, ())]
-    for s_mask, s_gens in worklist:  # also visits appended entries
+    worklist: list[tuple[int, tuple[int, ...], bool]] = [(1, (), True)]
+    for s_mask, s_gens, s_normal in worklist:  # also visits appended entries
         s_elems = list(_bits(s_mask))
         done = s_mask  # S and every extension of S of prime index
         for c, cp in zuppos:  # <c^p> lies in the subgroup S when c^p does
             if done >> c & 1 or not s_mask >> cp & 1:
                 continue
-            t_mask = _extend(G, residuum, s_mask, s_elems, s_gens, c)
+            t_mask = _extend(G, residuum, s_mask, s_elems, s_gens, c,
+                             s_normal)
             if t_mask is None:
                 continue
             if t_mask.bit_count() // len(s_elems) in primes:
                 done |= t_mask
             if t_mask in known:
                 continue
-            cls = _conjugacy_class(G.conjugations, t_mask)
+            t_gens = s_gens + (c,)
+            cls = _conjugacy_class(G.conjugations, t_mask, t_gens)
             if len(known) + len(cls) > lattice_cap:
                 raise LatticeCapExceeded(f"more than {lattice_cap} subgroups")
             known.update(cls)
-            worklist.append((t_mask, s_gens + (c,)))
+            worklist.append((t_mask, t_gens, len(cls) == 1))
 
     return _finish_lattice(G, known)
 

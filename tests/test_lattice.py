@@ -8,6 +8,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from commgraph import (
     LatticeCapExceeded,
@@ -25,6 +27,8 @@ from commgraph import (
     dihedral,
     direct,
     enumerate_subgroups,
+    full_subgroup,
+    is_normal,
     locate_subgroup,
     oracle_enumerate_subgroups,
     p2q,
@@ -66,6 +70,30 @@ def test_lattice_canonical_order_and_endpoints():
     assert lat.subgroups[0].order == 1
     assert lat.subgroups[-1].order == 24
     assert len({s.members for s in lat.subgroups}) == len(lat.subgroups)
+
+
+@st.composite
+def _masks_of_one_width(draw):
+    """A width n and masks of n bits with bit 0 set: random ones, and
+    single-bit flips of one of them, which share all but one bit."""
+    n = draw(st.integers(1, 2000) | st.sampled_from([1944]))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1,
+                          max_size=6))
+    flips = draw(st.lists(st.integers(0, n - 1), max_size=6))
+    masks += [masks[0] ^ 1 << i for i in flips]
+    return n, [mask | 1 for mask in masks]
+
+
+@given(_masks_of_one_width())
+@example((1944, [1 | 1 << 1943, 1 | 1 << 1942, 3, 1]))
+@example((9, [1 | 1 << 8, 1 | 1 << 7, 0x1FF]))
+def test_lex_key_sorts_as_the_reversed_bit_string(width_masks):
+    """The byte key sorts masks exactly as the bit-string with bit 0
+    first does, on widths that are multiples of 8 and widths that are
+    not."""
+    n, masks = width_masks
+    assert sorted(masks, key=lambda m: lattice_module._lex_key(m, n)) \
+        == sorted(masks, key=lambda m: format(m, f"0{n}b")[::-1])
 
 
 def test_lattice_closed_under_intersection():
@@ -154,8 +182,8 @@ def _record_extensions(monkeypatch) -> list[tuple[int, int, int | None]]:
     extend = lattice_module._extend
     calls = []
 
-    def recording(G, residuum, s_mask, s_elems, s_gens, c):
-        result = extend(G, residuum, s_mask, s_elems, s_gens, c)
+    def recording(G, residuum, s_mask, s_elems, s_gens, c, *args):
+        result = extend(G, residuum, s_mask, s_elems, s_gens, c, *args)
         calls.append((s_mask, c, result))
         return result
 
@@ -194,9 +222,9 @@ def test_worklist_matches_recorded(spec, built_group, monkeypatch):
     conjugacy_class = lattice_module._conjugacy_class
     masks = []
 
-    def recording(conjugations, mask):
+    def recording(conjugations, mask, *args):
         masks.append(mask)
-        return conjugacy_class(conjugations, mask)
+        return conjugacy_class(conjugations, mask, *args)
 
     monkeypatch.setattr(lattice_module, "_conjugacy_class", recording)
     calls = _record_extensions(monkeypatch)
@@ -225,6 +253,22 @@ def test_class_conjugations_keep_every_class(spec, built_group):
             == set(_conjugacy_class(every, s.members))
 
 
+@pytest.mark.parametrize("spec", [
+    sym(4), p2q(5), direct([dihedral(4), dihedral(4)]),
+    direct([sym(4), abelian([2, 2])]), abelian([2] * 5), sym(5),
+], ids=spec_name)
+def test_class_from_generators_is_the_orbit(spec, built_group):
+    """Given a subgroup's witnesses, ``_conjugacy_class`` returns the orbit
+    it walks without them, and one mask exactly when the subgroup is
+    normal."""
+    table = built_group(spec).table
+    full = full_subgroup(table)
+    for s in enumerate_subgroups(table).subgroups:
+        cls = _conjugacy_class(table.conjugations, s.members, s.witnesses)
+        assert cls == _conjugacy_class(table.conjugations, s.members)
+        assert (len(cls) == 1) == is_normal(s, full)
+
+
 KEPT_CONJUGATIONS = [
     (abelian([2, 2, 2]), 0), (bs(cyclic(3)), 3),
     (direct([sym(4), abelian([2, 2])]), 2), (sym(4), 2),
@@ -251,9 +295,9 @@ def test_enumeration_orbits_use_the_table_conjugations(monkeypatch):
     seen = []
     conjugacy_class = lattice_module._conjugacy_class
 
-    def recording(conjugations, mask):
+    def recording(conjugations, mask, *args):
         seen.append(conjugations)
-        return conjugacy_class(conjugations, mask)
+        return conjugacy_class(conjugations, mask, *args)
 
     monkeypatch.setattr(lattice_module, "_conjugacy_class", recording)
     enumerate_subgroups(table)
