@@ -17,10 +17,6 @@ class LatticeCapExceeded(CommGraphError):
     """Subgroup enumeration exceeded the configured lattice cap."""
 
 
-class OracleScaleExceeded(CommGraphError):
-    """The brute-force enumerator was asked for a group beyond its scale."""
-
-
 class ParentMismatch(CommGraphError):
     """Two subgroup sets do not live over the same group table."""
 

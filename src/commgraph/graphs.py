@@ -15,8 +15,12 @@ of those indices in a table of the powers of p.  One breadth-first
 search, ``_levels``, gives the distance classes from one root: it grows
 each component and steers ``all_geodesics``.  The other,
 ``_eccentricities``, runs from all of a component's vertices at once
-inside its own block of the adjacency matrix.  The edge map, neighbor
-lists and edge count are read off the matrices on demand.
+inside its own block of the adjacency matrix, unless the component has a
+universal vertex, adjacent to every other one (as the trivial subgroup
+and G are in the containment graph of a p-group): then each
+eccentricity is 1 or 2, read off the vertex degrees, which are counted
+once per graph.  The edge map, neighbor lists and edge count are read
+off the matrices on demand.
 ``commensurability_exponents`` is the scalar form of the same test, for a
 single pair of subgroups.
 """
@@ -150,12 +154,12 @@ def _levels(adj: np.ndarray, root: int) -> tuple[list[np.ndarray], np.ndarray]:
     return levels, reached
 
 
-def _classify(block: np.ndarray, vertices: list[int]) -> tuple[str, int | None]:
-    """Classify the graph on vertices whose adjacency matrix is block."""
+def _classify(vertices: list[int],
+              degrees: np.ndarray) -> tuple[str, int | None]:
+    """Classify the graph on vertices whose degrees in it are degrees."""
     k = len(vertices)
     if k == 1:
         return ("singleton", None)
-    degrees = np.count_nonzero(block, axis=1)
     edges = int(degrees.sum()) // 2
     if edges == k * (k - 1) // 2:
         return ("complete", None)
@@ -174,20 +178,27 @@ def classify_component(graph: CommGraph, vertices: list[int]) -> tuple[str, int 
     and a star (>= 3 vertices) has a unique center meeting every edge and
     no other edges."""
     _check_vertices(graph, *vertices)
-    return _classify(graph.adj[np.ix_(vertices, vertices)], vertices)
+    block = graph.adj[np.ix_(vertices, vertices)]
+    return _classify(vertices, np.count_nonzero(block, axis=1))
 
 
-def _eccentricities(block: np.ndarray) -> np.ndarray:
+def _eccentricities(block: np.ndarray, degrees: np.ndarray) -> np.ndarray:
     """Eccentricities in the connected graph on k >= 2 vertices whose
-    adjacency matrix is block, by a breadth-first search from every vertex
-    at once.
+    adjacency matrix is block and whose vertex degrees are degrees.
 
+    When some vertex u has degree k - 1, every two vertices are joined
+    through u, so a vertex's eccentricity is 1 if its own degree is k - 1
+    and 2 otherwise; this covers the complete graph, and needs no product.
+    Any other graph takes a breadth-first search from every vertex at once.
     Row v of frontier holds the vertices at distance d from v, and one
     matrix product gives the next level, for the rows whose reached set is
     not yet every vertex.  A source is dropped once it has reached every
-    vertex, so a complete graph needs no product; any other source's next
-    level is non-empty, which makes its eccentricity one more than d."""
+    vertex; any other source's next level is non-empty, which makes its
+    eccentricity one more than d."""
     k = len(block)
+    universal = degrees == k - 1
+    if universal.any():
+        return np.where(universal, 1, 2)
     step = block.astype(np.float32)
     reached = block | np.eye(k, dtype=bool)
     sources = np.arange(k)
@@ -210,15 +221,18 @@ def components_and_diameters(graph: CommGraph) -> tuple[list[ComponentReport], i
     component diameter (0 when totally disconnected).
 
     Distances never cross components, so the components come first.  The
-    isolated vertices are singletons, found in one pass.  Every other
-    component is the set ``_levels`` reaches from its smallest vertex not
-    yet labelled, and its eccentricities come from a
-    breadth-first search inside its own block of the adjacency matrix
-    (``_eccentricities``), which costs the cube of the component's size
-    per level instead of the cube of the graph's."""
+    vertex degrees are counted once; those of degree 0 are the singletons.
+    Every other component is the set ``_levels`` reaches from its smallest
+    vertex not yet labelled.  A vertex's degree in its component is its
+    degree in the graph, which gives the classification and, when some
+    vertex is universal, the eccentricities; otherwise they come from a
+    breadth-first search inside the component's own block of the adjacency
+    matrix (``_eccentricities``), which costs the cube of the component's
+    size per level instead of the cube of the graph's."""
     adj = graph.adj
     m = graph.vertex_count
-    isolated = ~adj.any(axis=1)
+    degrees = np.count_nonzero(adj, axis=1)
+    isolated = degrees == 0
     reports = [ComponentReport([v], 0, [0], "singleton", None)
                for v in np.flatnonzero(isolated).tolist()]
     seen = isolated.copy()
@@ -228,8 +242,9 @@ def components_and_diameters(graph: CommGraph) -> tuple[list[ComponentReport], i
         vs = np.flatnonzero(component)
         block = adj if len(vs) == m else adj[np.ix_(vs, vs)]
         vertices = vs.tolist()
-        eccs = _eccentricities(block).tolist()
-        kind, center = _classify(block, vertices)
+        degs = degrees[vs]
+        eccs = _eccentricities(block, degs).tolist()
+        kind, center = _classify(vertices, degs)
         reports.append(ComponentReport(vertices, max(eccs), eccs, kind, center))
     reports.sort(key=lambda r: r.vertices[0])
     connected_diameter = max((r.diameter for r in reports), default=0)

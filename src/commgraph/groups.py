@@ -4,7 +4,10 @@ Two immutable carriers underpin everything: ``GroupTable`` (the ambient
 group, identity pinned at element id 0) and ``SubgroupSet`` (a membership
 bit vector over one table).  All operations are pure functions of their
 inputs; tables and subgroup sets are never mutated after construction, so
-any number of operations may run concurrently over shared objects.
+any number of operations may run concurrently over shared objects.  The
+one deferred value is a subgroup's canonical witnesses, which
+``SubgroupSet.from_members`` computes on first read: every read, in any
+thread, gives the same tuple.
 
 Every table is validated before it is wrapped.  Associativity is proven,
 not sampled, by Light's test (Clifford & Preston, *The Algebraic Theory of
@@ -577,16 +580,18 @@ class SubgroupSet:
 
     Identity is member-set equality over the same parent table; witness
     lists are generating sets kept for labeling and normality checks.
+    Witnesses given as None are the canonical greedy witnesses (see
+    ``from_members``), computed on first read of ``witnesses`` and kept.
     """
 
-    __slots__ = ("parent", "members", "order", "witnesses")
+    __slots__ = ("parent", "members", "order", "_witnesses")
 
     def __init__(self, parent: GroupTable, members: int,
-                 witnesses: Sequence[int], *, validate: bool = True):
+                 witnesses: Sequence[int] | None, *, validate: bool = True):
         self.parent = parent
         self.members = members
         self.order = members.bit_count()
-        self.witnesses = tuple(witnesses)
+        self._witnesses = None if witnesses is None else tuple(witnesses)
         if not members & 1:
             raise ValueError("subgroup must contain the identity (bit 0)")
         if parent.order % self.order != 0:
@@ -598,10 +603,19 @@ class SubgroupSet:
 
     @classmethod
     def from_members(cls, parent: GroupTable, members: int) -> "SubgroupSet":
-        """Wrap a member mask, computing canonical greedy witnesses."""
-        return cls(parent, members,
-                   _greedy_witnesses(parent.mult, _bits(members), members),
-                   validate=False)
+        """Wrap the member mask of a subgroup.  Its witnesses are the
+        canonical greedy ones, the members that the smaller ones do not
+        yet generate, computed on first read: most subgroups of a lattice
+        are never labeled.  Reading them raises ValueError when the mask
+        is not a subgroup."""
+        return cls(parent, members, None, validate=False)
+
+    @property
+    def witnesses(self) -> tuple[int, ...]:
+        if self._witnesses is None:
+            self._witnesses = _greedy_witnesses(
+                self.parent.mult, _bits(self.members), self.members)
+        return self._witnesses
 
     def elements(self) -> Iterator[int]:
         return _bits(self.members)
@@ -660,7 +674,8 @@ def _require_same_parent(A: SubgroupSet, B: SubgroupSet) -> None:
 
 
 def intersect(A: SubgroupSet, B: SubgroupSet) -> SubgroupSet:
-    """A ∩ B; witnesses recomputed as a greedy minimal generating list."""
+    """A ∩ B, wrapped by ``SubgroupSet.from_members``: its witnesses are
+    the canonical greedy ones, computed on first read."""
     _require_same_parent(A, B)
     return SubgroupSet.from_members(A.parent, A.members & B.members)
 

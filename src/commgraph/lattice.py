@@ -1,4 +1,4 @@
-"""Complete subgroup lattice enumeration, plus a brute-force cross-check.
+"""Complete subgroup lattice enumeration.
 
 ``enumerate_subgroups`` is Neubüser's cyclic extension method (1960), as in
 GAP's ``LatticeByCyclicExtension``: from the trivial subgroup on, one
@@ -15,10 +15,7 @@ extension T of prime index, every later c in T is skipped at S: by
 Lagrange, <S, c> could only be T again.  Class orbits come from
 ``groups._conjugacy_class`` under ``G.conjugations``: the conjugations
 by the non-central members of the generating set that the table's
-Light's test ran over.  ``oracle_enumerate_subgroups`` instead closes
-all generator tuples of bounded size, level by level; with max_gens >=
-log2(order) it provably finds every subgroup, independently of the
-cyclic-extension route.
+Light's test ran over.
 
 A lattice computes ``Lattice.index_matrix``, every index
 [L[i] : L[i]∩L[j]], from one product M·Mᵀ of its 0/1 membership matrix
@@ -33,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import LatticeCapExceeded, NotFound, OracleScaleExceeded
+from .errors import LatticeCapExceeded, NotFound
 from .groups import (
     GroupTable,
     SubgroupSet,
@@ -48,7 +45,6 @@ from .groups import (
 )
 
 DEFAULT_LATTICE_CAP = 100000
-_ORACLE_MAX_ORDER = 100
 _SAMPLE_SEED = 0x1A77
 
 
@@ -105,9 +101,9 @@ def _lex_key(mask: int, n: int) -> bytes:
 
 def _finish_lattice(G: GroupTable, masks) -> Lattice:
     """The lattice of the given member masks in canonical order.  Its
-    checks are sanity checks on the output of ``enumerate_subgroups`` and
-    ``oracle_enumerate_subgroups``, the only callers, not a proof that
-    outside input is a complete lattice."""
+    checks are sanity checks on the output of ``enumerate_subgroups`` (and
+    of the brute-force oracle in the tests), not a proof that outside
+    input is a complete lattice."""
     n = G.order
     subs = [SubgroupSet.from_members(G, m) for m in masks]
     subs.sort(key=lambda s: (s.order, _lex_key(s.members, n)))
@@ -274,39 +270,6 @@ def enumerate_subgroups(G: GroupTable,
             worklist.append((t_mask, t_gens, len(cls) == 1))
 
     return _finish_lattice(G, known)
-
-
-def oracle_enumerate_subgroups(G: GroupTable, max_gens: int) -> Lattice:
-    """Closures of all generator tuples of size <= max_gens, deduplicated.
-
-    Implemented level by level: level k+1 closes every level-k subgroup
-    with every single element, which reaches exactly the subgroups whose
-    minimal generator count is <= max_gens (levels that add nothing stop
-    early).  Restricted to order <= 100.
-    """
-    if G.order > _ORACLE_MAX_ORDER:
-        raise OracleScaleExceeded(
-            f"oracle enumerator handles order <= {_ORACLE_MAX_ORDER}")
-    if max_gens < 2:
-        raise ValueError("max_gens must be >= 2")
-    mult = G.mult
-    known: dict[int, tuple[int, ...]] = {1: ()}
-    level = [1]
-    for _ in range(max_gens):
-        nxt = []
-        for s_mask in level:
-            tup = known[s_mask]
-            for x in range(1, G.order):
-                if s_mask >> x & 1:
-                    continue
-                t_mask = _closure_mask(mult, tup + (x,))
-                if t_mask not in known:
-                    known[t_mask] = tup + (x,)
-                    nxt.append(t_mask)
-        if not nxt:
-            break
-        level = nxt
-    return _finish_lattice(G, known.keys())
 
 
 def locate_subgroup(lat: Lattice, generator_ids) -> int:

@@ -1,0 +1,54 @@
+"""The brute-force subgroup enumerator, the tests' independent oracle for
+``commgraph.lattice.enumerate_subgroups``.
+
+It shares with the library only the closure of a generator tuple
+(``_closure_mask``) and the canonical sort and sanity checks of a finished
+lattice (``_finish_lattice``), so a change to the cyclic-extension route
+cannot change the reference as well.
+"""
+
+from __future__ import annotations
+
+from commgraph.errors import CommGraphError
+from commgraph.groups import GroupTable, _closure_mask
+from commgraph.lattice import Lattice, _finish_lattice
+
+_ORACLE_MAX_ORDER = 100
+
+
+class OracleScaleExceeded(CommGraphError):
+    """The brute-force enumerator was asked for a group beyond its scale."""
+
+
+def oracle_enumerate_subgroups(G: GroupTable, max_gens: int) -> Lattice:
+    """Closures of all generator tuples of size <= max_gens, deduplicated.
+
+    Implemented level by level: level k+1 closes every level-k subgroup
+    with every single element, which reaches exactly the subgroups whose
+    minimal generator count is <= max_gens (levels that add nothing stop
+    early).  With max_gens >= log2(order) it provably finds every
+    subgroup.  Restricted to order <= 100.
+    """
+    if G.order > _ORACLE_MAX_ORDER:
+        raise OracleScaleExceeded(
+            f"oracle enumerator handles order <= {_ORACLE_MAX_ORDER}")
+    if max_gens < 2:
+        raise ValueError("max_gens must be >= 2")
+    mult = G.mult
+    known: dict[int, tuple[int, ...]] = {1: ()}
+    level = [1]
+    for _ in range(max_gens):
+        nxt = []
+        for s_mask in level:
+            tup = known[s_mask]
+            for x in range(1, G.order):
+                if s_mask >> x & 1:
+                    continue
+                t_mask = _closure_mask(mult, tup + (x,))
+                if t_mask not in known:
+                    known[t_mask] = tup + (x,)
+                    nxt.append(t_mask)
+        if not nxt:
+            break
+        level = nxt
+    return _finish_lattice(G, known.keys())

@@ -25,7 +25,6 @@ from commgraph import (
     construct,
     default_corpus,
     enumerate_subgroups,
-    oracle_enumerate_subgroups,
     sym,
     verify_cd_inequality,
     verify_construction,
@@ -35,6 +34,7 @@ from commgraph import (
     verify_sym4_geodesics,
     verify_totaldisc,
 )
+from lattice_oracle import oracle_enumerate_subgroups
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"

@@ -7,6 +7,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commgraph import (
     KIND_COMMENSURABILITY,
@@ -169,8 +171,8 @@ def test_eccentricities_match_pairwise_bfs(s4_lattice):
             assert max(dists.values()) == ecc
 
 
-def _eccentricities_and_products(edges: list[tuple[int, int]]):
-    """_eccentricities of the 5-vertex graph with these edges, and the
+def _eccentricities_and_products(edges: list[tuple[int, int]], k: int = 5):
+    """_eccentricities of the k-vertex graph with these edges, and the
     number of matrix products it took."""
     products = []
 
@@ -179,21 +181,74 @@ def _eccentricities_and_products(edges: list[tuple[int, int]]):
             products.append(len(self))
             return np.asarray(self) @ np.asarray(other)
 
-    block = np.zeros((5, 5), dtype=bool)
+    block = np.zeros((k, k), dtype=bool)
     for i, j in edges:
         block[i, j] = block[j, i] = True
-    return _eccentricities(block.view(Counted)).tolist(), len(products)
+    degrees = np.count_nonzero(block, axis=1)
+    return (_eccentricities(block.view(Counted), degrees).tolist(),
+            len(products))
 
 
 def test_block_bfs_drops_finished_sources():
-    """A source that has reached every vertex takes no further product, so
-    a graph of diameter d needs d - 1 products."""
+    """A graph with a universal vertex (the complete graph, a star) needs
+    no product.  Otherwise a source that has reached every vertex takes
+    no further product, so a graph of diameter d needs d - 1 products."""
     complete = [(i, j) for i in range(5) for j in range(i + 1, 5)]
     assert _eccentricities_and_products(complete) == ([1] * 5, 0)
     star = [(0, i) for i in range(1, 5)]
-    assert _eccentricities_and_products(star) == ([1, 2, 2, 2, 2], 1)
+    assert _eccentricities_and_products(star) == ([1, 2, 2, 2, 2], 0)
     path = [(i, i + 1) for i in range(4)]
     assert _eccentricities_and_products(path) == ([4, 3, 2, 3, 4], 3)
+    # the chord 1-3 leaves every degree below 4: 0 and 4 lie at distance 3
+    chord = path + [(1, 3)]
+    assert _eccentricities_and_products(chord) == ([3, 2, 2, 2, 3], 2)
+
+
+def _bfs_eccentricities(k: int, edges) -> list[int]:
+    """Eccentricities of a connected graph by one dict BFS per vertex."""
+    nbrs: dict[int, set[int]] = {v: set() for v in range(k)}
+    for i, j in edges:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    out = []
+    for v in range(k):
+        dist = {v: 0}
+        queue = [v]
+        for x in queue:  # also visits the vertices appended below
+            for y in nbrs[x]:
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+        assert len(dist) == k
+        out.append(max(dist.values()))
+    return out
+
+
+@st.composite
+def connected_graphs(draw):
+    """(k, edges): a random tree on 2-12 vertices plus random extra edges;
+    half of them have one vertex joined to every other."""
+    k = draw(st.integers(2, 12))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, k)}
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=2 * k)))
+    if draw(st.booleans()):
+        u = draw(st.integers(0, k - 1))
+        edges |= {(min(u, v), max(u, v)) for v in range(k) if v != u}
+    return k, sorted(edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(connected_graphs())
+def test_eccentricities_match_dict_bfs(graph):
+    """The all-source search and the universal-vertex rule agree with a
+    dict BFS, and the rule takes no product whenever it applies."""
+    k, edges = graph
+    eccs, products = _eccentricities_and_products(edges, k)
+    assert eccs == _bfs_eccentricities(k, edges)
+    degrees = [sum(v in e for e in edges) for v in range(k)]
+    if k - 1 in degrees:
+        assert products == 0
 
 
 def test_geodesics_trivial_cases(s4, s4_lattice):

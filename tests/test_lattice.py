@@ -12,13 +12,17 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from commgraph import (
+    KIND_COMMENSURABILITY,
+    KIND_CONTAINMENT,
     LatticeCapExceeded,
     NotFound,
-    OracleScaleExceeded,
+    SubgroupSet,
     abelian,
     bs,
     build_group_from_permutations,
+    build_graph,
     build_group_from_table,
+    components_and_diameters,
     conjugate_subgroup,
     construct,
     construct_detailed,
@@ -30,19 +34,22 @@ from commgraph import (
     full_subgroup,
     is_normal,
     locate_subgroup,
-    oracle_enumerate_subgroups,
     p2q,
     spec_name,
     subgroup_closure,
     sym,
 )
+from commgraph import groups as groups_module
 from commgraph import lattice as lattice_module
 from commgraph.groups import (
+    _bits,
     _conjugacy_class,
     _conjugate_mask,
     _conjugation,
+    _greedy_witnesses,
     perm_from_cycles,
 )
+from lattice_oracle import OracleScaleExceeded, oracle_enumerate_subgroups
 
 
 @pytest.mark.parametrize("spec,count", [
@@ -362,6 +369,56 @@ def test_closes_non_normalizing_zuppos_only_inside_residuum(spec, solvable,
             inside = s_mask | residuum == residuum and bool(residuum >> c & 1)
             assert route == (inside, not inside)
     assert rejected and bool(closed) != solvable
+
+
+@pytest.mark.parametrize("spec", [
+    abelian([2, 2, 2, 2, 2]), direct([dihedral(4), dihedral(4)]),
+    direct([sym(4), abelian([2, 2])]),
+], ids=spec_name)
+def test_graphs_compute_no_witnesses(spec, built_group, monkeypatch):
+    """Enumerating the lattice and taking the components of every graph
+    computes no witnesses but those of the derived series, whose
+    commutators give the solvable residuum: the others wait for a read."""
+    table = built_group(spec).table
+    greedy = groups_module._greedy_witnesses
+    masks = []
+
+    def counting(mult, candidates, mask):
+        masks.append(mask)
+        return greedy(mult, candidates, mask)
+
+    monkeypatch.setattr(groups_module, "_greedy_witnesses", counting)
+    series = [t.members for t in derived_series(table).terms]
+    series_masks = masks.copy()
+    assert set(series_masks) <= set(series)
+    lat = enumerate_subgroups(table)
+    for kind in (KIND_COMMENSURABILITY, KIND_CONTAINMENT):
+        for p in (2, 3, 5):
+            components_and_diameters(build_graph(lat, p, kind))
+    assert masks == series_masks * 2
+
+
+@pytest.mark.parametrize("spec", [
+    sym(4), p2q(5), direct([dihedral(4), dihedral(4)]),
+    direct([sym(4), abelian([2, 2])]),
+], ids=spec_name)
+def test_witnesses_on_first_read_are_the_greedy_ones(spec, built_group):
+    """Read after the lattice is built, each subgroup's witnesses are the
+    canonical greedy ones over its members, in ascending order."""
+    table = built_group(spec).table
+    for s in enumerate_subgroups(table).subgroups:
+        assert s.witnesses \
+            == _greedy_witnesses(table.mult, _bits(s.members), s.members)
+
+
+def test_witnesses_of_a_non_subgroup_raise_on_read(built_group):
+    """from_members takes the mask on trust; its greedy witnesses close
+    past a mask that is not a subgroup, and the first read says so."""
+    table = built_group(sym(4)).table
+    x = next(x for x in range(table.order) if table.element_orders[x] == 3)
+    fake = SubgroupSet.from_members(table, 1 | 1 << x)  # order 2 divides 24
+    with pytest.raises(ValueError, match="not a subgroup"):
+        fake.witnesses
 
 
 def test_lattice_cap():
