@@ -6,12 +6,17 @@ of p; in the containment graph, when one contains the other with index a
 positive power of p (so every containment edge is also a commensurability
 edge).  Path lengths and diameters count edges.
 
-A graph is two m×m numpy matrices over the m lattice members: the p-power
-exponent of every index [L[i] : L[i]∩L[j]] and the boolean adjacency.
-``build_graph`` reads the indices from ``Lattice.index_matrix``, which the
-lattice computes once, from one product M·Mᵀ of its 0/1 membership
-matrix, and keeps for every prime and kind; each graph is then one lookup
-of those indices in a table of the powers of p.  One breadth-first
+A graph is the m×m boolean adjacency matrix over the m lattice members.
+An index is a power of p exactly when no other prime divides it, so
+adjacency depends on p only through which prime bits it ignores.
+``build_graph`` reads ``Lattice.pair_codes``, which the lattice computes
+once from its index matrix and keeps for every prime and kind: per pair,
+a bit for each prime dividing either index [L[i] : L[i]∩L[j]] or
+[L[j] : L[i]∩L[j]], and a top bit when neither subgroup contains the
+other.  Each graph is then one masked compare of those codes.  The
+p-power exponents of the indices are read off ``Lattice.index_matrix``
+only where they are asked for: at the edges for ``edge_data``, or for
+every pair, on first read, as ``CommGraph.exponents``.  One breadth-first
 search, ``_levels``, gives the distance classes from one root: it grows
 each component and steers ``all_geodesics``.  The other,
 ``_eccentricities``, runs from all of a component's vertices at once
@@ -19,8 +24,8 @@ inside its own block of the adjacency matrix, unless the component has a
 universal vertex, adjacent to every other one (as the trivial subgroup
 and G are in the containment graph of a p-group): then each
 eccentricity is 1 or 2, read off the vertex degrees, which are counted
-once per graph.  The edge map, neighbor lists and edge count are read
-off the matrices on demand.
+once per graph, as column sums of the symmetric adjacency.  The edge
+map, neighbor lists and edge count are read off the adjacency on demand.
 ``commensurability_exponents`` is the scalar form of the same test, for a
 single pair of subgroups.
 """
@@ -28,12 +33,13 @@ single pair of subgroups.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import NotConnected, ParentMismatch
 from .groups import SubgroupSet, is_prime, p_power_exponent
-from .lattice import Lattice
+from .lattice import _NOT_CONTAINED, Lattice
 
 KIND_COMMENSURABILITY = "commensurability"
 KIND_CONTAINMENT = "containment"
@@ -57,19 +63,15 @@ def commensurability_exponents(A: SubgroupSet, B: SubgroupSet,
 
 @dataclass(frozen=True, eq=False)
 class CommGraph:
-    """Simple undirected graph over lattice indices, held as two read-only
-    m×m matrices (m = number of subgroups in the lattice).
-
-    exponents[i, j] is a when [L[i] : L[i]∩L[j]] = p**a, else -1 (int8);
-    it is filled for every pair, edge or not.  adj is the symmetric bool
-    adjacency matrix with a false diagonal.  Equality is identity: the
-    matrices have no single truth value.
+    """Simple undirected graph over lattice indices, held as the read-only
+    m×m symmetric bool adjacency matrix adj with a false diagonal (m =
+    number of subgroups in the lattice).  Equality is identity: the matrix
+    has no single truth value.
     """
 
     kind: str
     p: int
     lattice: Lattice
-    exponents: np.ndarray = field(repr=False)
     adj: np.ndarray = field(repr=False)
 
     @property
@@ -80,13 +82,27 @@ class CommGraph:
     def edge_count(self) -> int:
         return int(np.count_nonzero(self.adj)) // 2
 
+    @cached_property
+    def exponents(self) -> np.ndarray:
+        """The read-only m×m int8 matrix whose [i, j] is a when
+        [L[i] : L[i]∩L[j]] = p**a, else -1, for every pair, edge or not.
+        Computed from the lattice's index matrix on first read, then kept;
+        the graph layer itself reads exponents at edges only."""
+        exponents = _p_power_lookup(self.lattice.parent.order, self.p).take(
+            self.lattice.index_matrix)
+        exponents.flags.writeable = False
+        return exponents
+
     @property
     def edge_data(self) -> dict[tuple[int, int], tuple[int, int]]:
         """Each edge (i, j) with i < j, in ascending order, mapped to the
         exponent pair (a, b) where [L[i] : L[i]∩L[j]] = p**a and
-        [L[j] : L[i]∩L[j]] = p**b.  Derived from the matrices on access."""
+        [L[j] : L[i]∩L[j]] = p**b.  Derived on access: the indices at the
+        edge positions only are looked up in a table of the powers of p."""
         i, j = np.nonzero(np.triu(self.adj, 1))
-        pairs = zip(self.exponents[i, j].tolist(), self.exponents[j, i].tolist())
+        lookup = _p_power_lookup(self.lattice.parent.order, self.p)
+        index = self.lattice.index_matrix
+        pairs = zip(lookup[index[i, j]].tolist(), lookup[index[j, i]].tolist())
         return dict(zip(zip(i.tolist(), j.tolist()), pairs))
 
     def neighbors(self, i: int) -> list[int]:
@@ -110,21 +126,24 @@ def _p_power_lookup(n: int, p: int) -> np.ndarray:
 
 
 def build_graph(lat: Lattice, p: int, kind: str) -> CommGraph:
-    """The p-power test on every index [L[i] : L[i]∩L[j]] of the
-    lattice's index matrix, as one lookup through a table of the powers
-    of p up to the group order."""
+    """The p-graph of kind over the lattice, as one masked compare of its
+    ``pair_codes``: a pair is adjacent when no prime but p divides either
+    index, and, for containment, one subgroup contains the other.  The
+    mask holds every prime bit of the group order except p's (a p that
+    does not divide the order has none to leave out) and, for
+    containment, the top bit.  No exponent is computed here."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if kind not in (KIND_COMMENSURABILITY, KIND_CONTAINMENT):
         raise ValueError(f"unknown graph kind {kind!r}")
-    lookup = _p_power_lookup(lat.parent.order, p)
-    exponents = lookup.take(lat.index_matrix)
-    adj = (exponents >= 0) & (exponents.T >= 0)
+    mask = sum(1 << bit for bit, (q, _) in
+               enumerate(lat.parent.order_factorization) if q != p)
     if kind == KIND_CONTAINMENT:
-        adj &= (exponents == 0) | (exponents.T == 0)
+        mask |= _NOT_CONTAINED
+    adj = (lat.pair_codes & mask) == 0
     np.fill_diagonal(adj, False)
-    exponents.flags.writeable = adj.flags.writeable = False
-    return CommGraph(kind, p, lat, exponents, adj)
+    adj.flags.writeable = False
+    return CommGraph(kind, p, lat, adj)
 
 
 @dataclass
@@ -172,16 +191,6 @@ def _classify(vertices: list[int],
     return ("other", None)
 
 
-def classify_component(graph: CommGraph, vertices: list[int]) -> tuple[str, int | None]:
-    """Classification of the subgraph on vertices (a component, in
-    practice) follows its shape exactly: a 2-vertex component is complete,
-    and a star (>= 3 vertices) has a unique center meeting every edge and
-    no other edges."""
-    _check_vertices(graph, *vertices)
-    block = graph.adj[np.ix_(vertices, vertices)]
-    return _classify(vertices, np.count_nonzero(block, axis=1))
-
-
 def _eccentricities(block: np.ndarray, degrees: np.ndarray) -> np.ndarray:
     """Eccentricities in the connected graph on k >= 2 vertices whose
     adjacency matrix is block and whose vertex degrees are degrees.
@@ -221,7 +230,8 @@ def components_and_diameters(graph: CommGraph) -> tuple[list[ComponentReport], i
     component diameter (0 when totally disconnected).
 
     Distances never cross components, so the components come first.  The
-    vertex degrees are counted once; those of degree 0 are the singletons.
+    vertex degrees are counted once, as column sums of the symmetric
+    adjacency matrix; those of degree 0 are the singletons.
     Every other component is the set ``_levels`` reaches from its smallest
     vertex not yet labelled.  A vertex's degree in its component is its
     degree in the graph, which gives the classification and, when some
@@ -231,7 +241,7 @@ def components_and_diameters(graph: CommGraph) -> tuple[list[ComponentReport], i
     size per level instead of the cube of the graph's."""
     adj = graph.adj
     m = graph.vertex_count
-    degrees = np.count_nonzero(adj, axis=1)
+    degrees = adj.view(np.uint8).sum(axis=0, dtype=np.int32)
     isolated = degrees == 0
     reports = [ComponentReport([v], 0, [0], "singleton", None)
                for v in np.flatnonzero(isolated).tolist()]

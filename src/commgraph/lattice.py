@@ -19,7 +19,13 @@ Light's test ran over.
 
 A lattice computes ``Lattice.index_matrix``, every index
 [L[i] : L[i]∩L[j]], from one product M·Mᵀ of its 0/1 membership matrix
-on first use, and keeps it: the graphs of every prime and kind read it.
+on first use, and keeps it.  ``Lattice.pair_codes`` is read off it by one
+lookup, also on first use and then kept: one uint8 per pair, with bit k
+set when the k-th prime of the group order divides either index of the
+pair and the top bit set when neither subgroup contains the other.  An
+index is a power of p exactly when no other prime divides it, so the
+graphs of every prime and kind are masked compares of these codes; the
+index matrix is read again only for the p-power exponents of edges.
 """
 
 from __future__ import annotations
@@ -46,6 +52,8 @@ from .groups import (
 
 DEFAULT_LATTICE_CAP = 100000
 _SAMPLE_SEED = 0x1A77
+# the top bit of a pair code: neither subgroup contains the other
+_NOT_CONTAINED = 0x80
 
 
 @dataclass(frozen=True)
@@ -78,6 +86,36 @@ class Lattice:
         index = orders[:, None] // inter
         index.flags.writeable = False
         return index
+
+    @cached_property
+    def pair_codes(self) -> np.ndarray:
+        """The read-only symmetric m×m uint8 matrix that says, for each
+        pair, which primes divide either index [L[i] : L[i]∩L[j]] or
+        [L[j] : L[i]∩L[j]] (bit k for the k-th prime of the group order)
+        and, in the top bit, whether neither subgroup contains the other.
+        From one lookup of ``index_matrix`` on first use, then kept; it
+        does not depend on p or on the graph kind."""
+        primes = [q for q, _ in self.parent.order_factorization]
+        # bit 7 is the containment bit; an eighth prime would need an
+        # order of at least 2·3·5·7·11·13·17·19 = 9,699,690
+        if len(primes) >= 8:
+            raise AssertionError("pair codes hold at most 7 primes")
+        k = np.arange(self.parent.order + 1)
+        lookup = np.where(k > 1, _NOT_CONTAINED, 0).astype(np.uint8)
+        for bit, q in enumerate(primes):
+            lookup |= (k % q == 0).astype(np.uint8) << bit
+        # half[i, j] codes [L[i] : L[i]∩L[j]], and its top bit says
+        # L[i] ⊄ L[j]: the prime bits of the pair are the OR of both
+        # halves, its top bit the AND.  The transpose is copied once, so
+        # the bit operations run over contiguous rows.
+        half = lookup.take(self.index_matrix)
+        codes = half.T.copy()
+        both = half & codes
+        both |= _NOT_CONTAINED - 1
+        codes |= half
+        codes &= both
+        codes.flags.writeable = False
+        return codes
 
 
 def _membership_matrix(lat: Lattice) -> np.ndarray:

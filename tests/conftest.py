@@ -1,5 +1,6 @@
 import functools
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,23 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from commgraph import construct_detailed, verify  # noqa: E402
 from commgraph.groups import _conjugation  # noqa: E402
+
+pytest_plugins = ["pytester"]
+
+# When a hypothesis test is falsified, hypothesis's pytest plugin imports
+# its patch writer, which imports libcst, and libcst warns on import that
+# mypy_extensions.TypedDict is deprecated.  With warnings as errors, that
+# warning ends the run in an INTERNALERROR that hides the falsifying
+# example.  Import the patch writer once here, ignoring only that warning;
+# without libcst the plugin's own import fails quietly, as this one does.
+with warnings.catch_warnings():
+    warnings.filterwarnings(
+        "ignore", message="mypy_extensions.TypedDict is deprecated",
+        category=DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 @pytest.fixture(scope="session")

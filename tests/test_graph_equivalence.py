@@ -5,7 +5,9 @@ JSON documents, as the CLI writes them, recorded from the pairwise
 implementation that preceded the matrix layer.  The oracle checks every
 pair with the scalar predicate ``commensurability_exponents``, every
 eccentricity with a single-source BFS over a dict and a queue, and every
-geodesic list with the shortest of the exhaustive simple paths.
+geodesic list with the shortest of the exhaustive simple paths.  The pair
+codes are checked against the member masks, and each graph built from
+them against the dense exponent route they replaced.
 """
 
 from __future__ import annotations
@@ -19,11 +21,11 @@ import pytest
 from commgraph import (
     KIND_COMMENSURABILITY,
     KIND_CONTAINMENT,
+    Lattice,
     abelian,
     all_geodesics,
     all_simple_paths,
     build_graph,
-    classify_component,
     commensurability_exponents,
     components_and_diameters,
     construct,
@@ -34,12 +36,17 @@ from commgraph import (
     sym,
 )
 from commgraph.cli import _dump_json, analyze_doc, export_dot, graph_json_doc
+from commgraph import graphs
 from commgraph.graphs import _p_power_lookup
 from commgraph.groups import p_power_exponent
+from graph_oracle import classify_component
 
 SPECS = {"sym(4)": sym(4), "p2q(5)": p2q(5),
          "D4xD4": direct([dihedral(4), dihedral(4)]),
          "S4xV4": direct([sym(4), abelian([2, 2])])}
+# the lattices of the pair-code gate: SPECS, and more primes and a p-group
+GATE_SPECS = {**SPECS, "sym(5)": sym(5), "p2q(7)": p2q(7),
+              "abelian(2^5)": abelian([2, 2, 2, 2, 2])}
 
 # (spec, kind, p) -> (edges, DOT sha256, graph JSON sha256, analyze JSON sha256)
 GOLDEN = {
@@ -109,7 +116,7 @@ GOLDEN = {
 @pytest.fixture(scope="module")
 def lattices():
     return {name: enumerate_subgroups(construct(spec))
-            for name, spec in SPECS.items()}
+            for name, spec in GATE_SPECS.items()}
 
 
 def _sha256(text: str) -> str:
@@ -258,3 +265,95 @@ def test_primes_off_the_order_give_no_edges(lattices, p, kind):
                  for A in lat.subgroups]
     assert (graph.exponents == 0).tolist() == contained
     assert ((graph.exponents == 0) | (graph.exponents == -1)).all()
+
+
+def _dense_route(lat, p: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """The exponent matrix of every pair and the adjacency read off it and
+    its transpose: the per-graph route that the pair codes replaced."""
+    E = _p_power_lookup(lat.parent.order, p).take(lat.index_matrix)
+    adj = (E >= 0) & (E.T >= 0)
+    if kind == KIND_CONTAINMENT:
+        adj &= (E == 0) | (E.T == 0)
+    np.fill_diagonal(adj, False)
+    return E, adj
+
+
+@pytest.mark.parametrize("name", ["sym(4)", "p2q(5)"])
+def test_pair_codes_match_member_masks(lattices, name):
+    """Bit k is set iff the k-th prime of the order divides either index of
+    the pair, the top bit iff neither subgroup contains the other, and no
+    other bit is set."""
+    lat = lattices[name]
+    primes = [q for q, _ in lat.parent.order_factorization]
+    expected = []
+    for A in lat.subgroups:
+        row = []
+        for B in lat.subgroups:
+            inter = A.members & B.members
+            indices = (A.order // inter.bit_count(), B.order // inter.bit_count())
+            code = sum(1 << k for k, q in enumerate(primes)
+                       if any(index % q == 0 for index in indices))
+            if inter not in (A.members, B.members):
+                code |= 0x80
+            row.append(code)
+        expected.append(row)
+    codes = lat.pair_codes
+    assert codes.dtype == np.uint8 and not codes.flags.writeable
+    assert codes.tolist() == expected
+
+
+@pytest.mark.parametrize("name", sorted(GATE_SPECS))
+@pytest.mark.parametrize("kind", [KIND_COMMENSURABILITY, KIND_CONTAINMENT])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_masked_codes_match_dense_exponent_route(lattices, name, kind, p):
+    """The masked compare gives the dense route's adjacency, edge_data
+    gives the exponent pairs of the dense matrix at every edge, and no
+    graph fills its exponent matrix until it is read."""
+    lat = lattices[name]
+    E, adj = _dense_route(lat, p, kind)
+    graph = build_graph(lat, p, kind)
+    assert graph.adj.dtype == bool and not graph.adj.flags.writeable
+    assert np.array_equal(graph.adj, adj)
+    i, j = np.nonzero(np.triu(adj, 1))
+    expected = {(a, b): (int(E[a, b]), int(E[b, a]))
+                for a, b in zip(i.tolist(), j.tolist())}
+    components_and_diameters(graph)
+    edges = graph.edge_data
+    assert edges == expected and list(edges) == list(expected)
+    assert "exponents" not in vars(graph)
+    assert np.array_equal(graph.exponents, E)
+    assert not graph.exponents.flags.writeable
+    assert vars(graph)["exponents"] is graph.exponents
+
+
+class _Unreadable:
+    """Stands in for a lattice's index matrix: any use of it raises."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the index matrix was read ({name})")
+
+
+def test_build_graph_reads_only_the_pair_codes(lattices, monkeypatch):
+    """With the index matrix unreadable and no table of p-powers to be
+    had, every graph still comes out as the dense route's: build_graph
+    makes no lookup or transpose of the index matrix per graph.  The pair
+    codes are computed once per lattice and kept."""
+    lat = lattices["S4xV4"]
+    codes = lat.pair_codes
+    bare = Lattice(lat.parent, lat.subgroups, lat.index_of_members)
+    vars(bare)["pair_codes"] = codes
+    vars(bare)["index_matrix"] = _Unreadable()
+
+    def no_lookup(n, p):
+        raise AssertionError("a p-power table was built")
+
+    monkeypatch.setattr(graphs, "_p_power_lookup", no_lookup)
+    for p in (2, 3, 5, 7):
+        for kind in (KIND_COMMENSURABILITY, KIND_CONTAINMENT):
+            graph = build_graph(bare, p, kind)
+            assert np.array_equal(graph.adj, _dense_route(lat, p, kind)[1])
+            components_and_diameters(graph)
+            assert "exponents" not in vars(graph)
+    assert lat.pair_codes is codes and bare.pair_codes is codes
+    with pytest.raises(AssertionError, match="p-power table"):
+        graph.edge_data

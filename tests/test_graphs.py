@@ -18,7 +18,6 @@ from commgraph import (
     all_geodesics,
     all_simple_paths,
     build_graph,
-    classify_component,
     commensurability_exponents,
     components_and_diameters,
     construct,
@@ -32,6 +31,7 @@ from commgraph import (
 )
 from commgraph.graphs import _eccentricities
 from commgraph.groups import perm_from_cycles
+from graph_oracle import classify_component
 
 
 @pytest.fixture(scope="module")
