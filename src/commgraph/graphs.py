@@ -17,15 +17,17 @@ other.  Each graph is then one masked compare of those codes.  The
 p-power exponents of the indices are read off ``Lattice.index_matrix``
 only where they are asked for: at the edges for ``edge_data``, or for
 every pair, on first read, as ``CommGraph.exponents``.  One breadth-first
-search, ``_levels``, gives the distance classes from one root: it grows
-each component and steers ``all_geodesics``.  The other,
-``_eccentricities``, runs from all of a component's vertices at once
-inside its own block of the adjacency matrix, unless the component has a
-universal vertex, adjacent to every other one (as the trivial subgroup
-and G are in the containment graph of a p-group): then each
-eccentricity is 1 or 2, read off the vertex degrees, which are counted
-once per graph, as column sums of the symmetric adjacency.  The edge
-map, neighbor lists and edge count are read off the adjacency on demand.
+search, ``_levels``, gives the distance classes from one root: it labels
+each component, from its vertex of highest degree, and steers
+``all_geodesics``.  A component whose root is universal, adjacent to
+every other vertex (as the trivial subgroup and G are in the containment
+graph of a p-group), needs no other search: each eccentricity is 1 or 2,
+read off the vertex degrees, which are counted once per graph, as column
+sums of the symmetric adjacency.  The other components of a graph are
+searched together by ``_eccentricities``, from all their vertices at
+once, one batched matrix product per level over a stack of their blocks
+of the adjacency matrix, one stack per component size.  The edge map,
+neighbor lists and edge count are read off the adjacency on demand.
 ``commensurability_exponents`` is the scalar form of the same test, for a
 single pair of subgroups.
 """
@@ -191,37 +193,35 @@ def _classify(vertices: list[int],
     return ("other", None)
 
 
-def _eccentricities(block: np.ndarray, degrees: np.ndarray) -> np.ndarray:
-    """Eccentricities in the connected graph on k >= 2 vertices whose
-    adjacency matrix is block and whose vertex degrees are degrees.
+def _eccentricities(blocks: np.ndarray) -> np.ndarray:
+    """Eccentricities of the vertices of c connected graphs on k >= 2
+    vertices each, whose adjacency matrices are stacked in the c×k×k array
+    blocks, as a c×k array.
 
-    When some vertex u has degree k - 1, every two vertices are joined
-    through u, so a vertex's eccentricity is 1 if its own degree is k - 1
-    and 2 otherwise; this covers the complete graph, and needs no product.
-    Any other graph takes a breadth-first search from every vertex at once.
-    Row v of frontier holds the vertices at distance d from v, and one
-    matrix product gives the next level, for the rows whose reached set is
-    not yet every vertex.  A source is dropped once it has reached every
-    vertex; any other source's next level is non-empty, which makes its
-    eccentricity one more than d."""
-    k = len(block)
-    universal = degrees == k - 1
-    if universal.any():
-        return np.where(universal, 1, 2)
-    step = block.astype(np.float32)
-    reached = block | np.eye(k, dtype=bool)
-    sources = np.arange(k)
-    frontier = block
-    ecc = np.ones(k, dtype=np.int64)
+    Breadth-first search from every vertex of every graph at once.  Row v
+    of frontier[g] holds the vertices of graph g at distance d from v, and
+    one batched matrix product gives the next level of every graph still
+    searched.  A graph is dropped once each of its sources has reached all
+    k vertices; any other source's next level is non-empty, which makes
+    its eccentricity one more than d.  So a graph of diameter d takes
+    d - 1 products."""
+    c, k, _ = blocks.shape
+    step = blocks.astype(np.float32)
+    reached = blocks | np.eye(k, dtype=bool)
+    frontier = blocks
+    searched = np.arange(c)
+    ecc = np.ones((c, k), dtype=np.int64)
     while True:
-        open_rows = ~reached.all(axis=1)
-        if not open_rows.any():
+        done = reached.all(axis=(1, 2))
+        if done.all():
             return ecc
-        sources = sources[open_rows]
-        frontier, reached = frontier[open_rows], reached[open_rows]
+        if done.any():
+            keep = ~done
+            searched, step = searched[keep], step[keep]
+            frontier, reached = frontier[keep], reached[keep]
         frontier = (frontier.astype(np.float32) @ step > 0) & ~reached
         reached |= frontier
-        ecc[sources] += 1
+        ecc[searched] += frontier.any(axis=2)
 
 
 def components_and_diameters(graph: CommGraph) -> tuple[list[ComponentReport], int]:
@@ -231,30 +231,50 @@ def components_and_diameters(graph: CommGraph) -> tuple[list[ComponentReport], i
 
     Distances never cross components, so the components come first.  The
     vertex degrees are counted once, as column sums of the symmetric
-    adjacency matrix; those of degree 0 are the singletons.
-    Every other component is the set ``_levels`` reaches from its smallest
-    vertex not yet labelled.  A vertex's degree in its component is its
-    degree in the graph, which gives the classification and, when some
-    vertex is universal, the eccentricities; otherwise they come from a
-    breadth-first search inside the component's own block of the adjacency
-    matrix (``_eccentricities``), which costs the cube of the component's
-    size per level instead of the cube of the graph's."""
+    adjacency matrix; those of degree 0 are the singletons.  The other
+    components are labelled in one pass, each by ``_levels`` from its
+    vertex of highest degree, taken over the vertices not yet labelled.
+    When that search stops after one level, the component is the root's
+    closed neighbourhood, and the root is universal in it: every two
+    vertices are joined through the root, so a vertex's eccentricity is 1
+    if its degree is the component's size less one, and 2 otherwise, with
+    no search.  A component with a universal vertex always meets this
+    case, as its highest degree is that of a universal vertex.  Every
+    other component is set aside, and those of each size k are searched
+    together (``_eccentricities``), inside a stack of their k×k blocks of
+    the adjacency matrix: one product per level costs the sum of the
+    cubes of their sizes, where a search over the block-diagonal matrix
+    of all of them would cost the cube of the sum.  A vertex's degree in
+    its component is its degree in the graph, which also gives the
+    classification."""
     adj = graph.adj
     m = graph.vertex_count
     degrees = adj.view(np.uint8).sum(axis=0, dtype=np.int32)
-    isolated = degrees == 0
-    reports = [ComponentReport([v], 0, [0], "singleton", None)
-               for v in np.flatnonzero(isolated).tolist()]
-    seen = isolated.copy()
-    while not seen.all():
-        component = _levels(adj, int(seen.argmin()))[1]
-        seen |= component
+    sizes = np.ones(m, dtype=np.int32)  # of each vertex's component
+    components = []
+    set_aside: dict[int, list[np.ndarray]] = {}  # by size
+    rank = np.where(degrees > 0, degrees, -1)  # -1 once labelled
+    while True:
+        root = int(rank.argmax())
+        if rank[root] < 0:
+            break
+        levels, component = _levels(adj, root)
+        rank[component] = -1
         vs = np.flatnonzero(component)
-        block = adj if len(vs) == m else adj[np.ix_(vs, vs)]
+        sizes[vs] = len(vs)
+        if len(levels) > 2:
+            set_aside.setdefault(len(vs), []).append(vs)
+        components.append(vs)
+    ecc = np.where(degrees == sizes - 1, 1, 2)
+    for same_size in set_aside.values():
+        vs = np.array(same_size)
+        ecc[vs] = _eccentricities(adj[vs[:, :, None], vs[:, None, :]])
+    reports = [ComponentReport([v], 0, [0], "singleton", None)
+               for v in np.flatnonzero(degrees == 0).tolist()]
+    for vs in components:
         vertices = vs.tolist()
-        degs = degrees[vs]
-        eccs = _eccentricities(block, degs).tolist()
-        kind, center = _classify(vertices, degs)
+        eccs = ecc[vs].tolist()
+        kind, center = _classify(vertices, degrees[vs])
         reports.append(ComponentReport(vertices, max(eccs), eccs, kind, center))
     reports.sort(key=lambda r: r.vertices[0])
     connected_diameter = max((r.diameter for r in reports), default=0)

@@ -23,17 +23,20 @@ and kept as the table's only storage: ``mult`` is a list of memoryviews
 of its rows, so ``mult[a][b]`` is a plain int and no row can be written.
 
 A subgroup passes between functions as its member mask and generators;
-member lists exist only inside a closure loop.  Subgroups are closed by
-one route, ``_cyclic_extension`` (one coset at a time; Neubüser 1960), and
-conjugated by one, ``_conjugate_mask`` under the permutation x -> gxg^-1
-(``_conjugation``).  The table keeps that permutation for each
-non-central generator that Light's test ran over; with the centre these
-generate G.  Orbits under them (``_conjugacy_class``) are whole
-conjugacy classes: they give normal cores and the lattice enumerator's
-classes.  Given the subgroup's generators, an orbit is first tested on
-them alone, so a normal subgroup's class costs no conjugated mask.  g
-normalizes S when it conjugates S's generators into S (``_normalizes``);
-only the lattice enumerator then grows S by g without a closure.
+member lists exist only inside a closure loop, a class orbit and the
+lattice enumerator's worklist.  Subgroups are closed by one route,
+``_cyclic_extension`` (one coset at a time; Neubüser 1960), and
+conjugated under the permutation x -> gxg^-1 (``_conjugation``): a
+member list is mapped through it, and the image gives the conjugate's
+mask (``_conjugate_mask`` reads the list off a mask).  The table keeps
+that permutation for each non-central generator that Light's test ran
+over; with the centre these generate G.  Orbits under them
+(``_conjugacy_class``) are whole conjugacy classes: they give normal
+cores and the lattice enumerator's classes.  Given the subgroup's
+generators, an orbit is first tested on them alone, so a normal
+subgroup's class costs no conjugated mask.  g normalizes S when it
+conjugates S's generators into S (``_normalizes``); only the lattice
+enumerator then grows S by g without a closure.
 """
 
 from __future__ import annotations
@@ -721,9 +724,14 @@ def _conjugation(G: GroupTable, g: int) -> list[int]:
 def _conjugate_mask(conj: list[int], mask: int) -> int:
     """Member mask of g S g^-1 for the subgroup S with the given mask, where
     conj is ``_conjugation`` by g."""
+    return _mask_of(conj[a] for a in _bits(mask))
+
+
+def _mask_of(ids: Iterable[int]) -> int:
+    """The mask with bit x set for each x in ids."""
     out = 0
-    for a in _bits(mask):
-        out |= 1 << conj[a]
+    for x in ids:
+        out |= 1 << x
     return out
 
 
@@ -739,7 +747,8 @@ def _normalizes(G: GroupTable, mask: int, gens: Sequence[int], g: int) -> bool:
 
 
 def _conjugacy_class(conjugations: Sequence[list[int]], mask: int,
-                     gens: Sequence[int] = ()) -> list[int]:
+                     gens: Sequence[int] = (),
+                     members: list[int] | None = None) -> list[int]:
     """Masks of the orbit of a subgroup under the given ``_conjugation``
     permutations, starting with mask itself: its orbit under the group
     that their elements generate.
@@ -748,17 +757,23 @@ def _conjugacy_class(conjugations: Sequence[list[int]], mask: int,
     every one of gens into the mask, each maps the subgroup into itself,
     and so onto itself, as a conjugate has the same order: the orbit is
     [mask], found without conjugating a mask.  Otherwise the orbit is
-    walked in full."""
+    walked in full, over member lists: members, if given, lists the
+    subgroup's members (else they are read off the mask), and each
+    conjugate's list is its permutation image, from which its mask is
+    built, so no conjugate's mask is walked bit by bit."""
     if gens and _fixes(conjugations, mask, gens):
         return [mask]
     orbit = [mask]
+    member_lists = [list(_bits(mask)) if members is None else members]
     seen = {mask}
-    for m in orbit:  # also visits the masks appended below
+    for elems in member_lists:  # also visits the lists appended below
         for conj in conjugations:
-            image = _conjugate_mask(conj, m)
-            if image not in seen:
-                seen.add(image)
-                orbit.append(image)
+            image = [conj[a] for a in elems]
+            image_mask = _mask_of(image)
+            if image_mask not in seen:
+                seen.add(image_mask)
+                orbit.append(image_mask)
+                member_lists.append(image)
     return orbit
 
 

@@ -15,7 +15,8 @@ extension T of prime index, every later c in T is skipped at S: by
 Lagrange, <S, c> could only be T again.  Class orbits come from
 ``groups._conjugacy_class`` under ``G.conjugations``: the conjugations
 by the non-central members of the generating set that the table's
-Light's test ran over.
+Light's test ran over.  An orbit is walked over member lists, each
+conjugate's list the image of the one before it.
 
 A lattice computes ``Lattice.index_matrix``, every index
 [L[i] : L[i]∩L[j]], from one product M·Mᵀ of its 0/1 membership matrix
@@ -74,16 +75,19 @@ class Lattice:
     @cached_property
     def index_matrix(self) -> np.ndarray:
         """The read-only m×m matrix of indices [L[i] : L[i]∩L[j]], from one
-        product M·Mᵀ of the membership matrix M on first use, then kept.
-        It does not depend on p or on the graph kind."""
+        product M·Mᵀ of the membership matrix M and one division, in
+        place, on first use, then kept.  It does not depend on p or on the
+        graph kind."""
         n = self.parent.order
-        # float32 products are exact for counts below 2**24; orders and
-        # intersection orders are divisors of n, so the index dtype holds them
+        # float32 products are exact for counts below 2**24; an
+        # intersection order divides the subgroup's order, so the float32
+        # quotient is the exact index, and every index divides n, so the
+        # index dtype holds it
         member = _membership_matrix(self).astype(np.float32)
-        index_dtype = np.min_scalar_type(n)
-        inter = (member @ member.T).astype(index_dtype)
-        orders = np.array([s.order for s in self.subgroups], dtype=index_dtype)
-        index = orders[:, None] // inter
+        inter = member @ member.T
+        orders = np.array([s.order for s in self.subgroups], dtype=np.float32)
+        np.divide(orders[:, None], inter, out=inter)
+        index = inter.astype(np.min_scalar_type(n))
         index.flags.writeable = False
         return index
 
@@ -240,10 +244,11 @@ def enumerate_subgroups(G: GroupTable,
         <c>, as c is not in S; so [S<c> : S] = p.  The p cosets are read
         off the table with no closure scan.  c normalizes S as soon as it
         conjugates the generators that built S into S; worklist entries
-        are S's member mask, those generators and whether S is normal in
-        G, and S's members are read off the mask once, when S is
-        extended.  A normal S, whose class has one member, needs no test:
-        every c normalizes it.
+        are S's member mask, its member list, those generators and
+        whether S is normal in G.  The list is read off the mask once,
+        when S is found, and serves both S's class orbit and its
+        extensions.  A normal S, whose class has one member, needs no
+        test: every c normalizes it.
     (c) Skip a c that does not normalize S unless S ≤ R and c ∈ R; then
         close <S, c> by ``_cyclic_extension``.  Take any subgroup T.
         P = T^(∞) is perfect, so it lies in R.  The chain of (a) from 1
@@ -285,9 +290,10 @@ def enumerate_subgroups(G: GroupTable,
     primes = {p for p, _ in G.order_factorization}
     zuppos = _zuppos(G)
     known = {1}
-    worklist: list[tuple[int, tuple[int, ...], bool]] = [(1, (), True)]
-    for s_mask, s_gens, s_normal in worklist:  # also visits appended entries
-        s_elems = list(_bits(s_mask))
+    worklist: list[tuple[int, list[int], tuple[int, ...], bool]] = [
+        (1, [0], (), True)]
+    # also visits the entries appended below
+    for s_mask, s_elems, s_gens, s_normal in worklist:
         done = s_mask  # S and every extension of S of prime index
         for c, cp in zuppos:  # <c^p> lies in the subgroup S when c^p does
             if done >> c & 1 or not s_mask >> cp & 1:
@@ -300,12 +306,13 @@ def enumerate_subgroups(G: GroupTable,
                 done |= t_mask
             if t_mask in known:
                 continue
+            t_elems = list(_bits(t_mask))
             t_gens = s_gens + (c,)
-            cls = _conjugacy_class(G.conjugations, t_mask, t_gens)
+            cls = _conjugacy_class(G.conjugations, t_mask, t_gens, t_elems)
             if len(known) + len(cls) > lattice_cap:
                 raise LatticeCapExceeded(f"more than {lattice_cap} subgroups")
             known.update(cls)
-            worklist.append((t_mask, t_gens, len(cls) == 1))
+            worklist.append((t_mask, t_elems, t_gens, len(cls) == 1))
 
     return _finish_lattice(G, known)
 

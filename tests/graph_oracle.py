@@ -1,8 +1,12 @@
 """Classification of any vertex list of a graph, from the degrees in its
 own block of the adjacency matrix: the check on ``components_and_diameters``,
-which classifies each component from the degrees of the whole graph."""
+which classifies each component from the degrees of the whole graph; and
+distances by a breadth-first search over neighbor lists, the check on the
+graph layer's matrix searches."""
 
 from __future__ import annotations
+
+from collections import deque
 
 import numpy as np
 
@@ -17,3 +21,17 @@ def classify_component(graph: CommGraph, vertices: list[int]) -> tuple[str, int 
     _check_vertices(graph, *vertices)
     block = graph.adj[np.ix_(vertices, vertices)]
     return _classify(vertices, np.count_nonzero(block, axis=1))
+
+
+def bfs_distances(graph: CommGraph, start: int) -> dict[int, int]:
+    """The distance from start to every vertex it reaches, one neighbor
+    list at a time."""
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        x = queue.popleft()
+        for y in graph.neighbors(x):
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    return dist

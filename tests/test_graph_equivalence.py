@@ -7,13 +7,14 @@ pair with the scalar predicate ``commensurability_exponents``, every
 eccentricity with a single-source BFS over a dict and a queue, and every
 geodesic list with the shortest of the exhaustive simple paths.  The pair
 codes are checked against the member masks, and each graph built from
-them against the dense exponent route they replaced.
+them against the dense exponent route they replaced.  On the same
+lattices, class orbits walked over member lists are checked against
+orbits walked over masks.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 
 import numpy as np
 import pytest
@@ -38,8 +39,13 @@ from commgraph import (
 from commgraph.cli import _dump_json, analyze_doc, export_dot, graph_json_doc
 from commgraph import graphs
 from commgraph.graphs import _p_power_lookup
-from commgraph.groups import p_power_exponent
-from graph_oracle import classify_component
+from commgraph.groups import (
+    _bits,
+    _conjugacy_class,
+    _conjugate_mask,
+    p_power_exponent,
+)
+from graph_oracle import bfs_distances, classify_component
 
 SPECS = {"sym(4)": sym(4), "p2q(5)": p2q(5),
          "D4xD4": direct([dihedral(4), dihedral(4)]),
@@ -123,20 +129,6 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _bfs_distances(graph, start: int) -> dict[int, int]:
-    """The distance from start to every vertex it reaches, one neighbor
-    list at a time: the oracle for the matrix searches of the graph layer."""
-    dist = {start: 0}
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        for y in graph.neighbors(x):
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                queue.append(y)
-    return dist
-
-
 @pytest.mark.parametrize("key", sorted(GOLDEN), ids=lambda k: f"{k[0]}-{k[1]}-p{k[2]}")
 def test_outputs_match_golden_digests(lattices, key):
     name, kind, p = key
@@ -169,7 +161,7 @@ def test_matrices_and_eccentricities_match_oracle(lattices, name, kind, p):
     reports, _ = components_and_diameters(graph)
     for report in reports:
         for v, ecc in zip(report.vertices, report.eccentricities):
-            dist = _bfs_distances(graph, v)
+            dist = bfs_distances(graph, v)
             assert sorted(dist) == report.vertices
             assert max(dist.values()) == ecc
 
@@ -188,7 +180,7 @@ def test_scattered_singletons_match_oracle(lattices, kind):
         list(range(graph.vertex_count))
     for report in reports:
         for v, ecc in zip(report.vertices, report.eccentricities):
-            dist = _bfs_distances(graph, v)
+            dist = bfs_distances(graph, v)
             assert sorted(dist) == report.vertices
             assert max(dist.values()) == ecc
         assert report.diameter == max(report.eccentricities)
@@ -357,3 +349,32 @@ def test_build_graph_reads_only_the_pair_codes(lattices, monkeypatch):
     assert lat.pair_codes is codes and bare.pair_codes is codes
     with pytest.raises(AssertionError, match="p-power table"):
         graph.edge_data
+
+
+def _orbit_over_masks(conjugations, mask: int) -> list[int]:
+    """The orbit of mask, walked breadth first by conjugating masks."""
+    orbit = [mask]
+    for m in orbit:  # also visits the masks appended below
+        for conj in conjugations:
+            image = _conjugate_mask(conj, m)
+            if image not in orbit:
+                orbit.append(image)
+    return orbit
+
+
+@pytest.mark.parametrize("name", sorted(GATE_SPECS))
+def test_class_orbits_over_member_lists_match_orbits_over_masks(lattices,
+                                                                name):
+    """Given a member list, in any order, ``_conjugacy_class`` returns the
+    same masks in the same order as without one, and as an orbit walked
+    by conjugating masks; so it does with the witnesses."""
+    lat = lattices[name]
+    conjugations = lat.parent.conjugations
+    for s in lat.subgroups:
+        orbit = _conjugacy_class(conjugations, s.members)
+        assert orbit == _orbit_over_masks(conjugations, s.members)
+        members = sorted(_bits(s.members), reverse=True)
+        assert _conjugacy_class(conjugations, s.members, (), members) == orbit
+        assert _conjugacy_class(conjugations, s.members, s.witnesses,
+                                members) == \
+            _conjugacy_class(conjugations, s.members, s.witnesses)

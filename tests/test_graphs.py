@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from commgraph import (
     KIND_COMMENSURABILITY,
     KIND_CONTAINMENT,
+    CommGraph,
     NotConnected,
     abelian,
     all_geodesics,
@@ -24,14 +27,15 @@ from commgraph import (
     construct_detailed,
     cyclic,
     dihedral,
+    direct,
     enumerate_subgroups,
     p2q,
     subgroup_closure,
     sym,
 )
-from commgraph.graphs import _eccentricities
+from commgraph.constructions import spec_name
 from commgraph.groups import perm_from_cycles
-from graph_oracle import classify_component
+from graph_oracle import bfs_distances, classify_component
 
 
 @pytest.fixture(scope="module")
@@ -171,9 +175,9 @@ def test_eccentricities_match_pairwise_bfs(s4_lattice):
             assert max(dists.values()) == ecc
 
 
-def _eccentricities_and_products(edges: list[tuple[int, int]], k: int = 5):
-    """_eccentricities of the k-vertex graph with these edges, and the
-    number of matrix products it took."""
+def _components_and_products(graph: CommGraph):
+    """components_and_diameters of graph, and the number of matrix products
+    it took, counted on a view of the adjacency matrix that records each."""
     products = []
 
     class Counted(np.ndarray):
@@ -181,18 +185,32 @@ def _eccentricities_and_products(edges: list[tuple[int, int]], k: int = 5):
             products.append(len(self))
             return np.asarray(self) @ np.asarray(other)
 
-    block = np.zeros((k, k), dtype=bool)
+    counted = dataclasses.replace(graph, adj=graph.adj.view(Counted))
+    return components_and_diameters(counted), len(products)
+
+
+def _stub_graph(m: int, edges) -> CommGraph:
+    """The graph on m vertices with these edges, over a stand-in lattice
+    that gives only the vertex count."""
+    adj = np.zeros((m, m), dtype=bool)
     for i, j in edges:
-        block[i, j] = block[j, i] = True
-    degrees = np.count_nonzero(block, axis=1)
-    return (_eccentricities(block.view(Counted), degrees).tolist(),
-            len(products))
+        adj[i, j] = adj[j, i] = True
+    return CommGraph(KIND_COMMENSURABILITY, 2,
+                     SimpleNamespace(subgroups=range(m)), adj)
+
+
+def _eccentricities_and_products(edges: list[tuple[int, int]], k: int = 5):
+    """The eccentricities of the connected k-vertex graph with these edges,
+    and the number of matrix products components_and_diameters took."""
+    (reports, _), products = _components_and_products(_stub_graph(k, edges))
+    (report,) = reports
+    return report.eccentricities, products
 
 
 def test_block_bfs_drops_finished_sources():
     """A graph with a universal vertex (the complete graph, a star) needs
-    no product.  Otherwise a source that has reached every vertex takes
-    no further product, so a graph of diameter d needs d - 1 products."""
+    no product.  Otherwise the search stops once every source has reached
+    every vertex, so a graph of diameter d needs d - 1 products."""
     complete = [(i, j) for i in range(5) for j in range(i + 1, 5)]
     assert _eccentricities_and_products(complete) == ([1] * 5, 0)
     star = [(0, i) for i in range(1, 5)]
@@ -249,6 +267,99 @@ def test_eccentricities_match_dict_bfs(graph):
     degrees = [sum(v in e for e in edges) for v in range(k)]
     if k - 1 in degrees:
         assert products == 0
+
+
+@st.composite
+def mixed_graphs(draw):
+    """(m, edges): the disjoint union of 1-4 graphs from connected_graphs
+    and 0-6 isolated vertices, with the vertex ids shuffled."""
+    parts = draw(st.lists(connected_graphs(), min_size=1, max_size=4))
+    m = sum(k for k, _ in parts) + draw(st.integers(0, 6))
+    ids = draw(st.permutations(range(m)))
+    edges, first = [], 0
+    for k, part in parts:
+        edges += [(ids[first + i], ids[first + j]) for i, j in part]
+        first += k
+    return m, edges
+
+
+def _oracle_reports(graph: CommGraph) -> list[tuple]:
+    """(vertices, diameter, eccentricities, kind, center) of each component
+    by one dict BFS per vertex, ordered by smallest vertex, classified by
+    ``classify_component``."""
+    out, seen = [], set()
+    for v in range(graph.vertex_count):
+        if v not in seen:
+            vertices = sorted(bfs_distances(graph, v))
+            seen.update(vertices)
+            eccs = [max(bfs_distances(graph, u).values()) for u in vertices]
+            out.append((vertices, max(eccs), eccs,
+                        *classify_component(graph, vertices)))
+    return out
+
+
+def _check_against_oracle(graph: CommGraph) -> None:
+    reports, connected = components_and_diameters(graph)
+    expected = _oracle_reports(graph)
+    assert [(r.vertices, r.diameter, r.eccentricities, r.kind, r.center)
+            for r in reports] == expected
+    assert connected == max(d for _, d, *_ in expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_graphs())
+def test_mixed_components_match_dict_bfs(graph):
+    """Universal and searched components side by side, of equal or unequal
+    sizes, among scattered singletons: every report equals the oracle's,
+    in the same order."""
+    _check_against_oracle(_stub_graph(*graph))
+
+
+def test_searched_components_of_one_size_and_two_diameters():
+    """The 5-path (diameter 4) and the 5-cycle (diameter 2) have no
+    universal vertex and are searched in one stack; the cycle is done
+    after one product, the path after three."""
+    path = [(0, 2), (2, 4), (4, 6), (6, 8)]
+    cycle = [(1, 3), (3, 5), (5, 7), (7, 9), (1, 9)]
+    graph = _stub_graph(11, path + cycle)
+    _check_against_oracle(graph)
+    (reports, connected), products = _components_and_products(graph)
+    assert [(r.vertices, r.eccentricities) for r in reports] == [
+        ([0, 2, 4, 6, 8], [4, 3, 2, 3, 4]),
+        ([1, 3, 5, 7, 9], [2, 2, 2, 2, 2]),
+        ([10], [0])]
+    assert (connected, products) == (4, 3)
+
+
+def test_universal_component_beside_a_searched_one():
+    """A star centered at 5 needs no search; the 4-path beside it takes
+    two products, whichever of them is labelled first."""
+    star = [(1, 5), (3, 5), (5, 6)]
+    path = [(0, 2), (2, 4), (4, 7)]
+    graph = _stub_graph(8, star + path)
+    _check_against_oracle(graph)
+    (reports, connected), products = _components_and_products(graph)
+    assert [(r.vertices, r.eccentricities, r.kind, r.center)
+            for r in reports] == [
+        ([0, 2, 4, 7], [3, 2, 2, 3], "other", None),
+        ([1, 3, 5, 6], [2, 2, 1, 2], "star", 5)]
+    assert (connected, products) == (3, 2)
+
+
+@pytest.mark.parametrize("spec", [
+    abelian([2, 2, 2, 2, 2]), direct([dihedral(4), dihedral(4)]),
+    direct([sym(4), abelian([2, 2])]),
+], ids=spec_name)
+@pytest.mark.parametrize("kind", [KIND_COMMENSURABILITY, KIND_CONTAINMENT])
+def test_dense_p2_graphs_take_no_product(spec, kind):
+    """Every component of these p = 2 graphs (the three groups of the
+    benchmark's dense workload) has a universal vertex, so its
+    eccentricities come from the degrees alone."""
+    graph = build_graph(enumerate_subgroups(construct(spec)), 2, kind)
+    counted, products = _components_and_products(graph)
+    assert products == 0
+    reports, connected = components_and_diameters(graph)
+    assert counted == (reports, connected)
 
 
 def test_geodesics_trivial_cases(s4, s4_lattice):
