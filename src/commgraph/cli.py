@@ -47,6 +47,7 @@ from .verify import (
     DEFAULT_TRIALS,
     SUITE_NAMES,
     CorpusMember,
+    run_all,
     run_suite,
 )
 
@@ -319,13 +320,13 @@ def cmd_verify(args) -> int:
     if args.trials < 1:
         raise ValueError("trials must be >= 1")
     corpus = _load_corpus_file(args.corpus) if args.corpus else None
-    names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
-    reports = [run_suite(name, corpus=corpus, trials=args.trials,
-                         seed=args.seed) for name in names]
     if args.suite == "all":
+        reports = run_all(corpus=corpus, trials=args.trials, seed=args.seed)
         doc = {"suite": "all", "seed": args.seed,
                "reports": [r.to_doc() for r in reports]}
     else:
+        reports = [run_suite(args.suite, corpus=corpus, trials=args.trials,
+                             seed=args.seed)]
         doc = reports[0].to_doc()
     if args.json:
         _write_text(args.json, _dump_json(doc))

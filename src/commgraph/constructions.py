@@ -35,7 +35,6 @@ from .groups import (
     GroupTable,
     _assemble_table,
     _permutation_group,
-    _triangular_group,
     compose_permutations,
     is_prime,
     perm_from_cycles,
@@ -181,11 +180,6 @@ def _order(spec: GroupSpec, cap: float) -> int:
     return order
 
 
-def predicted_order(spec: GroupSpec) -> int:
-    """Exact order the construction will produce (product formulas)."""
-    return _order(spec, math.inf)
-
-
 @dataclass
 class BuiltGroup:
     """A constructed table together with its concrete element reps."""
@@ -291,12 +285,21 @@ def _build_direct(spec: GroupSpec, cap: int) -> BuiltGroup:
 
 
 def _build_p2q(spec: GroupSpec, cap: int) -> BuiltGroup:
+    """Invertible upper-triangular 2x2 matrices mod q, as (a, b, d) triples
+    encoding [[a, b], [0, d]]."""
     q = spec.n
+
+    def compose(x, y):
+        return ((x[0] * y[0]) % q, (x[0] * y[1] + x[1] * y[2]) % q,
+                (x[2] * y[2]) % q)
+
     gens = [(1, 1, 1)]
     if q > 2:
         g = _primitive_root(q)
         gens += [(g, 0, 1), (1, 0, g)]
-    return BuiltGroup(*_triangular_group(q, gens, cap))
+    table, elements, index = _assemble_table(
+        (1, 0, 1), gens, compose, lambda r: f"({r[0]},{r[1]},{r[2]})", cap)
+    return BuiltGroup(table, elements, index)
 
 
 def _primitive_root(q: int) -> int:

@@ -13,29 +13,28 @@ adjacency depends on p only through which prime bits it ignores.
 once from its index matrix and keeps for every prime and kind: per pair,
 a bit for each prime dividing either index [L[i] : L[i]∩L[j]] or
 [L[j] : L[i]∩L[j]], and a top bit when neither subgroup contains the
-other.  Each graph is then one masked compare of those codes.  The
-p-power exponents of the indices are read off ``Lattice.index_matrix``
-only where they are asked for: at the edges for ``edge_data``, or for
-every pair, on first read, as ``CommGraph.exponents``.  One breadth-first
-search, ``_levels``, gives the distance classes from one root: it labels
-each component, from its vertex of highest degree, and steers
-``all_geodesics``.  A component whose root is universal, adjacent to
-every other vertex (as the trivial subgroup and G are in the containment
-graph of a p-group), needs no other search: each eccentricity is 1 or 2,
-read off the vertex degrees, which are counted once per graph, as column
-sums of the symmetric adjacency.  The other components of a graph are
-searched together by ``_eccentricities``, from all their vertices at
-once, one batched matrix product per level over a stack of their blocks
-of the adjacency matrix, one stack per component size.  The edge map,
-neighbor lists and edge count are read off the adjacency on demand.
-``commensurability_exponents`` is the scalar form of the same test, for a
-single pair of subgroups.
+other.  Each graph is then one masked compare of those codes, and a
+``CommGraph`` holds just that adjacency: the p-power exponents of the
+indices are read off ``Lattice.index_matrix`` at the edges only, for
+``edge_data``, and the neighbor lists and edge count are read off the
+adjacency, each on demand.  One breadth-first search, ``_levels``, gives
+the distance classes from one root: it labels each component, from its
+vertex of highest degree, and steers ``all_geodesics``.  A component
+whose root is universal, adjacent to every other vertex (as the trivial
+subgroup and G are in the containment graph of a p-group), needs no
+other search: each eccentricity is 1 or 2, read off the vertex degrees,
+which are counted once per graph, as column sums of the symmetric
+adjacency.  The other components of a graph are searched together by
+``_eccentricities``, from all their vertices at once, one batched matrix
+product per level over a stack of their blocks of the adjacency matrix,
+one stack per component size.  ``commensurability_exponents`` is the
+scalar form of the same test, for a single pair of subgroups and a prime
+p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -50,7 +49,10 @@ KIND_CONTAINMENT = "containment"
 def commensurability_exponents(A: SubgroupSet, B: SubgroupSet,
                                p: int) -> tuple[int, int] | None:
     """(a, b) with [A:A∩B] = p**a and [B:A∩B] = p**b, or None if either
-    index is not a p-power.  (0, 0) exactly when A = B."""
+    index is not a p-power.  (0, 0) exactly when A = B.  p must be prime,
+    as for ``build_graph``."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     if A.parent is not B.parent:
         raise ParentMismatch("subgroups live over different group tables")
     inter = (A.members & B.members).bit_count()
@@ -84,17 +86,6 @@ class CommGraph:
     def edge_count(self) -> int:
         return int(np.count_nonzero(self.adj)) // 2
 
-    @cached_property
-    def exponents(self) -> np.ndarray:
-        """The read-only m×m int8 matrix whose [i, j] is a when
-        [L[i] : L[i]∩L[j]] = p**a, else -1, for every pair, edge or not.
-        Computed from the lattice's index matrix on first read, then kept;
-        the graph layer itself reads exponents at edges only."""
-        exponents = _p_power_lookup(self.lattice.parent.order, self.p).take(
-            self.lattice.index_matrix)
-        exponents.flags.writeable = False
-        return exponents
-
     @property
     def edge_data(self) -> dict[tuple[int, int], tuple[int, int]]:
         """Each edge (i, j) with i < j, in ascending order, mapped to the
@@ -111,10 +102,6 @@ class CommGraph:
         """The neighbors of vertex i in ascending order."""
         _check_vertices(self, i)
         return np.flatnonzero(self.adj[i]).tolist()
-
-    def adjacent(self, i: int, j: int) -> bool:
-        _check_vertices(self, i, j)
-        return bool(self.adj[i, j])
 
 
 def _p_power_lookup(n: int, p: int) -> np.ndarray:

@@ -28,11 +28,10 @@ lattice enumerator's worklist.  Subgroups are closed by one route,
 ``_cyclic_extension`` (one coset at a time; Neubüser 1960), and
 conjugated under the permutation x -> gxg^-1 (``_conjugation``): a
 member list is mapped through it, and the image gives the conjugate's
-mask (``_conjugate_mask`` reads the list off a mask).  The table keeps
-that permutation for each non-central generator that Light's test ran
-over; with the centre these generate G.  Orbits under them
-(``_conjugacy_class``) are whole conjugacy classes: they give normal
-cores and the lattice enumerator's classes.  Given the subgroup's
+mask.  The table keeps that permutation for each non-central generator
+that Light's test ran over; with the centre these generate G.  Orbits
+under them (``_conjugacy_class``) are whole conjugacy classes: they give
+normal cores and the lattice enumerator's classes.  Given the subgroup's
 generators, an orbit is first tested on them alone, so a normal
 subgroup's class costs no conjugated mask.  g normalizes S when it
 conjugates S's generators into S (``_normalizes``); only the lattice
@@ -225,9 +224,6 @@ class GroupTable:
             _conjugation(self, g) for g in proven_over
             if not np.array_equal(tbl[g], tbl[:, g]))
         self.element_orders = _element_orders(tbl)
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<GroupTable order={self.order}>"
@@ -442,22 +438,13 @@ def _permutation_group(degree: int, reps: list, order_cap: int):
                            perm_label, order_cap)
 
 
-def _triangular_group(q: int, reps: list, order_cap: int):
-    """_assemble_table over (a, b, d) triples encoding [[a, b], [0, d]] mod q."""
-
-    def compose(x, y):
-        return ((x[0] * y[0]) % q, (x[0] * y[1] + x[1] * y[2]) % q,
-                (x[2] * y[2]) % q)
-
-    return _assemble_table((1, 0, 1), reps, compose,
-                           lambda r: f"({r[0]},{r[1]},{r[2]})", order_cap)
-
-
 def build_group_from_permutations(degree: int, generators: Iterable,
                                   *, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     """Group generated by permutations of {1..degree}, given as cycle lists.
 
     Each generator is an iterable of cycles, e.g. [(1, 2)] or [(1, 2), (3, 4)].
+    This is the library's input route for a permutation group outside the
+    spec families; ``sym`` specs share its table builder.
     """
     if degree < 1:
         raise InvalidGenerator("degree must be >= 1")
@@ -465,32 +452,15 @@ def build_group_from_permutations(degree: int, generators: Iterable,
     return _permutation_group(degree, reps, order_cap)[0]
 
 
-def build_group_from_matrices(q: int, generators: Iterable[Sequence[int]],
-                              *, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
-    """Group generated by invertible upper-triangular 2x2 matrices mod q.
-
-    Generators are (a, b, d) triples encoding [[a, b], [0, d]]; q must be
-    prime and a, d nonzero mod q.
-    """
-    if not is_prime(q):
-        raise InvalidGenerator(f"modulus {q} is not prime")
-    reps = []
-    for g in generators:
-        a, b, d = (int(x) % q for x in g)
-        if a == 0 or d == 0:
-            raise InvalidGenerator(f"matrix {tuple(g)} is not invertible mod {q}")
-        reps.append((a, b, d))
-    return _triangular_group(q, reps, order_cap)[0]
-
-
 def build_group_from_table(mult: Sequence[Sequence[int]],
                            labels: Sequence[str] | None = None,
                            *, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     """Group from an explicit multiplication table (identity must be id 0).
 
-    Every entry must be an integer (Python or numpy, not bool) in range;
-    anything else raises InvalidGenerator, before the table is narrowed to
-    ``_entry_dtype``.
+    This is the library's input route for a group known only by its
+    table, outside the spec families.  Every entry must be an integer
+    (Python or numpy, not bool) in range; anything else raises
+    InvalidGenerator, before the table is narrowed to ``_entry_dtype``.
     """
     n = len(mult)
     if n > order_cap:
@@ -629,9 +599,6 @@ class SubgroupSet:
     def __len__(self) -> int:
         return self.order
 
-    def issubset(self, other: "SubgroupSet") -> bool:
-        return self.members & other.members == self.members
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, SubgroupSet) and other.parent is self.parent
                 and other.members == self.members)
@@ -658,11 +625,6 @@ def _check_ids(G: GroupTable, ids: Iterable[int]) -> None:
             raise ValueError(f"element id {x} out of range")
 
 
-def element_order(G: GroupTable, x: int) -> int:
-    _check_ids(G, (x,))
-    return G.element_orders[x]
-
-
 def subgroup_closure(G: GroupTable, seed: Iterable[int]) -> SubgroupSet:
     """Smallest subgroup containing the seed; witnesses are the seed itself
     (deduplicated, sorted)."""
@@ -683,14 +645,6 @@ def intersect(A: SubgroupSet, B: SubgroupSet) -> SubgroupSet:
     return SubgroupSet.from_members(A.parent, A.members & B.members)
 
 
-def index_of(B: SubgroupSet, A: SubgroupSet) -> int:
-    """[B : A] for A a subgroup of B."""
-    _require_same_parent(A, B)
-    if A.members & B.members != A.members:
-        raise NotContained("first argument must contain the second")
-    return B.order // A.order
-
-
 def product_set(A: SubgroupSet, Q: SubgroupSet) -> SubgroupSet:
     """The subgroup AQ = {aq}; Q must be normal in the parent group."""
     _require_same_parent(A, Q)
@@ -705,26 +659,11 @@ def product_set(A: SubgroupSet, Q: SubgroupSet) -> SubgroupSet:
     return SubgroupSet(G, mask, wits, validate=False)
 
 
-def conjugate_subgroup(A: SubgroupSet, g: int) -> SubgroupSet:
-    """The conjugate g A g^-1."""
-    G = A.parent
-    _check_ids(G, (g,))
-    conj = _conjugation(G, g)
-    wits = tuple(conj[w] for w in A.witnesses)
-    return SubgroupSet(G, _conjugate_mask(conj, A.members), wits, validate=False)
-
-
 def _conjugation(G: GroupTable, g: int) -> list[int]:
     """The permutation x -> g x g^-1 of G's element ids, as a list: column
     g^-1 of the table gathered at row g."""
     tbl = G.array
     return tbl[tbl[g], G.inv[g]].tolist()
-
-
-def _conjugate_mask(conj: list[int], mask: int) -> int:
-    """Member mask of g S g^-1 for the subgroup S with the given mask, where
-    conj is ``_conjugation`` by g."""
-    return _mask_of(conj[a] for a in _bits(mask))
 
 
 def _mask_of(ids: Iterable[int]) -> int:

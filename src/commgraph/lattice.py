@@ -149,8 +149,7 @@ def _finish_lattice(G: GroupTable, masks) -> Lattice:
     n = G.order
     subs = [SubgroupSet.from_members(G, m) for m in masks]
     subs.sort(key=lambda s: (s.order, _lex_key(s.members, n)))
-    index_of = {s.members: i for i, s in enumerate(subs)}
-    lat = Lattice(G, tuple(subs), index_of)
+    lat = Lattice(G, tuple(subs), {s.members: i for i, s in enumerate(subs)})
     _check_lattice(lat)
     return lat
 

@@ -680,12 +680,13 @@ def verify_p2q(q_values=(3, 5, 7), primes=PRIMES_UP_TO_13) -> VerdictReport:
     every component is a singleton, complete, or star; connected diameter
     at most 2 and sharp across the run; complete components when p divides
     (q-1)^2 with p != q; stars or 2-vertex complete components when p = q;
-    component counts for q=5 per the reference tallies."""
+    component counts for q=5 per the reference tallies.  Each q is
+    examined at the given primes, then at p = q if they do not hold it."""
     report = VerdictReport("p2q", 0)
     max_diameter = 0
     for q in q_values:
         name = spec_name(p2q(q))
-        for p in primes:
+        for p in primes if q in primes else (*primes, q):
             comps, diameter = _components(p2q(q), p, KIND_COMMENSURABILITY)
             max_diameter = max(max_diameter, diameter)
             kinds = sorted({c.kind for c in comps})
@@ -771,5 +772,7 @@ def run_suite(name: str, *, corpus=None, trials: int = DEFAULT_TRIALS,
 
 def run_all(*, corpus=None, trials: int = DEFAULT_TRIALS,
             seed: int = DEFAULT_SEED) -> list[VerdictReport]:
+    """Every suite, in ``SUITE_NAMES`` order, each by ``run_suite``: the
+    reports of ``commgraph verify all``."""
     return [run_suite(name, corpus=corpus, trials=trials, seed=seed)
             for name in SUITE_NAMES]

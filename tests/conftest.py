@@ -42,7 +42,7 @@ def conjugating_generators():
     ``_conjugation`` it is.  Each g is distinct and non-central, since a
     central g conjugates as the identity."""
     def owners(table):
-        identity = list(table.elements())
+        identity = list(range(table.order))
         free = [g for g in table.generators
                 if _conjugation(table, g) != identity]
         out = []

@@ -1,10 +1,11 @@
 """The brute-force subgroup enumerator, the tests' independent oracle for
-``commgraph.lattice.enumerate_subgroups``.
+``commgraph.lattice.enumerate_subgroups``, and the conjugate of a member
+mask, the tests' check on the library's class orbits.
 
-It shares with the library only the closure of a generator tuple
-(``_closure_mask``) and the canonical sort and sanity checks of a finished
-lattice (``_finish_lattice``), so a change to the cyclic-extension route
-cannot change the reference as well.
+The enumerator shares with the library only the closure of a generator
+tuple (``_closure_mask``) and the canonical sort and sanity checks of a
+finished lattice (``_finish_lattice``), so a change to the
+cyclic-extension route cannot change the reference as well.
 """
 
 from __future__ import annotations
@@ -14,6 +15,17 @@ from commgraph.groups import GroupTable, _closure_mask
 from commgraph.lattice import Lattice, _finish_lattice
 
 _ORACLE_MAX_ORDER = 100
+
+
+def conjugate_mask(conj: list[int], mask: int) -> int:
+    """Member mask of g S g^-1 for the subgroup S with the given mask, where
+    conj is the permutation x -> g x g^-1 (``groups._conjugation`` by g):
+    each member's bit moves to its image's."""
+    out = 0
+    for x, image in enumerate(conj):
+        if mask >> x & 1:
+            out |= 1 << image
+    return out
 
 
 class OracleScaleExceeded(CommGraphError):

@@ -273,6 +273,7 @@ def test_bad_argument_values_rejected_before_any_work(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "construct", unreachable)
     monkeypatch.setattr(cli, "run_suite", unreachable)
+    monkeypatch.setattr(cli, "run_all", unreachable)
     for argv in (("graph", '{"bs": {"cyclic": 2}}', "-p", "4"),
                  ("analyze", '{"bs": {"cyclic": 2}}', "-p", "4"),
                  ("verify", "all", "--trials", "0")):

@@ -39,13 +39,9 @@ from commgraph import (
 from commgraph.cli import _dump_json, analyze_doc, export_dot, graph_json_doc
 from commgraph import graphs
 from commgraph.graphs import _p_power_lookup
-from commgraph.groups import (
-    _bits,
-    _conjugacy_class,
-    _conjugate_mask,
-    p_power_exponent,
-)
-from graph_oracle import bfs_distances, classify_component
+from commgraph.groups import _bits, _conjugacy_class, p_power_exponent
+from graph_oracle import bfs_distances, classify_component, exponents
+from lattice_oracle import conjugate_mask
 
 SPECS = {"sym(4)": sym(4), "p2q(5)": p2q(5),
          "D4xD4": direct([dihedral(4), dihedral(4)]),
@@ -148,10 +144,11 @@ def test_matrices_and_eccentricities_match_oracle(lattices, name, kind, p):
     lat = lattices[name]
     subs = lat.subgroups
     graph = build_graph(lat, p, kind)
+    E = exponents(graph)
     for i in range(len(subs)):
         for j in range(len(subs)):
             exps = commensurability_exponents(subs[i], subs[j], p)
-            pair = (int(graph.exponents[i, j]), int(graph.exponents[j, i]))
+            pair = (int(E[i, j]), int(E[j, i]))
             if exps is None:
                 assert -1 in pair and not graph.adj[i, j]
                 continue
@@ -255,8 +252,9 @@ def test_primes_off_the_order_give_no_edges(lattices, p, kind):
     assert graph.edge_count == 0
     contained = [[A.members & B.members == A.members for B in lat.subgroups]
                  for A in lat.subgroups]
-    assert (graph.exponents == 0).tolist() == contained
-    assert ((graph.exponents == 0) | (graph.exponents == -1)).all()
+    E = exponents(graph)
+    assert (E == 0).tolist() == contained
+    assert ((E == 0) | (E == -1)).all()
 
 
 def _dense_route(lat, p: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
@@ -298,9 +296,8 @@ def test_pair_codes_match_member_masks(lattices, name):
 @pytest.mark.parametrize("kind", [KIND_COMMENSURABILITY, KIND_CONTAINMENT])
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_masked_codes_match_dense_exponent_route(lattices, name, kind, p):
-    """The masked compare gives the dense route's adjacency, edge_data
-    gives the exponent pairs of the dense matrix at every edge, and no
-    graph fills its exponent matrix until it is read."""
+    """The masked compare gives the dense route's adjacency, and edge_data
+    gives the exponent pairs of the dense matrix at every edge."""
     lat = lattices[name]
     E, adj = _dense_route(lat, p, kind)
     graph = build_graph(lat, p, kind)
@@ -309,13 +306,8 @@ def test_masked_codes_match_dense_exponent_route(lattices, name, kind, p):
     i, j = np.nonzero(np.triu(adj, 1))
     expected = {(a, b): (int(E[a, b]), int(E[b, a]))
                 for a, b in zip(i.tolist(), j.tolist())}
-    components_and_diameters(graph)
     edges = graph.edge_data
     assert edges == expected and list(edges) == list(expected)
-    assert "exponents" not in vars(graph)
-    assert np.array_equal(graph.exponents, E)
-    assert not graph.exponents.flags.writeable
-    assert vars(graph)["exponents"] is graph.exponents
 
 
 class _Unreadable:
@@ -345,7 +337,6 @@ def test_build_graph_reads_only_the_pair_codes(lattices, monkeypatch):
             graph = build_graph(bare, p, kind)
             assert np.array_equal(graph.adj, _dense_route(lat, p, kind)[1])
             components_and_diameters(graph)
-            assert "exponents" not in vars(graph)
     assert lat.pair_codes is codes and bare.pair_codes is codes
     with pytest.raises(AssertionError, match="p-power table"):
         graph.edge_data
@@ -356,7 +347,7 @@ def _orbit_over_masks(conjugations, mask: int) -> list[int]:
     orbit = [mask]
     for m in orbit:  # also visits the masks appended below
         for conj in conjugations:
-            image = _conjugate_mask(conj, m)
+            image = conjugate_mask(conj, m)
             if image not in orbit:
                 orbit.append(image)
     return orbit

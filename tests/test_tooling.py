@@ -1,9 +1,12 @@
 """The test run itself: a falsified hypothesis test must fail as a test,
-with its falsifying example, also when warnings are errors."""
+with its falsifying example, also when warnings are errors; and every
+source file parses as the oldest supported Python."""
 
 from __future__ import annotations
 
+import ast
 import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -25,3 +28,14 @@ def test_falsified_example_is_reported_with_warnings_as_errors(pytester):
     result = pytester.runpytest("-W", "error", "-p", "no:cacheprovider")
     assert result.ret == pytest.ExitCode.TESTS_FAILED
     result.stdout.fnmatch_lines(["*Falsifying example*"])
+
+
+def test_sources_parse_as_python_3_10():
+    """The package supports Python 3.10 (``requires-python``); no file may
+    use syntax added after it."""
+    root = Path(__file__).resolve().parents[1]
+    files = sorted([*root.glob("src/**/*.py"), *root.glob("tests/**/*.py")])
+    assert files
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                  feature_version=(3, 10))

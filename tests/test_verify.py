@@ -150,6 +150,19 @@ def test_p2q_classification_at_q_11_and_13():
     assert (sharp.group, sharp.observed) == ("p2q(11,13)", 2)
 
 
+def test_p2q_classification_at_q_17_examines_p_equal_q():
+    """q = 17 lies beyond the default primes, so p = 17 is added: its
+    stars give the diameter-2 components that make the bound sharp."""
+    report = verify_p2q(q_values=(17,))
+    assert report.passed and len(report.records) == 17
+    assert [r.p for r in report.records[-3:-1]] == [17, 17]
+    assert report.records[-2].params == {
+        "check": "stars_or_two_vertex_complete"}
+    (sharp,) = [r for r in report.records
+                if r.params.get("check") == "diameter_sharpness"]
+    assert (sharp.group, sharp.observed) == ("p2q(17)", 2)
+
+
 def test_construction_suite_on_alternate_base():
     # cyclic(2) has containment diameter 0 at p=3; the explicit path still
     # certifies two non-adjacent connected endpoints inside C2^4 x sym(4)
