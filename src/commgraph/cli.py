@@ -37,9 +37,9 @@ from .graphs import (
 )
 from .groups import (
     DEFAULT_ORDER_CAP,
-    _structure_flags,
     derived_series,
     is_prime,
+    structure_flags,
 )
 from .lattice import Lattice, enumerate_subgroups
 from .verify import (
@@ -218,8 +218,8 @@ def _read_json(path: str):
 def cmd_group(args) -> int:
     spec = parse_group_spec(args.spec)
     table = construct(spec, args.order_cap)
+    flags = structure_flags(table)
     series = derived_series(table)
-    flags = _structure_flags(table, series)
     factorization = "*".join(
         (f"{p}^{e}" if e > 1 else str(p)) for p, e in table.order_factorization) or "1"
     if args.json:

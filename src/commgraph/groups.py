@@ -593,12 +593,6 @@ class SubgroupSet:
     def elements(self) -> Iterator[int]:
         return _bits(self.members)
 
-    def __contains__(self, x: int) -> bool:
-        return bool(self.members >> x & 1)
-
-    def __len__(self) -> int:
-        return self.order
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, SubgroupSet) and other.parent is self.parent
                 and other.members == self.members)
@@ -858,13 +852,10 @@ class StructureFlags:
 
 
 def structure_flags(G: GroupTable) -> StructureFlags:
-    return _structure_flags(G, derived_series(G))
-
-
-def _structure_flags(G: GroupTable, series: DerivedSeries) -> StructureFlags:
-    """structure_flags over a derived series of G that the caller holds.
-    G is abelian when the series reaches 1 within one step (a perfect G
-    has a one-term series that does not)."""
+    """Whether G is abelian, nilpotent, metabelian and solvable, read from
+    its derived series.  G is abelian when the series reaches 1 within one
+    step (a perfect G has a one-term series that does not)."""
+    series = derived_series(G)
     solvable = series.terms[-1].order == 1
     abelian = solvable and len(series.terms) <= 2
     metabelian = solvable and len(series.terms) <= 3

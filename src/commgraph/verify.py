@@ -10,8 +10,8 @@ machine-readable VerdictReport.  Suites are deterministic given
 This module holds the program's one in-memory cache.  The library recomputes
 on every call; the suites, which evaluate the same corpus lattices, graphs,
 component reports and lemma sampling pools several times over, share them
-through the bounded ``functools.lru_cache`` helpers below, keyed by spec,
-by (spec, p), or by table for the derived series.
+through the bounded ``functools.lru_cache`` helpers below, keyed by spec
+or by (spec, p).
 """
 
 from __future__ import annotations
@@ -45,12 +45,8 @@ from .graphs import (
     components_and_diameters,
 )
 from .groups import (
-    DerivedSeries,
-    GroupTable,
     SubgroupSet,
-    _structure_flags,
     derived_series,
-    factorize,
     full_subgroup,
     intersect,
     is_nilpotent_subgroup,
@@ -61,7 +57,7 @@ from .groups import (
     perm_from_cycles,
     perm_label,
     product_set,
-    structure_flags,  # not called here; perfbench/spans.py wraps this name
+    structure_flags,
     subgroup_closure,
     sylow_subgroup,
 )
@@ -151,7 +147,7 @@ def _member_primes(corpus) -> list[tuple[CorpusMember, int]]:
     """(member, p) for each lattice member and each prime p dividing its
     order."""
     return [(m, p) for m in _lattice_members(corpus)
-            for p, _ in factorize(_lattice(m.spec).parent.order)]
+            for p, _ in _lattice(m.spec).parent.order_factorization]
 
 
 # The cache helpers call the library through this module's globals, so a
@@ -172,14 +168,6 @@ def _graph(spec: GroupSpec, p: int, kind: str) -> CommGraph:
 def _components(spec: GroupSpec, p: int,
                 kind: str) -> tuple[list[ComponentReport], int]:
     return components_and_diameters(_graph(spec, p, kind))
-
-
-@functools.lru_cache(maxsize=CACHE_SIZE)
-def _derived_series(table: GroupTable) -> DerivedSeries:
-    """Keyed by the table, not its spec: the terms are compared with that
-    table's subgroups, and a spec key could outlive an evicted lattice and
-    return terms over an older table."""
-    return derived_series(table)
 
 
 # The helpers below hold lattice indices, not subgroups.  Enumeration is
@@ -219,7 +207,7 @@ def _p_cores(spec: GroupSpec) -> dict[int, int]:
     for every p; its core is computed once."""
     lat = _lattice(spec)
     out: dict[int, int] = {}
-    for p, _ in factorize(lat.parent.order):
+    for p, _ in lat.parent.order_factorization:
         for i in _p_subgroups(spec, p):
             if i not in out:
                 core = normal_core(lat.subgroups[i], lat.parent)
@@ -247,21 +235,23 @@ def _nilpotent_edges(spec: GroupSpec, p: int) -> tuple[tuple[int, int], ...]:
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
-def _derived_slices(spec: GroupSpec, p: int) -> tuple[tuple[int, int], ...]:
-    """(term index, lattice index of Q) pairs where Q is a normal p-subgroup
-    of G whose slice by the derived term is that term's normal p-Sylow
-    subgroup."""
+def _derived_slices(spec: GroupSpec,
+                    p: int) -> tuple[tuple[int, int, int], ...]:
+    """(term index, lattice index of Q, term member mask) triples where Q
+    is a normal p-subgroup of G whose slice by the derived term is that
+    term's normal p-Sylow subgroup.  Q is normal exactly when it is its
+    own normal core."""
     lat = _lattice(spec)
-    G = full_subgroup(lat.parent)
+    cores = _p_cores(spec)
     out = []
-    for t_idx, term in enumerate(_derived_series(lat.parent).terms):
+    for t_idx, term in enumerate(derived_series(lat.parent).terms):
         syl = sylow_subgroup(term, p)
         if not is_normal(syl, term):
             continue
         for qi in _p_subgroups(spec, p):
             Q = lat.subgroups[qi]
-            if is_normal(Q, G) and Q.members & term.members == syl.members:
-                out.append((t_idx, qi))
+            if cores[qi] == qi and Q.members & term.members == syl.members:
+                out.append((t_idx, qi, term.members))
     return tuple(out)
 
 
@@ -296,10 +286,10 @@ def verify_diameter_bounds(corpus=None) -> VerdictReport:
     report = VerdictReport("bounds", 0)
     for member in _lattice_members(corpus):
         table = _lattice(member.spec).parent
-        series = _derived_series(table)
-        flags = _structure_flags(table, series)
+        flags = structure_flags(table)
+        series = derived_series(table)
         derived = series.terms[1] if len(series.terms) > 1 else series.terms[0]
-        for p, _ in factorize(table.order):
+        for p, _ in table.order_factorization:
             _, diameter = _components(member.spec, p, KIND_COMMENSURABILITY)
             if flags.is_metabelian:
                 report.records.append(CheckRecord(
@@ -416,8 +406,7 @@ def verify_lemma_suite(corpus=None, trials: int = DEFAULT_TRIALS,
             check = ("p-power index pair", {"exponents": exps},
                      exps is not None)
         elif prop == "derived_slice_equality":
-            t_idx, qi = rng.choice(_derived_slices(member.spec, p))
-            term = _derived_series(lat.parent).terms[t_idx]
+            t_idx, qi, term_mask = rng.choice(_derived_slices(member.spec, p))
             Q = subs[qi]
             comp_of = _component_of(member.spec, p)
             outcome = None
@@ -430,8 +419,7 @@ def verify_lemma_suite(corpus=None, trials: int = DEFAULT_TRIALS,
                 wi = lat.index_of_members[WQ.members]
                 if comp_of[vi] != comp_of[wi]:
                     continue
-                outcome = (VQ.members & term.members
-                           == WQ.members & term.members)
+                outcome = VQ.members & term_mask == WQ.members & term_mask
                 break
             if outcome is None:
                 report.skips += 1

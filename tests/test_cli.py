@@ -7,6 +7,7 @@ import hashlib
 import json
 import re
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -27,6 +28,13 @@ from commgraph import (
     enumerate_subgroups,
     parse_group_spec,
 )
+
+
+# The recorded `verify all --seed S` commands, with exit code and report
+# digest each.
+RECORDED_VERIFY_ALL = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "reference.json")
+    .read_text(encoding="utf-8"))["verify_all"]
 
 
 def run_cli(*argv):
@@ -331,6 +339,19 @@ def test_verify_cli_pass_and_report(tmp_path, capsys):
     assert doc["suite"] == "sym4"
     assert doc["runtime_ms"] is None
     assert all(r["pass"] for r in doc["records"])
+
+
+@pytest.mark.parametrize("command", sorted(
+    RECORDED_VERIFY_ALL, key=lambda command: int(command.split()[-1])))
+def test_verify_all_report_matches_recorded_digest(command, tmp_path):
+    """Each seed draws the lemma trials differently; every recorded seed's
+    report must stay byte-identical."""
+    report_path = tmp_path / "report.json"
+    code = run_cli(*command.split(), "--json", str(report_path))
+    recorded = RECORDED_VERIFY_ALL[command]
+    assert code == recorded["exit"]
+    assert (hashlib.sha256(report_path.read_bytes()).hexdigest()
+            == recorded["report_sha256"])
 
 
 def test_verify_cli_corpus_override(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """The test run itself: a falsified hypothesis test must fail as a test,
-with its falsifying example, also when warnings are errors; and every
-source file parses as the oldest supported Python."""
+with its falsifying example, also when warnings are errors; every source
+file parses as the oldest supported Python; and every module of the
+package uses what it imports, with the CLI and the verify suites importing
+no private name of another module."""
 
 from __future__ import annotations
 
@@ -39,3 +41,45 @@ def test_sources_parse_as_python_3_10():
     for path in files:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
                   feature_version=(3, 10))
+
+
+SOURCE_MODULES = sorted(
+    path for path in (Path(__file__).resolve().parents[1]
+                      / "src" / "commgraph").glob("*.py")
+    if path.name != "__init__.py")
+
+
+def _imports(tree: ast.Module):
+    """(module, imported name, bound name) for each import in the tree;
+    module is None for a plain ``import``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield None, alias.name, alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield ("." * node.level + (node.module or ""), alias.name,
+                       alias.asname or alias.name)
+
+
+@pytest.mark.parametrize("path", SOURCE_MODULES, ids=lambda path: path.name)
+def test_every_imported_name_is_used(path):
+    """A name imported and never read is a dead import."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [bound for _, _, bound in _imports(tree) if bound not in used]
+    assert not unused, f"{path.name} imports {unused} and never uses them"
+
+
+@pytest.mark.parametrize("name", ["cli.py", "verify.py"])
+def test_clients_import_no_private_names(name):
+    """The CLI and the verify suites call the other modules through their
+    public names only."""
+    path = next(path for path in SOURCE_MODULES if path.name == name)
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    private = [f"{module}.{imported}"
+               for module, imported, _ in _imports(tree)
+               if module is not None and imported.startswith("_")
+               and (module.startswith(".")
+                    or module.split(".")[0] == "commgraph")]
+    assert not private, f"{name} imports private names {private}"

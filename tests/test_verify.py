@@ -22,7 +22,14 @@ from commgraph import (
     verify_lemma_suite,
     verify_p2q,
 )
-from commgraph.groups import SubgroupSet
+from commgraph.graphs import commensurability_exponents
+from commgraph.groups import (
+    SubgroupSet,
+    intersect,
+    p_power_exponent,
+    p_prime_complement,
+    product_set,
+)
 from commgraph.verify import SUITE_NAMES, CorpusMember, _lattice_members
 
 
@@ -86,6 +93,50 @@ def test_lemma_suite_stream_pinned(specs, digest):
     report = verify_lemma_suite(_corpus(*specs), trials=300, seed=9)
     text = json.dumps(report.to_doc(), indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_lemma_identities_hold_on_every_case_of_the_default_corpus():
+    """Four of the identities that the lemma suite samples, checked on every
+    case of the default corpus, for every prime p dividing the order:
+    [VQ : V] for every subgroup V and normal p-subgroup Q; the products of
+    every p-edge with every normal p-subgroup Q; the slices of every p-edge
+    by every normal N; and the p'-complements of every nilpotent p-edge."""
+    cases = Counter()
+    failures = []
+    for member, p in verify._member_primes(None):
+        spec = member.spec
+        subs = verify._lattice(spec).subgroups
+        cores = verify._p_cores(spec)
+        normal_p = [q for q in verify._p_subgroups(spec, p) if cores[q] == q]
+        edges = verify._edges(spec, p)
+        products = {(v, q): product_set(subs[v], subs[q])
+                    for v in range(len(subs)) for q in normal_p}
+        for (v, q), vq in products.items():
+            cases["extension"] += 1
+            if p_power_exponent(vq.order // subs[v].order, p) is None:
+                failures.append((member.name, p, "extension", v, q))
+        for i, j in edges:
+            for q in normal_p:
+                cases["products"] += 1
+                if commensurability_exponents(
+                        products[i, q], products[j, q], p) is None:
+                    failures.append((member.name, p, "products", i, j, q))
+            for n in verify._normal_indices(spec):
+                cases["slices"] += 1
+                if commensurability_exponents(intersect(subs[i], subs[n]),
+                                              intersect(subs[j], subs[n]),
+                                              p) is None:
+                    failures.append((member.name, p, "slices", i, j, n))
+        for i, j in verify._nilpotent_edges(spec, p):
+            cases["complements"] += 1
+            inter = subs[i].members & subs[j].members
+            for d in (subs[i], subs[j]):
+                comp = p_prime_complement(d, p).members
+                if comp & inter != comp:
+                    failures.append((member.name, p, "complements", i, j))
+    assert failures == []
+    assert cases == {"extension": 2492, "products": 13820, "slices": 120886,
+                     "complements": 4674}
 
 
 def test_lemma_suite_trivial_q_budget_still_enforced(monkeypatch):
