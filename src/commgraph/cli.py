@@ -219,7 +219,7 @@ def cmd_group(args) -> int:
     spec = parse_group_spec(args.spec)
     table = construct(spec, args.order_cap)
     flags = structure_flags(table)
-    series = derived_series(table)
+    series_orders = [term.order for term in derived_series(table)]
     factorization = "*".join(
         (f"{p}^{e}" if e > 1 else str(p)) for p, e in table.order_factorization) or "1"
     if args.json:
@@ -230,7 +230,7 @@ def cmd_group(args) -> int:
                "is_nilpotent": flags.is_nilpotent,
                "is_metabelian": flags.is_metabelian,
                "is_solvable": flags.is_solvable,
-               "derived_series_orders": list(series.orders)}
+               "derived_series_orders": series_orders}
         print(_dump_json(doc), end="")
     else:
         print(f"group {spec_name(spec)}")
@@ -238,7 +238,7 @@ def cmd_group(args) -> int:
         print(f"abelian={flags.is_abelian} nilpotent={flags.is_nilpotent} "
               f"metabelian={flags.is_metabelian} solvable={flags.is_solvable}")
         print("derived series orders: "
-              + " ".join(str(o) for o in series.orders))
+              + " ".join(map(str, series_orders)))
     return EXIT_OK
 
 

@@ -35,7 +35,9 @@ normal cores and the lattice enumerator's classes.  Given the subgroup's
 generators, an orbit is first tested on them alone, so a normal
 subgroup's class costs no conjugated mask.  g normalizes S when it
 conjugates S's generators into S (``_normalizes``); only the lattice
-enumerator then grows S by g without a closure.
+enumerator then grows S by g without a closure.  Nilpotency closes
+nothing: H is nilpotent when, for each prime p, at most |H|_p of its
+members have p-power order.  ``derived_series`` is the tuple of its terms.
 """
 
 from __future__ import annotations
@@ -446,6 +448,8 @@ def build_group_from_permutations(degree: int, generators: Iterable,
     This is the library's input route for a permutation group outside the
     spec families; ``sym`` specs share its table builder.
     """
+    if order_cap < 1:
+        raise ValueError(f"order cap must be at least 1, got {order_cap}")
     if degree < 1:
         raise InvalidGenerator("degree must be >= 1")
     reps = [perm_from_cycles(degree, cycles) for cycles in generators]
@@ -462,6 +466,8 @@ def build_group_from_table(mult: Sequence[Sequence[int]],
     (Python or numpy, not bool) in range; anything else raises
     InvalidGenerator, before the table is narrowed to ``_entry_dtype``.
     """
+    if order_cap < 1:
+        raise ValueError(f"order cap must be at least 1, got {order_cap}")
     n = len(mult)
     if n > order_cap:
         raise OrderCapExceeded(f"table order {n} exceeds the cap ({order_cap})")
@@ -751,18 +757,6 @@ def normal_core(A: SubgroupSet, G: GroupTable) -> SubgroupSet:
 # derived series, Sylow subgroups, structure flags
 
 
-@dataclass(frozen=True)
-class DerivedSeries:
-    """G = G1 ⊵ G2 ⊵ ..., each term the commutator subgroup of the previous,
-    ending at the first stable term."""
-
-    terms: tuple[SubgroupSet, ...]
-
-    @property
-    def orders(self) -> tuple[int, ...]:
-        return tuple(t.order for t in self.terms)
-
-
 def _commutator_subgroup_mask(G: GroupTable, S: SubgroupSet) -> int:
     """Member mask of [S, S].
 
@@ -790,7 +784,8 @@ def _commutator_subgroup_mask(G: GroupTable, S: SubgroupSet) -> int:
     return mask
 
 
-def derived_series(G: GroupTable) -> DerivedSeries:
+def derived_series(G: GroupTable) -> tuple[SubgroupSet, ...]:
+    """G's derived series G = G1 ⊵ G2 ⊵ ..., to its first stable term."""
     terms = [full_subgroup(G)]
     while True:
         nxt = _commutator_subgroup_mask(G, terms[-1])
@@ -799,7 +794,7 @@ def derived_series(G: GroupTable) -> DerivedSeries:
         terms.append(SubgroupSet.from_members(G, nxt))
         if nxt == 1:
             break
-    return DerivedSeries(tuple(terms))
+    return tuple(terms)
 
 
 def sylow_subgroup(H: SubgroupSet, p: int) -> SubgroupSet:
@@ -813,10 +808,7 @@ def sylow_subgroup(H: SubgroupSet, p: int) -> SubgroupSet:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     G = H.parent
-    m = H.order
-    while m % p == 0:
-        m //= p
-    target = H.order // m
+    target = p ** dict(factorize(H.order)).get(p, 0)
     if target == 1:
         return trivial_subgroup(G)
     orders = G.element_orders
@@ -838,9 +830,17 @@ def sylow_subgroup(H: SubgroupSet, p: int) -> SubgroupSet:
 
 
 def is_nilpotent_subgroup(H: SubgroupSet) -> bool:
-    """True iff every Sylow subgroup of H is normal in H."""
-    return all(is_normal(sylow_subgroup(H, p), H)
-               for p, _ in factorize(H.order))
+    """True iff H has, for each prime p, at most |H|_p elements whose order
+    divides |H|_p: exactly that many when H's Sylow p-subgroup is unique
+    (normal), and more otherwise.  Stops at the first element too many."""
+    orders = H.parent.element_orders
+    for p, e in factorize(H.order):
+        part = left = p ** e
+        for x in _bits(H.members):
+            left -= part % orders[x] == 0
+            if left < 0:
+                return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -852,14 +852,14 @@ class StructureFlags:
 
 
 def structure_flags(G: GroupTable) -> StructureFlags:
-    """Whether G is abelian, nilpotent, metabelian and solvable, read from
-    its derived series.  G is abelian when the series reaches 1 within one
-    step (a perfect G has a one-term series that does not)."""
+    """Whether G is abelian, metabelian and solvable, read from its
+    derived series (abelian when it reaches 1 within one step: a perfect
+    G has a one-term series that does not), and whether it is nilpotent."""
     series = derived_series(G)
-    solvable = series.terms[-1].order == 1
-    abelian = solvable and len(series.terms) <= 2
-    metabelian = solvable and len(series.terms) <= 3
-    nilpotent = abelian or is_nilpotent_subgroup(full_subgroup(G))
+    solvable = series[-1].order == 1
+    abelian = solvable and len(series) <= 2
+    metabelian = solvable and len(series) <= 3
+    nilpotent = is_nilpotent_subgroup(full_subgroup(G))
     return StructureFlags(abelian, nilpotent, metabelian, solvable)
 
 
@@ -871,8 +871,5 @@ def p_prime_complement(H: SubgroupSet, p: int) -> SubgroupSet:
     if not is_nilpotent_subgroup(H):
         raise NotNilpotent("p'-complement requires a nilpotent subgroup")
     orders = H.parent.element_orders
-    mask = 0
-    for x in H.elements():
-        if orders[x] % p != 0:
-            mask |= 1 << x
+    mask = _mask_of(x for x in H.elements() if orders[x] % p)
     return SubgroupSet.from_members(H.parent, mask)

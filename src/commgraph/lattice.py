@@ -3,7 +3,8 @@
 ``enumerate_subgroups`` is Neubüser's cyclic extension method (1960), as in
 GAP's ``LatticeByCyclicExtension``: from the trivial subgroup on, one
 subgroup S per conjugacy class is extended by cyclic subgroups <c> of
-prime-power order p^k, until no new class appears; S is carried as its
+prime-power order p^k (zuppos, listed by one walk over the powers of each
+new generator c), until no new class appears; S is carried as its
 member mask and generators.  Only c with c^p in S are tried; when c
 normalizes S the extension is S's p cosets by the powers of c, read off
 the table.  Every c normalizes a normal S, whose class has one member;
@@ -174,21 +175,22 @@ def _check_lattice(lat: Lattice) -> None:
 def _zuppos(G: GroupTable) -> list[tuple[int, int]]:
     """Every cyclic subgroup of prime-power order > 1, once, as
     (c, c^p) for its generator c of order p^k, the smallest element id
-    that generates it."""
-    mult = G.mult
-    seen: set[int] = set()
+    that generates it.  The generators of <c> are its powers c^j with p
+    not dividing j: one walk over c's powers marks them all as seen."""
+    mult, orders = G.mult, G.element_orders
+    seen = bytearray(G.order)
     out = []
-    for x in range(1, G.order):
-        primes = factorize(G.element_orders[x])
+    for c in range(1, G.order):
+        primes = [] if seen[c] else factorize(orders[c])
         if len(primes) != 1:
             continue
-        mask = _closure_mask(mult, (x,))
-        if mask not in seen:
-            seen.add(mask)
-            y = x
-            for _ in range(primes[0][0] - 1):
-                y = mult[y][x]
-            out.append((x, y))
+        p, y = primes[0][0], c  # y runs over c^j
+        for j in range(1, orders[c] + 1):
+            if j % p:
+                seen[y] = 1
+            elif j == p:
+                out.append((c, y))
+            y = mult[y][c]
     return out
 
 
@@ -283,9 +285,11 @@ def enumerate_subgroups(G: GroupTable,
     taken with S's generators and c, which generate T, so a normal T is
     known as such without conjugating its mask.  Both routes run through
     ``_extend``.  Raises LatticeCapExceeded as soon as more than
-    lattice_cap subgroups are known.
+    lattice_cap subgroups are known (ValueError for a cap below 1).
     """
-    residuum = derived_series(G).terms[-1].members
+    if lattice_cap < 1:
+        raise ValueError(f"lattice cap must be at least 1, got {lattice_cap}")
+    residuum = derived_series(G)[-1].members
     primes = {p for p, _ in G.order_factorization}
     zuppos = _zuppos(G)
     known = {1}

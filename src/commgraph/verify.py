@@ -244,7 +244,7 @@ def _derived_slices(spec: GroupSpec,
     lat = _lattice(spec)
     cores = _p_cores(spec)
     out = []
-    for t_idx, term in enumerate(derived_series(lat.parent).terms):
+    for t_idx, term in enumerate(derived_series(lat.parent)):
         syl = sylow_subgroup(term, p)
         if not is_normal(syl, term):
             continue
@@ -287,8 +287,7 @@ def verify_diameter_bounds(corpus=None) -> VerdictReport:
     for member in _lattice_members(corpus):
         table = _lattice(member.spec).parent
         flags = structure_flags(table)
-        series = derived_series(table)
-        derived = series.terms[1] if len(series.terms) > 1 else series.terms[0]
+        derived = derived_series(table)[:2][-1]  # G', or G if G is perfect
         for p, _ in table.order_factorization:
             _, diameter = _components(member.spec, p, KIND_COMMENSURABILITY)
             if flags.is_metabelian:

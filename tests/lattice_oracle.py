@@ -1,6 +1,8 @@
 """The brute-force subgroup enumerator, the tests' independent oracle for
-``commgraph.lattice.enumerate_subgroups``, and the conjugate of a member
-mask, the tests' check on the library's class orbits.
+``commgraph.lattice.enumerate_subgroups``; the conjugate of a member
+mask, the tests' check on the library's class orbits; and the zuppos of
+a table found by closing each element's cyclic subgroup, the tests' check
+on the library's walk over powers.
 
 The enumerator shares with the library only the closure of a generator
 tuple (``_closure_mask``) and the canonical sort and sanity checks of a
@@ -11,7 +13,7 @@ cyclic-extension route cannot change the reference as well.
 from __future__ import annotations
 
 from commgraph.errors import CommGraphError
-from commgraph.groups import GroupTable, _closure_mask
+from commgraph.groups import GroupTable, _closure_mask, factorize
 from commgraph.lattice import Lattice, _finish_lattice
 
 _ORACLE_MAX_ORDER = 100
@@ -25,6 +27,28 @@ def conjugate_mask(conj: list[int], mask: int) -> int:
     for x, image in enumerate(conj):
         if mask >> x & 1:
             out |= 1 << image
+    return out
+
+
+def zuppos_by_closure(G: GroupTable) -> list[tuple[int, int]]:
+    """Every cyclic subgroup of prime-power order > 1, once, as (c, c^p)
+    for its generator c of order p^k, the smallest element id that
+    generates it: each element of prime-power order is closed to its
+    cyclic subgroup's mask, and the first element with a new mask is c."""
+    mult = G.mult
+    seen: set[int] = set()
+    out = []
+    for x in range(1, G.order):
+        primes = factorize(G.element_orders[x])
+        if len(primes) != 1:
+            continue
+        mask = _closure_mask(mult, (x,))
+        if mask not in seen:
+            seen.add(mask)
+            y = x
+            for _ in range(primes[0][0] - 1):
+                y = mult[y][x]
+            out.append((x, y))
     return out
 
 

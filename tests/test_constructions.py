@@ -418,7 +418,7 @@ def test_dihedral_structure():
     d6 = construct(dihedral(6))
     assert d6.order == 12
     series = derived_series(d6)
-    assert series.orders == (12, 3, 1)
+    assert tuple(t.order for t in series) == (12, 3, 1)
 
 
 def test_p2q_matches_matrix_realization():

@@ -188,6 +188,25 @@ def test_order_cap_enforced_during_closure():
         build_group_from_permutations(4, [[(1, 2)], [(1, 2, 3, 4)]], order_cap=10)
 
 
+@pytest.mark.parametrize("cap", [0, -5])
+def test_permutation_route_rejects_a_cap_below_one(cap):
+    """No group meets such a cap, so the cap is invalid, as in
+    ``construct``; it is rejected before the degree or cycles are read."""
+    with pytest.raises(ValueError, match=f"^order cap must be at least 1, got {cap}$"):
+        build_group_from_permutations(3, [], order_cap=cap)
+    with pytest.raises(ValueError, match="order cap must be at least 1"):
+        build_group_from_permutations(0, [[(9, 9)]], order_cap=cap)
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+def test_table_route_rejects_a_cap_below_one(cap):
+    """A ValueError, not OrderCapExceeded, and before the table is read."""
+    with pytest.raises(ValueError, match=f"^order cap must be at least 1, got {cap}$"):
+        build_group_from_table([[0]], order_cap=cap)
+    with pytest.raises(ValueError, match="order cap must be at least 1"):
+        build_group_from_table([[0, 5]], order_cap=cap)
+
+
 def test_explicit_table_roundtrip():
     z3 = construct(cyclic(3))
     rebuilt = build_group_from_table(z3.mult, z3.labels)
@@ -303,7 +322,7 @@ def test_intersect_examples(s4, s4_els):
     assert intersect(a, a) == a
     assert intersect(a, b).order == 1
     c3 = subgroup_closure(s4.table, [s4_els((1, 2, 3))])
-    a4 = derived_series(s4.table).terms[1]
+    a4 = derived_series(s4.table)[1]
     assert intersect(c3, a4) == c3
 
 
@@ -363,7 +382,7 @@ def test_generator_conjugations(spec, conjugating_generators):
 def test_is_normal_examples(s4, s4_els, oracle_lattices):
     full = full_subgroup(s4.table)
     assert is_normal(trivial_subgroup(s4.table), full)
-    a4 = derived_series(s4.table).terms[1]
+    a4 = derived_series(s4.table)[1]
     assert is_normal(a4, full)
     a = subgroup_closure(s4.table, [s4_els((1, 2))])
     assert not is_normal(a, full)
@@ -380,7 +399,7 @@ def test_is_normal_examples(s4, s4_els, oracle_lattices):
 
 def test_normal_core_examples(s4, s4_els, oracle_lattices):
     full = full_subgroup(s4.table)
-    a4 = derived_series(s4.table).terms[1]
+    a4 = derived_series(s4.table)[1]
     assert normal_core(a4, s4.table) == a4
     a = subgroup_closure(s4.table, [s4_els((1, 2))])
     assert normal_core(a, s4.table).order == 1
@@ -430,14 +449,14 @@ def brute_commutator_subgroup(table, members):
 def test_derived_series_orders(spec, orders):
     table = construct(spec)
     series = derived_series(table)
-    assert series.orders == orders
+    assert tuple(t.order for t in series) == orders
     # cross-check every step against the all-pairs commutator oracle
-    for prev, nxt in zip(series.terms, series.terms[1:]):
+    for prev, nxt in zip(series, series[1:]):
         oracle = brute_commutator_subgroup(table, list(prev.elements()))
         assert set(nxt.elements()) == oracle
     # terms strictly decrease and stay normal in the whole group
     full = full_subgroup(table)
-    for prev, nxt in zip(series.terms, series.terms[1:]):
+    for prev, nxt in zip(series, series[1:]):
         assert nxt.order < prev.order
         assert is_normal(nxt, full)
         assert is_normal(nxt, prev)
@@ -449,13 +468,13 @@ def test_derived_series_of_coordinate_product_against_oracle(built_group):
 
     table = built_group(bs(cyclic(3))).table
     series = derived_series(table)
-    assert series.orders == (1944, 324, 108, 27, 1)
+    assert tuple(t.order for t in series) == (1944, 324, 108, 27, 1)
     tbl = np.array(table.mult, dtype=np.int32)
     inv = np.array(table.inv, dtype=np.int32)
     xy = tbl
     comm = tbl[tbl[xy, inv[:, None]], inv[None, :]]
     seed = set(np.unique(comm).tolist())
-    assert set(series.terms[1].elements()) == brute_closure(table, seed)
+    assert set(series[1].elements()) == brute_closure(table, seed)
 
 
 def test_sylow_examples(s4):
@@ -463,7 +482,7 @@ def test_sylow_examples(s4):
     syl2 = sylow_subgroup(full, 2)
     assert syl2.order == 8
     assert sylow_subgroup(full, 5).order == 1
-    a4 = derived_series(s4.table).terms[1]
+    a4 = derived_series(s4.table)[1]
     v4 = sylow_subgroup(a4, 2)
     assert v4.order == 4
     assert is_normal(v4, full)
@@ -509,6 +528,41 @@ def test_structure_flags_examples():
         commute = all(mult[a][b] == mult[b][a]
                       for a in range(table.order) for b in range(table.order))
         assert structure_flags(table).is_abelian == commute
+
+
+def _nilpotent_by_sylow(H):
+    """The definition: every Sylow subgroup of H is normal in H."""
+    return all(is_normal(sylow_subgroup(H, p), H)
+               for p, _ in factorize(H.order))
+
+
+def test_nilpotency_by_counting_matches_normal_sylow_subgroups(
+        oracle_lattices, built_group):
+    """``is_nilpotent_subgroup`` counts elements of p-power order; on
+    every subgroup of these groups it agrees with the definition."""
+    lattices = [*oracle_lattices,
+                *(enumerate_subgroups(built_group(spec).table)
+                  for spec in (sym(5), p2q(7)))]
+    nilpotent = 0
+    for lat in lattices:
+        for H in lat.subgroups:
+            assert is_nilpotent_subgroup(H) == _nilpotent_by_sylow(H)
+            nilpotent += is_nilpotent_subgroup(H)
+    assert 0 < nilpotent < sum(len(lat) for lat in lattices)
+
+
+@pytest.mark.parametrize("spec,flags", [
+    (sym(5), (False, False, False, False)),
+    (p2q(7), (False, False, True, True)),
+    (direct([sym(4), sym(3)]), (False, False, False, True)),
+    (direct([sym(5), cyclic(2)]), (False, False, False, False)),
+])
+def test_structure_flags_of_ladder_groups(spec, flags, built_group):
+    """(abelian, nilpotent, metabelian, solvable) of the full tables of the
+    lattice ladder's groups."""
+    f = structure_flags(built_group(spec).table)
+    assert (f.is_abelian, f.is_nilpotent, f.is_metabelian, f.is_solvable) \
+        == flags
 
 
 def test_p_prime_complement_examples():

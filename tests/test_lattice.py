@@ -51,6 +51,7 @@ from lattice_oracle import (
     OracleScaleExceeded,
     conjugate_mask,
     oracle_enumerate_subgroups,
+    zuppos_by_closure,
 )
 
 
@@ -175,6 +176,21 @@ def test_enumeration_matches_oracle(spec):
     oracle = oracle_enumerate_subgroups(table, math.ceil(math.log2(table.order)))
     assert [s.members for s in lat.subgroups] \
         == [s.members for s in oracle.subgroups]
+
+
+@pytest.mark.parametrize("spec", [
+    sym(5), sym(6), p2q(13), p2q(17), bs(cyclic(3)),
+    direct([sym(4), sym(4)]), abelian([2] * 6), dihedral(8), cyclic(12),
+    abelian([4, 8]), _alternating_5,
+], ids=lambda spec: "A5" if callable(spec) else spec_name(spec))
+def test_zuppos_by_powers_match_closures(spec, built_group):
+    """One walk over each generator's powers finds the same zuppos, with
+    the same generators and p-th powers in the same order, as closing the
+    cyclic subgroup of every element of prime-power order."""
+    table = spec() if callable(spec) else built_group(spec).table
+    zuppos = lattice_module._zuppos(table)
+    assert zuppos == zuppos_by_closure(table)
+    assert zuppos
 
 
 def test_subgroup_count_monotone_under_direct_factor():
@@ -350,7 +366,7 @@ def test_closes_non_normalizing_zuppos_only_inside_residuum(spec, solvable,
     In a solvable group R is trivial, so nothing is closed; sym(5), with
     R = A5, both closes and rejects."""
     table = construct(spec)
-    residuum = derived_series(table).terms[-1].members
+    residuum = derived_series(table)[-1].members
     calls = _record_extensions(monkeypatch)
     closure = lattice_module._cyclic_extension
     closed = []
@@ -390,7 +406,7 @@ def test_graphs_compute_no_witnesses(spec, built_group, monkeypatch):
         return greedy(mult, candidates, mask)
 
     monkeypatch.setattr(groups_module, "_greedy_witnesses", counting)
-    series = [t.members for t in derived_series(table).terms]
+    series = [t.members for t in derived_series(table)]
     series_masks = masks.copy()
     assert set(series_masks) <= set(series)
     lat = enumerate_subgroups(table)
@@ -433,6 +449,18 @@ def test_lattice_cap():
     assert len(enumerate_subgroups(table, lattice_cap=30)) == 30
     with pytest.raises(LatticeCapExceeded, match=r"^more than 29 subgroups$"):
         enumerate_subgroups(table, lattice_cap=29)
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+def test_lattice_cap_below_one_is_rejected(cap, monkeypatch):
+    """No lattice meets such a cap, so it is invalid, as an order cap
+    below 1 is; it is rejected before any work, here the derived series."""
+    def unreachable(_table):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(lattice_module, "derived_series", unreachable)
+    with pytest.raises(ValueError, match=f"^lattice cap must be at least 1, got {cap}$"):
+        enumerate_subgroups(construct(cyclic(1)), lattice_cap=cap)
 
 
 def test_locate_subgroup():

@@ -1,13 +1,16 @@
 """The test run itself: a falsified hypothesis test must fail as a test,
 with its falsifying example, also when warnings are errors; every source
-file parses as the oldest supported Python; and every module of the
-package uses what it imports, with the CLI and the verify suites importing
-no private name of another module."""
+file parses as the oldest supported Python; every module of the package
+uses what it imports, with the CLI and the verify suites importing no
+private name of another module; and the benchmark's tracer finds every
+name it wraps."""
 
 from __future__ import annotations
 
 import ast
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -83,3 +86,19 @@ def test_clients_import_no_private_names(name):
                and (module.startswith(".")
                     or module.split(".")[0] == "commgraph")]
     assert not private, f"{name} imports private names {private}"
+
+
+def test_benchmark_tracer_wraps_every_name():
+    """``perfbench/spans.instrument`` wraps the public names that ``verify``
+    and ``cli`` call, ``spans.GROUP_OPS`` among them, and fails on one that
+    is missing.  It runs in a fresh interpreter, as the benchmark's traced
+    samples do, because it rebinds the names in the imported modules; with
+    ``-B``, so that it writes no bytecode under ``perfbench/``."""
+    root = Path(__file__).resolve().parents[1]
+    code = ("import sys\n"
+            f"sys.path[:0] = {[str(root / 'perfbench'), str(root / 'src')]!r}\n"
+            "import spans\n"
+            "spans.instrument(spans.Tracer())\n")
+    result = subprocess.run([sys.executable, "-B", "-c", code],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
