@@ -137,9 +137,12 @@ def _dump_json(doc) -> str:
     and does not end a string.  The depth is a running sum over the opens
     and closes.  A newline and two spaces per level follow each non-empty
     open and each comma and precede each non-empty close; an empty ``[]``
-    or ``{}`` stays as it is.
+    or ``{}`` stays as it is.  Every document is a fresh tree, built by
+    ``to_doc`` or a ``*_doc`` helper, which cannot contain itself: the
+    encoder skips its check for circular references.
     """
-    raw = json.dumps(doc, separators=(",", ": ")).encode("ascii")
+    raw = json.dumps(doc, separators=(",", ": "),
+                     check_circular=False).encode("ascii")
     a = np.frombuffer(raw, dtype=np.uint8)
     quote = a == ord('"')
     if b"\\" in raw:

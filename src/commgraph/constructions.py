@@ -286,20 +286,29 @@ def _build_direct(spec: GroupSpec, cap: int) -> BuiltGroup:
 
 def _build_p2q(spec: GroupSpec, cap: int) -> BuiltGroup:
     """Invertible upper-triangular 2x2 matrices mod q, as (a, b, d) triples
-    encoding [[a, b], [0, d]]."""
+    encoding [[a, b], [0, d]].  Right multiplication by y is
+    (a, b, d)·y = (a·y_a, a·y_b + b·y_d, d·y_d) mod q, so each generator's
+    map over every code is a few whole-array operations."""
     q = spec.n
+    # code = ((a - 1) q + b)(q - 1) + d - 1; the identity (1, 0, 1) is 0
+    a, b, d = (x.ravel() for x in np.meshgrid(
+        np.arange(1, q), np.arange(q), np.arange(1, q), indexing="ij"))
 
-    def compose(x, y):
-        return ((x[0] * y[0]) % q, (x[0] * y[1] + x[1] * y[2]) % q,
-                (x[2] * y[2]) % q)
+    def code(a, b, d):
+        return ((a - 1) * q + b) * (q - 1) + d - 1
 
     gens = [(1, 1, 1)]
     if q > 2:
         g = _primitive_root(q)
         gens += [(g, 0, 1), (1, 0, g)]
-    table, elements, index = _assemble_table(
-        (1, 0, 1), gens, compose, lambda r: f"({r[0]},{r[1]},{r[2]})", cap)
-    return BuiltGroup(table, elements, index)
+    maps = {code(*y): code(a * y[0] % q, (a * y[1] + b * y[2]) % q,
+                           d * y[2] % q).tolist() for y in gens}
+    labels = [f"({x},{y},{z})"
+              for x, y, z in zip(a.tolist(), b.tolist(), d.tolist())]
+    table, by_id, _ = _assemble_table(
+        0, list(maps), lambda x, g: maps[g][x], labels.__getitem__, cap)
+    return _decoded(table, list(zip(a[by_id].tolist(), b[by_id].tolist(),
+                                    d[by_id].tolist())))
 
 
 def _primitive_root(q: int) -> int:

@@ -646,13 +646,20 @@ def intersect(A: SubgroupSet, B: SubgroupSet) -> SubgroupSet:
 
 
 def product_set(A: SubgroupSet, Q: SubgroupSet) -> SubgroupSet:
-    """The subgroup AQ = {aq}; Q must be normal in the parent group."""
+    """The subgroup AQ = {aq}; Q must be normal in the parent group: every
+    permutation of ``G.conjugations`` maps Q's witnesses into Q, which
+    holds exactly when Q is normal (see ``GroupTable``).  AQ = <A, Q> is
+    grown from Q's members by one cyclic extension per witness of A that
+    it lacks; its witnesses are those of A and Q, sorted."""
     _require_same_parent(A, Q)
     G = A.parent
-    if not is_normal(Q, full_subgroup(G)):
+    if not _fixes(G.conjugations, Q.members, Q.witnesses):
         raise NotNormal("second factor must be normal in the parent group")
+    mask, elems = Q.members, list(_bits(Q.members))
+    for a in A.witnesses:
+        if not mask >> a & 1:
+            mask, elems = _cyclic_extension(G.mult, mask, elems, a)
     wits = tuple(sorted(set(A.witnesses) | set(Q.witnesses)))
-    mask = _closure_mask(G.mult, wits)
     inter = (A.members & Q.members).bit_count()
     assert mask.bit_count() * inter == A.order * Q.order, \
         "|AQ| != |A||Q|/|A∩Q|"

@@ -17,7 +17,12 @@ Lagrange, <S, c> could only be T again.  Class orbits come from
 ``groups._conjugacy_class`` under ``G.conjugations``: the conjugations
 by the non-central members of the generating set that the table's
 Light's test ran over.  An orbit is walked over member lists, each
-conjugate's list the image of the one before it.
+conjugate's list the image of the one before it.  The enumerator keeps
+which class each subgroup fell in, and the lattice keeps that record as
+``Lattice.class_of``: one small int per subgroup, the lattice index of
+the first member of its class in canonical order.  A subgroup is normal
+exactly when its class has one member, and a fact that conjugation
+preserves (normal core, nilpotency) needs asking once per class.
 
 A lattice computes ``Lattice.index_matrix``, every index
 [L[i] : L[i]∩L[j]], from one product M·Mᵀ of its 0/1 membership matrix
@@ -64,11 +69,17 @@ class Lattice:
 
     Canonical order is (order, lexicographic membership bit-string with
     bit 0 first), making lattice indices stable across runs and platforms.
+    class_of is the read-only array whose entry i is the lattice index of
+    the first member, in canonical order, of L[i]'s conjugacy class in
+    the parent: the members of a class share it, and i is its class's
+    first member exactly when class_of[i] == i.  It is a function of the
+    subgroups, so equality does not compare it.
     """
 
     parent: GroupTable
     subgroups: tuple[SubgroupSet, ...]
     index_of_members: dict[int, int] = field(repr=False)
+    class_of: np.ndarray = field(repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.subgroups)
@@ -142,15 +153,22 @@ def _lex_key(mask: int, n: int) -> bytes:
     return mask.to_bytes((n + 7) // 8, "little").translate(_REVERSED_BITS)
 
 
-def _finish_lattice(G: GroupTable, masks) -> Lattice:
-    """The lattice of the given member masks in canonical order.  Its
+def _finish_lattice(G: GroupTable, classes: dict[int, int]) -> Lattice:
+    """The lattice of the member masks that classes maps, each to a label
+    that the masks of its conjugacy class share, in canonical order.  Its
     checks are sanity checks on the output of ``enumerate_subgroups`` (and
     of the brute-force oracle in the tests), not a proof that outside
     input is a complete lattice."""
     n = G.order
-    subs = [SubgroupSet.from_members(G, m) for m in masks]
+    subs = [SubgroupSet.from_members(G, m) for m in classes]
     subs.sort(key=lambda s: (s.order, _lex_key(s.members, n)))
-    lat = Lattice(G, tuple(subs), {s.members: i for i, s in enumerate(subs)})
+    first: dict[int, int] = {}  # class label -> its first lattice index
+    class_of = np.array([first.setdefault(classes[s.members], i)
+                         for i, s in enumerate(subs)],
+                        dtype=np.min_scalar_type(len(subs)))
+    class_of.flags.writeable = False
+    lat = Lattice(G, tuple(subs), {s.members: i for i, s in enumerate(subs)},
+                  class_of)
     _check_lattice(lat)
     return lat
 
@@ -284,7 +302,9 @@ def enumerate_subgroups(G: GroupTable,
     class, and no class is extended twice.  The class of T = <S, c> is
     taken with S's generators and c, which generate T, so a normal T is
     known as such without conjugating its mask.  Both routes run through
-    ``_extend``.  Raises LatticeCapExceeded as soon as more than
+    ``_extend``.  Each mask is recorded with the worklist position of its
+    class, which ``_finish_lattice`` turns into ``Lattice.class_of``.
+    Raises LatticeCapExceeded as soon as more than
     lattice_cap subgroups are known (ValueError for a cap below 1).
     """
     if lattice_cap < 1:
@@ -292,7 +312,7 @@ def enumerate_subgroups(G: GroupTable,
     residuum = derived_series(G)[-1].members
     primes = {p for p, _ in G.order_factorization}
     zuppos = _zuppos(G)
-    known = {1}
+    known = {1: 0}  # member mask -> the worklist position of its class
     worklist: list[tuple[int, list[int], tuple[int, ...], bool]] = [
         (1, [0], (), True)]
     # also visits the entries appended below
@@ -314,7 +334,8 @@ def enumerate_subgroups(G: GroupTable,
             cls = _conjugacy_class(G.conjugations, t_mask, t_gens, t_elems)
             if len(known) + len(cls) > lattice_cap:
                 raise LatticeCapExceeded(f"more than {lattice_cap} subgroups")
-            known.update(cls)
+            for mask in cls:
+                known[mask] = len(worklist)
             worklist.append((t_mask, t_elems, t_gens, len(cls) == 1))
 
     return _finish_lattice(G, known)

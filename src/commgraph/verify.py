@@ -11,7 +11,11 @@ This module holds the program's one in-memory cache.  The library recomputes
 on every call; the suites, which evaluate the same corpus lattices, graphs,
 component reports and lemma sampling pools several times over, share them
 through the bounded ``functools.lru_cache`` helpers below, keyed by spec
-or by (spec, p).
+or by (spec, p).  Facts that conjugation preserves (normality, normal
+cores, nilpotency) are asked once per conjugacy class of the lattice,
+which records the classes (``Lattice.class_of``).  The lemma trials read
+one ``_Case`` per (spec, p), found before the first trial, and no cache
+inside the trial loop.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ import functools
 import random
 import time
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .constructions import (
     GroupSpec,
@@ -47,7 +53,6 @@ from .graphs import (
 from .groups import (
     SubgroupSet,
     derived_series,
-    full_subgroup,
     intersect,
     is_nilpotent_subgroup,
     is_normal,
@@ -170,89 +175,123 @@ def _components(spec: GroupSpec, p: int,
     return components_and_diameters(_graph(spec, p, kind))
 
 
-# The helpers below hold lattice indices, not subgroups.  Enumeration is
-# deterministic, so the indices stay valid when an evicted lattice is rebuilt.
+# The helpers below hold lattice indices, not subgroups (a ``_Case`` keeps
+# the lattice its indices refer to).  Enumeration is deterministic, so the
+# indices stay valid when an evicted lattice is rebuilt.  A fact that
+# conjugation preserves is asked of the first member of each conjugacy class
+# (``Lattice.class_of``) and shared by the others.
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
-def _edges(spec: GroupSpec, p: int) -> tuple[tuple[int, int], ...]:
-    """The p-commensurability edges (i, j), i < j, in ascending order."""
-    return tuple(_graph(spec, p, KIND_COMMENSURABILITY).edge_data)
-
-
-@functools.lru_cache(maxsize=CACHE_SIZE)
-def _component_of(spec: GroupSpec, p: int) -> dict[int, int]:
-    """Vertex -> index of its component in the p-commensurability graph."""
-    reports, _ = _components(spec, p, KIND_COMMENSURABILITY)
-    return {v: c for c, report in enumerate(reports) for v in report.vertices}
+def _class_sizes(lat: Lattice) -> np.ndarray:
+    """The number of members of each subgroup's conjugacy class."""
+    return np.bincount(lat.class_of)[lat.class_of]
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def _normal_indices(spec: GroupSpec) -> tuple[int, ...]:
-    lat = _lattice(spec)
-    G = full_subgroup(lat.parent)
-    return tuple(i for i, s in enumerate(lat.subgroups) if is_normal(s, G))
+    """The subgroups normal in G: those alone in their class."""
+    return tuple(np.flatnonzero(_class_sizes(_lattice(spec)) == 1).tolist())
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
-def _p_subgroups(spec: GroupSpec, p: int) -> tuple[int, ...]:
-    return tuple(i for i, s in enumerate(_lattice(spec).subgroups)
+def _p_subgroups(lat: Lattice, p: int) -> tuple[int, ...]:
+    return tuple(i for i, s in enumerate(lat.subgroups)
                  if p_power_exponent(s.order, p) is not None)
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def _p_cores(spec: GroupSpec) -> dict[int, int]:
     """The index of each p-subgroup, over every prime p dividing |G|, ->
-    the index of its normal core.  The trivial subgroup is a p-subgroup
-    for every p; its core is computed once."""
+    the index of its normal core, the intersection of its class: one
+    ``normal_core`` per class, taken at its first member.  The trivial
+    subgroup is a p-subgroup for every p; its core is computed once."""
     lat = _lattice(spec)
+    class_of = lat.class_of.tolist()
     out: dict[int, int] = {}
     for p, _ in lat.parent.order_factorization:
-        for i in _p_subgroups(spec, p):
-            if i not in out:
-                core = normal_core(lat.subgroups[i], lat.parent)
-                out[i] = lat.index_of_members[core.members]
+        for i in _p_subgroups(lat, p):
+            first = class_of[i]
+            if first not in out:
+                core = normal_core(lat.subgroups[first], lat.parent)
+                out[first] = lat.index_of_members[core.members]
+            out[i] = out[first]
     return out
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
-def _core_nontrivial_p_subgroups(spec: GroupSpec, p: int) -> tuple[int, ...]:
-    subs, cores = _lattice(spec).subgroups, _p_cores(spec)
-    return tuple(i for i in _p_subgroups(spec, p) if subs[cores[i]].order > 1)
-
-
-@functools.lru_cache(maxsize=CACHE_SIZE)
 def _nilpotent(spec: GroupSpec) -> tuple[bool, ...]:
-    """Whether each subgroup of the lattice is nilpotent."""
-    return tuple(is_nilpotent_subgroup(s) for s in _lattice(spec).subgroups)
+    """Whether each subgroup of the lattice is nilpotent, asked once per
+    class."""
+    lat = _lattice(spec)
+    out: list[bool] = []
+    for i, (s, first) in enumerate(zip(lat.subgroups, lat.class_of.tolist())):
+        out.append(is_nilpotent_subgroup(s) if first == i else out[first])
+    return tuple(out)
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
-def _nilpotent_edges(spec: GroupSpec, p: int) -> tuple[tuple[int, int], ...]:
-    nilpotent = _nilpotent(spec)
-    return tuple((i, j) for i, j in _edges(spec, p)
-                 if nilpotent[i] and nilpotent[j])
-
-
-@functools.lru_cache(maxsize=CACHE_SIZE)
-def _derived_slices(spec: GroupSpec,
+def _derived_slices(lat: Lattice, p_subgroups: tuple[int, ...],
+                    cores: dict[int, int],
                     p: int) -> tuple[tuple[int, int, int], ...]:
     """(term index, lattice index of Q, term member mask) triples where Q
     is a normal p-subgroup of G whose slice by the derived term is that
     term's normal p-Sylow subgroup.  Q is normal exactly when it is its
     own normal core."""
-    lat = _lattice(spec)
-    cores = _p_cores(spec)
     out = []
     for t_idx, term in enumerate(derived_series(lat.parent)):
         syl = sylow_subgroup(term, p)
         if not is_normal(syl, term):
             continue
-        for qi in _p_subgroups(spec, p):
+        for qi in p_subgroups:
             Q = lat.subgroups[qi]
             if cores[qi] == qi and Q.members & term.members == syl.members:
                 out.append((t_idx, qi, term.members))
     return tuple(out)
+
+
+@dataclass(frozen=True)
+class _Case:
+    """What the lemma trials read of one (spec, p), in lattice indices.
+
+    edges are the p-commensurability edges (i, j), i < j, in ascending
+    order, and nilpotent_edges those between nilpotent subgroups.
+    p_subgroups are the p-subgroups in ascending order, core_p_subgroups
+    those whose normal core (cores) is nontrivial, and normal the
+    subgroups normal in G.  slices are ``_derived_slices``, and
+    component_of maps each vertex to its p-commensurability component
+    when there are slices to test, else it is None.  The edges are read
+    off the adjacency matrix, with no exponent looked up.
+    """
+
+    lat: Lattice
+    edges: tuple[tuple[int, int], ...]
+    nilpotent_edges: tuple[tuple[int, int], ...]
+    p_subgroups: tuple[int, ...]
+    core_p_subgroups: tuple[int, ...]
+    cores: dict[int, int]
+    normal: tuple[int, ...]
+    slices: tuple[tuple[int, int, int], ...]
+    component_of: dict[int, int] | None
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _case(spec: GroupSpec, p: int) -> _Case:
+    lat = _lattice(spec)
+    lo, hi = np.nonzero(np.triu(_graph(spec, p, KIND_COMMENSURABILITY).adj, 1))
+    nilpotent = np.array(_nilpotent(spec))
+    both = nilpotent[lo] & nilpotent[hi]
+    p_subgroups = _p_subgroups(lat, p)
+    cores = _p_cores(spec)
+    slices = _derived_slices(lat, p_subgroups, cores, p)
+    component_of = None
+    if slices:
+        reports, _ = _components(spec, p, KIND_COMMENSURABILITY)
+        component_of = {v: c for c, report in enumerate(reports)
+                        for v in report.vertices}
+    return _Case(
+        lat, tuple(zip(lo.tolist(), hi.tolist())),
+        tuple(zip(lo[both].tolist(), hi[both].tolist())),
+        p_subgroups,
+        tuple(i for i in p_subgroups if lat.subgroups[cores[i]].order > 1),
+        cores, _normal_indices(spec), slices, component_of)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +324,9 @@ def verify_diameter_bounds(corpus=None) -> VerdictReport:
     groups."""
     report = VerdictReport("bounds", 0)
     for member in _lattice_members(corpus):
-        table = _lattice(member.spec).parent
+        lat = _lattice(member.spec)
+        table = lat.parent
+        class_sizes = _class_sizes(lat)
         flags = structure_flags(table)
         derived = derived_series(table)[:2][-1]  # G', or G if G is perfect
         for p, _ in table.order_factorization:
@@ -295,7 +336,8 @@ def verify_diameter_bounds(corpus=None) -> VerdictReport:
                     member.name, p, {"claim": "metabelian_diameter_bound"},
                     {"max_diameter": 4}, {"diameter": diameter}, diameter <= 4))
             sylow_of_derived = sylow_subgroup(derived, p)
-            if is_normal(sylow_of_derived, full_subgroup(table)):
+            # normal in G exactly when alone in its class
+            if class_sizes[lat.index_of_members[sylow_of_derived.members]] == 1:
                 report.records.append(CheckRecord(
                     member.name, p, {"claim": "normal_derived_sylow_bound"},
                     {"max_diameter": 4}, {"diameter": diameter}, diameter <= 4))
@@ -310,14 +352,12 @@ def verify_diameter_bounds(corpus=None) -> VerdictReport:
 # randomized index-identity properties
 
 
-def _sample_q(spec: GroupSpec, p: int, rng: random.Random,
-              restrict_nontrivial: bool) -> SubgroupSet:
-    """Random p-subgroup reduced to its normal core (always a normal
-    p-subgroup of the parent)."""
-    pool = (_core_nontrivial_p_subgroups(spec, p)
-            if restrict_nontrivial else _p_subgroups(spec, p))
-    idx = rng.choice(pool)
-    return _lattice(spec).subgroups[_p_cores(spec)[idx]]
+def _sample_q(case: _Case, rng: random.Random,
+              restrict_nontrivial: bool) -> int:
+    """The lattice index of a random p-subgroup's normal core (always a
+    normal p-subgroup of the parent)."""
+    pool = case.core_p_subgroups if restrict_nontrivial else case.p_subgroups
+    return case.cores[rng.choice(pool)]
 
 
 def verify_lemma_suite(corpus=None, trials: int = DEFAULT_TRIALS,
@@ -330,24 +370,24 @@ def verify_lemma_suite(corpus=None, trials: int = DEFAULT_TRIALS,
     preserve p-adjacency; slicing by a normal subgroup preserves
     p-adjacency; p-connected products slice identically through a derived
     term whose p-Sylow subgroup is the slice of Q; for p-adjacent nilpotent
-    subgroups the p'-complement lands in the intersection.
+    subgroups the p'-complement lands in the intersection.  Each trial
+    draws a (member, p, ``_Case``) triple, found before the first trial.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    pairs = _member_primes(corpus)
+    pairs = [(m, p, _case(m.spec, p)) for m, p in _member_primes(corpus)]
     rng = random.Random(seed)
     report = VerdictReport("lemmas", seed)
 
-    edge_pairs = [(m, p) for (m, p) in pairs if _edges(m.spec, p)]
-    nilp_edge_pairs = [(m, p) for (m, p) in pairs
-                       if _nilpotent_edges(m.spec, p)]
-    slice_pairs = [(m, p) for (m, p) in pairs if _derived_slices(m.spec, p)]
-    core_pairs = [(m, p) for (m, p) in pairs
-                  if _core_nontrivial_p_subgroups(m.spec, p)]
-    core_edge_pairs = [mp for mp in edge_pairs if mp in core_pairs]
+    edge_pairs = [mpc for mpc in pairs if mpc[2].edges]
+    nilp_edge_pairs = [mpc for mpc in pairs if mpc[2].nilpotent_edges]
+    slice_pairs = [mpc for mpc in pairs if mpc[2].slices]
+    core_pairs = [mpc for mpc in pairs if mpc[2].core_p_subgroups]
+    core_edge_pairs = [mpc for mpc in edge_pairs if mpc[2].core_p_subgroups]
 
-    # property -> (its (member, p) pool, the pool restricted to nontrivial
-    # normal p-cores or None); a property whose pool is empty is skipped
+    # property -> (its (member, p, case) pool, the pool restricted to
+    # nontrivial normal p-cores or None); a property whose pool is empty
+    # is skipped
     pools = {"extension_by_normal_p_subgroup": (pairs, core_pairs),
              "extension_preserves_adjacency": (edge_pairs, core_edge_pairs),
              "normal_slice_preserves_adjacency": (edge_pairs, None),
@@ -357,15 +397,23 @@ def verify_lemma_suite(corpus=None, trials: int = DEFAULT_TRIALS,
     q_orders = []  # the order of each Q sampled by _sample_q
 
     # Trials ask for the same products, intersections and complements many
-    # times over; each is computed once per distinct (table, member masks,
-    # p) in this call.
+    # times over; each is computed once per (operation, lattice, lattice
+    # indices or index and p) in this call.  The cases of one spec share
+    # its lattice and keep it alive, so its id names it.
     memo: dict = {}
 
-    def once(fn, A, *args):
-        key = (fn, A.parent, A.members,
-               *(a.members if isinstance(a, SubgroupSet) else a for a in args))
+    def once(fn, lat: Lattice, i: int, j: int) -> SubgroupSet:
+        """fn(L[i], L[j])."""
+        key = (fn, id(lat), i, j)
         if key not in memo:
-            memo[key] = fn(A, *args)
+            memo[key] = fn(lat.subgroups[i], lat.subgroups[j])
+        return memo[key]
+
+    def complement(lat: Lattice, i: int, p: int) -> int:
+        """The member mask of L[i]'s p'-complement."""
+        key = (p_prime_complement, id(lat), i, p)
+        if key not in memo:
+            memo[key] = p_prime_complement(lat.subgroups[i], p).members
         return memo[key]
 
     for trial in range(trials):
@@ -376,61 +424,62 @@ def verify_lemma_suite(corpus=None, trials: int = DEFAULT_TRIALS,
             continue
         # four of five trials sample Q from the nontrivial cores
         restrict = trial % 5 != 0 and bool(core_pool)
-        member, p = rng.choice(core_pool if restrict else pool)
-        lat = _lattice(member.spec)
+        member, p, case = rng.choice(core_pool if restrict else pool)
+        lat = case.lat
         subs = lat.subgroups
         if prop == "extension_by_normal_p_subgroup":
-            Q = _sample_q(member.spec, p, rng, restrict)
-            q_orders.append(Q.order)
-            V = subs[rng.randrange(len(subs))]
-            exp = p_power_exponent(once(product_set, V, Q).order // V.order, p)
-            params = {"q_order": Q.order, "v_order": V.order}
+            qi = _sample_q(case, rng, restrict)
+            q_order = subs[qi].order
+            q_orders.append(q_order)
+            v = rng.randrange(len(subs))
+            v_order = subs[v].order
+            exp = p_power_exponent(
+                once(product_set, lat, v, qi).order // v_order, p)
+            params = {"q_order": q_order, "v_order": v_order}
             check = ("p-power index", {"exponent": exp}, exp is not None)
         elif prop == "extension_preserves_adjacency":
-            i, j = rng.choice(_edges(member.spec, p))
-            Q = _sample_q(member.spec, p, rng, restrict)
-            q_orders.append(Q.order)
+            i, j = rng.choice(case.edges)
+            qi = _sample_q(case, rng, restrict)
+            q_order = subs[qi].order
+            q_orders.append(q_order)
             exps = commensurability_exponents(
-                once(product_set, subs[i], Q),
-                once(product_set, subs[j], Q), p)
-            params = {"edge": [i, j], "q_order": Q.order}
+                once(product_set, lat, i, qi),
+                once(product_set, lat, j, qi), p)
+            params = {"edge": [i, j], "q_order": q_order}
             check = ("p-power index pair", {"exponents": exps},
                      exps is not None)
         elif prop == "normal_slice_preserves_adjacency":
-            i, j = rng.choice(_edges(member.spec, p))
-            N = subs[rng.choice(_normal_indices(member.spec))]
+            i, j = rng.choice(case.edges)
+            n = rng.choice(case.normal)
             exps = commensurability_exponents(
-                once(intersect, subs[i], N), once(intersect, subs[j], N), p)
-            params = {"edge": [i, j], "n_order": N.order}
+                once(intersect, lat, i, n), once(intersect, lat, j, n), p)
+            params = {"edge": [i, j], "n_order": subs[n].order}
             check = ("p-power index pair", {"exponents": exps},
                      exps is not None)
         elif prop == "derived_slice_equality":
-            t_idx, qi, term_mask = rng.choice(_derived_slices(member.spec, p))
-            Q = subs[qi]
-            comp_of = _component_of(member.spec, p)
+            t_idx, qi, term_mask = rng.choice(case.slices)
+            comp_of = case.component_of
             outcome = None
             for _ in range(8):
-                V = subs[rng.randrange(len(subs))]
-                W = subs[rng.randrange(len(subs))]
-                VQ = once(product_set, V, Q)
-                WQ = once(product_set, W, Q)
-                vi = lat.index_of_members[VQ.members]
-                wi = lat.index_of_members[WQ.members]
-                if comp_of[vi] != comp_of[wi]:
+                v = rng.randrange(len(subs))
+                w = rng.randrange(len(subs))
+                vq = once(product_set, lat, v, qi).members
+                wq = once(product_set, lat, w, qi).members
+                if (comp_of[lat.index_of_members[vq]]
+                        != comp_of[lat.index_of_members[wq]]):
                     continue
-                outcome = VQ.members & term_mask == WQ.members & term_mask
+                outcome = vq & term_mask == wq & term_mask
                 break
             if outcome is None:
                 report.skips += 1
                 continue
-            params = {"term_index": t_idx, "q_order": Q.order}
+            params = {"term_index": t_idx, "q_order": subs[qi].order}
             check = ("equal slices", {"equal": outcome}, outcome)
         else:  # complement_absorbed_by_adjacency
-            i, j = rng.choice(_nilpotent_edges(member.spec, p))
-            d1, d2 = subs[i], subs[j]
-            inter = d1.members & d2.members
-            comp1 = once(p_prime_complement, d1, p).members
-            comp2 = once(p_prime_complement, d2, p).members
+            i, j = rng.choice(case.nilpotent_edges)
+            inter = subs[i].members & subs[j].members
+            comp1 = complement(lat, i, p)
+            comp2 = complement(lat, j, p)
             ok = (comp1 & inter == comp1) and (comp2 & inter == comp2)
             params = {"edge": [i, j]}
             check = ("complement inside intersection", {"contained": ok}, ok)

@@ -1,19 +1,22 @@
 """The brute-force subgroup enumerator, the tests' independent oracle for
 ``commgraph.lattice.enumerate_subgroups``; the conjugate of a member
-mask, the tests' check on the library's class orbits; and the zuppos of
-a table found by closing each element's cyclic subgroup, the tests' check
-on the library's walk over powers.
+mask and the conjugacy classes of member masks under every element, the
+tests' check on the library's class orbits and class record; and the
+zuppos of a table found by closing each element's cyclic subgroup, the
+tests' check on the library's walk over powers.
 
 The enumerator shares with the library only the closure of a generator
-tuple (``_closure_mask``) and the canonical sort and sanity checks of a
+tuple (``_closure_mask``), the conjugation permutation by one element
+(``_conjugation``) and the canonical sort and sanity checks of a
 finished lattice (``_finish_lattice``), so a change to the
-cyclic-extension route cannot change the reference as well.
+cyclic-extension route or to the class orbits cannot change the
+reference as well.
 """
 
 from __future__ import annotations
 
 from commgraph.errors import CommGraphError
-from commgraph.groups import GroupTable, _closure_mask, factorize
+from commgraph.groups import GroupTable, _closure_mask, _conjugation, factorize
 from commgraph.lattice import Lattice, _finish_lattice
 
 _ORACLE_MAX_ORDER = 100
@@ -27,6 +30,19 @@ def conjugate_mask(conj: list[int], mask: int) -> int:
     for x, image in enumerate(conj):
         if mask >> x & 1:
             out |= 1 << image
+    return out
+
+
+def oracle_classes(G: GroupTable, masks) -> dict[int, int]:
+    """Each of the given member masks -> the smallest mask of its
+    conjugacy class: its orbit under conjugation by every element g of G,
+    one ``conjugate_mask`` per g, taken once per class."""
+    conjugations = [_conjugation(G, g) for g in range(G.order)]
+    out: dict[int, int] = {}
+    for mask in masks:
+        if mask not in out:
+            orbit = {conjugate_mask(conj, mask) for conj in conjugations}
+            out.update(dict.fromkeys(orbit, min(orbit)))
     return out
 
 
@@ -87,4 +103,4 @@ def oracle_enumerate_subgroups(G: GroupTable, max_gens: int) -> Lattice:
         if not nxt:
             break
         level = nxt
-    return _finish_lattice(G, known.keys())
+    return _finish_lattice(G, oracle_classes(G, known))

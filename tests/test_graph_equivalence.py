@@ -324,7 +324,8 @@ def test_build_graph_reads_only_the_pair_codes(lattices, monkeypatch):
     codes are computed once per lattice and kept."""
     lat = lattices["S4xV4"]
     codes = lat.pair_codes
-    bare = Lattice(lat.parent, lat.subgroups, lat.index_of_members)
+    bare = Lattice(lat.parent, lat.subgroups, lat.index_of_members,
+                   lat.class_of)
     vars(bare)["pair_codes"] = codes
     vars(bare)["index_matrix"] = _Unreadable()
 

@@ -354,6 +354,27 @@ def test_product_set_examples(s4, s4_els):
     assert set(dihedral8.elements()) == expected
 
 
+def test_product_set_is_the_closure_of_both_witness_sets(oracle_lattices):
+    """For every subgroup A and normal Q of the oracle lattices, AQ is the
+    subgroup that the witnesses of A and Q generate, with those witnesses;
+    a Q that is not normal is refused."""
+    for lat in oracle_lattices:
+        table = lat.parent
+        full = full_subgroup(table)
+        normal = [is_normal(s, full) for s in lat.subgroups]
+        assert any(normal) and not all(normal)
+        for q, q_normal in zip(lat.subgroups, normal):
+            for a in lat.subgroups:
+                if not q_normal:
+                    with pytest.raises(NotNormal):
+                        product_set(a, q)
+                    continue
+                wits = tuple(sorted(set(a.witnesses) | set(q.witnesses)))
+                prod = product_set(a, q)
+                assert prod.members == subgroup_closure(table, wits).members
+                assert prod.witnesses == wits
+
+
 def test_product_set_requires_normal_factor(s4, s4_els):
     a = subgroup_closure(s4.table, [s4_els((1, 2))])
     b = subgroup_closure(s4.table, [s4_els((1, 3))])

@@ -50,6 +50,7 @@ from commgraph.groups import (
 from lattice_oracle import (
     OracleScaleExceeded,
     conjugate_mask,
+    oracle_classes,
     oracle_enumerate_subgroups,
     zuppos_by_closure,
 )
@@ -176,6 +177,54 @@ def test_enumeration_matches_oracle(spec):
     oracle = oracle_enumerate_subgroups(table, math.ceil(math.log2(table.order)))
     assert [s.members for s in lat.subgroups] \
         == [s.members for s in oracle.subgroups]
+
+
+def _first_of_class(lat, label) -> list[int]:
+    """For each lattice index, the first index whose mask has the same
+    label: the form of ``Lattice.class_of``."""
+    first: dict = {}
+    return [first.setdefault(label[s.members], i)
+            for i, s in enumerate(lat.subgroups)]
+
+
+@pytest.mark.parametrize("spec", [
+    sym(3), sym(4), cyclic(6), abelian([2, 4]), dihedral(4), dihedral(6),
+    direct([sym(3), cyclic(2)]), p2q(3), p2q(5), abelian([2, 2, 2, 2]),
+    direct([dihedral(4), cyclic(2)]), _alternating_5,
+    lambda: build_group_from_table(construct(sym(4)).mult),
+])
+def test_class_record_matches_oracle_classes(spec):
+    """The class each subgroup fell in during enumeration is its orbit
+    under conjugation by every element, found by brute force; the oracle
+    enumerator, which labels its classes that way, keeps the same
+    record."""
+    table = spec() if callable(spec) else construct(spec)
+    lat = enumerate_subgroups(table)
+    label = oracle_classes(table, [s.members for s in lat.subgroups])
+    assert lat.class_of.tolist() == _first_of_class(lat, label)
+    assert not lat.class_of.flags.writeable
+    oracle = oracle_enumerate_subgroups(table, math.ceil(math.log2(table.order)))
+    assert oracle.class_of.tolist() == lat.class_of.tolist()
+
+
+@pytest.mark.parametrize("spec", [
+    sym(5), p2q(7), direct([sym(4), sym(3)]), bs(cyclic(2)),
+], ids=spec_name)
+def test_class_record_matches_class_orbits(spec, built_group):
+    """Above the oracle's scale: the orbit that ``_conjugacy_class`` walks
+    from the first member of each class holds exactly the subgroups that
+    the record puts in that class."""
+    table = built_group(spec).table
+    lat = enumerate_subgroups(table)
+    class_of = lat.class_of.tolist()
+    members: dict[int, list[int]] = {}
+    for i, first in enumerate(class_of):
+        members.setdefault(first, []).append(i)
+    assert all(first == members[first][0] for first in members)
+    for first, indices in members.items():
+        orbit = _conjugacy_class(table.conjugations,
+                                 lat.subgroups[first].members)
+        assert sorted(lat.index_of_members[m] for m in orbit) == indices
 
 
 @pytest.mark.parametrize("spec", [

@@ -25,7 +25,11 @@ from commgraph import (
 from commgraph.graphs import commensurability_exponents
 from commgraph.groups import (
     SubgroupSet,
+    full_subgroup,
     intersect,
+    is_nilpotent_subgroup,
+    is_normal,
+    normal_core,
     p_power_exponent,
     p_prime_complement,
     product_set,
@@ -95,6 +99,25 @@ def test_lemma_suite_stream_pinned(specs, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def test_class_facts_match_per_subgroup_routes():
+    """Normality, normal p-cores and nilpotency, which the suites ask once
+    per conjugacy class, are what asking every subgroup gives, over the
+    default corpus."""
+    for member in default_corpus():
+        lat = verify._lattice(member.spec)
+        G = lat.parent
+        subs = lat.subgroups
+        assert verify._normal_indices(member.spec) == tuple(
+            i for i, s in enumerate(subs) if is_normal(s, full_subgroup(G)))
+        primes = [p for p, _ in G.order_factorization]
+        assert verify._p_cores(member.spec) == {
+            i: lat.index_of_members[normal_core(s, G).members]
+            for i, s in enumerate(subs)
+            if any(p_power_exponent(s.order, p) is not None for p in primes)}
+        assert verify._nilpotent(member.spec) \
+            == tuple(is_nilpotent_subgroup(s) for s in subs)
+
+
 def test_lemma_identities_hold_on_every_case_of_the_default_corpus():
     """Four of the identities that the lemma suite samples, checked on every
     case of the default corpus, for every prime p dividing the order:
@@ -104,11 +127,10 @@ def test_lemma_identities_hold_on_every_case_of_the_default_corpus():
     cases = Counter()
     failures = []
     for member, p in verify._member_primes(None):
-        spec = member.spec
-        subs = verify._lattice(spec).subgroups
-        cores = verify._p_cores(spec)
-        normal_p = [q for q in verify._p_subgroups(spec, p) if cores[q] == q]
-        edges = verify._edges(spec, p)
+        case = verify._case(member.spec, p)
+        subs = case.lat.subgroups
+        normal_p = [q for q in case.p_subgroups if case.cores[q] == q]
+        edges = case.edges
         products = {(v, q): product_set(subs[v], subs[q])
                     for v in range(len(subs)) for q in normal_p}
         for (v, q), vq in products.items():
@@ -121,13 +143,13 @@ def test_lemma_identities_hold_on_every_case_of_the_default_corpus():
                 if commensurability_exponents(
                         products[i, q], products[j, q], p) is None:
                     failures.append((member.name, p, "products", i, j, q))
-            for n in verify._normal_indices(spec):
+            for n in case.normal:
                 cases["slices"] += 1
                 if commensurability_exponents(intersect(subs[i], subs[n]),
                                               intersect(subs[j], subs[n]),
                                               p) is None:
                     failures.append((member.name, p, "slices", i, j, n))
-        for i, j in verify._nilpotent_edges(spec, p):
+        for i, j in case.nilpotent_edges:
             cases["complements"] += 1
             inter = subs[i].members & subs[j].members
             for d in (subs[i], subs[j]):
