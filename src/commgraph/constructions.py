@@ -15,9 +15,11 @@ multiplication over all codes is computed with numpy from the factors'
 columns, the BFS reads it, and the reps and labels are decoded from the
 codes in bulk afterwards.
 
-Every call builds a new table; nothing here is cached.  The program's only
-in-memory cache is in ``commgraph.verify``, the layer that repeats work over
-a fixed corpus.
+Every call builds a new table; nothing here is cached.  The program's one
+cache across calls is in ``commgraph.verify``, the layer that repeats work
+over a fixed corpus, beside its lemma suite's per-call memo and the values
+an object keeps about itself: ``Lattice.index_matrix``,
+``Lattice.pair_codes`` and ``SubgroupSet.witnesses``.
 """
 
 from __future__ import annotations

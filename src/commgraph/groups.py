@@ -4,10 +4,10 @@ Two immutable carriers underpin everything: ``GroupTable`` (the ambient
 group, identity pinned at element id 0) and ``SubgroupSet`` (a membership
 bit vector over one table).  All operations are pure functions of their
 inputs; tables and subgroup sets are never mutated after construction, so
-any number of operations may run concurrently over shared objects.  The
-one deferred value is a subgroup's canonical witnesses, which
-``SubgroupSet.from_members`` computes on first read: every read, in any
-thread, gives the same tuple.
+any number of operations may run concurrently over shared objects.  A
+subgroup is its member mask: its witnesses are the canonical greedy ones
+over its members, the one deferred value, computed on first read; every
+read, in any thread, gives the same tuple.
 
 Every table is validated before it is wrapped.  Associativity is proven,
 not sampled, by Light's test (Clifford & Preston, *The Algebraic Theory of
@@ -143,15 +143,24 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 def perm_from_cycles(degree: int, cycles: Iterable[Sequence[int]]) -> tuple[int, ...]:
-    """Build a 0-based image tuple from 1-based disjoint cycles."""
+    """Build a 0-based image tuple from 1-based disjoint cycles.  Every
+    point must be an integer (Python or numpy, not bool) in 1..degree;
+    anything else raises InvalidGenerator."""
     images = list(range(degree))
     seen: set[int] = set()
     for cycle in cycles:
-        pts = [int(x) for x in cycle]
+        try:
+            pts = list(cycle)
+        except TypeError:
+            raise InvalidGenerator(f"cycle {cycle!r} is not a sequence") from None
+        if any(type(x) is bool or not isinstance(x, (int, np.integer))
+               for x in pts):
+            raise InvalidGenerator(f"cycle {tuple(pts)} has a non-integer point")
+        pts = [int(x) for x in pts]
         if any(x < 1 or x > degree for x in pts):
-            raise InvalidGenerator(f"cycle {tuple(cycle)} out of range 1..{degree}")
+            raise InvalidGenerator(f"cycle {tuple(pts)} out of range 1..{degree}")
         if len(set(pts)) != len(pts) or seen & set(pts):
-            raise InvalidGenerator(f"cycle {tuple(cycle)} repeats a point")
+            raise InvalidGenerator(f"cycle {tuple(pts)} repeats a point")
         seen.update(pts)
         for i, x in enumerate(pts):
             images[x - 1] = pts[(i + 1) % len(pts)] - 1
@@ -555,39 +564,31 @@ def _greedy_witnesses(mult: list[list[int]], candidates: Iterable[int],
 
 
 class SubgroupSet:
-    """A subgroup of a GroupTable as a membership bit vector.
+    """A subgroup of a GroupTable as a membership bit vector, checked for
+    range, the identity bit and Lagrange's theorem and otherwise taken on
+    trust.  Identity is member-set equality over the same parent table.
 
-    Identity is member-set equality over the same parent table; witness
-    lists are generating sets kept for labeling and normality checks.
-    Witnesses given as None are the canonical greedy witnesses (see
-    ``from_members``), computed on first read of ``witnesses`` and kept.
+    Its witnesses, a generating set for labeling and normality checks, are
+    the canonical greedy ones: the members that the smaller ones do not
+    yet generate.  They are computed on first read and kept, as most
+    subgroups of a lattice are never labeled; reading them raises
+    ValueError when the mask is not a subgroup.
     """
 
     __slots__ = ("parent", "members", "order", "_witnesses")
 
-    def __init__(self, parent: GroupTable, members: int,
-                 witnesses: Sequence[int] | None, *, validate: bool = True):
+    def __init__(self, parent: GroupTable, members: int):
         self.parent = parent
         self.members = members
         self.order = members.bit_count()
-        self._witnesses = None if witnesses is None else tuple(witnesses)
+        self._witnesses: tuple[int, ...] | None = None
+        if members >> parent.order:
+            raise ValueError(f"member mask has a bit outside the "
+                             f"{parent.order} elements of the table")
         if not members & 1:
             raise ValueError("subgroup must contain the identity (bit 0)")
         if parent.order % self.order != 0:
             raise ValueError("subgroup order does not divide the group order")
-        if validate:
-            _check_ids(parent, self.witnesses)
-            if _closure_mask(parent.mult, self.witnesses) != members:
-                raise ValueError("witnesses do not generate the member set")
-
-    @classmethod
-    def from_members(cls, parent: GroupTable, members: int) -> "SubgroupSet":
-        """Wrap the member mask of a subgroup.  Its witnesses are the
-        canonical greedy ones, the members that the smaller ones do not
-        yet generate, computed on first read: most subgroups of a lattice
-        are never labeled.  Reading them raises ValueError when the mask
-        is not a subgroup."""
-        return cls(parent, members, None, validate=False)
 
     @property
     def witnesses(self) -> tuple[int, ...]:
@@ -611,26 +612,21 @@ class SubgroupSet:
 
 
 def trivial_subgroup(G: GroupTable) -> SubgroupSet:
-    return SubgroupSet(G, 1, (), validate=False)
+    return SubgroupSet(G, 1)
 
 
 def full_subgroup(G: GroupTable) -> SubgroupSet:
-    return SubgroupSet(G, (1 << G.order) - 1, G.generators, validate=False)
-
-
-def _check_ids(G: GroupTable, ids: Iterable[int]) -> None:
-    """Raise ValueError unless every id names an element of G."""
-    for x in ids:
-        if not 0 <= x < G.order:
-            raise ValueError(f"element id {x} out of range")
+    return SubgroupSet(G, (1 << G.order) - 1)
 
 
 def subgroup_closure(G: GroupTable, seed: Iterable[int]) -> SubgroupSet:
-    """Smallest subgroup containing the seed; witnesses are the seed itself
-    (deduplicated, sorted)."""
-    wits = tuple(sorted(set(int(x) for x in seed)))
-    _check_ids(G, wits)
-    return SubgroupSet(G, _closure_mask(G.mult, wits), wits, validate=False)
+    """Smallest subgroup containing the seed; raises ValueError for an id
+    that names no element of G."""
+    ids = [int(x) for x in seed]
+    for x in ids:
+        if not 0 <= x < G.order:
+            raise ValueError(f"element id {x} out of range")
+    return SubgroupSet(G, _closure_mask(G.mult, ids))
 
 
 def _require_same_parent(A: SubgroupSet, B: SubgroupSet) -> None:
@@ -639,31 +635,29 @@ def _require_same_parent(A: SubgroupSet, B: SubgroupSet) -> None:
 
 
 def intersect(A: SubgroupSet, B: SubgroupSet) -> SubgroupSet:
-    """A ∩ B, wrapped by ``SubgroupSet.from_members``: its witnesses are
-    the canonical greedy ones, computed on first read."""
+    """A ∩ B."""
     _require_same_parent(A, B)
-    return SubgroupSet.from_members(A.parent, A.members & B.members)
+    return SubgroupSet(A.parent, A.members & B.members)
 
 
 def product_set(A: SubgroupSet, Q: SubgroupSet) -> SubgroupSet:
     """The subgroup AQ = {aq}; Q must be normal in the parent group: every
     permutation of ``G.conjugations`` maps Q's witnesses into Q, which
     holds exactly when Q is normal (see ``GroupTable``).  AQ = <A, Q> is
-    grown from Q's members by one cyclic extension per witness of A that
-    it lacks; its witnesses are those of A and Q, sorted."""
+    grown from A's members by one cyclic extension per witness of Q that
+    it lacks, so A's witnesses are never read."""
     _require_same_parent(A, Q)
     G = A.parent
     if not _fixes(G.conjugations, Q.members, Q.witnesses):
         raise NotNormal("second factor must be normal in the parent group")
-    mask, elems = Q.members, list(_bits(Q.members))
-    for a in A.witnesses:
-        if not mask >> a & 1:
-            mask, elems = _cyclic_extension(G.mult, mask, elems, a)
-    wits = tuple(sorted(set(A.witnesses) | set(Q.witnesses)))
+    mask, elems = A.members, list(_bits(A.members))
+    for q in Q.witnesses:
+        if not mask >> q & 1:
+            mask, elems = _cyclic_extension(G.mult, mask, elems, q)
     inter = (A.members & Q.members).bit_count()
     assert mask.bit_count() * inter == A.order * Q.order, \
         "|AQ| != |A||Q|/|A∩Q|"
-    return SubgroupSet(G, mask, wits, validate=False)
+    return SubgroupSet(G, mask)
 
 
 def _conjugation(G: GroupTable, g: int) -> list[int]:
@@ -757,15 +751,15 @@ def normal_core(A: SubgroupSet, G: GroupTable) -> SubgroupSet:
     for conjugate in _conjugacy_class(G.conjugations, A.members,
                                       A.witnesses):
         mask &= conjugate
-    return SubgroupSet.from_members(G, mask)
+    return SubgroupSet(G, mask)
 
 
 # ---------------------------------------------------------------------------
 # derived series, Sylow subgroups, structure flags
 
 
-def _commutator_subgroup_mask(G: GroupTable, S: SubgroupSet) -> int:
-    """Member mask of [S, S].
+def _commutator_subgroup_mask(G: GroupTable, wits: Sequence[int]) -> int:
+    """Member mask of [S, S], where wits generate S.
 
     Computed as the normal closure in S of all witness-pair commutators:
     the subgroup they generate is extended by every conjugate of one of
@@ -773,7 +767,6 @@ def _commutator_subgroup_mask(G: GroupTable, S: SubgroupSet) -> int:
     subgroup generated by all commutators of S.
     """
     mult, inv = G.mult, G.inv
-    wits = S.witnesses
     mask, elems = 1, [0]
     gens: list[int] = []
     for i, a in enumerate(wits):
@@ -792,15 +785,17 @@ def _commutator_subgroup_mask(G: GroupTable, S: SubgroupSet) -> int:
 
 
 def derived_series(G: GroupTable) -> tuple[SubgroupSet, ...]:
-    """G's derived series G = G1 ⊵ G2 ⊵ ..., to its first stable term."""
+    """G's derived series G = G1 ⊵ G2 ⊵ ..., to its first stable term.
+    G's own commutators are taken over its construction generators, so
+    G's canonical witnesses are not computed."""
     terms = [full_subgroup(G)]
+    wits = G.generators
     while True:
-        nxt = _commutator_subgroup_mask(G, terms[-1])
+        nxt = _commutator_subgroup_mask(G, wits)
         if nxt == terms[-1].members:
             break
-        terms.append(SubgroupSet.from_members(G, nxt))
-        if nxt == 1:
-            break
+        terms.append(SubgroupSet(G, nxt))
+        wits = terms[-1].witnesses
     return tuple(terms)
 
 
@@ -820,20 +815,20 @@ def sylow_subgroup(H: SubgroupSet, p: int) -> SubgroupSet:
         return trivial_subgroup(G)
     orders = G.element_orders
     mask, elems = 1, [0]
-    wits: tuple[int, ...] = ()
+    gens: list[int] = []  # the ascent's generators, for _normalizes
     while len(elems) < target:
         for x in _bits(H.members):
             if mask >> x & 1:
                 continue
             if p_power_exponent(orders[x], p) is None:
                 continue
-            if _normalizes(G, mask, wits, x):
-                wits += (x,)
+            if _normalizes(G, mask, gens, x):
+                gens.append(x)
                 mask, elems = _cyclic_extension(G.mult, mask, elems, x)
                 break
         else:  # pragma: no cover - impossible for a valid group table
             raise RuntimeError("p-subgroup ascent stalled")
-    return SubgroupSet(G, mask, wits, validate=False)
+    return SubgroupSet(G, mask)
 
 
 def is_nilpotent_subgroup(H: SubgroupSet) -> bool:
@@ -879,4 +874,4 @@ def p_prime_complement(H: SubgroupSet, p: int) -> SubgroupSet:
         raise NotNilpotent("p'-complement requires a nilpotent subgroup")
     orders = H.parent.element_orders
     mask = _mask_of(x for x in H.elements() if orders[x] % p)
-    return SubgroupSet.from_members(H.parent, mask)
+    return SubgroupSet(H.parent, mask)

@@ -48,13 +48,12 @@ from .groups import (
     GroupTable,
     SubgroupSet,
     _bits,
-    _check_ids,
-    _closure_mask,
     _conjugacy_class,
     _cyclic_extension,
     _normalizes,
     derived_series,
     factorize,
+    subgroup_closure,
 )
 
 DEFAULT_LATTICE_CAP = 100000
@@ -160,7 +159,7 @@ def _finish_lattice(G: GroupTable, classes: dict[int, int]) -> Lattice:
     of the brute-force oracle in the tests), not a proof that outside
     input is a complete lattice."""
     n = G.order
-    subs = [SubgroupSet.from_members(G, m) for m in classes]
+    subs = [SubgroupSet(G, m) for m in classes]
     subs.sort(key=lambda s: (s.order, _lex_key(s.members, n)))
     first: dict[int, int] = {}  # class label -> its first lattice index
     class_of = np.array([first.setdefault(classes[s.members], i)
@@ -344,9 +343,7 @@ def enumerate_subgroups(G: GroupTable,
 def locate_subgroup(lat: Lattice, generator_ids) -> int:
     """Index of the lattice member generated by the given element ids;
     raises ValueError for an id outside the table."""
-    ids = sorted(set(generator_ids))
-    _check_ids(lat.parent, ids)
-    mask = _closure_mask(lat.parent.mult, ids)
+    mask = subgroup_closure(lat.parent, generator_ids).members
     idx = lat.index_of_members.get(mask)
     if idx is None:
         raise NotFound("closure of the generators is missing from the lattice")

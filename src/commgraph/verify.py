@@ -7,15 +7,18 @@ triangular-matrix-group component classification) and returns a
 machine-readable VerdictReport.  Suites are deterministic given
 (corpus, seed).
 
-This module holds the program's one in-memory cache.  The library recomputes
-on every call; the suites, which evaluate the same corpus lattices, graphs,
-component reports and lemma sampling pools several times over, share them
-through the bounded ``functools.lru_cache`` helpers below, keyed by spec
-or by (spec, p).  Facts that conjugation preserves (normality, normal
-cores, nilpotency) are asked once per conjugacy class of the lattice,
-which records the classes (``Lattice.class_of``).  The lemma trials read
-one ``_Case`` per (spec, p), found before the first trial, and no cache
-inside the trial loop.
+This module holds the program's one cache across calls.  The library
+recomputes on every call, keeping only values that an object holds about
+itself (``Lattice.index_matrix``, ``Lattice.pair_codes``,
+``SubgroupSet.witnesses``); the suites, which evaluate the same corpus
+lattices, graphs, component reports and lemma sampling pools several
+times over, share them through the bounded ``functools.lru_cache``
+helpers below, keyed by spec or by (spec, p).  Facts that conjugation
+preserves (normality, normal cores, nilpotency) are asked once per
+conjugacy class of the lattice, which records the classes
+(``Lattice.class_of``).  The lemma trials read one ``_Case`` per (spec,
+p), found before the first trial; inside the trial loop only a memo of
+products, intersections and complements, kept for one call, is read.
 """
 
 from __future__ import annotations

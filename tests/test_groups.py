@@ -183,6 +183,24 @@ def test_invalid_generators_rejected():
         build_group_from_permutations(3, [[(1, 1)]])
 
 
+@pytest.mark.parametrize("generator", [
+    [(1.5, 2)], [1, 2], [(1, "x")], [("1", "2")], [(True, 2)],
+    [(np.float64(1), 2)],
+], ids=["float", "bare-points", "letter", "digit-strings", "bool",
+        "numpy-float"])
+def test_malformed_cycle_points_rejected(generator):
+    """A point that is not an integer, or a cycle that is not a sequence,
+    is an InvalidGenerator, not a silent truncation or a TypeError."""
+    with pytest.raises(InvalidGenerator):
+        build_group_from_permutations(3, [generator])
+
+
+def test_numpy_integer_cycle_points_accepted():
+    table = build_group_from_permutations(
+        3, [[(np.int64(1), np.int32(2), 3)], [(np.uint8(1), 2)]])
+    assert table.order == 6
+
+
 def test_order_cap_enforced_during_closure():
     with pytest.raises(OrderCapExceeded):
         build_group_from_permutations(4, [[(1, 2)], [(1, 2, 3, 4)]], order_cap=10)
@@ -299,7 +317,9 @@ def test_closure_examples(s4, s4_els):
     sub = subgroup_closure(s4.table, seed)
     assert sub.order == 6
     assert sub.order == len(brute_closure(s4.table, seed))
-    assert sub.witnesses == tuple(sorted(set(seed)))
+    lat = enumerate_subgroups(s4.table)
+    assert sub.witnesses \
+        == lat.subgroups[lat.index_of_members[sub.members]].witnesses
 
 
 @pytest.mark.parametrize("spec", [
@@ -356,8 +376,8 @@ def test_product_set_examples(s4, s4_els):
 
 def test_product_set_is_the_closure_of_both_witness_sets(oracle_lattices):
     """For every subgroup A and normal Q of the oracle lattices, AQ is the
-    subgroup that the witnesses of A and Q generate, with those witnesses;
-    a Q that is not normal is refused."""
+    subgroup that the witnesses of A and Q generate, with the witnesses of
+    that lattice member; a Q that is not normal is refused."""
     for lat in oracle_lattices:
         table = lat.parent
         full = full_subgroup(table)
@@ -372,7 +392,8 @@ def test_product_set_is_the_closure_of_both_witness_sets(oracle_lattices):
                 wits = tuple(sorted(set(a.witnesses) | set(q.witnesses)))
                 prod = product_set(a, q)
                 assert prod.members == subgroup_closure(table, wits).members
-                assert prod.witnesses == wits
+                assert prod.witnesses == lat.subgroups[
+                    lat.index_of_members[prod.members]].witnesses
 
 
 def test_product_set_requires_normal_factor(s4, s4_els):
@@ -666,18 +687,37 @@ def test_product_order_formula_on_normal_pairs(oracle_lattices):
                 assert prod.order * intersect(v, q).order == v.order * q.order
 
 
-def test_subgroup_set_rejects_non_generating_witnesses(s4, s4_els):
-    mask = 1 | 1 << s4_els((1, 2))
-    with pytest.raises(ValueError):
-        SubgroupSet(s4.table, mask, ())
-    with pytest.raises(ValueError):
-        SubgroupSet(s4.table, mask >> 1 << 1, (s4_els((1, 2)),))
+def test_subgroup_set_rejects_mask_without_identity(s4, s4_els):
+    with pytest.raises(ValueError, match="identity"):
+        SubgroupSet(s4.table, 1 << s4_els((1, 2)))
 
 
-@pytest.mark.parametrize("witness", [100, 24, -1])
-def test_subgroup_set_rejects_witness_outside_table(s4, s4_els, witness):
-    """A witness that names no element of the table is a ValueError, not
-    an IndexError or a shift error from inside the closure."""
-    mask = 1 | 1 << s4_els((1, 2))
-    with pytest.raises(ValueError, match="out of range"):
-        SubgroupSet(s4.table, mask, (witness,))
+@pytest.mark.parametrize("mask", [1 | 1 << 100, 1 | 1 << 24, -1],
+                         ids=["100", "24", "-1"])
+def test_subgroup_set_rejects_member_outside_table(s4, mask):
+    """A mask bit that names no element of the table is a ValueError when
+    the subgroup is wrapped, not an IndexError on the first read of its
+    witnesses; -1 sets every bit.  Each mask passes the identity-bit and
+    Lagrange checks."""
+    with pytest.raises(ValueError, match="outside"):
+        SubgroupSet(s4.table, mask)
+
+
+def test_witnesses_are_a_function_of_the_member_set(oracle_lattices):
+    """Whichever operation builds a subgroup, its witnesses are those of
+    the equal lattice member: the canonical ones over its members."""
+    for lat in oracle_lattices:
+        G, subs = lat.parent, lat.subgroups
+        full = full_subgroup(G)
+        normal = [q for q in subs if is_normal(q, full)]
+        results = [full, trivial_subgroup(G)]
+        for a in subs:
+            results.append(subgroup_closure(G, a.elements()))
+            results.append(normal_core(a, G))
+            results.extend(sylow_subgroup(a, p)
+                           for p, _ in G.order_factorization)
+            results.extend(product_set(a, q) for q in normal)
+            results.extend(intersect(a, b) for b in subs)
+        for r in results:
+            assert r.witnesses \
+                == subs[lat.index_of_members[r.members]].witnesses
