@@ -115,14 +115,7 @@ def _spec_from_doc(doc, depth: int) -> GroupSpec:
     if key in ("sym", "cyclic", "dihedral", "p2q"):
         if not isinstance(value, int) or isinstance(value, bool) or value < 1:
             raise InvalidSpec(f"{key} takes a positive integer")
-        if key == "p2q":
-            try:
-                prime = is_prime(value)
-            except ValueError as exc:  # too large to decide
-                raise InvalidSpec(str(exc)) from None
-            if not prime:
-                raise InvalidSpec(f"p2q modulus {value} must be prime")
-        return GroupSpec(key, n=value)
+        return _checked(GroupSpec(key, n=value))
     if key == "abelian":
         if (not isinstance(value, list) or not value
                 or not all(isinstance(x, int) and not isinstance(x, bool) and x >= 1
@@ -135,6 +128,28 @@ def _spec_from_doc(doc, depth: int) -> GroupSpec:
         return GroupSpec("direct", parts=tuple(_spec_from_doc(v, depth + 1)
                                                for v in value))
     return GroupSpec("bs", parts=(_spec_from_doc(value, depth + 1),))
+
+
+def _checked(spec: GroupSpec) -> GroupSpec:
+    """The spec, if its top node names a group; else raise InvalidSpec
+    with ``spec_from_doc``'s reason.  The Python API also takes sym(0),
+    abelian([]) and direct([]), the trivial group."""
+    kind, n = spec.kind, spec.n
+    if kind not in SPEC_KINDS:
+        raise InvalidSpec(f"unknown group kind {kind!r}")
+    if min(spec.factors, default=1) < 1:
+        raise InvalidSpec("abelian takes a non-empty list of positive integers")
+    if kind in ("sym", "cyclic", "dihedral", "p2q") and (
+            type(n) is bool or not isinstance(n, (int, np.integer))
+            or n < (kind != "sym")):
+        raise InvalidSpec(f"{kind} takes a positive integer")
+    try:
+        prime = kind != "p2q" or is_prime(int(n))
+    except ValueError as exc:  # too large to decide
+        raise InvalidSpec(str(exc)) from None
+    if not prime:
+        raise InvalidSpec(f"p2q modulus {n} must be prime")
+    return spec
 
 
 def parse_group_spec(text: str) -> GroupSpec:
@@ -194,7 +209,8 @@ class BuiltGroup:
 def construct_detailed(spec: GroupSpec, order_cap: int | None = None) -> BuiltGroup:
     """Construct the group, returning the table plus element reps.
 
-    Every call builds a new table.  The cap is enforced against the
+    Every call builds a new table.  Each node of the spec is checked as
+    ``spec_from_doc`` checks it, and the cap is enforced against the
     predicted order, computed only until it passes the cap, before any
     materialization; a cap below 1, which no group meets, raises ValueError.
     """
@@ -203,7 +219,7 @@ def construct_detailed(spec: GroupSpec, order_cap: int | None = None) -> BuiltGr
         raise ValueError(f"order cap must be at least 1, got {cap}")
     level = [spec]  # level by level, not recursively: specs may be deep
     for _ in range(MAX_SPEC_DEPTH):
-        level = [p for s in level for p in s.parts]
+        level = [p for s in level for p in _checked(s).parts]
     if level:
         raise InvalidSpec(f"spec nesting deeper than {MAX_SPEC_DEPTH}")
     predicted = _order(spec, cap)

@@ -9,18 +9,20 @@ subgroup is its member mask: its witnesses are the canonical greedy ones
 over its members, the one deferred value, computed on first read; every
 read, in any thread, gives the same tuple.
 
-Every table is validated before it is wrapped.  Associativity is proven,
-not sampled, by Light's test (Clifford & Preston, *The Algebraic Theory of
-Semigroups* I, 1961, section 1.2) over a generating set of the table: one
-n x n comparison per generator rather than one per element, run over
-blocks of rows.  One routine picks every generating set,
-``_greedy_witnesses``: it keeps each candidate that the kept ones do not
-yet generate.  A built table is proven over the generators it keeps from
-its construction generators, and a subgroup's witnesses are the members
-it keeps in ascending order.  A table is built row by row and checked as
-an int16 ndarray (int32 above order 2**15), which is then made read-only
-and kept as the table's only storage: ``mult`` is a list of memoryviews
-of its rows, so ``mult[a][b]`` is a plain int and no row can be written.
+Every table is proven a group once, as it is wrapped (``GroupTable``),
+on both input routes.  Associativity is proven, not sampled, by Light's
+test (Clifford & Preston, *The Algebraic Theory of Semigroups* I, 1961,
+section 1.2) over a generating set of the table: one n x n comparison
+per generator rather than one per element, run over blocks of rows; the
+table is then a group when those generators' rows are permutations.  One
+routine picks every generating set, ``_greedy_witnesses``: it keeps each
+candidate that the kept ones do not yet generate.  A built table is
+proven over the generators it keeps from its construction generators,
+and a subgroup's witnesses are the members it keeps in ascending order.
+A table is built row by row and proven as an int16 ndarray (int32 above
+order 2**15), which is then made read-only and kept as the table's only
+storage: ``mult`` is a list of memoryviews of its rows, so
+``mult[a][b]`` is a plain int and no row can be written.
 
 A subgroup passes between functions as its member mask and generators;
 member lists exist only inside a closure loop, a class orbit and the
@@ -198,21 +200,21 @@ def compose_permutations(x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
 class GroupTable:
     """A finite group with elements 0..order-1 and identity 0.
 
-    mult[a][b] is the id of a*b, a plain int; inv[a] the id of a**-1.  The
-    table is built from a checked n x n integer array, which it marks
-    read-only and keeps as its only storage: ``array`` is that array and
-    mult the list of memoryviews of its rows, so writing an entry raises
-    TypeError.  labels hold display strings for DOT/JSON output.  generators
-    lists the element ids of the construction generators (empty for the
-    trivial group).  The table is given proven_over, the generating
-    subset that Light's test ran over (``_check_associative``), and
-    conjugations holds ``_conjugation`` by each of its non-central
-    members, one gather over the array each; g is central when row g
-    equals column g.  Those members with the centre generate G, and
-    central elements conjugate trivially, so an orbit under conjugations
-    is a whole conjugacy class.  element_orders[x] is the order of
-    element x, found by whole-array gathers: the k-th gathers every power
-    x**k at once.
+    A table is proven a group once, here, on both input routes:
+    ``_validate_table`` checks its shape, range and identity, and
+    ``_check_associative`` proves the rest over the candidates that
+    ``_greedy_witnesses`` keeps with the whole table as its mask.  The
+    array, narrowed to ``_entry_dtype``, is made read-only and kept as
+    ``array``, the only storage: mult lists memoryviews of its rows, so
+    mult[a][b], the id of a*b, is a plain int that cannot be written.
+    labels hold display strings for DOT/JSON output.  generators lists the
+    construction generators' ids (empty for the trivial group), or the
+    kept candidates when None is given.  conjugations holds
+    ``_conjugation`` by each kept candidate g that is not central (row g
+    equals column g); with the centre these generate G, and central
+    elements conjugate trivially, so an orbit under conjugations is a
+    whole conjugacy class.  element_orders and inv come from one walk
+    over powers (``_element_orders``).
     """
 
     identity = 0
@@ -221,20 +223,24 @@ class GroupTable:
                  "order_factorization", "generators", "conjugations",
                  "element_orders")
 
-    def __init__(self, tbl: np.ndarray, inv: list[int], labels: list[str],
-                 generators: tuple[int, ...], proven_over: Sequence[int]):
+    def __init__(self, tbl: np.ndarray, labels: list[str],
+                 generators: tuple[int, ...] | None,
+                 candidates: Iterable[int]):
+        _validate_table(tbl)
+        tbl = tbl.astype(_entry_dtype(len(tbl)), copy=False)
         tbl.flags.writeable = False
         self.order = len(tbl)
         self.array = tbl
         self.mult = _rows(tbl)
-        self.inv = inv
+        proof = _greedy_witnesses(self.mult, candidates, (1 << self.order) - 1)
+        _check_associative(tbl, proof)
         self.labels = labels
         self.order_factorization = factorize(self.order)
-        self.generators = generators
+        self.generators = proof if generators is None else generators
+        self.element_orders, self.inv = _element_orders(tbl)
         self.conjugations = tuple(
-            _conjugation(self, g) for g in proven_over
+            _conjugation(self, g) for g in proof
             if not np.array_equal(tbl[g], tbl[:, g]))
-        self.element_orders = _element_orders(tbl)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<GroupTable order={self.order}>"
@@ -249,41 +255,30 @@ def _rows(tbl: np.ndarray) -> list[memoryview]:
     return [flat[i:i + n] for i in range(0, n * n, n)]
 
 
-def _element_orders(tbl: np.ndarray) -> list[int]:
-    """Order of every element of a group table, as a list: power[i] is
-    todo[i]**k, and each pass multiplies every power not yet the identity
-    by its base in one gather."""
+def _element_orders(tbl: np.ndarray) -> tuple[list[int], list[int]]:
+    """Order and inverse of every element of a group table, as lists, from
+    one walk: power[i] is todo[i]**k, and each pass multiplies every power
+    not yet the identity by its base in one gather.  The power just before
+    the identity is the base's inverse."""
     orders = np.ones(len(tbl), dtype=np.intp)
+    inv = np.zeros(len(tbl), dtype=np.intp)
     todo = np.arange(1, len(tbl))
     power = todo
     k = 1
     while todo.size:
         k += 1
-        power = tbl[power, todo]
+        last, power = power, tbl[power, todo]
         done = power == 0
         orders[todo[done]] = k
+        inv[todo[done]] = last[done]
         todo, power = todo[~done], power[~done]
-    return orders.tolist()
+    return orders.tolist(), inv.tolist()
 
 
-# entries per block of rows in ``_validate_table`` and
-# ``_check_associative``: 512 KB per int16 temporary, small beside the
-# 7.6 MB order-1944 table
-_ASSOC_BLOCK = 1 << 18
-
-
-def _validate_table(tbl: np.ndarray) -> np.ndarray:
-    """Check the group-table invariants other than associativity; return
-    the inverse array.
-
-    Raises InvalidGenerator with a reason when the table is not square, has
-    an entry out of range, is not anchored at identity 0, or has a row
-    without exactly one 0 entry.  The inverses are read off one block of
-    rows of about _ASSOC_BLOCK entries at a time, with one ``== 0`` pass
-    per block, so that no n x n temporary lives beside the table.
-    Associativity needs a generating set of the table and is proven
-    afterwards by ``_check_associative``.
-    """
+def _validate_table(tbl: np.ndarray) -> None:
+    """Check that tbl is a non-empty square table of ids in range with
+    identity 0: raise InvalidGenerator with a reason otherwise.  The rest
+    of the proof that it is a group is ``_check_associative``'s."""
     n = tbl.shape[0]
     if tbl.shape != (n, n):
         raise InvalidGenerator("multiplication table must be square")
@@ -294,19 +289,16 @@ def _validate_table(tbl: np.ndarray) -> np.ndarray:
     idx = np.arange(n)
     if not np.array_equal(tbl[0], idx) or not np.array_equal(tbl[:, 0], idx):
         raise InvalidGenerator("row/column 0 must be the identity maps")
-    inv = np.empty(n, dtype=np.intp)
-    step = max(1, _ASSOC_BLOCK // n)
-    for lo in range(0, n, step):
-        zero = tbl[lo:lo + step] == 0
-        if not np.all(zero.sum(axis=1) == 1):
-            raise InvalidGenerator("some element has no unique inverse")
-        inv[lo:lo + step] = zero.argmax(axis=1)
-    return inv
+
+
+# entries per block of rows in Light's test: 512 KB per int16 temporary
+_ASSOC_BLOCK = 1 << 18
 
 
 def _check_associative(tbl: np.ndarray, gens: Sequence[int]) -> None:
-    """Prove associativity of a table that passed ``_validate_table`` by
-    Light's test over gens; raise InvalidGenerator if it fails.
+    """Prove that a table that passed ``_validate_table`` is a group, by
+    Light's test over gens and one ``bincount`` per generator's row; raise
+    InvalidGenerator if either fails.
 
     For each generator a the test compares (x*a)*y with x*(a*y) for all x
     and y, as T[T[:, a], :] == T[:, T[a, :]], each side one ``take`` per
@@ -326,8 +318,16 @@ def _check_associative(tbl: np.ndarray, gens: Sequence[int]) -> None:
     products x*c and y*s of elements it has already reached, starting
     from the identity and the generators; so when that closure is the
     full mask, every element is such a product and the test is a proof.
+
+    The table is then a finite monoid, and a group when every row is a
+    permutation (every x has some y with x*y = 0).  Associativity gives
+    L_xg = L_x∘L_g for the row maps L_x: y -> x*y, so every row is a
+    composition of the rows of gens: only their k·n entries are checked.
     """
     n = tbl.shape[0]
+    for a in gens:
+        if np.bincount(tbl[a], minlength=n).max() > 1:
+            raise InvalidGenerator(f"row of generator {a} is not a permutation")
     step = min(n, max(1, _ASSOC_BLOCK // n))
     left = np.empty((step, n), dtype=tbl.dtype)
     right = np.empty_like(left)
@@ -366,10 +366,10 @@ def _assemble_table(identity_rep, generator_reps: list, compose: Callable,
       T[y] = T[x][T[g_j]], one contiguous ``take`` into an array of
       ``_entry_dtype(n)``.
 
-    That array is validated and proven associative by Light's test over the
-    generators that ``_greedy_witnesses`` keeps when it scans them from
-    last to first until they generate the whole table; the ``GroupTable``
-    keeps the array as its rows and conjugates by those generators.
+    The ``GroupTable`` proves that array a group over the generators that
+    ``_greedy_witnesses`` keeps when it scans them from last to first
+    until they generate the whole table, keeps the array as its rows and
+    conjugates by those generators.
 
     Returns (GroupTable, elements, index) where elements maps id -> rep and
     index maps rep -> id.
@@ -401,16 +401,11 @@ def _assemble_table(identity_rep, generator_reps: list, compose: Callable,
             cols[j].append(y_id)
         qi += 1
 
-    n = len(elements)
     gen_ids = [index[g] for g in gens]
-    tbl = _fill_rows(np.array(cols, dtype=np.intp).reshape(len(gens), n),
-                     parent, via)
-    inv = _validate_table(tbl)
-    proof = _greedy_witnesses(_rows(tbl), reversed(gen_ids), (1 << n) - 1)
-    _check_associative(tbl, proof)
-    table = GroupTable(tbl, inv.tolist(),
-                       [label_of(rep) for rep in elements],
-                       tuple(gen_ids), proof)
+    tbl = _fill_rows(np.array(cols, dtype=np.intp).reshape(
+        len(gens), len(elements)), parent, via)
+    table = GroupTable(tbl, [label_of(rep) for rep in elements],
+                       tuple(gen_ids), reversed(gen_ids))
     return table, elements, index
 
 
@@ -474,6 +469,9 @@ def build_group_from_table(mult: Sequence[Sequence[int]],
     table, outside the spec families.  Every entry must be an integer
     (Python or numpy, not bool) in range; anything else raises
     InvalidGenerator, before the table is narrowed to ``_entry_dtype``.
+    It is then proven a group as a built table is, over the ids 1, 2, ...
+    that ``_greedy_witnesses`` keeps, its generators: that is all its
+    validation.
     """
     if order_cap < 1:
         raise ValueError(f"order cap must be at least 1, got {order_cap}")
@@ -492,15 +490,11 @@ def build_group_from_table(mult: Sequence[Sequence[int]],
         raise InvalidGenerator(f"malformed table: {exc}") from None
     except OverflowError:
         raise InvalidGenerator("table entry out of range") from None
-    inv = _validate_table(tbl)
     if labels is None:
         labels = [f"g{i}" for i in range(n)]
     elif len(labels) != n:
         raise InvalidGenerator("labels length does not match table order")
-    tbl = tbl.astype(_entry_dtype(n))
-    generators = _greedy_witnesses(_rows(tbl), range(1, n), (1 << n) - 1)
-    _check_associative(tbl, generators)
-    return GroupTable(tbl, inv.tolist(), list(labels), generators, generators)
+    return GroupTable(tbl, list(labels), None, range(1, n))
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +542,9 @@ def _greedy_witnesses(mult: list[list[int]], candidates: Iterable[int],
     table's generators it gives the set that Light's test and the class
     orbits run over.  Raises ValueError when the closure ends anywhere
     other than mask: when the candidates do not generate it, or when mask
-    is not a subgroup and the closure grows past it."""
+    is not a subgroup and the closure grows past it.  A member listed
+    twice (on a table not yet proven a group) is listed once again from
+    the mask, or the list could double with each candidate kept."""
     wits: list[int] = []
     closed, elems = 1, [0]
     for x in candidates:
@@ -557,6 +553,8 @@ def _greedy_witnesses(mult: list[list[int]], candidates: Iterable[int],
         if not closed >> x & 1:
             wits.append(x)
             closed, elems = _cyclic_extension(mult, closed, elems, x)
+            if len(elems) != closed.bit_count():
+                elems = list(_bits(closed))
     if closed != mask:
         raise ValueError("candidates do not generate the member set, "
                          "or it is not a subgroup")
@@ -621,12 +619,15 @@ def full_subgroup(G: GroupTable) -> SubgroupSet:
 
 def subgroup_closure(G: GroupTable, seed: Iterable[int]) -> SubgroupSet:
     """Smallest subgroup containing the seed; raises ValueError for an id
-    that names no element of G."""
-    ids = [int(x) for x in seed]
+    that is not an integer (Python or numpy, not bool) or names no
+    element of G."""
+    ids = list(seed)
     for x in ids:
+        if type(x) is bool or not isinstance(x, (int, np.integer)):
+            raise ValueError(f"element id {x!r} is not an integer")
         if not 0 <= x < G.order:
             raise ValueError(f"element id {x} out of range")
-    return SubgroupSet(G, _closure_mask(G.mult, ids))
+    return SubgroupSet(G, _closure_mask(G.mult, [int(x) for x in ids]))
 
 
 def _require_same_parent(A: SubgroupSet, B: SubgroupSet) -> None:

@@ -107,6 +107,29 @@ def test_nesting_depth_guard():
                 construct(deep)
 
 
+@pytest.mark.parametrize("spec,reason", [
+    (p2q(4), "p2q modulus 4 must be prime"),
+    (p2q(9), "p2q modulus 9 must be prime"),
+    (p2q(1), "p2q modulus 1 must be prime"),
+    (p2q(0), "p2q takes a positive integer"),
+    (cyclic(0), "cyclic takes a positive integer"),
+    (dihedral(0), "dihedral takes a positive integer"),
+    (sym(-1), "sym takes a positive integer"),
+    (cyclic(True), "cyclic takes a positive integer"),
+    (abelian([0]), "abelian takes a non-empty list of positive integers"),
+    (abelian([2, 0]), "abelian takes a non-empty list of positive integers"),
+    (direct([cyclic(2), cyclic(0)]), "cyclic takes a positive integer"),
+    (bs(p2q(4)), "p2q modulus 4 must be prime"),
+], ids=lambda v: spec_name(v) if not isinstance(v, str) else None)
+def test_construct_rejects_degenerate_specs(spec, reason):
+    """A spec that names no group is an InvalidSpec with the reason that
+    spec_from_doc gives, raised before any table is built: p2q(4) and
+    p2q(9) used to loop forever looking for a primitive root, and the
+    others crashed inside their builders."""
+    with pytest.raises(InvalidSpec, match=f"^{reason}$"):
+        construct(spec)
+
+
 CONSTRUCTED_ORDERS = [
     (cyclic(1), 1),
     (sym(1), 1),
@@ -125,6 +148,10 @@ CONSTRUCTED_ORDERS = [
     (bs(cyclic(3)), 1944),
     (abelian([2, 4]), 8),
     (abelian([4, 1, 2]), 8),
+    # the Python API's empty specs, which the document form rejects
+    (sym(0), 1),
+    (abelian([]), 1),
+    (direct([]), 1),
 ]
 
 

@@ -47,6 +47,7 @@ from commgraph import (
     sym,
     trivial_subgroup,
 )
+from commgraph import groups
 from commgraph.groups import _bits, perm_from_cycles
 from lattice_oracle import conjugate_mask
 
@@ -290,15 +291,90 @@ def test_explicit_table_rejects_one_swapped_pair_in_sym6():
 
 
 def test_explicit_table_rejects_missing_inverse_in_any_row_block():
-    """Inverses are read one block of rows at a time: a row without a 0
-    entry is caught in the first block of sym(6) and in the last."""
+    """A row without a 0 entry has no inverse.  Outside the rows of the
+    generators the proof runs over, it breaks associativity at generator
+    1, caught in the first block of rows of sym(6) that Light's test
+    compares and in the last; 1 is always the first of those
+    generators, and its own row is then no permutation."""
     table = construct(sym(6))
     for r in (5, 715):
         mult = [list(row) for row in table.mult]
         row = mult[r]
         row[row.index(0)] = row[0]
-        with pytest.raises(InvalidGenerator, match="unique inverse"):
+        with pytest.raises(InvalidGenerator,
+                           match="^associativity fails at generator 1$"):
             build_group_from_table(mult)
+    mult = [list(row) for row in table.mult]
+    row = mult[1]
+    row[row.index(0)] = row[0]
+    with pytest.raises(InvalidGenerator,
+                       match="^row of generator 1 is not a permutation$"):
+        build_group_from_table(mult)
+
+
+@pytest.mark.parametrize("mult", [[[0, 1], [1, 1]],
+                                  [[0, 1, 2], [1, 2, 2], [2, 2, 2]],
+                                  [[0, 1, 2], [1, 1, 1], [2, 2, 2]]],
+                         ids=["semilattice", "cyclic-monoid", "left-zero"])
+def test_explicit_table_rejects_monoid(mult):
+    """Associative tables with identity 0 that are monoids, not groups:
+    Light's test passes them, so the rows of the generators it runs over
+    must be permutations.  Without that check, the walk over the powers
+    of an element would never reach the identity."""
+    with pytest.raises(InvalidGenerator,
+                       match="^row of generator 1 is not a permutation$"):
+        build_group_from_table(mult)
+
+
+def test_greedy_closure_lists_each_member_once_on_a_monoid(monkeypatch):
+    """On the left-zero monoid of order 20 (x*y = x for x != 0), each
+    cyclic extension starts from a list of distinct members, 1, 2, ...,
+    19 of them, not from one that doubles with each candidate kept, to
+    2**18 entries; the proof then rejects the table."""
+    n = 20
+    mult = [list(range(n))] + [[x] * n for x in range(1, n)]
+    sizes = []
+    extend = groups._cyclic_extension
+
+    def recording(mult, s_mask, s_elems, c):
+        sizes.append(len(s_elems))
+        return extend(mult, s_mask, s_elems, c)
+
+    monkeypatch.setattr(groups, "_cyclic_extension", recording)
+    with pytest.raises(InvalidGenerator, match="not a permutation"):
+        build_group_from_table(mult)
+    assert sizes == list(range(1, n))
+
+
+def test_proof_rejects_every_table_one_change_from_a_group():
+    """No table one entry away from a group table, and none with two
+    entries of one row swapped, is a group with identity 0: the proof
+    that a table is a group rejects all 2440 single-entry changes of five
+    small groups and all 1106 in-row swaps of three."""
+    changed = swapped = 0
+    for spec in (sym(3), cyclic(6), abelian([2, 2]), dihedral(4), p2q(3)):
+        mult = [list(row) for row in construct(spec).mult]
+        n = len(mult)
+        for row in mult:
+            for c in range(n):
+                old = row[c]
+                for v in range(n):
+                    if v != old:
+                        row[c] = v
+                        with pytest.raises(InvalidGenerator):
+                            build_group_from_table(mult)
+                        changed += 1
+                row[c] = old
+        if spec in (sym(3), dihedral(4), p2q(3)):
+            for row in mult:
+                for a in range(n):
+                    for b in range(a + 1, n):
+                        row[a], row[b] = row[b], row[a]
+                        with pytest.raises(InvalidGenerator):
+                            build_group_from_table(mult)
+                        row[a], row[b] = row[b], row[a]
+                        swapped += 1
+    assert (changed, swapped) == (2440, 1106)
 
 
 def test_explicit_table_generators_are_greedy_witnesses():
@@ -320,6 +396,21 @@ def test_closure_examples(s4, s4_els):
     lat = enumerate_subgroups(s4.table)
     assert sub.witnesses \
         == lat.subgroups[lat.index_of_members[sub.members]].witnesses
+
+
+@pytest.mark.parametrize("seed", [[1.5], [True], ["1"], [np.bool_(True)],
+                                  [1, 2.0]],
+                         ids=["1.5", "True", "'1'", "np.True_", "1,2.0"])
+def test_closure_rejects_non_integer_ids(s4, seed):
+    """An id is not truncated or coerced: [1.5] is not the closure of
+    [1], and [True] or ['1'] is not an order-2 subgroup."""
+    with pytest.raises(ValueError, match="is not an integer"):
+        subgroup_closure(s4.table, seed)
+
+
+def test_closure_accepts_numpy_integer_ids(s4):
+    assert (subgroup_closure(s4.table, [np.int64(1), np.uint8(2)])
+            == subgroup_closure(s4.table, [1, 2]))
 
 
 @pytest.mark.parametrize("spec", [

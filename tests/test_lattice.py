@@ -531,6 +531,14 @@ def test_locate_subgroup():
         locate_subgroup(corrupt, [el((1, 2))])
 
 
+@pytest.mark.parametrize("ids", [[2.9], [True], ["2"]], ids=["2.9", "True", "'2'"])
+def test_locate_subgroup_rejects_non_integer_ids(ids):
+    """[2.9] does not locate the subgroup that [2] generates."""
+    lat = enumerate_subgroups(construct(sym(4)))
+    with pytest.raises(ValueError, match="is not an integer"):
+        locate_subgroup(lat, ids)
+
+
 @pytest.mark.parametrize("ids", [[-1], [24], [1, 24]], ids=["-1", "24", "1,24"])
 def test_locate_subgroup_rejects_ids_outside_table(ids):
     """An id that names no element of sym(4) is a ValueError, not a shift

@@ -2,8 +2,8 @@
 with its falsifying example, also when warnings are errors; every source
 file parses as the oldest supported Python; every module of the package
 uses what it imports, with the CLI and the verify suites importing no
-private name of another module; and the benchmark's tracer finds every
-name it wraps."""
+private name of another module, and only the verify suites sampling;
+and the benchmark's tracer finds every name it wraps."""
 
 from __future__ import annotations
 
@@ -86,6 +86,19 @@ def test_clients_import_no_private_names(name):
                and (module.startswith(".")
                     or module.split(".")[0] == "commgraph")]
     assert not private, f"{name} imports private names {private}"
+
+
+def test_only_the_lemma_suite_samples():
+    """The library proves its answers: a table is proven a group and a
+    lattice is pinned against an oracle, with nothing sampled.  Only the
+    randomized lemma trials of ``verify`` import ``random``."""
+    package = Path(__file__).resolve().parents[1] / "src" / "commgraph"
+    sampling = sorted(
+        path.name for path in package.glob("*.py")
+        if any((module or imported).split(".")[0] == "random"
+               for module, imported, _ in _imports(
+                   ast.parse(path.read_text(encoding="utf-8")))))
+    assert sampling == ["verify.py"]
 
 
 def test_benchmark_tracer_wraps_every_name():
