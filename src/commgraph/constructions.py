@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import permutations, product
 
@@ -36,6 +37,7 @@ from .groups import (
     DEFAULT_ORDER_CAP,
     GroupTable,
     _assemble_table,
+    _is_int,
     _permutation_group,
     compose_permutations,
     is_prime,
@@ -72,7 +74,7 @@ def dihedral(n: int) -> GroupSpec:
 
 
 def abelian(factors) -> GroupSpec:
-    return GroupSpec("abelian", factors=tuple(int(x) for x in factors))
+    return GroupSpec("abelian", factors=tuple(factors))
 
 
 def direct(parts) -> GroupSpec:
@@ -88,11 +90,12 @@ def bs(inner: GroupSpec) -> GroupSpec:
 
 
 def spec_to_doc(spec: GroupSpec):
-    """The spec as a plain one-key JSON object."""
+    """The spec as a plain one-key JSON object: a numpy integer in it is
+    written as a Python int, and a float raises TypeError, not truncated."""
     if spec.kind in ("sym", "cyclic", "dihedral", "p2q"):
-        return {spec.kind: spec.n}
+        return {spec.kind: operator.index(spec.n)}
     if spec.kind == "abelian":
-        return {"abelian": list(spec.factors)}
+        return {"abelian": list(map(operator.index, spec.factors))}
     if spec.kind == "direct":
         return {"direct": [spec_to_doc(p) for p in spec.parts]}
     return {"bs": spec_to_doc(spec.parts[0])}
@@ -134,14 +137,16 @@ def _checked(spec: GroupSpec) -> GroupSpec:
     """The spec, if its top node names a group; else raise InvalidSpec
     with ``spec_from_doc``'s reason.  The Python API also takes sym(0),
     abelian([]) and direct([]), the trivial group."""
+    if not isinstance(spec, GroupSpec):
+        raise InvalidSpec(f"a spec node must be a GroupSpec, "
+                          f"not {type(spec).__name__}")
     kind, n = spec.kind, spec.n
     if kind not in SPEC_KINDS:
         raise InvalidSpec(f"unknown group kind {kind!r}")
-    if min(spec.factors, default=1) < 1:
+    if not all(_is_int(x) and x >= 1 for x in spec.factors):
         raise InvalidSpec("abelian takes a non-empty list of positive integers")
     if kind in ("sym", "cyclic", "dihedral", "p2q") and (
-            type(n) is bool or not isinstance(n, (int, np.integer))
-            or n < (kind != "sym")):
+            not _is_int(n) or n < (kind != "sym")):
         raise InvalidSpec(f"{kind} takes a positive integer")
     try:
         prime = kind != "p2q" or is_prime(int(n))

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotConnected, ParentMismatch
-from .groups import SubgroupSet, is_prime, p_power_exponent
+from .groups import SubgroupSet, _is_int, is_prime, p_power_exponent
 from .lattice import _NOT_CONTAINED, Lattice
 
 KIND_COMMENSURABILITY = "commensurability"
@@ -269,8 +269,11 @@ def components_and_diameters(graph: CommGraph) -> tuple[list[ComponentReport], i
 
 
 def _check_vertices(graph: CommGraph, *vertices: int) -> None:
-    """Raise ValueError unless every vertex is a lattice index of graph."""
+    """Raise ValueError unless every vertex is a lattice index of graph:
+    an integer (see ``groups._is_int``) in range."""
     for v in vertices:
+        if not _is_int(v):
+            raise ValueError(f"vertex {v!r} is not an integer")
         if not 0 <= v < graph.vertex_count:
             raise ValueError(f"vertex {v} out of range")
 

@@ -25,9 +25,11 @@ storage: ``mult`` is a list of memoryviews of its rows, so
 ``mult[a][b]`` is a plain int and no row can be written.
 
 A subgroup passes between functions as its member mask and generators;
-member lists exist only inside a closure loop, a class orbit and the
-lattice enumerator's worklist.  Subgroups are closed by one route,
-``_cyclic_extension`` (one coset at a time; Neubüser 1960), and
+member lists exist only inside a closure, a class orbit and the lattice
+enumerator's worklist.  Subgroups are closed by one routine, ``_grow``,
+which extends a subgroup by each element it lacks, one left coset at a
+time (Neubüser 1960): every closure, generating set, commutator
+subgroup, product and Sylow ascent goes through it.  They are
 conjugated under the permutation x -> gxg^-1 (``_conjugation``): a
 member list is mapped through it, and the image gives the conjugate's
 mask.  The table keeps that permutation for each non-central generator
@@ -66,6 +68,11 @@ DEFAULT_ORDER_CAP = 5000
 # small number theory helpers
 
 
+def _is_int(x) -> bool:
+    """Whether x is a Python or numpy integer, not a bool."""
+    return type(x) is not bool and isinstance(x, (int, np.integer))
+
+
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 as (prime, exponent) pairs, ascending."""
     if n < 1:
@@ -92,8 +99,12 @@ _MR_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Whether n is prime, by deterministic Miller-Rabin; raises ValueError
-    for n >= _MR_BOUND, where these bases no longer decide it."""
+    """Whether n is prime, by deterministic Miller-Rabin; False for
+    anything but an integer (see ``_is_int``).  Raises ValueError for
+    n >= _MR_BOUND, where these bases no longer decide it."""
+    if not _is_int(n):
+        return False
+    n = int(n)
     if n >= _MR_BOUND:
         raise ValueError(f"{n} is too large to test for primality "
                          f"(limit {_MR_BOUND})")
@@ -155,8 +166,7 @@ def perm_from_cycles(degree: int, cycles: Iterable[Sequence[int]]) -> tuple[int,
             pts = list(cycle)
         except TypeError:
             raise InvalidGenerator(f"cycle {cycle!r} is not a sequence") from None
-        if any(type(x) is bool or not isinstance(x, (int, np.integer))
-               for x in pts):
+        if not all(map(_is_int, pts)):
             raise InvalidGenerator(f"cycle {tuple(pts)} has a non-integer point")
         pts = [int(x) for x in pts]
         if any(x < 1 or x > degree for x in pts):
@@ -314,10 +324,10 @@ def _check_associative(tbl: np.ndarray, gens: Sequence[int]) -> None:
     the elements that pass are the whole table as soon as every element
     is such a product in the table's own multiplication.  Callers pass the
     generators that ``_greedy_witnesses`` keeps with the full table as
-    its mask.  Its closure, ``_cyclic_extension``, only ever forms
-    products x*c and y*s of elements it has already reached, starting
-    from the identity and the generators; so when that closure is the
-    full mask, every element is such a product and the test is a proof.
+    its mask.  Its closure, ``_grow``, only ever forms products x*c and
+    y*s of elements it has already reached, starting from the identity
+    and the generators; so when that closure is the full mask, every
+    element is such a product and the test is a proof.
 
     The table is then a finite monoid, and a group when every row is a
     permutation (every x has some y with x*y = 0).  Associativity gives
@@ -454,8 +464,8 @@ def build_group_from_permutations(degree: int, generators: Iterable,
     """
     if order_cap < 1:
         raise ValueError(f"order cap must be at least 1, got {order_cap}")
-    if degree < 1:
-        raise InvalidGenerator("degree must be >= 1")
+    if not _is_int(degree) or degree < 1:
+        raise InvalidGenerator(f"degree must be an integer >= 1, got {degree!r}")
     reps = [perm_from_cycles(degree, cycles) for cycles in generators]
     return _permutation_group(degree, reps, order_cap)[0]
 
@@ -478,11 +488,11 @@ def build_group_from_table(mult: Sequence[Sequence[int]],
     n = len(mult)
     if n > order_cap:
         raise OrderCapExceeded(f"table order {n} exceeds the cap ({order_cap})")
-    try:
-        kinds = set(map(type, chain.from_iterable(mult)))
+    try:  # one entry of each type
+        samples = {type(x): x for x in chain.from_iterable(mult)}
     except TypeError:
         raise InvalidGenerator("malformed table: a row is not a sequence") from None
-    if any(k is bool or not issubclass(k, (int, np.integer)) for k in kinds):
+    if not all(map(_is_int, samples.values())):
         raise InvalidGenerator("table entries must be integers")
     try:
         tbl = np.array(mult, dtype=np.int64)
@@ -501,35 +511,36 @@ def build_group_from_table(mult: Sequence[Sequence[int]],
 # subgroup sets
 
 
-def _cyclic_extension(mult: list[list[int]], s_mask: int,
-                      s_elems: list[int], c: int) -> tuple[int, list[int]]:
-    """<S, c> from S's members, one left coset of S at a time.
+def _grow(mult: list[list[int]], mask: int, elems: list[int],
+          xs: Iterable[int]) -> tuple[int, list[int], list[int]]:
+    """Extend the subgroup S with member mask mask and member list elems
+    by each of xs that it lacks, in order; return the mask and member
+    list of the result and the xs kept.  The one closure routine.
 
-    The members found so far are always a union of left cosets yS, so they
-    are closed under right multiplication by S; right multiplication by c
-    either stays inside them or lands in a coset that is wholly new.  The
-    returned list starts with s_elems.
-    """
-    mask, elems = s_mask, list(s_elems)
-    for x in elems:  # also visits the members appended below
-        y = mult[x][c]
-        if not mask >> y & 1:
-            row = mult[y]
-            for s in s_elems:
-                z = row[s]
-                mask |= 1 << z
-                elems.append(z)
-    return mask, elems
-
-
-def _closure_mask(mult: list[list[int]], gens: Sequence[int]) -> int:
-    """Member mask of the subgroup that gens generate, grown from the
-    trivial subgroup by one cyclic extension per generator it lacks."""
-    mask, elems = 1, [0]
-    for g in gens:
-        if not mask >> g & 1:
-            mask, elems = _cyclic_extension(mult, mask, elems, g)
-    return mask
+    Each extension by c goes one left coset of S at a time (Neubüser
+    1960): the members found so far are a union of left cosets yS, closed
+    under right multiplication by S, so right multiplication by c stays
+    inside them or lands in a wholly new coset.  The new list starts with
+    the old one, which is never written.  On a table not yet proven a
+    group a member may be listed twice; the list is then read off the
+    mask again, or it could double with each x kept."""
+    kept: list[int] = []
+    for c in xs:
+        if mask >> c & 1:
+            continue
+        kept.append(c)
+        s_elems, elems = elems, list(elems)
+        for x in elems:  # also visits the members appended below
+            y = mult[x][c]
+            if not mask >> y & 1:
+                row = mult[y]
+                for s in s_elems:
+                    z = row[s]
+                    mask |= 1 << z
+                    elems.append(z)
+        if len(elems) != mask.bit_count():
+            elems = list(_bits(mask))
+    return mask, elems, kept
 
 
 def _greedy_witnesses(mult: list[list[int]], candidates: Iterable[int],
@@ -542,19 +553,15 @@ def _greedy_witnesses(mult: list[list[int]], candidates: Iterable[int],
     table's generators it gives the set that Light's test and the class
     orbits run over.  Raises ValueError when the closure ends anywhere
     other than mask: when the candidates do not generate it, or when mask
-    is not a subgroup and the closure grows past it.  A member listed
-    twice (on a table not yet proven a group) is listed once again from
-    the mask, or the list could double with each candidate kept."""
+    is not a subgroup and the closure grows past it."""
     wits: list[int] = []
     closed, elems = 1, [0]
     for x in candidates:
         if closed == mask:
             break
-        if not closed >> x & 1:
+        if not closed >> x & 1:  # most candidates are members by now
             wits.append(x)
-            closed, elems = _cyclic_extension(mult, closed, elems, x)
-            if len(elems) != closed.bit_count():
-                elems = list(_bits(closed))
+            closed, elems, _ = _grow(mult, closed, elems, (x,))
     if closed != mask:
         raise ValueError("candidates do not generate the member set, "
                          "or it is not a subgroup")
@@ -623,11 +630,11 @@ def subgroup_closure(G: GroupTable, seed: Iterable[int]) -> SubgroupSet:
     element of G."""
     ids = list(seed)
     for x in ids:
-        if type(x) is bool or not isinstance(x, (int, np.integer)):
+        if not _is_int(x):
             raise ValueError(f"element id {x!r} is not an integer")
         if not 0 <= x < G.order:
             raise ValueError(f"element id {x} out of range")
-    return SubgroupSet(G, _closure_mask(G.mult, [int(x) for x in ids]))
+    return SubgroupSet(G, _grow(G.mult, 1, [0], map(int, ids))[0])
 
 
 def _require_same_parent(A: SubgroupSet, B: SubgroupSet) -> None:
@@ -645,16 +652,12 @@ def product_set(A: SubgroupSet, Q: SubgroupSet) -> SubgroupSet:
     """The subgroup AQ = {aq}; Q must be normal in the parent group: every
     permutation of ``G.conjugations`` maps Q's witnesses into Q, which
     holds exactly when Q is normal (see ``GroupTable``).  AQ = <A, Q> is
-    grown from A's members by one cyclic extension per witness of Q that
-    it lacks, so A's witnesses are never read."""
+    grown from A's members by Q's witnesses, so A's are never read."""
     _require_same_parent(A, Q)
     G = A.parent
     if not _fixes(G.conjugations, Q.members, Q.witnesses):
         raise NotNormal("second factor must be normal in the parent group")
-    mask, elems = A.members, list(_bits(A.members))
-    for q in Q.witnesses:
-        if not mask >> q & 1:
-            mask, elems = _cyclic_extension(G.mult, mask, elems, q)
+    mask = _grow(G.mult, A.members, list(_bits(A.members)), Q.witnesses)[0]
     inter = (A.members & Q.members).bit_count()
     assert mask.bit_count() * inter == A.order * Q.order, \
         "|AQ| != |A||Q|/|A∩Q|"
@@ -768,20 +771,13 @@ def _commutator_subgroup_mask(G: GroupTable, wits: Sequence[int]) -> int:
     subgroup generated by all commutators of S.
     """
     mult, inv = G.mult, G.inv
-    mask, elems = 1, [0]
-    gens: list[int] = []
-    for i, a in enumerate(wits):
-        for b in wits[i:]:
-            c = mult[mult[mult[a][b]][inv[a]]][inv[b]]
-            if not mask >> c & 1:
-                mask, elems = _cyclic_extension(mult, mask, elems, c)
-                gens.append(c)
+    mask, elems, gens = _grow(mult, 1, [0], (
+        mult[mult[mult[a][b]][inv[a]]][inv[b]]
+        for i, a in enumerate(wits) for b in wits[i:]))
     for x in gens:  # also visits the generators appended below
-        for g in wits:
-            c = mult[mult[g][x]][inv[g]]
-            if not mask >> c & 1:
-                mask, elems = _cyclic_extension(mult, mask, elems, c)
-                gens.append(c)
+        mask, elems, kept = _grow(mult, mask, elems, (
+            mult[mult[g][x]][inv[g]] for g in wits))
+        gens += kept
     return mask
 
 
@@ -825,7 +821,7 @@ def sylow_subgroup(H: SubgroupSet, p: int) -> SubgroupSet:
                 continue
             if _normalizes(G, mask, gens, x):
                 gens.append(x)
-                mask, elems = _cyclic_extension(G.mult, mask, elems, x)
+                mask, elems, _ = _grow(G.mult, mask, elems, (x,))
                 break
         else:  # pragma: no cover - impossible for a valid group table
             raise RuntimeError("p-subgroup ascent stalled")

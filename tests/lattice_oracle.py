@@ -5,27 +5,56 @@ tests' check on the library's class orbits and class record; and the
 zuppos of a table found by closing each element's cyclic subgroup, the
 tests' check on the library's walk over powers.
 
-The enumerator shares with the library only the closure of a generator
-tuple (``_closure_mask``), the conjugation permutation by one element
-(``_conjugation``) and the canonical sort and sanity checks of a
-finished lattice (``_finish_lattice``), so a change to the
-cyclic-extension route or to the class orbits cannot change the
+The oracle reads a table only through its ``mult`` rows and ``order``.
+It closes subgroups by its own loop (``closure_mask``), finds inverses
+and conjugation permutations by its own search (``conjugations``) and
+element orders as the sizes of cyclic closures.  It shares with the
+library only the canonical sort and sanity checks of a finished lattice
+(``lattice._finish_lattice``), so a change to the library's closure
+(``groups._grow``), its inverses or its class orbits cannot change the
 reference as well.
 """
 
 from __future__ import annotations
 
 from commgraph.errors import CommGraphError
-from commgraph.groups import GroupTable, _closure_mask, _conjugation, factorize
+from commgraph.groups import GroupTable
 from commgraph.lattice import Lattice, _finish_lattice
 
 _ORACLE_MAX_ORDER = 100
 
 
+def closure_mask(mult, gens) -> int:
+    """Member mask of the subgroup that gens generate: the identity, then
+    every product of a member by a generator, until nothing new appears.
+    In a finite group a set that holds 1 and is closed under right
+    multiplication by gens is the subgroup they generate."""
+    mask, members = 1, [0]
+    for x in members:  # also visits the members appended below
+        for g in gens:
+            y = mult[x][g]
+            if not mask >> y & 1:
+                mask |= 1 << y
+                members.append(y)
+    return mask
+
+
+def conjugations(G: GroupTable) -> list[list[int]]:
+    """The permutation x -> g x g^-1 of G's element ids for every g, in id
+    order, from ``mult`` alone: g^-1 is the column of the identity in g's
+    row."""
+    mult = G.mult
+    out = []
+    for g in range(G.order):
+        g_inv = list(mult[g]).index(0)
+        out.append([mult[mult[g][x]][g_inv] for x in range(G.order)])
+    return out
+
+
 def conjugate_mask(conj: list[int], mask: int) -> int:
     """Member mask of g S g^-1 for the subgroup S with the given mask, where
-    conj is the permutation x -> g x g^-1 (``groups._conjugation`` by g):
-    each member's bit moves to its image's."""
+    conj is the permutation x -> g x g^-1: each member's bit moves to its
+    image's."""
     out = 0
     for x, image in enumerate(conj):
         if mask >> x & 1:
@@ -37,32 +66,42 @@ def oracle_classes(G: GroupTable, masks) -> dict[int, int]:
     """Each of the given member masks -> the smallest mask of its
     conjugacy class: its orbit under conjugation by every element g of G,
     one ``conjugate_mask`` per g, taken once per class."""
-    conjugations = [_conjugation(G, g) for g in range(G.order)]
+    conjs = conjugations(G)
     out: dict[int, int] = {}
     for mask in masks:
         if mask not in out:
-            orbit = {conjugate_mask(conj, mask) for conj in conjugations}
+            orbit = {conjugate_mask(conj, mask) for conj in conjs}
             out.update(dict.fromkeys(orbit, min(orbit)))
     return out
+
+
+def _prime_power_base(k: int) -> int | None:
+    """The prime p when k = p^e with e >= 1, else None: p is the smallest
+    divisor of k above 1, and k may have no other prime factor."""
+    if k < 2:
+        return None
+    p = next(d for d in range(2, k + 1) if k % d == 0)
+    while k % p == 0:
+        k //= p
+    return p if k == 1 else None
 
 
 def zuppos_by_closure(G: GroupTable) -> list[tuple[int, int]]:
     """Every cyclic subgroup of prime-power order > 1, once, as (c, c^p)
     for its generator c of order p^k, the smallest element id that
-    generates it: each element of prime-power order is closed to its
-    cyclic subgroup's mask, and the first element with a new mask is c."""
+    generates it: each element is closed to its cyclic subgroup's mask,
+    whose size is the element's order, and the first element of
+    prime-power order with a new mask is c."""
     mult = G.mult
     seen: set[int] = set()
     out = []
     for x in range(1, G.order):
-        primes = factorize(G.element_orders[x])
-        if len(primes) != 1:
-            continue
-        mask = _closure_mask(mult, (x,))
-        if mask not in seen:
+        mask = closure_mask(mult, (x,))
+        p = _prime_power_base(mask.bit_count())
+        if p is not None and mask not in seen:
             seen.add(mask)
             y = x
-            for _ in range(primes[0][0] - 1):
+            for _ in range(p - 1):
                 y = mult[y][x]
             out.append((x, y))
     return out
@@ -96,7 +135,7 @@ def oracle_enumerate_subgroups(G: GroupTable, max_gens: int) -> Lattice:
             for x in range(1, G.order):
                 if s_mask >> x & 1:
                     continue
-                t_mask = _closure_mask(mult, tup + (x,))
+                t_mask = closure_mask(mult, tup + (x,))
                 if t_mask not in known:
                     known[t_mask] = tup + (x,)
                     nxt.append(t_mask)

@@ -118,6 +118,8 @@ def test_nesting_depth_guard():
     (cyclic(True), "cyclic takes a positive integer"),
     (abelian([0]), "abelian takes a non-empty list of positive integers"),
     (abelian([2, 0]), "abelian takes a non-empty list of positive integers"),
+    (abelian([2.5, True]), "abelian takes a non-empty list of positive integers"),
+    (abelian([True]), "abelian takes a non-empty list of positive integers"),
     (direct([cyclic(2), cyclic(0)]), "cyclic takes a positive integer"),
     (bs(p2q(4)), "p2q modulus 4 must be prime"),
 ], ids=lambda v: spec_name(v) if not isinstance(v, str) else None)
@@ -128,6 +130,36 @@ def test_construct_rejects_degenerate_specs(spec, reason):
     others crashed inside their builders."""
     with pytest.raises(InvalidSpec, match=f"^{reason}$"):
         construct(spec)
+
+
+@pytest.mark.parametrize("spec", [3, direct([3]), bs(3),
+                                  direct([cyclic(2), "sym(3)"])],
+                         ids=["int", "direct-int", "bs-int", "direct-str"])
+def test_construct_rejects_nodes_that_are_not_specs(spec):
+    """A node that is not a GroupSpec is an InvalidSpec, not an
+    AttributeError from reading its kind."""
+    with pytest.raises(InvalidSpec,
+                       match="^a spec node must be a GroupSpec, not (int|str)$"):
+        construct(spec)
+
+
+def test_abelian_keeps_its_factors():
+    """abelian() keeps its factors as given, so a float or a bool is
+    rejected rather than truncated: abelian([2.5, True]) used to build
+    abelian(2x1), of order 2.  A numpy integer is an integer."""
+    assert abelian([2.5, True]).factors == (2.5, True)
+    assert construct(abelian([np.int64(3)])).order == 3
+
+
+def test_spec_doc_of_numpy_integers_is_plain_json():
+    """A spec built with numpy integers gives the same JSON document as one
+    built with Python ints: cyclic(np.int64(3)) used to give a document
+    that ``json.dumps`` refused."""
+    spec = direct([cyclic(np.int64(3)), abelian([np.int32(2), 4])])
+    assert json.dumps(spec_to_doc(spec)) \
+        == json.dumps(spec_to_doc(direct([cyclic(3), abelian([2, 4])])))
+    with pytest.raises(TypeError):
+        spec_to_doc(abelian([2.5]))
 
 
 CONSTRUCTED_ORDERS = [

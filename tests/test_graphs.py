@@ -414,6 +414,30 @@ def test_paths_reject_vertices_outside_graph(s4_lattice, paths, u, v):
         paths(graph, u, v)
 
 
+@pytest.mark.parametrize("paths", [all_simple_paths, all_geodesics],
+                         ids=["simple", "geodesics"])
+@pytest.mark.parametrize("u", [1.0, True, np.float64(2), "1"])
+def test_paths_reject_vertices_that_are_not_integers(s4_lattice, paths, u):
+    """1.0 used to raise an IndexError and True numpy's truth-value
+    ValueError; neither names a vertex."""
+    graph = build_graph(s4_lattice, 3, KIND_CONTAINMENT)
+    with pytest.raises(ValueError, match="is not an integer$"):
+        paths(graph, u, 2)
+
+
+def test_paths_take_numpy_integer_vertices(s4_lattice):
+    graph = build_graph(s4_lattice, 3, KIND_CONTAINMENT)
+    assert all_geodesics(graph, np.int64(0), np.int32(0)) == [[0]]
+
+
+@pytest.mark.parametrize("p", [3.0, True, np.float64(2)])
+def test_build_graph_rejects_a_prime_that_is_not_an_integer(s4_lattice, p):
+    """build_graph(lat, 3.0, ...) used to succeed, and its edge data then
+    raised an IndexError."""
+    with pytest.raises(ValueError, match="is not prime$"):
+        build_graph(s4_lattice, p, KIND_CONTAINMENT)
+
+
 @pytest.mark.parametrize("query", [
     lambda g, v: g.neighbors(v),
     lambda g, v: classify_component(g, [v, 25]),

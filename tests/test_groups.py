@@ -151,6 +151,15 @@ def test_is_prime_matches_trial_division():
     assert all(is_prime(n) == by_trial_division(n) for n in range(-3, 10**5))
 
 
+def test_is_prime_takes_only_integers():
+    """Anything but a Python or numpy integer is not prime: 3.0 used to be,
+    and a numpy integer beyond the bases' own divisibility test raised a
+    TypeError from three-argument pow."""
+    assert not any(is_prime(n) for n in (3.0, 2.0, True, np.float64(5), "7"))
+    assert is_prime(np.int64(53)) and is_prime(np.int32(7))
+    assert not is_prime(np.int64(55))
+
+
 def test_is_prime_large_values():
     # 3215031751 is a strong pseudoprime to bases 2, 3, 5 and 7
     assert is_prime(2**31 - 1) and is_prime(2**61 - 1)
@@ -205,6 +214,18 @@ def test_numpy_integer_cycle_points_accepted():
 def test_order_cap_enforced_during_closure():
     with pytest.raises(OrderCapExceeded):
         build_group_from_permutations(4, [[(1, 2)], [(1, 2, 3, 4)]], order_cap=10)
+
+
+@pytest.mark.parametrize("degree", [2.5, 3.0, True, "3", None])
+def test_permutation_route_rejects_a_degree_that_is_not_an_integer(degree):
+    """2.5 used to raise a TypeError and True to build on one point."""
+    with pytest.raises(InvalidGenerator, match="^degree must be an integer >= 1"):
+        build_group_from_permutations(degree, [])
+
+
+def test_permutation_route_takes_a_numpy_degree():
+    table = build_group_from_permutations(np.int64(3), [[(1, 2, 3)], [(1, 2)]])
+    assert table.order == 6
 
 
 @pytest.mark.parametrize("cap", [0, -5])
@@ -326,24 +347,19 @@ def test_explicit_table_rejects_monoid(mult):
         build_group_from_table(mult)
 
 
-def test_greedy_closure_lists_each_member_once_on_a_monoid(monkeypatch):
-    """On the left-zero monoid of order 20 (x*y = x for x != 0), each
-    cyclic extension starts from a list of distinct members, 1, 2, ...,
-    19 of them, not from one that doubles with each candidate kept, to
-    2**18 entries; the proof then rejects the table."""
+def test_greedy_closure_lists_each_member_once_on_a_monoid():
+    """On the left-zero monoid of order 20 (x*y = x for x != 0), ``_grow``
+    keeps every element and lists each member once, not in a list that
+    doubles with each element kept, to 2**18 entries; the proof then
+    rejects the table."""
     n = 20
     mult = [list(range(n))] + [[x] * n for x in range(1, n)]
-    sizes = []
-    extend = groups._cyclic_extension
-
-    def recording(mult, s_mask, s_elems, c):
-        sizes.append(len(s_elems))
-        return extend(mult, s_mask, s_elems, c)
-
-    monkeypatch.setattr(groups, "_cyclic_extension", recording)
+    mask, elems, kept = groups._grow(mult, 1, [0], range(1, n))
+    assert mask == (1 << n) - 1
+    assert kept == list(range(1, n))
+    assert sorted(elems) == list(range(n))
     with pytest.raises(InvalidGenerator, match="not a permutation"):
         build_group_from_table(mult)
-    assert sizes == list(range(1, n))
 
 
 def test_proof_rejects_every_table_one_change_from_a_group():

@@ -417,14 +417,15 @@ def test_closes_non_normalizing_zuppos_only_inside_residuum(spec, solvable,
     table = construct(spec)
     residuum = derived_series(table)[-1].members
     calls = _record_extensions(monkeypatch)
-    closure = lattice_module._cyclic_extension
+    closure = lattice_module._grow
     closed = []
 
-    def counting(mult, s_mask, s_elems, c):
+    def counting(mult, s_mask, s_elems, xs):
+        (c,) = xs
         closed.append((s_mask, c))
-        return closure(mult, s_mask, s_elems, c)
+        return closure(mult, s_mask, s_elems, xs)
 
-    monkeypatch.setattr(lattice_module, "_cyclic_extension", counting)
+    monkeypatch.setattr(lattice_module, "_grow", counting)
     enumerate_subgroups(table)
     closed = set(closed)
     rejected = {(s_mask, c) for s_mask, c, result in calls if result is None}

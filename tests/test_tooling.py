@@ -3,7 +3,8 @@ with its falsifying example, also when warnings are errors; every source
 file parses as the oldest supported Python; every module of the package
 uses what it imports, with the CLI and the verify suites importing no
 private name of another module, and only the verify suites sampling;
-and the benchmark's tracer finds every name it wraps."""
+the lattice oracle imports no private name of ``commgraph.groups``; and
+the benchmark's tracer finds every name it wraps."""
 
 from __future__ import annotations
 
@@ -86,6 +87,18 @@ def test_clients_import_no_private_names(name):
                and (module.startswith(".")
                     or module.split(".")[0] == "commgraph")]
     assert not private, f"{name} imports private names {private}"
+
+
+def test_lattice_oracle_imports_no_private_group_names():
+    """The lattice oracle closes subgroups and conjugates by its own code,
+    so a change to the library's closure, inverses or class orbits
+    cannot change the reference as well: it imports no private name of
+    ``commgraph.groups``."""
+    path = Path(__file__).resolve().parent / "lattice_oracle.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    private = [imported for module, imported, _ in _imports(tree)
+               if module == "commgraph.groups" and imported.startswith("_")]
+    assert not private, f"the oracle imports {private} from commgraph.groups"
 
 
 def test_only_the_lemma_suite_samples():
