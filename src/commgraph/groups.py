@@ -10,15 +10,21 @@ over its members, the one deferred value, computed on first read; every
 read, in any thread, gives the same tuple.
 
 Every table is proven a group once, as it is wrapped (``GroupTable``),
-on both input routes.  Associativity is proven, not sampled, by Light's
-test (Clifford & Preston, *The Algebraic Theory of Semigroups* I, 1961,
-section 1.2) over a generating set of the table: one n x n comparison
-per generator rather than one per element, run over blocks of rows; the
-table is then a group when those generators' rows are permutations.  One
-routine picks every generating set, ``_greedy_witnesses``: it keeps each
-candidate that the kept ones do not yet generate.  A built table is
-proven over the generators it keeps from its construction generators,
-and a subgroup's witnesses are the members it keeps in ascending order.
+on both input routes.  Associativity is proven, not sampled, by
+Schreier's lemma (Seress, *Permutation Group Algorithms*, 2003) over
+generators whose rows generate every row: the rows of a transitive
+group of row maps make a group table exactly when that group acts
+regularly, and its point stabiliser is generated by Schreier generators,
+so the proof reads only the generators' rows and columns, k²·n entries
+for k generators.  A built table meets the premise by construction:
+each row is a product of its parent's row and a generator's
+(``_fill_rows``).  A table from outside is first checked against a tree
+of right products over its generators, which reads every entry once.
+One routine picks every generating set, ``_greedy_witnesses``: it keeps
+each candidate that the kept ones do not yet generate.  An outside
+table is proven over the ids 1, 2, ... it keeps, a built table's
+conjugations are those by the construction generators it keeps, and a
+subgroup's witnesses are the members it keeps in ascending order.
 A table is built row by row and proven as an int16 ndarray (int32 above
 order 2**15), which is then made read-only and kept as the table's only
 storage: ``mult`` is a list of memoryviews of its rows, so
@@ -33,7 +39,7 @@ subgroup, product and Sylow ascent goes through it.  They are
 conjugated under the permutation x -> gxg^-1 (``_conjugation``): a
 member list is mapped through it, and the image gives the conjugate's
 mask.  The table keeps that permutation for each non-central generator
-that Light's test ran over; with the centre these generate G.  Orbits
+that ``_greedy_witnesses`` keeps; with the centre these generate G.  Orbits
 under them (``_conjugacy_class``) are whole conjugacy classes: they give
 normal cores and the lattice enumerator's classes.  Given the subgroup's
 generators, an orbit is first tested on them alone, so a normal
@@ -41,7 +47,8 @@ subgroup's class costs no conjugated mask.  g normalizes S when it
 conjugates S's generators into S (``_normalizes``); only the lattice
 enumerator then grows S by g without a closure.  Nilpotency closes
 nothing: H is nilpotent when, for each prime p, at most |H|_p of its
-members have p-power order.  ``derived_series`` is the tuple of its terms.
+members have p-power order, and the walk that counts them also collects
+a p'-complement.  ``derived_series`` is the tuple of its terms.
 """
 
 from __future__ import annotations
@@ -212,8 +219,14 @@ class GroupTable:
 
     A table is proven a group once, here, on both input routes:
     ``_validate_table`` checks its shape, range and identity, and
-    ``_check_associative`` proves the rest over the candidates that
-    ``_greedy_witnesses`` keeps with the whole table as its mask.  The
+    ``_prove_group`` proves the rest by Schreier's lemma over a set of
+    generators whose rows generate every row.  Given generators mean a
+    built table (``_assemble_table``): every row y > 0 is the row of its
+    BFS parent composed with the row of one of them, by construction
+    (``_fill_rows``), and the proof runs over all of them.  None means a
+    table from outside: the proof runs over the candidates that
+    ``_greedy_witnesses`` keeps with the whole table as its mask, and
+    first checks every row against a tree of their right products.  The
     array, narrowed to ``_entry_dtype``, is made read-only and kept as
     ``array``, the only storage: mult lists memoryviews of its rows, so
     mult[a][b], the id of a*b, is a plain int that cannot be written.
@@ -242,14 +255,15 @@ class GroupTable:
         self.order = len(tbl)
         self.array = tbl
         self.mult = _rows(tbl)
-        proof = _greedy_witnesses(self.mult, candidates, (1 << self.order) - 1)
-        _check_associative(tbl, proof)
+        kept = _greedy_witnesses(self.mult, candidates, (1 << self.order) - 1)
+        outside = generators is None
+        self.generators = kept if outside else generators
+        _prove_group(tbl, self.generators, outside)
         self.labels = labels
         self.order_factorization = factorize(self.order)
-        self.generators = proof if generators is None else generators
         self.element_orders, self.inv = _element_orders(tbl)
         self.conjugations = tuple(
-            _conjugation(self, g) for g in proof
+            _conjugation(self, g) for g in kept
             if not np.array_equal(tbl[g], tbl[:, g]))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -288,7 +302,7 @@ def _element_orders(tbl: np.ndarray) -> tuple[list[int], list[int]]:
 def _validate_table(tbl: np.ndarray) -> None:
     """Check that tbl is a non-empty square table of ids in range with
     identity 0: raise InvalidGenerator with a reason otherwise.  The rest
-    of the proof that it is a group is ``_check_associative``'s."""
+    of the proof that it is a group is ``_prove_group``'s."""
     n = tbl.shape[0]
     if tbl.shape != (n, n):
         raise InvalidGenerator("multiplication table must be square")
@@ -301,56 +315,71 @@ def _validate_table(tbl: np.ndarray) -> None:
         raise InvalidGenerator("row/column 0 must be the identity maps")
 
 
-# entries per block of rows in Light's test: 512 KB per int16 temporary
-_ASSOC_BLOCK = 1 << 18
+def _prove_group(tbl: np.ndarray, gens: Sequence[int],
+                 outside: bool) -> None:
+    """Prove that a table that passed ``_validate_table`` is a group, over
+    generators gens whose rows generate every row; raise InvalidGenerator
+    if it is not.
 
-
-def _check_associative(tbl: np.ndarray, gens: Sequence[int]) -> None:
-    """Prove that a table that passed ``_validate_table`` is a group, by
-    Light's test over gens and one ``bincount`` per generator's row; raise
-    InvalidGenerator if either fails.
-
-    For each generator a the test compares (x*a)*y with x*(a*y) for all x
-    and y, as T[T[:, a], :] == T[:, T[a, :]], each side one ``take`` per
-    block of rows of about _ASSOC_BLOCK entries, so that no n x n
-    temporary lives beside the table.  Every block is written into the
-    same three buffers: a new temporary per block would be mapped and
-    faulted in afresh each time, which took two thirds of the test's time
-    at order 4352.
-
-    The elements a that pass contain the identity (row and column 0 are
-    identity maps) and are closed under products: if a and b pass, so
-    does a*b.  So every product of gens passes, in any bracketing, and
-    the elements that pass are the whole table as soon as every element
-    is such a product in the table's own multiplication.  Callers pass the
-    generators that ``_greedy_witnesses`` keeps with the full table as
-    its mask.  Its closure, ``_grow``, only ever forms products x*c and
-    y*s of elements it has already reached, starting from the identity
-    and the generators; so when that closure is the full mask, every
-    element is such a product and the test is a proof.
-
-    The table is then a finite monoid, and a group when every row is a
-    permutation (every x has some y with x*y = 0).  Associativity gives
-    L_xg = L_x∘L_g for the row maps L_x: y -> x*y, so every row is a
-    composition of the rows of gens: only their k·n entries are checked.
+    Let L_x: y -> x*y be the row maps and P the group that the rows of
+    gens generate, once one ``bincount`` per row has shown each to be a
+    permutation.  Every row must lie in P: a built table's rows do by
+    construction (``_fill_rows``), and a table from outside (outside=True)
+    is first checked against a tree of right products (``_check_rows``).
+    As row 0 and column 0 are identity maps, L_y maps 0 to y, so P is
+    transitive, and the table is a group exactly when P is regular: then
+    L_x∘L_y is the one element of P that maps 0 to x*y, which is L_{x*y},
+    and that is associativity.  A transitive P is regular exactly when its
+    point stabiliser P_0 is normal, and P_0 is normal exactly when it
+    fixes every point h of gens (L_h maps 0 to h, so it then normalizes
+    P_0, and the L_h generate P).  By Schreier's lemma (Seress,
+    *Permutation Group Algorithms*, 2003), the maps
+    L_{g*b}^-1∘L_g∘L_b over every b and every g of gens generate P_0, so
+    the proof is that each fixes each h of gens:
+    T[g][T[b][h]] == T[T[g][b]][h], two n x k gathers per generator.
     """
     n = tbl.shape[0]
-    for a in gens:
-        if np.bincount(tbl[a], minlength=n).max() > 1:
-            raise InvalidGenerator(f"row of generator {a} is not a permutation")
-    step = min(n, max(1, _ASSOC_BLOCK // n))
-    left = np.empty((step, n), dtype=tbl.dtype)
-    right = np.empty_like(left)
-    same = np.empty(left.shape, dtype=bool)
-    for a in gens:
-        for lo in range(0, n, step):
-            m = min(step, n - lo)
-            # entries are in range, so "clip" never clips; unlike the
-            # default "raise" it writes to out without a buffered copy
-            tbl.take(tbl[lo:lo + m, a], axis=0, out=left[:m], mode="clip")
-            tbl[lo:lo + m].take(tbl[a], axis=1, out=right[:m], mode="clip")
-            if not np.equal(left[:m], right[:m], out=same[:m]).all():
-                raise InvalidGenerator(f"associativity fails at generator {a}")
+    for g in gens:
+        if np.bincount(tbl[g], minlength=n).max() > 1:
+            raise InvalidGenerator(f"row of generator {g} is not a permutation")
+    if outside:
+        _check_rows(tbl, gens)
+    cols = tbl[:, list(gens)]  # cols[b][j] = b * gens[j]
+    for g in gens:
+        row = tbl[g]
+        if not np.array_equal(row[cols], cols[row]):
+            raise InvalidGenerator(f"associativity fails at generator {g}")
+
+
+def _check_rows(tbl: np.ndarray, gens: Sequence[int]) -> None:
+    """Check that every row of a table from outside lies in the group that
+    the rows of gens generate, for ``_prove_group``: right products by
+    gens, in breadth-first order from the identity, reach every id, and
+    each row y first reached as x*g is row x gathered at the row of g,
+    T[y] == T[x][T[g]], so L_y = L_x∘L_g.  Rows are compared in one block
+    per generator, the rows its tree edges reach: every entry is read
+    once.  Raise InvalidGenerator otherwise: in a group, the right
+    products of generators reach every element and the rows compose."""
+    n = tbl.shape[0]
+    right = tbl[:, list(gens)].tolist()  # right[x][j] = x * gens[j]
+    parent, via = [0] * n, [-1] * n
+    seen = bytearray(n)
+    seen[0] = 1
+    todo = [0]
+    for x in todo:  # also visits the ids appended below
+        for j, y in enumerate(right[x]):
+            if not seen[y]:
+                seen[y] = 1
+                parent[y], via[y] = x, j
+                todo.append(y)
+    if len(todo) < n:
+        raise InvalidGenerator("associativity fails: the generators' "
+                               "right products miss an element")
+    parents, vias = np.array(parent), np.array(via)
+    for j, g in enumerate(gens):
+        ys = np.flatnonzero(vias == j)
+        if not np.array_equal(tbl[ys], tbl[parents[ys, None], tbl[g]]):
+            raise InvalidGenerator(f"associativity fails at generator {g}")
 
 
 def _entry_dtype(n: int) -> type:
@@ -376,10 +405,15 @@ def _assemble_table(identity_rep, generator_reps: list, compose: Callable,
       T[y] = T[x][T[g_j]], one contiguous ``take`` into an array of
       ``_entry_dtype(n)``.
 
-    The ``GroupTable`` proves that array a group over the generators that
-    ``_greedy_witnesses`` keeps when it scans them from last to first
-    until they generate the whole table, keeps the array as its rows and
-    conjugates by those generators.
+    The generators get ids 1..k, in order, as the BFS reaches them first
+    from the identity; so every row y > 0 is, by construction, the row of
+    its parent composed with the row of generator via[y] + 1, and every
+    row lies in the group that the generators' rows generate.  That is
+    the premise of the ``GroupTable``'s proof that the array is a group,
+    which runs over all k generators and reads nothing but their rows and
+    columns.  The table keeps the array as its rows and conjugates by the
+    generators that ``_greedy_witnesses`` keeps when it scans them from
+    last to first until they generate the whole table.
 
     Returns (GroupTable, elements, index) where elements maps id -> rep and
     index maps rep -> id.
@@ -427,7 +461,12 @@ def _fill_rows(cols: np.ndarray, parent: list[int],
     rows[j][y] = g_j*y starts at rows[j][0] = cols[j][0], the id of g_j,
     and comes from rows[j][parent[y]] by one column lookup, level by
     level; a level is the run of ids whose parents precede its first id,
-    and parent is ascending.
+    and parent is ascending.  Row y of the table is row parent[y]
+    gathered at rows[via[y]].  Each g_j is reached first from the
+    identity, so its row is row 0 gathered at rows[j], which is rows[j]
+    itself; so T[y] = T[parent[y]][T[g_{via[y]}]] for every y > 0,
+    whatever the entries: every row is a product of generator rows, the
+    invariant ``_prove_group`` takes on trust for a built table.
     """
     rows = np.empty_like(cols)
     rows[:, 0] = cols[:, 0]
@@ -550,10 +589,11 @@ def _greedy_witnesses(mult: list[list[int]], candidates: Iterable[int],
     one routine that picks generators: ascending over a subgroup's
     members it gives canonical witnesses that depend only on the member
     set, so serialized lattices reproduce identical witnesses; over a
-    table's generators it gives the set that Light's test and the class
-    orbits run over.  Raises ValueError when the closure ends anywhere
-    other than mask: when the candidates do not generate it, or when mask
-    is not a subgroup and the closure grows past it."""
+    table's generators it gives the set whose conjugations the class
+    orbits run over, and for a table from outside also the set that
+    ``_prove_group`` runs over.  Raises ValueError when the closure ends
+    anywhere other than mask: when the candidates do not generate it, or
+    when mask is not a subgroup and the closure grows past it."""
     wits: list[int] = []
     closed, elems = 1, [0]
     for x in candidates:
@@ -828,18 +868,34 @@ def sylow_subgroup(H: SubgroupSet, p: int) -> SubgroupSet:
     return SubgroupSet(G, mask)
 
 
-def is_nilpotent_subgroup(H: SubgroupSet) -> bool:
-    """True iff H has, for each prime p, at most |H|_p elements whose order
-    divides |H|_p: exactly that many when H's Sylow p-subgroup is unique
-    (normal), and more otherwise.  Stops at the first element too many."""
+def _nilpotent_walk(H: SubgroupSet, p: int) -> int | None:
+    """One walk over H's members: the mask of those whose order p does not
+    divide (none when p is 1), or None when H is not nilpotent.  H is
+    nilpotent when, for each prime q, at most |H|_q of its members have
+    order dividing |H|_q, a power of q: exactly that many when H's Sylow
+    q-subgroup is unique (normal), and more otherwise.  The walk stops at
+    the first member too many."""
     orders = H.parent.element_orders
-    for p, e in factorize(H.order):
-        part = left = p ** e
-        for x in _bits(H.members):
-            left -= part % orders[x] == 0
-            if left < 0:
-                return False
-    return True
+    fact = factorize(H.order)
+    left = {q: q ** e - 1 for q, e in fact}  # less the identity, order 1
+    prime_of = {q ** i: q for q, e in fact for i in range(1, e + 1)}
+    mask = 0
+    for x in _bits(H.members):
+        k = orders[x]
+        q = prime_of.get(k)
+        if q is not None:
+            left[q] -= 1
+            if left[q] < 0:
+                return None
+        if k % p:
+            mask |= 1 << x
+    return mask
+
+
+def is_nilpotent_subgroup(H: SubgroupSet) -> bool:
+    """True iff H is nilpotent, by counting element orders
+    (``_nilpotent_walk``)."""
+    return _nilpotent_walk(H, 1) is not None
 
 
 @dataclass(frozen=True)
@@ -864,11 +920,10 @@ def structure_flags(G: GroupTable) -> StructureFlags:
 
 def p_prime_complement(H: SubgroupSet, p: int) -> SubgroupSet:
     """Elements of H of order coprime to p; a subgroup because H is
-    nilpotent (checked)."""
+    nilpotent (checked in the same walk over H's members)."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if not is_nilpotent_subgroup(H):
+    mask = _nilpotent_walk(H, p)
+    if mask is None:
         raise NotNilpotent("p'-complement requires a nilpotent subgroup")
-    orders = H.parent.element_orders
-    mask = _mask_of(x for x in H.elements() if orders[x] % p)
     return SubgroupSet(H.parent, mask)

@@ -16,7 +16,7 @@ routine.  Once S has an extension T of prime index, every later c in T
 is skipped at S: by Lagrange, <S, c> could only be T again.  Class
 orbits come from ``groups._conjugacy_class`` under ``G.conjugations``:
 the conjugations by the non-central members of the generating set that
-the table's Light's test ran over.  An orbit is walked over member
+the table's ``_greedy_witnesses`` keeps.  An orbit is walked over member
 lists, each conjugate's list the image of the one before it.  The
 enumerator keeps which class each subgroup fell in, and the lattice
 keeps that record as ``Lattice.class_of``: one small int per subgroup,
@@ -277,8 +277,8 @@ def enumerate_subgroups(G: GroupTable,
     class reaches every subgroup: a new extension T brings in its whole
     orbit under conjugation at once, and only T is extended later.  The
     orbit is taken under ``G.conjugations``, the conjugations by the
-    non-central members of the generating set that the table's Light's
-    test ran over.  The orbit under a set of conjugations is the orbit
+    non-central members of the generating set that the table's
+    ``_greedy_witnesses`` keeps.  The orbit under a set of conjugations is the orbit
     under the group they generate, and those members with the centre,
     which conjugates trivially, generate G.  So each orbit is a whole
     class, and no class is extended twice.  The class of T = <S, c> is

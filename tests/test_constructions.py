@@ -285,54 +285,56 @@ def _right_product_closure(tbl, gens):
 
 
 @pytest.fixture
-def associativity_calls(monkeypatch):
-    """Every (table, generators) pair handed to Light's test while the
-    fixture is active."""
+def proof_calls(monkeypatch):
+    """Every (table, generators, outside) triple handed to the proof that
+    a table is a group while the fixture is active."""
     calls = []
-    check = groups._check_associative
+    prove = groups._prove_group
 
-    def recording(tbl, gens):
-        calls.append((tbl, list(gens)))
-        check(tbl, gens)
+    def recording(tbl, gens, outside):
+        calls.append((tbl, list(gens), outside))
+        prove(tbl, gens, outside)
 
-    monkeypatch.setattr(groups, "_check_associative", recording)
+    monkeypatch.setattr(groups, "_prove_group", recording)
     return calls
 
 
 @pytest.mark.parametrize("spec,order", CONSTRUCTED_ORDERS)
-def test_associativity_subset_reaches_every_id(spec, order,
-                                               associativity_calls):
-    """Light's test is a proof only over a set whose left-nested products
-    are the whole table; the builders hand it a subset of the BFS
-    generators, for the table itself and for each factor it is built
-    from."""
+def test_associativity_subset_reaches_every_id(spec, order, proof_calls):
+    """The Schreier proof needs every row to be a product of its
+    generators' rows; a built table meets that by its tree of right
+    products, so the builders hand the proof all their BFS generators,
+    whose right products reach every id, for the table itself and for
+    each factor it is built from."""
     table = construct(spec)
-    assert associativity_calls[-1][0] is table.array
-    for tbl, gens in associativity_calls:
-        assert set(gens) <= set(range(1, len(tbl)))
+    assert proof_calls[-1][0] is table.array
+    for tbl, gens, outside in proof_calls:
+        assert not outside
+        assert gens == list(range(1, len(gens) + 1))
         assert _right_product_closure(tbl, gens) == set(range(len(tbl)))
 
 
-def test_bs_associativity_subset(associativity_calls):
-    """bs(cyclic(3)) is proven over 3 of its 6 generators, kept from last
-    to first: (1 2 3 4), (1 2) and the slot-3 generator."""
+def test_bs_associativity_subset(proof_calls, conjugating_generators):
+    """bs(cyclic(3)) is proven over all 6 of its BFS generators, ids 1 to
+    6, while its conjugations are still those by the 3 generators that
+    ``_greedy_witnesses`` keeps from last to first: (1 2 3 4), (1 2) and
+    the slot-3 generator."""
     built = construct_detailed(bs(cyclic(3)))
-    assert len(built.table.generators) == 6
-    gens = associativity_calls[-1][1]
-    assert [built.elements[g] for g in gens] == [
+    assert built.table.generators == (1, 2, 3, 4, 5, 6)
+    assert proof_calls[-1][1:] == ([1, 2, 3, 4, 5, 6], False)
+    owners = conjugating_generators(built.table)
+    assert [built.elements[g] for g in owners] == [
         ((0, 0, 0, 0), perm_from_cycles(4, [(1, 2, 3, 4)])),
         ((0, 0, 0, 0), perm_from_cycles(4, [(1, 2)])),
         ((0, 0, 0, 1), (0, 1, 2, 3)),
     ]
 
 
-def test_associativity_subset_catches_swapped_pair(associativity_calls):
+def test_associativity_subset_catches_swapped_pair():
     """A bs(cyclic(2)) table with two entries of one row swapped, outside
-    every generator column, passes validation but fails Light's test over
-    the subset its build was proven with."""
+    every generator column, passes validation but is no group: given
+    from outside, it fails the proof."""
     table = construct(bs(cyclic(2)))
-    gens = associativity_calls[-1][1]
-    assert len(gens) < len(table.generators)
     outside = [c for c in range(1, table.order) if c not in table.generators]
     for r in (7, table.order - 1):
         bad = table.array.copy()
@@ -340,7 +342,66 @@ def test_associativity_subset_catches_swapped_pair(associativity_calls):
         bad[r, a], bad[r, b] = bad[r, b], bad[r, a]
         groups._validate_table(bad)
         with pytest.raises(InvalidGenerator, match="associativity"):
-            groups._check_associative(bad, gens)
+            build_group_from_table(bad)
+
+
+def _tree_edges(table):
+    """(y, x, g) for each id y > 0 and its BFS tree edge y = x*g, replayed
+    by right products over the table's generators; the replay also checks
+    that ids follow that BFS."""
+    mult, edges, todo = table.mult, [], [0]
+    for x in todo:  # also visits the ids appended below
+        for g in table.generators:
+            y = mult[x][g]
+            if y == len(todo):
+                edges.append((y, x, g))
+                todo.append(y)
+            else:
+                assert y < len(todo), "ids do not follow the BFS"
+    assert len(todo) == table.order
+    return edges
+
+
+@pytest.mark.parametrize("spec", [spec for spec, _ in CONSTRUCTED_ORDERS] + [
+    bs(cyclic(3)), p2q(13), p2q(17), sym(6), direct([sym(4), sym(4)])],
+    ids=spec_name)
+def test_built_rows_compose_along_the_tree(spec, built_group):
+    """The invariant the Schreier proof relies on for a built table, which
+    it does not check at run time: every row y > 0 is the row of its tree
+    parent x composed with the row of the generator g of its edge,
+    T[y] == T[x][T[g]], on every entry."""
+    table = built_group(spec).table
+    tbl = table.array
+    for y, x, g in _tree_edges(table):
+        assert np.array_equal(tbl[y], tbl[x][tbl[g]])
+
+
+def test_schreier_proof_rejects_a_non_regular_action(monkeypatch):
+    """S5 on 5 points: BFS over two generators' right action reaches 5
+    points, and the table assembled from it passes validation, its
+    generators' rows are permutations, and every row is a product of
+    them; but S5 does not act regularly, so the Schreier check fails.
+    Given from outside, the table passes the check of its rows against
+    the tree of right products as well, and fails the same way."""
+    maps = {1: [1, 3, 4, 2, 0], 2: [2, 4, 3, 0, 1]}
+    prove, seen = groups._prove_group, []
+
+    def recording(tbl, gens, outside):
+        seen.append(tbl)
+        for g in gens:
+            assert sorted(tbl[g].tolist()) == list(range(len(tbl)))
+        groups._check_rows(tbl, gens)
+        prove(tbl, gens, outside)
+
+    monkeypatch.setattr(groups, "_prove_group", recording)
+    with pytest.raises(InvalidGenerator,
+                       match="^associativity fails at generator 1$"):
+        groups._assemble_table(0, [1, 2], lambda x, g: maps[g][x], str, 10)
+    assert len(seen) == 1 and len(seen[0]) == 5
+    with pytest.raises(InvalidGenerator,
+                       match="^associativity fails at generator 1$"):
+        build_group_from_table(seen[0].tolist())
+    assert len(seen) == 2
 
 
 @pytest.mark.parametrize("spec", [sym(4), p2q(5), bs(cyclic(2)),
@@ -415,7 +476,9 @@ def test_table_rows_are_read_only_ints(dtype):
 def test_order_1944_table_memory():
     """The order-1944 table holds 3.8 M entries; as one int object each they
     took 144.6 MB at peak to build, as rows sharing n ints about 37 MB, as
-    one read-only int16 array checked in row blocks about 12 MB."""
+    one read-only int16 array checked in row blocks by Light's test about
+    12 MB, and proven by Schreier's lemma, which reads only generator
+    rows and columns, about 9 MB."""
     tracemalloc.start()
     try:
         table = construct(bs(cyclic(3)))

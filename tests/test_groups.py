@@ -298,9 +298,25 @@ def test_explicit_table_rejects_non_associative_loop():
         build_group_from_table(loop)
 
 
+def test_explicit_table_rejects_right_products_that_miss_an_element():
+    """Every row is a permutation and the greedy closure of 1 and 3
+    reaches every id, but only by a bracketed product, 4 = (0*3)*2: the
+    right products of the generators reach 0, 1, 2 and 3 alone, so no
+    tree ties row 4 to the generators' rows, and the table is no group."""
+    mult = [[0, 1, 2, 3, 4],
+            [1, 2, 4, 3, 0],
+            [2, 1, 4, 0, 3],
+            [3, 2, 4, 1, 0],
+            [4, 3, 2, 1, 0]]
+    with pytest.raises(InvalidGenerator, match="^associativity fails: the "
+                       "generators' right products miss an element$"):
+        build_group_from_table(mult)
+
+
 def test_explicit_table_rejects_one_swapped_pair_in_sym6():
-    """Once in the first block of rows that Light's test compares and once
-    in the last."""
+    """Once in an early row and once in a late one: an outside table's
+    rows are checked against a tree of right products before the
+    Schreier proof, and that check reads every entry."""
     table = construct(sym(6))
     for r in (5, 715):
         mult = [list(row) for row in table.mult]
@@ -313,17 +329,20 @@ def test_explicit_table_rejects_one_swapped_pair_in_sym6():
 
 def test_explicit_table_rejects_missing_inverse_in_any_row_block():
     """A row without a 0 entry has no inverse.  Outside the rows of the
-    generators the proof runs over, it breaks associativity at generator
-    1, caught in the first block of rows of sym(6) that Light's test
-    compares and in the last; 1 is always the first of those
-    generators, and its own row is then no permutation."""
+    generators the proof runs over, sym(6)'s greedy generators (1, 2), it
+    breaks associativity, caught by the check of rows against the tree of
+    right products: the error names the first generator whose block of
+    rows fails, 1 for row 5 (a row reached from row 5 by generator 1) and
+    2 for row 715.  1 is always the first of those generators, and its
+    own row is then no permutation."""
     table = construct(sym(6))
-    for r in (5, 715):
+    assert build_group_from_table(table.mult).generators == (1, 2)
+    for r, g in ((5, 1), (715, 2)):
         mult = [list(row) for row in table.mult]
         row = mult[r]
         row[row.index(0)] = row[0]
         with pytest.raises(InvalidGenerator,
-                           match="^associativity fails at generator 1$"):
+                           match=f"^associativity fails at generator {g}$"):
             build_group_from_table(mult)
     mult = [list(row) for row in table.mult]
     row = mult[1]
@@ -339,8 +358,9 @@ def test_explicit_table_rejects_missing_inverse_in_any_row_block():
                          ids=["semilattice", "cyclic-monoid", "left-zero"])
 def test_explicit_table_rejects_monoid(mult):
     """Associative tables with identity 0 that are monoids, not groups:
-    Light's test passes them, so the rows of the generators it runs over
-    must be permutations.  Without that check, the walk over the powers
+    every row is a product of the generators' rows and the Schreier
+    proof passes them, so the rows of the generators it runs over must be
+    permutations.  Without that check, the walk over the powers
     of an element would never reach the identity."""
     with pytest.raises(InvalidGenerator,
                        match="^row of generator 1 is not a permutation$"):
@@ -391,6 +411,41 @@ def test_proof_rejects_every_table_one_change_from_a_group():
                         row[a], row[b] = row[b], row[a]
                         swapped += 1
     assert (changed, swapped) == (2440, 1106)
+
+
+def _relabelled(mult):
+    """mult with id i > 0 renamed 1 + 3(i - 1) mod (n - 1), a fixed
+    permutation of the ids that keeps 0 (n - 1 must be prime to 3): the
+    ids no longer follow the BFS that built the table."""
+    n = len(mult)
+    new = [0] + [1 + 3 * i % (n - 1) for i in range(n - 1)]
+    assert sorted(new) == list(range(n)) and new != list(range(n))
+    out = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[new[a]][new[b]] = new[mult[a][b]]
+    return out
+
+
+@pytest.mark.parametrize("spec", [dihedral(4), sym(3)], ids=spec_name)
+def test_relabelled_table_is_proven_and_every_change_rejected(spec):
+    """An outside table whose ids are not in BFS order: it is accepted
+    with the same element orders, and every single-entry change of it is
+    rejected."""
+    table = construct(spec)
+    mult = _relabelled(table.mult)
+    rebuilt = build_group_from_table(mult)
+    assert sorted(rebuilt.element_orders) == sorted(table.element_orders)
+    n = len(mult)
+    for row in mult:
+        for c in range(n):
+            old = row[c]
+            for v in range(n):
+                if v != old:
+                    row[c] = v
+                    with pytest.raises(InvalidGenerator):
+                        build_group_from_table(mult)
+            row[c] = old
 
 
 def test_explicit_table_generators_are_greedy_witnesses():
@@ -731,6 +786,41 @@ def test_p_prime_complement_requires_nilpotent():
     with pytest.raises(NotNilpotent):
         p_prime_complement(full_subgroup(s3), 2)
     assert not is_nilpotent_subgroup(full_subgroup(s3))
+
+
+def _p_prime_complement_in_two_steps(H, p):
+    """The definition before one walk served both: the counting test of
+    nilpotency, then a second walk for the members of order prime to p;
+    None when H is not nilpotent."""
+    orders = H.parent.element_orders
+    for q, e in factorize(H.order):
+        part = q ** e
+        if sum(part % orders[x] == 0 for x in H.elements()) > part:
+            return None
+    mask = 0
+    for x in H.elements():
+        if orders[x] % p:
+            mask |= 1 << x
+    return mask
+
+
+def test_p_prime_complement_matches_two_step_definition(oracle_lattices):
+    """On every subgroup of the oracle groups and every prime of the
+    group order, ``p_prime_complement`` gives the mask of the two-step
+    definition, or raises NotNilpotent exactly when it gives None."""
+    raised = 0
+    for lat in oracle_lattices:
+        for H in lat.subgroups:
+            for p, _ in H.parent.order_factorization:
+                want = _p_prime_complement_in_two_steps(H, p)
+                if want is None:
+                    with pytest.raises(NotNilpotent):
+                        p_prime_complement(H, p)
+                    raised += 1
+                else:
+                    assert p_prime_complement(H, p).members == want
+                assert is_nilpotent_subgroup(H) == (want is not None)
+    assert raised > 0
 
 
 def test_nilpotent_factorization_invariant():
