@@ -7,13 +7,18 @@ returns the concrete element representations, which the verification
 suites use to locate specific elements such as transpositions or
 coordinate-slot generators.
 
-The product families, direct (and so abelian) and bs, never compose two
-reps.  Each element is coded as an integer in mixed radix over its
-coordinates: the factors' ids for a direct product; the four H ids and the
-rank of the Sym4 permutation for bs.  Each generator's right
-multiplication over all codes is computed with numpy from the factors'
-columns, the BFS reads it, and the reps and labels are decoded from the
-codes in bulk afterwards.
+Every family is built from data (``_decoded``): each element has an
+integer code, the identity code 0, and each generator's right
+multiplication is a list over all codes, which ``groups._assemble_table``
+numbers and fills; the label and rep of each code are read off by the
+ids it gives.  Cyclic groups code k as k, dihedral groups r^k s^e as
+2k + e, and the other families code an element in mixed radix over its
+coordinates: the factors' ids for a direct product (and so abelian); the
+four H ids and the rank of the Sym4 permutation for bs; the entries
+(a, b, d) of an upper-triangular matrix for p2q.  Their maps are computed
+with numpy over all codes at once.  Only ``sym`` composes two reps, in
+the closure it shares with ``build_group_from_permutations``, which codes
+each permutation by the order it is found in.
 
 Every call builds a new table; nothing here is cached.  The program's one
 cache across calls is in ``commgraph.verify``, the layer that repeats work
@@ -29,6 +34,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from itertools import permutations, product
+from typing import Sequence
 
 import numpy as np
 
@@ -38,7 +44,7 @@ from .groups import (
     GroupTable,
     _assemble_table,
     _is_int,
-    _permutation_group,
+    _permutation_closure,
     compose_permutations,
     is_prime,
     perm_from_cycles,
@@ -108,35 +114,36 @@ def spec_from_doc(doc) -> GroupSpec:
 
 
 def _spec_from_doc(doc, depth: int) -> GroupSpec:
+    """The document's JSON structure is checked here, and every value by
+    ``_checked``; only documents are refused sym 0 and empty lists."""
     if depth > MAX_SPEC_DEPTH:
         raise InvalidSpec(f"spec nesting deeper than {MAX_SPEC_DEPTH}")
     if not isinstance(doc, dict) or len(doc) != 1:
         raise InvalidSpec("a group spec is an object with exactly one key")
     key, value = next(iter(doc.items()))
-    if key not in SPEC_KINDS:
-        raise InvalidSpec(f"unknown group kind {key!r}")
-    if key in ("sym", "cyclic", "dihedral", "p2q"):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise InvalidSpec(f"{key} takes a positive integer")
-        return _checked(GroupSpec(key, n=value))
+    if key == "abelian" and (not isinstance(value, list) or not value):
+        raise InvalidSpec("abelian takes a non-empty list of positive integers")
+    if key == "direct" and (not isinstance(value, list) or not value):
+        raise InvalidSpec("direct takes a non-empty list of specs")
     if key == "abelian":
-        if (not isinstance(value, list) or not value
-                or not all(isinstance(x, int) and not isinstance(x, bool) and x >= 1
-                           for x in value)):
-            raise InvalidSpec("abelian takes a non-empty list of positive integers")
-        return GroupSpec("abelian", factors=tuple(value))
-    if key == "direct":
-        if not isinstance(value, list) or not value:
-            raise InvalidSpec("direct takes a non-empty list of specs")
-        return GroupSpec("direct", parts=tuple(_spec_from_doc(v, depth + 1)
-                                               for v in value))
-    return GroupSpec("bs", parts=(_spec_from_doc(value, depth + 1),))
+        spec = GroupSpec(key, factors=tuple(value))
+    elif key == "direct":
+        spec = GroupSpec(key, parts=tuple(_spec_from_doc(v, depth + 1)
+                                          for v in value))
+    elif key == "bs":
+        spec = GroupSpec(key, parts=(_spec_from_doc(value, depth + 1),))
+    else:
+        spec = GroupSpec(key, n=value)
+    if _checked(spec).kind == "sym" and spec.n == 0:
+        raise InvalidSpec("sym takes a positive integer")
+    return spec
 
 
 def _checked(spec: GroupSpec) -> GroupSpec:
     """The spec, if its top node names a group; else raise InvalidSpec
-    with ``spec_from_doc``'s reason.  The Python API also takes sym(0),
-    abelian([]) and direct([]), the trivial group."""
+    with the reason.  The one check of a spec's values, for documents and
+    the Python API alike; the Python API also takes sym(0), abelian([])
+    and direct([]), the trivial group."""
     if not isinstance(spec, GroupSpec):
         raise InvalidSpec(f"a spec node must be a GroupSpec, "
                           f"not {type(spec).__name__}")
@@ -249,34 +256,29 @@ def _build_sym(spec: GroupSpec, cap: int) -> BuiltGroup:
         gens.append(perm_from_cycles(n, [(1, 2)]))
     if n >= 3:
         gens.append(perm_from_cycles(n, [tuple(range(1, n + 1))]))
-    return BuiltGroup(*_permutation_group(n, gens, cap))
+    maps, perms = _permutation_closure(n, gens, cap)
+    return _decoded(maps, list(map(perm_label, perms)), perms)
 
 
 def _build_cyclic(spec: GroupSpec, cap: int) -> BuiltGroup:
+    """The integers mod n, each its own code, generated by 1."""
     n = spec.n
-    gens = [1] if n > 1 else []
-    table, elements, index = _assemble_table(
-        0, gens, lambda x, y: (x + y) % n, str, cap)
-    return BuiltGroup(table, elements, index)
+    maps = [[(x + 1) % n for x in range(n)]] if n > 1 else []
+    return _decoded(maps, [str(x) for x in range(n)], range(n))
 
 
 def _build_dihedral(spec: GroupSpec, cap: int) -> BuiltGroup:
+    """r^k s^e, coded 2k + e, generated by r (code 2) and s (code 1):
+    (r^k s^e)·r = r^(k ± 1) s^e, with - when e = 1, and (r^k s^e)·s
+    flips e."""
     n = spec.n
-
-    def compose(x, y):
-        k1, e1 = x
-        k2, e2 = y
-        return ((k1 + (k2 if e1 == 0 else -k2)) % n, e1 ^ e2)
-
-    def label(rep):
-        k, e = rep
-        if e == 0:
-            return "e" if k == 0 else f"r{k}"
-        return "s" if k == 0 else f"r{k}s"
-
-    gens = ([(1, 0)] if n > 1 else []) + [(0, 1)]
-    table, elements, index = _assemble_table((0, 0), gens, compose, label, cap)
-    return BuiltGroup(table, elements, index)
+    codes = range(2 * n)
+    r = [2 * ((x // 2 + 1 - 2 * (x % 2)) % n) + x % 2 for x in codes]
+    s = [x ^ 1 for x in codes]
+    labels = [("e" if x == 0 else f"r{x // 2}") if x % 2 == 0 else
+              ("s" if x == 1 else f"r{x // 2}s") for x in codes]
+    return _decoded([r, s] if n > 1 else [s], labels,
+                    [(x // 2, x % 2) for x in codes])
 
 
 def _build_abelian(spec: GroupSpec, cap: int) -> BuiltGroup:
@@ -294,17 +296,14 @@ def _build_direct(spec: GroupSpec, cap: int) -> BuiltGroup:
     codes = np.arange(math.prod(orders))
     ids = codes[:, None] // np.array(strides, dtype=np.intp) % np.array(
         orders, dtype=np.intp)
-    maps = {}
+    maps = []
     for i, t in enumerate(tables):
         x = ids[:, i]
         for g in t.generators:  # changes child i's id x to x*g
-            maps[g * strides[i]] = (
-                codes + (t.array[x, g] - x) * strides[i]).tolist()
+            maps.append((codes + (t.array[x, g] - x) * strides[i]).tolist())
     labels = ["(" + ",".join(parts) + ")"
               for parts in product(*(t.labels for t in tables))]
-    table, by_id, _ = _assemble_table(
-        0, list(maps), lambda x, g: maps[g][x], labels.__getitem__, cap)
-    return _decoded(table, list(map(tuple, ids[by_id].tolist())))
+    return _decoded(maps, labels, list(map(tuple, ids.tolist())))
 
 
 def _build_p2q(spec: GroupSpec, cap: int) -> BuiltGroup:
@@ -324,14 +323,10 @@ def _build_p2q(spec: GroupSpec, cap: int) -> BuiltGroup:
     if q > 2:
         g = _primitive_root(q)
         gens += [(g, 0, 1), (1, 0, g)]
-    maps = {code(*y): code(a * y[0] % q, (a * y[1] + b * y[2]) % q,
-                           d * y[2] % q).tolist() for y in gens}
-    labels = [f"({x},{y},{z})"
-              for x, y, z in zip(a.tolist(), b.tolist(), d.tolist())]
-    table, by_id, _ = _assemble_table(
-        0, list(maps), lambda x, g: maps[g][x], labels.__getitem__, cap)
-    return _decoded(table, list(zip(a[by_id].tolist(), b[by_id].tolist(),
-                                    d[by_id].tolist())))
+    maps = [code(a * y[0] % q, (a * y[1] + b * y[2]) % q,
+                  d * y[2] % q).tolist() for y in gens]
+    reps = list(zip(a.tolist(), b.tolist(), d.tolist()))
+    return _decoded(maps, [f"({x},{y},{z})" for x, y, z in reps], reps)
 
 
 def _primitive_root(q: int) -> int:
@@ -362,31 +357,33 @@ def _build_bs(spec: GroupSpec, cap: int) -> BuiltGroup:
     coords = np.stack([codes // s % m for s in strides], axis=1)
     perms = np.array(_PERMS4)
     rank_of = {p: r for r, p in enumerate(_PERMS4)}
-    maps = {}
+    maps = []
     for slot in range(4):
         target = perms[rank, slot]  # the coordinate sigma(slot)
         old = coords[codes, target]
         for g in h.generators:
-            maps[g * int(strides[slot])] = (
-                codes + (h.array[old, g] - old) * strides[target]).tolist()
+            maps.append(
+                (codes + (h.array[old, g] - old) * strides[target]).tolist())
     for cycle in ((1, 2), (1, 2, 3, 4)):
         pi = perm_from_cycles(4, [cycle])
         times_pi = np.array([rank_of[compose_permutations(s, pi)]
                              for s in _PERMS4])
-        maps[rank_of[pi]] = (codes - rank + times_pi[rank]).tolist()
+        maps.append((codes - rank + times_pi[rank]).tolist())
     hl = h.labels
     labels = [f"(({a},{b},{c},{d}),{p})" for a, b, c, d, p in
               product(hl, hl, hl, hl, map(perm_label, _PERMS4))]
-    table, by_id, _ = _assemble_table(
-        0, list(maps), lambda x, g: maps[g][x], labels.__getitem__, cap)
-    by_id = np.array(by_id)
-    return _decoded(table, list(zip(map(tuple, coords[by_id].tolist()),
-                                    map(_PERMS4.__getitem__,
-                                        (by_id % 24).tolist()))))
+    return _decoded(maps, labels, list(zip(map(tuple, coords.tolist()),
+                                           map(_PERMS4.__getitem__,
+                                               rank.tolist()))))
 
 
-def _decoded(table: GroupTable, elements: list) -> BuiltGroup:
-    """The built group of a product family from its reps in id order."""
+def _decoded(maps: list[list[int]], labels: list[str],
+             reps: Sequence) -> BuiltGroup:
+    """The built group that the right-multiplication maps over codes
+    generate (see ``_assemble_table``), where labels[c] and reps[c] are
+    the label and rep of code c: the one place a BuiltGroup is made."""
+    table, codes = _assemble_table(maps, labels)
+    elements = [reps[c] for c in codes]
     return BuiltGroup(table, elements,
                       dict(zip(elements, range(len(elements)))))
 

@@ -9,6 +9,15 @@ subgroup is its member mask: its witnesses are the canonical greedy ones
 over its members, the one deferred value, computed on first read; every
 read, in any thread, gives the same tuple.
 
+A table is built from data, not from composing elements: each family
+hands ``_assemble_table`` the right-multiplication map of each generator
+over a space of integer codes, with the identity at code 0, and the
+labels of the codes.  One breadth-first search, ``_bfs``, numbers the
+elements, and ``_fill_rows`` makes every row from its parent's row and
+a generator's.  The same search checks a table from outside, over its
+generator columns.  Only a permutation group's closure
+(``_permutation_closure``) composes elements, to find its code space.
+
 Every table is proven a group once, as it is wrapped (``GroupTable``),
 on both input routes.  Associativity is proven, not sampled, by
 Schreier's lemma (Seress, *Permutation Group Algorithms*, 2003) over
@@ -55,7 +64,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -217,14 +226,15 @@ def compose_permutations(x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
 class GroupTable:
     """A finite group with elements 0..order-1 and identity 0.
 
-    A table is proven a group once, here, on both input routes:
-    ``_validate_table`` checks its shape, range and identity, and
-    ``_prove_group`` proves the rest by Schreier's lemma over a set of
-    generators whose rows generate every row.  Given generators mean a
-    built table (``_assemble_table``): every row y > 0 is the row of its
-    BFS parent composed with the row of one of them, by construction
-    (``_fill_rows``), and the proof runs over all of them.  None means a
-    table from outside: the proof runs over the candidates that
+    A table is proven a group once, here, on both input routes: given a
+    square array of ids in range (a table from outside has passed
+    ``_validate_table``), it checks that row 0 and column 0 are the
+    identity maps, and ``_prove_group`` proves the rest by Schreier's
+    lemma over a set of generators whose rows generate every row.  Given
+    generators mean a built table (``_assemble_table``): every row y > 0
+    is the row of its BFS parent composed with the row of one of them, by
+    construction (``_fill_rows``), and the proof runs over all of them.
+    None means a table from outside: the proof runs over the candidates that
     ``_greedy_witnesses`` keeps with the whole table as its mask, and
     first checks every row against a tree of their right products.  The
     array, narrowed to ``_entry_dtype``, is made read-only and kept as
@@ -249,7 +259,9 @@ class GroupTable:
     def __init__(self, tbl: np.ndarray, labels: list[str],
                  generators: tuple[int, ...] | None,
                  candidates: Iterable[int]):
-        _validate_table(tbl)
+        e = np.arange(len(tbl))  # the identity map
+        if not (np.array_equal(tbl[0], e) and np.array_equal(tbl[:, 0], e)):
+            raise InvalidGenerator("row/column 0 must be the identity maps")
         tbl = tbl.astype(_entry_dtype(len(tbl)), copy=False)
         tbl.flags.writeable = False
         self.order = len(tbl)
@@ -300,9 +312,11 @@ def _element_orders(tbl: np.ndarray) -> tuple[list[int], list[int]]:
 
 
 def _validate_table(tbl: np.ndarray) -> None:
-    """Check that tbl is a non-empty square table of ids in range with
-    identity 0: raise InvalidGenerator with a reason otherwise.  The rest
-    of the proof that it is a group is ``_prove_group``'s."""
+    """Check that a table from outside is a non-empty square table of ids
+    in range: raise InvalidGenerator with a reason otherwise.  A built
+    table meets all three by construction (``_fill_rows``); the rest of
+    the proof that a table is a group, identity first, is the
+    ``GroupTable``'s, on both routes."""
     n = tbl.shape[0]
     if tbl.shape != (n, n):
         raise InvalidGenerator("multiplication table must be square")
@@ -310,16 +324,13 @@ def _validate_table(tbl: np.ndarray) -> None:
         raise InvalidGenerator("empty multiplication table")
     if tbl.min() < 0 or tbl.max() >= n:
         raise InvalidGenerator("table entry out of range")
-    idx = np.arange(n)
-    if not np.array_equal(tbl[0], idx) or not np.array_equal(tbl[:, 0], idx):
-        raise InvalidGenerator("row/column 0 must be the identity maps")
 
 
 def _prove_group(tbl: np.ndarray, gens: Sequence[int],
                  outside: bool) -> None:
-    """Prove that a table that passed ``_validate_table`` is a group, over
-    generators gens whose rows generate every row; raise InvalidGenerator
-    if it is not.
+    """Prove that a table of ids in range whose row 0 and column 0 are the
+    identity maps is a group, over generators gens whose rows generate
+    every row; raise InvalidGenerator if it is not.
 
     Let L_x: y -> x*y be the row maps and P the group that the rows of
     gens generate, once one ``bincount`` per row has shown each to be a
@@ -353,32 +364,23 @@ def _prove_group(tbl: np.ndarray, gens: Sequence[int],
 
 def _check_rows(tbl: np.ndarray, gens: Sequence[int]) -> None:
     """Check that every row of a table from outside lies in the group that
-    the rows of gens generate, for ``_prove_group``: right products by
-    gens, in breadth-first order from the identity, reach every id, and
-    each row y first reached as x*g is row x gathered at the row of g,
+    the rows of gens generate, for ``_prove_group``: ``_bfs`` over the
+    generator columns, the maps x -> x*g, reaches every id, and each row y
+    it first reaches as x*g is row x gathered at the row of g,
     T[y] == T[x][T[g]], so L_y = L_x∘L_g.  Rows are compared in one block
     per generator, the rows its tree edges reach: every entry is read
     once.  Raise InvalidGenerator otherwise: in a group, the right
     products of generators reach every element and the rows compose."""
-    n = tbl.shape[0]
-    right = tbl[:, list(gens)].tolist()  # right[x][j] = x * gens[j]
-    parent, via = [0] * n, [-1] * n
-    seen = bytearray(n)
-    seen[0] = 1
-    todo = [0]
-    for x in todo:  # also visits the ids appended below
-        for j, y in enumerate(right[x]):
-            if not seen[y]:
-                seen[y] = 1
-                parent[y], via[y] = x, j
-                todo.append(y)
-    if len(todo) < n:
+    order, parent, via, _ = _bfs(tbl[:, list(gens)].T.tolist())
+    if len(order) < len(tbl):
         raise InvalidGenerator("associativity fails: the generators' "
                                "right products miss an element")
-    parents, vias = np.array(parent), np.array(via)
+    order, vias = np.array(order), np.array(via)
+    parents = order[parent]
     for j, g in enumerate(gens):
-        ys = np.flatnonzero(vias == j)
-        if not np.array_equal(tbl[ys], tbl[parents[ys, None], tbl[g]]):
+        at = np.flatnonzero(vias == j)
+        ys, xs = order[at], parents[at]
+        if not np.array_equal(tbl[ys], tbl[xs[:, None], tbl[g]]):
             raise InvalidGenerator(f"associativity fails at generator {g}")
 
 
@@ -388,22 +390,41 @@ def _entry_dtype(n: int) -> type:
     return np.int16 if n <= 1 << 15 else np.int32
 
 
-def _assemble_table(identity_rep, generator_reps: list, compose: Callable,
-                    label_of: Callable, order_cap: int):
-    """BFS-close the generators and materialize the full n x n table.
+def _bfs(maps: Sequence[Sequence[int]]) -> tuple[list[int], list[int],
+                                                 list[int], list[int]]:
+    """Breadth-first search from code 0 over right-multiplication maps:
+    maps[j][x] is the code of x*g_j, over the codes range(len(maps[0]))
+    ({0} when there are no maps).  Each code is visited in turn, and each
+    of its right products in generator order.  Returns (order, parent,
+    via, place): order[i] is the code given id i, in the order first
+    reached; id i > 0 was first reached as parent[i] * g_{via[i]}, parent
+    being an id (parent[0] = 0, via[0] = -1); place[c] is the id of code
+    c, or -1 for a code not reached.  The one numbering of a group's
+    elements: it numbers built tables and checks tables from outside."""
+    place = [-1] * (len(maps[0]) if maps else 1)
+    place[0] = 0
+    order, parent, via = [0], [0], [-1]
+    for i, x in enumerate(order):  # also visits the codes appended below
+        for j, m in enumerate(maps):
+            y = m[x]
+            if place[y] < 0:
+                place[y] = len(order)
+                order.append(y)
+                parent.append(i)
+                via.append(j)
+    return order, parent, via, place
 
-    Element ids follow deterministic BFS from the identity with the given
-    generator ordering, and compose(x, g) is called once per element and
-    generator; the product families pass integer codes with a compose that
-    reads a precomputed right-multiplication map.  The BFS records each
-    element's tree edge y = x*g_j and the generator columns.  The rest
-    needs no per-element composition:
 
-    - the row of each generator follows from g*y = (g*x)*g_j, one gather
-      per BFS level for all generators at once;
-    - every row y = x*g_j is then row x gathered at the row of g_j,
-      T[y] = T[x][T[g_j]], one contiguous ``take`` into an array of
-      ``_entry_dtype(n)``.
+def _assemble_table(maps: Sequence[Sequence[int]], labels: Sequence[str]):
+    """The table of the group that right-multiplication maps generate.
+
+    maps[j][x] is the code of x*g_j over the codes range(len(labels)),
+    with the identity at code 0, for distinct generators g_j other than
+    the identity; labels[c] is the label of code c.  ``_bfs`` numbers the
+    elements, and the generator columns over ids, cols[j][i], are the maps
+    read at each id's code.  The rest needs no product of two elements:
+    ``_fill_rows`` makes each row y = x*g_j from row x and the row of
+    g_j.
 
     The generators get ids 1..k, in order, as the BFS reaches them first
     from the identity; so every row y > 0 is, by construction, the row of
@@ -415,48 +436,25 @@ def _assemble_table(identity_rep, generator_reps: list, compose: Callable,
     generators that ``_greedy_witnesses`` keeps when it scans them from
     last to first until they generate the whole table.
 
-    Returns (GroupTable, elements, index) where elements maps id -> rep and
-    index maps rep -> id.
+    Returns (GroupTable, codes), where codes[i] is the code of id i.
     """
-    gens = []
-    for g in generator_reps:
-        if g != identity_rep and g not in gens:
-            gens.append(g)
-
-    elements = [identity_rep]
-    index = {identity_rep: 0}
-    parent, via = [0], [0]  # the tree edge y = parent[y] * gens[via[y]]
-    cols: list[list[int]] = [[] for _ in gens]
-    qi = 0
-    while qi < len(elements):
-        x_rep = elements[qi]
-        for j, g in enumerate(gens):
-            y = compose(x_rep, g)
-            y_id = index.get(y)
-            if y_id is None:
-                if len(elements) + 1 > order_cap:
-                    raise OrderCapExceeded(
-                        f"closure exceeds the order cap ({order_cap})")
-                y_id = len(elements)
-                index[y] = y_id
-                elements.append(y)
-                parent.append(qi)
-                via.append(j)
-            cols[j].append(y_id)
-        qi += 1
-
-    gen_ids = [index[g] for g in gens]
-    tbl = _fill_rows(np.array(cols, dtype=np.intp).reshape(
-        len(gens), len(elements)), parent, via)
-    table = GroupTable(tbl, [label_of(rep) for rep in elements],
+    order, parent, via, place = _bfs(maps)
+    # take(..., axis=1) keeps cols C-contiguous, where [:, order] gives a
+    # transposed layout on which _fill_rows's gathers are half as fast
+    cols = np.array(place)[np.array(maps, dtype=np.intp).reshape(
+        len(maps), len(labels)).take(order, axis=1)]
+    gen_ids = [place[m[0]] for m in maps]
+    table = GroupTable(_fill_rows(cols, parent, via),
+                       [labels[c] for c in order],
                        tuple(gen_ids), reversed(gen_ids))
-    return table, elements, index
+    return table, order
 
 
 def _fill_rows(cols: np.ndarray, parent: list[int],
                via: list[int]) -> np.ndarray:
-    """The n x n table of a BFS: cols[j][x] is the id of x*g_j, and each
-    y > 0 is parent[y] * g_{via[y]}, with parent[y] in an earlier level.
+    """The n x n table of a ``_bfs`` numbering: cols[j][y] is the id of
+    y*g_j, and each id y > 0 is parent[y] * g_{via[y]}, with parent[y] in
+    an earlier level.
 
     rows[j][y] = g_j*y starts at rows[j][0] = cols[j][0], the id of g_j,
     and comes from rows[j][parent[y]] by one column lookup, level by
@@ -466,7 +464,9 @@ def _fill_rows(cols: np.ndarray, parent: list[int],
     identity, so its row is row 0 gathered at rows[j], which is rows[j]
     itself; so T[y] = T[parent[y]][T[g_{via[y]}]] for every y > 0,
     whatever the entries: every row is a product of generator rows, the
-    invariant ``_prove_group`` takes on trust for a built table.
+    invariant ``_prove_group`` takes on trust for a built table.  Row 0
+    is arange(n) and every other row is gathered from rows already
+    written, so every entry is an id in range by construction.
     """
     rows = np.empty_like(cols)
     rows[:, 0] = cols[:, 0]
@@ -487,10 +487,33 @@ def _fill_rows(cols: np.ndarray, parent: list[int],
     return tbl
 
 
-def _permutation_group(degree: int, reps: list, order_cap: int):
-    """_assemble_table over permutation image tuples of {0..degree-1}."""
-    return _assemble_table(tuple(range(degree)), reps, compose_permutations,
-                           perm_label, order_cap)
+def _permutation_closure(degree: int, reps: Sequence[tuple[int, ...]],
+                         order_cap: int):
+    """The group that permutation image tuples of {0..degree-1} generate,
+    as ``_assemble_table``'s data: returns (maps, perms), where perms lists
+    the elements in the order first reached, each a code (its index), and
+    maps[j][x] is the code of perms[x] * g_j.  The generators are reps
+    without the identity and repeats, in order.  Raises OrderCapExceeded
+    as soon as the closure outgrows order_cap.  The one loop that composes
+    representatives to find elements: every other family computes its
+    maps over a code space known in advance."""
+    identity = tuple(range(degree))
+    gens = [g for g in dict.fromkeys(reps) if g != identity]
+    perms = [identity]
+    code = {identity: 0}
+    maps: list[list[int]] = [[] for _ in gens]
+    for x in perms:  # also visits the elements appended below
+        for m, g in zip(maps, gens):
+            y = compose_permutations(x, g)
+            c = code.get(y)
+            if c is None:
+                if len(perms) >= order_cap:
+                    raise OrderCapExceeded(
+                        f"closure exceeds the order cap ({order_cap})")
+                c = code[y] = len(perms)
+                perms.append(y)
+            m.append(c)
+    return maps, perms
 
 
 def build_group_from_permutations(degree: int, generators: Iterable,
@@ -499,14 +522,16 @@ def build_group_from_permutations(degree: int, generators: Iterable,
 
     Each generator is an iterable of cycles, e.g. [(1, 2)] or [(1, 2), (3, 4)].
     This is the library's input route for a permutation group outside the
-    spec families; ``sym`` specs share its table builder.
+    spec families; ``sym`` specs share its closure
+    (``_permutation_closure``).
     """
     if order_cap < 1:
         raise ValueError(f"order cap must be at least 1, got {order_cap}")
     if not _is_int(degree) or degree < 1:
         raise InvalidGenerator(f"degree must be an integer >= 1, got {degree!r}")
     reps = [perm_from_cycles(degree, cycles) for cycles in generators]
-    return _permutation_group(degree, reps, order_cap)[0]
+    maps, perms = _permutation_closure(degree, reps, order_cap)
+    return _assemble_table(maps, list(map(perm_label, perms)))[0]
 
 
 def build_group_from_table(mult: Sequence[Sequence[int]],
@@ -543,6 +568,7 @@ def build_group_from_table(mult: Sequence[Sequence[int]],
         labels = [f"g{i}" for i in range(n)]
     elif len(labels) != n:
         raise InvalidGenerator("labels length does not match table order")
+    _validate_table(tbl)
     return GroupTable(tbl, list(labels), None, range(1, n))
 
 

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from commgraph import (
+    GroupSpec,
     InvalidGenerator,
     InvalidSpec,
     OrderCapExceeded,
@@ -141,6 +142,11 @@ def test_construct_rejects_nodes_that_are_not_specs(spec):
     with pytest.raises(InvalidSpec,
                        match="^a spec node must be a GroupSpec, not (int|str)$"):
         construct(spec)
+
+
+def test_construct_rejects_an_unknown_kind():
+    with pytest.raises(InvalidSpec, match="^unknown group kind 'foo'$"):
+        construct(GroupSpec("foo"))
 
 
 def test_abelian_keeps_its_factors():
@@ -362,9 +368,12 @@ def _tree_edges(table):
     return edges
 
 
-@pytest.mark.parametrize("spec", [spec for spec, _ in CONSTRUCTED_ORDERS] + [
-    bs(cyclic(3)), p2q(13), p2q(17), sym(6), direct([sym(4), sym(4)])],
-    ids=spec_name)
+# every spec family's tables: the small ones above and a ladder of large ones
+BUILT_SPECS = [spec for spec, _ in CONSTRUCTED_ORDERS] + [
+    bs(cyclic(3)), p2q(13), p2q(17), sym(6), direct([sym(4), sym(4)])]
+
+
+@pytest.mark.parametrize("spec", BUILT_SPECS, ids=spec_name)
 def test_built_rows_compose_along_the_tree(spec, built_group):
     """The invariant the Schreier proof relies on for a built table, which
     it does not check at run time: every row y > 0 is the row of its tree
@@ -376,6 +385,28 @@ def test_built_rows_compose_along_the_tree(spec, built_group):
         assert np.array_equal(tbl[y], tbl[x][tbl[g]])
 
 
+@pytest.mark.parametrize("spec", BUILT_SPECS, ids=spec_name)
+def test_built_entries_are_ids_in_range(spec, built_group):
+    """The input checks that only a table from outside is put through
+    (``_validate_table``): square, not empty, every entry an id in range.
+    A built table meets them by construction, as ``_fill_rows`` writes
+    row 0 as arange(n) and gathers every other row from rows in range."""
+    tbl = built_group(spec).table.array
+    groups._validate_table(tbl)
+    assert 0 <= tbl.min() and tbl.max() < len(tbl)
+
+
+@pytest.mark.parametrize("spec", BUILT_SPECS, ids=spec_name)
+def test_built_ids_follow_the_shared_bfs(spec, built_group):
+    """Built tables and tables from outside are numbered by one search:
+    ``_bfs`` over a built table's own generator columns visits its ids in
+    order, 0, 1, ..., n - 1."""
+    table = built_group(spec).table
+    order, _, _, place = groups._bfs(
+        table.array[:, list(table.generators)].T.tolist())
+    assert order == place == list(range(table.order))
+
+
 def test_schreier_proof_rejects_a_non_regular_action(monkeypatch):
     """S5 on 5 points: BFS over two generators' right action reaches 5
     points, and the table assembled from it passes validation, its
@@ -383,7 +414,6 @@ def test_schreier_proof_rejects_a_non_regular_action(monkeypatch):
     them; but S5 does not act regularly, so the Schreier check fails.
     Given from outside, the table passes the check of its rows against
     the tree of right products as well, and fails the same way."""
-    maps = {1: [1, 3, 4, 2, 0], 2: [2, 4, 3, 0, 1]}
     prove, seen = groups._prove_group, []
 
     def recording(tbl, gens, outside):
@@ -396,7 +426,8 @@ def test_schreier_proof_rejects_a_non_regular_action(monkeypatch):
     monkeypatch.setattr(groups, "_prove_group", recording)
     with pytest.raises(InvalidGenerator,
                        match="^associativity fails at generator 1$"):
-        groups._assemble_table(0, [1, 2], lambda x, g: maps[g][x], str, 10)
+        groups._assemble_table([[1, 3, 4, 2, 0], [2, 4, 3, 0, 1]],
+                               [str(c) for c in range(5)])
     assert len(seen) == 1 and len(seen[0]) == 5
     with pytest.raises(InvalidGenerator,
                        match="^associativity fails at generator 1$"):

@@ -22,6 +22,7 @@ from commgraph import (
     bs,
     build_group_from_permutations,
     build_group_from_table,
+    commensurability_exponents,
     construct,
     construct_detailed,
     cyclic,
@@ -269,10 +270,16 @@ def test_explicit_table_rejects_non_group():
     ([[0, "1"], ["1", 0]], "integers"),
     ([[0, 65537], [1, 0]], "out of range"),
     ([[0, -1], [1, 0]], "out of range"),
+    ([[0, 1], [1, 2**70]], "^table entry out of range$"),
+    ([[0, 1], 5], "^malformed table: a row is not a sequence$"),
+    ([[0, 1], [1]], "^malformed table: "),
+    (np.zeros((0, 0), dtype=np.int64), "^empty multiplication table$"),
 ])
 def test_explicit_table_rejects_bad_entries(mult, reason):
     """A float, bool or string entry is no longer coerced into cyclic(2);
-    an entry beyond int16 is out of range, not wrapped into it."""
+    an entry beyond int16 is out of range, not wrapped into it, and one
+    beyond int64 too.  A row that is no sequence, ragged rows (the text
+    then ends in numpy's own message) and a 0 x 0 array are malformed."""
     with pytest.raises(InvalidGenerator, match=reason):
         build_group_from_table(mult)
 
@@ -918,3 +925,48 @@ def test_witnesses_are_a_function_of_the_member_set(oracle_lattices):
         for r in results:
             assert r.witnesses \
                 == subs[lat.index_of_members[r.members]].witnesses
+
+
+def test_explicit_table_rejects_a_cap_or_labels_it_does_not_meet():
+    with pytest.raises(OrderCapExceeded,
+                       match=r"^table order 3 exceeds the cap \(2\)$"):
+        build_group_from_table([[0, 1, 2], [1, 2, 0], [2, 0, 1]], order_cap=2)
+    with pytest.raises(InvalidGenerator,
+                       match="^labels length does not match table order$"):
+        build_group_from_table([[0, 1], [1, 0]], labels=["e"])
+
+
+def test_subgroup_set_rejects_a_mask_against_lagrange():
+    """{0, 1} in cyclic(3): a mask with the identity bit and no bit out of
+    range, whose size 2 does not divide 3."""
+    with pytest.raises(ValueError, match="^subgroup order does not divide "
+                                         "the group order$"):
+        SubgroupSet(construct(cyclic(3)), 0b11)
+
+
+def test_parent_mismatch_in_core_and_exponents(s4):
+    other = construct(sym(3))
+    with pytest.raises(ParentMismatch, match="^subgroup does not live over "
+                                             "the given table$"):
+        normal_core(full_subgroup(s4.table), other)
+    with pytest.raises(ParentMismatch, match="^subgroups live over "
+                                             "different group tables$"):
+        commensurability_exponents(full_subgroup(s4.table),
+                                   full_subgroup(other), 2)
+
+
+def test_sylow_and_complement_reject_a_prime_power(s4):
+    """p = 4 is no prime: both refuse it before reading the subgroup."""
+    full = full_subgroup(s4.table)
+    with pytest.raises(ValueError, match="^4 is not prime$"):
+        sylow_subgroup(full, 4)
+    with pytest.raises(ValueError, match="^4 is not prime$"):
+        p_prime_complement(full, 4)
+
+
+def test_number_helpers_reject_zero():
+    with pytest.raises(ValueError, match="^cannot factorize 0$"):
+        factorize(0)
+    with pytest.raises(ValueError,
+                       match="^expected a positive integer, got 0$"):
+        p_power_exponent(0, 2)
