@@ -13,12 +13,15 @@ multiplication is a list over all codes, which ``groups._assemble_table``
 numbers and fills; the label and rep of each code are read off by the
 ids it gives.  Cyclic groups code k as k, dihedral groups r^k s^e as
 2k + e, and the other families code an element in mixed radix over its
-coordinates: the factors' ids for a direct product (and so abelian); the
-four H ids and the rank of the Sym4 permutation for bs; the entries
-(a, b, d) of an upper-triangular matrix for p2q.  Their maps are computed
-with numpy over all codes at once.  Only ``sym`` composes two reps, in
-the closure it shares with ``build_group_from_permutations``, which codes
-each permutation by the order it is found in.
+coordinates, all by one routine (``_coordinates``): the factors' ids for a
+direct product (and so abelian); the four H ids and the sym(4) id of the
+permutation for bs; a - 1, b and d - 1 for the upper-triangular matrix
+[[a, b], [0, d]] of p2q.  Their maps are computed with numpy over all
+codes at once, and direct and bs share the map that multiplies one
+coordinate by a factor's generators (``_coordinate_maps``).  bs reads
+Sym4's maps, labels and reps off the table of sym(4), so only the
+closure that ``sym`` shares with ``build_group_from_permutations``
+composes two reps; it codes each permutation by the order it is found in.
 
 Every call builds a new table; nothing here is cached.  The program's one
 cache across calls is in ``commgraph.verify``, the layer that repeats work
@@ -33,7 +36,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import permutations, product
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -45,7 +48,6 @@ from .groups import (
     _assemble_table,
     _is_int,
     _permutation_closure,
-    compose_permutations,
     is_prime,
     perm_from_cycles,
     perm_label,
@@ -290,20 +292,35 @@ def _build_direct(spec: GroupSpec, cap: int) -> BuiltGroup:
     # a repeated factor is built once; the factor tables are only read
     built = {p: construct_detailed(p, cap).table for p in dict.fromkeys(spec.parts)}
     tables = [built[p] for p in spec.parts]
-    orders = [t.order for t in tables]
-    # code = sum(ids[:, i] * strides[i]), the first child's id most significant
-    strides = [math.prod(orders[i + 1:]) for i in range(len(orders))]
-    codes = np.arange(math.prod(orders))
-    ids = codes[:, None] // np.array(strides, dtype=np.intp) % np.array(
-        orders, dtype=np.intp)
-    maps = []
-    for i, t in enumerate(tables):
-        x = ids[:, i]
-        for g in t.generators:  # changes child i's id x to x*g
-            maps.append((codes + (t.array[x, g] - x) * strides[i]).tolist())
+    coding = _coordinates([t.order for t in tables])
+    maps = [m for i, t in enumerate(tables)
+            for m in _coordinate_maps(coding, i, t)]
     labels = ["(" + ",".join(parts) + ")"
               for parts in product(*(t.labels for t in tables))]
-    return _decoded(maps, labels, list(map(tuple, ids.tolist())))
+    return _decoded(maps, labels, list(map(tuple, coding[1].tolist())))
+
+
+def _coordinates(orders: Sequence[int]):
+    """The mixed-radix coding over coordinates of the given orders, the
+    first most significant: returns (codes, ids, strides), where codes is
+    every code in turn, ids[c, i] is coordinate i of code c, and
+    c = sum(ids[c, i] * strides[i]).  The zero coordinates code 0."""
+    strides = np.array([math.prod(orders[i + 1:]) for i in range(len(orders))],
+                       dtype=np.intp)
+    codes = np.arange(math.prod(orders))
+    ids = codes[:, None] // strides % np.array(orders, dtype=np.intp)
+    return codes, ids, strides
+
+
+def _coordinate_maps(coding, coord, table: GroupTable) -> list[list[int]]:
+    """The right multiplication of a ``_coordinates`` coding by each of
+    table's generators in one coordinate: each code c changes its
+    coordinate coord[c] (or coord, a single index for every code), an id
+    x of table, to x*g."""
+    codes, ids, strides = coding
+    x = ids[codes, coord]
+    return [(codes + (table.array[x, g] - x) * strides[coord]).tolist()
+            for g in table.generators]
 
 
 def _build_p2q(spec: GroupSpec, cap: int) -> BuiltGroup:
@@ -312,19 +329,16 @@ def _build_p2q(spec: GroupSpec, cap: int) -> BuiltGroup:
     (a, b, d)·y = (a·y_a, a·y_b + b·y_d, d·y_d) mod q, so each generator's
     map over every code is a few whole-array operations."""
     q = spec.n
-    # code = ((a - 1) q + b)(q - 1) + d - 1; the identity (1, 0, 1) is 0
-    a, b, d = (x.ravel() for x in np.meshgrid(
-        np.arange(1, q), np.arange(q), np.arange(1, q), indexing="ij"))
-
-    def code(a, b, d):
-        return ((a - 1) * q + b) * (q - 1) + d - 1
-
+    # the coordinates are a - 1, b and d - 1; the identity (1, 0, 1) is code 0
+    shift = np.array([[1], [0], [1]])
+    _, ids, strides = _coordinates([q - 1, q, q - 1])
+    a, b, d = ids.T + shift
     gens = [(1, 1, 1)]
     if q > 2:
         g = _primitive_root(q)
         gens += [(g, 0, 1), (1, 0, g)]
-    maps = [code(a * y[0] % q, (a * y[1] + b * y[2]) % q,
-                  d * y[2] % q).tolist() for y in gens]
+    maps = [(strides @ (np.stack([a * y[0], a * y[1] + b * y[2], d * y[2]])
+                        % q - shift)).tolist() for y in gens]
     reps = list(zip(a.tolist(), b.tolist(), d.tolist()))
     return _decoded(maps, [f"({x},{y},{z})" for x, y, z in reps], reps)
 
@@ -340,41 +354,27 @@ def _primitive_root(q: int) -> int:
     raise InvalidSpec(f"no primitive root mod {q}")  # pragma: no cover
 
 
-# Sym4 acts on the four coordinate slots of H^4 from the left:
-# (sigma.v)_i = v_{sigma^-1(i)}, and (u, sigma)(v, tau) = (u * sigma.v, sigma tau).
-# So (u, sigma) times the slot generator (g in slot s, e) multiplies
-# coordinate sigma(s) of u by g, and times (0, pi) it becomes (u, sigma pi).
-_PERMS4 = list(permutations(range(4)))  # by rank; rank 0 is the identity
-
-
 def _build_bs(spec: GroupSpec, cap: int) -> BuiltGroup:
+    """H^4 x| Sym4, coded in mixed radix over the four H ids and the
+    sym(4) id of the permutation.  Sym4 acts on the four coordinate slots
+    from the left: (sigma.v)_i = v_{sigma^-1(i)}, and (u, sigma)(v, tau) =
+    (u * sigma.v, sigma tau).  So (u, sigma) times the slot generator
+    (g in slot s, e) multiplies coordinate sigma(s) of u by g, and times
+    (e, pi) it multiplies the sym(4) coordinate by pi."""
     h = construct_detailed(spec.parts[0], cap).table
-    m = h.order
-    # code = (u_0 m^3 + u_1 m^2 + u_2 m + u_3) * 24 + rank of sigma
-    strides = np.array([24 * m ** 3, 24 * m ** 2, 24 * m, 24])
-    codes = np.arange(24 * m ** 4)
-    rank = codes % 24
-    coords = np.stack([codes // s % m for s in strides], axis=1)
-    perms = np.array(_PERMS4)
-    rank_of = {p: r for r, p in enumerate(_PERMS4)}
-    maps = []
-    for slot in range(4):
-        target = perms[rank, slot]  # the coordinate sigma(slot)
-        old = coords[codes, target]
-        for g in h.generators:
-            maps.append(
-                (codes + (h.array[old, g] - old) * strides[target]).tolist())
-    for cycle in ((1, 2), (1, 2, 3, 4)):
-        pi = perm_from_cycles(4, [cycle])
-        times_pi = np.array([rank_of[compose_permutations(s, pi)]
-                             for s in _PERMS4])
-        maps.append((codes - rank + times_pi[rank]).tolist())
+    s4 = construct_detailed(sym(4), cap)
+    coding = _coordinates([h.order] * 4 + [24])
+    ids = coding[1]
+    sigma = np.array(s4.elements)[ids[:, 4]]  # sigma[c, s] = sigma(s)
+    maps = [m for slot in range(4)
+            for m in _coordinate_maps(coding, sigma[:, slot], h)]
+    maps += _coordinate_maps(coding, 4, s4.table)
     hl = h.labels
-    labels = [f"(({a},{b},{c},{d}),{p})" for a, b, c, d, p in
-              product(hl, hl, hl, hl, map(perm_label, _PERMS4))]
-    return _decoded(maps, labels, list(zip(map(tuple, coords.tolist()),
-                                           map(_PERMS4.__getitem__,
-                                               rank.tolist()))))
+    labels = [f"(({a},{b},{c},{d}),{p})"
+              for a, b, c, d, p in product(hl, hl, hl, hl, s4.table.labels)]
+    return _decoded(maps, labels, list(zip(
+        map(tuple, ids[:, :4].tolist()),
+        map(s4.elements.__getitem__, ids[:, 4].tolist()))))
 
 
 def _decoded(maps: list[list[int]], labels: list[str],

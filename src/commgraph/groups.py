@@ -214,11 +214,6 @@ def perm_label(images: Sequence[int]) -> str:
     return "".join(parts) if parts else "e"
 
 
-def compose_permutations(x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
-    """(x*y)(i) = x(y(i))."""
-    return tuple(x[y[i]] for i in range(len(x)))
-
-
 # ---------------------------------------------------------------------------
 # the group table
 
@@ -504,7 +499,7 @@ def _permutation_closure(degree: int, reps: Sequence[tuple[int, ...]],
     maps: list[list[int]] = [[] for _ in gens]
     for x in perms:  # also visits the elements appended below
         for m, g in zip(maps, gens):
-            y = compose_permutations(x, g)
+            y = tuple(map(x.__getitem__, g))  # (x*g)(i) = x(g(i))
             c = code.get(y)
             if c is None:
                 if len(perms) >= order_cap:

@@ -231,21 +231,19 @@ def _nilpotent(spec: GroupSpec) -> tuple[bool, ...]:
     return tuple(out)
 
 
-def _derived_slices(lat: Lattice, p_subgroups: tuple[int, ...],
-                    cores: dict[int, int],
+def _derived_slices(lat: Lattice, normal_p_subgroups: tuple[int, ...],
                     p: int) -> tuple[tuple[int, int, int], ...]:
     """(term index, lattice index of Q, term member mask) triples where Q
-    is a normal p-subgroup of G whose slice by the derived term is that
-    term's normal p-Sylow subgroup.  Q is normal exactly when it is its
-    own normal core."""
+    is one of the normal p-subgroups of G, in ascending order, whose slice
+    by the derived term is that term's normal p-Sylow subgroup."""
     out = []
     for t_idx, term in enumerate(derived_series(lat.parent)):
         syl = sylow_subgroup(term, p)
         if not is_normal(syl, term):
             continue
-        for qi in p_subgroups:
+        for qi in normal_p_subgroups:
             Q = lat.subgroups[qi]
-            if cores[qi] == qi and Q.members & term.members == syl.members:
+            if Q.members & term.members == syl.members:
                 out.append((t_idx, qi, term.members))
     return tuple(out)
 
@@ -283,7 +281,9 @@ def _case(spec: GroupSpec, p: int) -> _Case:
     both = nilpotent[lo] & nilpotent[hi]
     p_subgroups = _p_subgroups(lat, p)
     cores = _p_cores(spec)
-    slices = _derived_slices(lat, p_subgroups, cores, p)
+    normal = _normal_indices(spec)
+    slices = _derived_slices(
+        lat, tuple(sorted(set(p_subgroups).intersection(normal))), p)
     component_of = None
     if slices:
         reports, _ = _components(spec, p, KIND_COMMENSURABILITY)
@@ -294,7 +294,7 @@ def _case(spec: GroupSpec, p: int) -> _Case:
         tuple(zip(lo[both].tolist(), hi[both].tolist())),
         p_subgroups,
         tuple(i for i in p_subgroups if lat.subgroups[cores[i]].order > 1),
-        cores, _normal_indices(spec), slices, component_of)
+        cores, normal, slices, component_of)
 
 
 # ---------------------------------------------------------------------------

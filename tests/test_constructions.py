@@ -582,6 +582,46 @@ def test_p2q_matches_matrix_realization():
         assert a in (1, 2) and d in (1, 2) and 0 <= b < 3
 
 
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_p2q_multiplies_as_matrices(q, built_group):
+    """Every product is the matrix product [[a, b], [0, d]] [[a', b'],
+    [0, d']] = [[a a', a b' + b d'], [0, d d']] mod q."""
+    built = built_group(p2q(q))
+    els = built.elements
+    for x, (a, b, d) in enumerate(els):
+        row = built.table.mult[x]
+        for y, (a2, b2, d2) in enumerate(els):
+            assert els[row[y]] == (a * a2 % q, (a * b2 + b * d2) % q, d * d2 % q)
+
+
+def _bs_product(h, x, y):
+    """(u, sigma)(v, tau) = (u * sigma.v, sigma tau), with (sigma.v)_i =
+    v_{sigma^-1(i)}: sigma moves the entry of slot i to slot sigma(i).
+    The H entries are ids of h, multiplied by its own table."""
+    (u, sigma), (v, tau) = x, y
+    moved = [0] * 4
+    for i in range(4):
+        moved[sigma[i]] = v[i]
+    return (tuple(h.mult[a][b] for a, b in zip(u, moved)),
+            tuple(sigma[t] for t in tau))
+
+
+def test_bs_multiplies_as_a_wreath_product(built_group):
+    """Every product of bs(cyclic(2)), and every element of bs(cyclic(3))
+    times each construction generator, follows the semidirect product
+    rule on the reps."""
+    for inner, every_pair in ((cyclic(2), True), (cyclic(3), False)):
+        h = construct(inner)
+        built = built_group(bs(inner))
+        els = built.elements
+        ys = range(len(els)) if every_pair else built.table.generators
+        assert every_pair or len(ys) == 6
+        for x, ex in enumerate(els):
+            row = built.table.mult[x]
+            for y in ys:
+                assert els[row[y]] == _bs_product(h, ex, els[y])
+
+
 def test_p2q_subgroup_dichotomy(corpus_lattice):
     """Every subgroup either contains the full unipotent part or has order
     coprime to q."""
