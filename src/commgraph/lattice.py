@@ -57,6 +57,9 @@ from .groups import (
 )
 
 DEFAULT_LATTICE_CAP = 100000
+# The largest float32 product M·Mᵀ that ``Lattice.index_matrix`` forms, in
+# bytes: 4·m² ≤ 2³¹ holds up to m = 23,170 subgroups.
+INDEX_MATRIX_BYTE_CAP = 2 ** 31
 # the top bit of a pair code: neither subgroup contains the other
 _NOT_CONTAINED = 0x80
 
@@ -87,7 +90,13 @@ class Lattice:
         """The read-only m×m matrix of indices [L[i] : L[i]∩L[j]], from one
         product M·Mᵀ of the membership matrix M and one division, in
         place, on first use, then kept.  It does not depend on p or on the
-        graph kind."""
+        graph kind.  Raises LatticeCapExceeded when the m×m float32
+        product would take more than ``INDEX_MATRIX_BYTE_CAP`` bytes."""
+        m = len(self.subgroups)
+        if 4 * m * m > INDEX_MATRIX_BYTE_CAP:
+            raise LatticeCapExceeded(
+                f"{m} subgroups: their index matrix would take {4 * m * m} "
+                f"bytes, more than {INDEX_MATRIX_BYTE_CAP}")
         n = self.parent.order
         # float32 products are exact for counts below 2**24; an
         # intersection order divides the subgroup's order, so the float32

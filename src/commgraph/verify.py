@@ -11,14 +11,16 @@ This module holds the program's one cache across calls.  The library
 recomputes on every call, keeping only values that an object holds about
 itself (``Lattice.index_matrix``, ``Lattice.pair_codes``,
 ``SubgroupSet.witnesses``); the suites, which evaluate the same corpus
-lattices, graphs, component reports and lemma sampling pools several
-times over, share them through the bounded ``functools.lru_cache``
-helpers below, keyed by spec or by (spec, p).  Facts that conjugation
-preserves (normality, normal cores, nilpotency) are asked once per
+lattices, graphs and component reports several times over, share them
+through three bounded ``functools.lru_cache`` helpers, ``_lattice`` keyed
+by spec and ``_graph`` and ``_components`` by (spec, p, kind).  The lemma
+suite, their one reader, builds its ``_Case`` records uncached, by one
+call of ``_cases(spec)`` per group before the first trial: it asks the
+facts that conjugation preserves (normal cores, nilpotency) once per
 conjugacy class of the lattice, which records the classes
-(``Lattice.class_of``).  The lemma trials read one ``_Case`` per (spec,
-p), found before the first trial; inside the trial loop only a memo of
-products, intersections and complements, kept for one call, is read.
+(``Lattice.class_of``, from which ``_normal`` reads normality), and the
+derived series once.  Inside the trial loop only a memo of products,
+intersections and complements, kept for one call, is read.
 """
 
 from __future__ import annotations
@@ -178,74 +180,9 @@ def _components(spec: GroupSpec, p: int,
     return components_and_diameters(_graph(spec, p, kind))
 
 
-# The helpers below hold lattice indices, not subgroups (a ``_Case`` keeps
-# the lattice its indices refer to).  Enumeration is deterministic, so the
-# indices stay valid when an evicted lattice is rebuilt.  A fact that
-# conjugation preserves is asked of the first member of each conjugacy class
-# (``Lattice.class_of``) and shared by the others.
-
-
-def _class_sizes(lat: Lattice) -> np.ndarray:
-    """The number of members of each subgroup's conjugacy class."""
-    return np.bincount(lat.class_of)[lat.class_of]
-
-
-@functools.lru_cache(maxsize=CACHE_SIZE)
-def _normal_indices(spec: GroupSpec) -> tuple[int, ...]:
-    """The subgroups normal in G: those alone in their class."""
-    return tuple(np.flatnonzero(_class_sizes(_lattice(spec)) == 1).tolist())
-
-
-def _p_subgroups(lat: Lattice, p: int) -> tuple[int, ...]:
-    return tuple(i for i, s in enumerate(lat.subgroups)
-                 if p_power_exponent(s.order, p) is not None)
-
-
-@functools.lru_cache(maxsize=CACHE_SIZE)
-def _p_cores(spec: GroupSpec) -> dict[int, int]:
-    """The index of each p-subgroup, over every prime p dividing |G|, ->
-    the index of its normal core, the intersection of its class: one
-    ``normal_core`` per class, taken at its first member.  The trivial
-    subgroup is a p-subgroup for every p; its core is computed once."""
-    lat = _lattice(spec)
-    class_of = lat.class_of.tolist()
-    out: dict[int, int] = {}
-    for p, _ in lat.parent.order_factorization:
-        for i in _p_subgroups(lat, p):
-            first = class_of[i]
-            if first not in out:
-                core = normal_core(lat.subgroups[first], lat.parent)
-                out[first] = lat.index_of_members[core.members]
-            out[i] = out[first]
-    return out
-
-
-@functools.lru_cache(maxsize=CACHE_SIZE)
-def _nilpotent(spec: GroupSpec) -> tuple[bool, ...]:
-    """Whether each subgroup of the lattice is nilpotent, asked once per
-    class."""
-    lat = _lattice(spec)
-    out: list[bool] = []
-    for i, (s, first) in enumerate(zip(lat.subgroups, lat.class_of.tolist())):
-        out.append(is_nilpotent_subgroup(s) if first == i else out[first])
-    return tuple(out)
-
-
-def _derived_slices(lat: Lattice, normal_p_subgroups: tuple[int, ...],
-                    p: int) -> tuple[tuple[int, int, int], ...]:
-    """(term index, lattice index of Q, term member mask) triples where Q
-    is one of the normal p-subgroups of G, in ascending order, whose slice
-    by the derived term is that term's normal p-Sylow subgroup."""
-    out = []
-    for t_idx, term in enumerate(derived_series(lat.parent)):
-        syl = sylow_subgroup(term, p)
-        if not is_normal(syl, term):
-            continue
-        for qi in normal_p_subgroups:
-            Q = lat.subgroups[qi]
-            if Q.members & term.members == syl.members:
-                out.append((t_idx, qi, term.members))
-    return tuple(out)
+def _normal(lat: Lattice) -> np.ndarray:
+    """Whether each subgroup is normal in G: alone in its conjugacy class."""
+    return np.bincount(lat.class_of)[lat.class_of] == 1
 
 
 @dataclass(frozen=True)
@@ -253,13 +190,15 @@ class _Case:
     """What the lemma trials read of one (spec, p), in lattice indices.
 
     edges are the p-commensurability edges (i, j), i < j, in ascending
-    order, and nilpotent_edges those between nilpotent subgroups.
-    p_subgroups are the p-subgroups in ascending order, core_p_subgroups
-    those whose normal core (cores) is nontrivial, and normal the
-    subgroups normal in G.  slices are ``_derived_slices``, and
-    component_of maps each vertex to its p-commensurability component
-    when there are slices to test, else it is None.  The edges are read
-    off the adjacency matrix, with no exponent looked up.
+    order, read off the adjacency matrix with no exponent looked up, and
+    nilpotent_edges those between nilpotent subgroups.  p_subgroups are
+    the p-subgroups in ascending order, cores maps each to its normal
+    core, core_p_subgroups are those whose core is nontrivial, and normal
+    the subgroups normal in G.  slices are the (term index, Q, term member
+    mask) triples, in ascending order, where Q is a normal p-subgroup of G
+    whose slice by the derived term is that term's normal p-Sylow
+    subgroup.  component_of maps each vertex to its p-commensurability
+    component when there are slices to test, else it is None.
     """
 
     lat: Lattice
@@ -273,28 +212,56 @@ class _Case:
     component_of: dict[int, int] | None
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
-def _case(spec: GroupSpec, p: int) -> _Case:
+def _cases(spec: GroupSpec) -> list[tuple[int, _Case]]:
+    """(p, the ``_Case`` of (spec, p)) for each prime p of |G|, ascending.
+
+    One walk over the lattice asks nilpotency and, for a subgroup of
+    prime-power order (the trivial one included), the normal core once
+    per conjugacy class, at its first member (``Lattice.class_of``), and
+    the others of the class share the answer; the derived series is asked
+    once.  The cases of one spec share these facts and its lattice."""
     lat = _lattice(spec)
-    lo, hi = np.nonzero(np.triu(_graph(spec, p, KIND_COMMENSURABILITY).adj, 1))
-    nilpotent = np.array(_nilpotent(spec))
-    both = nilpotent[lo] & nilpotent[hi]
-    p_subgroups = _p_subgroups(lat, p)
-    cores = _p_cores(spec)
-    normal = _normal_indices(spec)
-    slices = _derived_slices(
-        lat, tuple(sorted(set(p_subgroups).intersection(normal))), p)
-    component_of = None
-    if slices:
-        reports, _ = _components(spec, p, KIND_COMMENSURABILITY)
-        component_of = {v: c for c, report in enumerate(reports)
-                        for v in report.vertices}
-    return _Case(
-        lat, tuple(zip(lo.tolist(), hi.tolist())),
-        tuple(zip(lo[both].tolist(), hi[both].tolist())),
-        p_subgroups,
-        tuple(i for i in p_subgroups if lat.subgroups[cores[i]].order > 1),
-        cores, normal, slices, component_of)
+    G = lat.parent
+    subs = lat.subgroups
+    primes = [p for p, _ in G.order_factorization]
+    nilpotent: list[bool] = []
+    cores: dict[int, int] = {}
+    p_subgroups: dict[int, list[int]] = {p: [] for p in primes}
+    for i, (s, first) in enumerate(zip(subs, lat.class_of.tolist())):
+        nilpotent.append(is_nilpotent_subgroup(s) if first == i
+                         else nilpotent[first])
+        powers_of = [p for p in primes if p_power_exponent(s.order, p) is not None]
+        for p in powers_of:
+            p_subgroups[p].append(i)
+        if powers_of:
+            cores[i] = (lat.index_of_members[normal_core(s, G).members]
+                        if first == i else cores[first])
+    is_nilpotent = np.array(nilpotent)
+    normal = tuple(np.flatnonzero(_normal(lat)).tolist())
+    series = derived_series(G)
+    out = []
+    for p in primes:
+        lo, hi = np.nonzero(np.triu(_graph(spec, p, KIND_COMMENSURABILITY).adj, 1))
+        both = is_nilpotent[lo] & is_nilpotent[hi]
+        p_subs = tuple(p_subgroups[p])
+        normal_p = [q for q in p_subs if cores[q] == q]
+        slices = []
+        for t_idx, term in enumerate(series):
+            syl = sylow_subgroup(term, p)
+            if is_normal(syl, term):
+                slices += [(t_idx, q, term.members) for q in normal_p
+                           if subs[q].members & term.members == syl.members]
+        component_of = None
+        if slices:
+            reports, _ = _components(spec, p, KIND_COMMENSURABILITY)
+            component_of = {v: c for c, report in enumerate(reports)
+                            for v in report.vertices}
+        out.append((p, _Case(
+            lat, tuple(zip(lo.tolist(), hi.tolist())),
+            tuple(zip(lo[both].tolist(), hi[both].tolist())), p_subs,
+            tuple(i for i in p_subs if subs[cores[i]].order > 1),
+            cores, normal, tuple(slices), component_of)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +296,7 @@ def verify_diameter_bounds(corpus=None) -> VerdictReport:
     for member in _lattice_members(corpus):
         lat = _lattice(member.spec)
         table = lat.parent
-        class_sizes = _class_sizes(lat)
+        normal = _normal(lat)
         flags = structure_flags(table)
         derived = derived_series(table)[:2][-1]  # G', or G if G is perfect
         for p, _ in table.order_factorization:
@@ -339,8 +306,7 @@ def verify_diameter_bounds(corpus=None) -> VerdictReport:
                     member.name, p, {"claim": "metabelian_diameter_bound"},
                     {"max_diameter": 4}, {"diameter": diameter}, diameter <= 4))
             sylow_of_derived = sylow_subgroup(derived, p)
-            # normal in G exactly when alone in its class
-            if class_sizes[lat.index_of_members[sylow_of_derived.members]] == 1:
+            if normal[lat.index_of_members[sylow_of_derived.members]]:
                 report.records.append(CheckRecord(
                     member.name, p, {"claim": "normal_derived_sylow_bound"},
                     {"max_diameter": 4}, {"diameter": diameter}, diameter <= 4))
@@ -378,7 +344,8 @@ def verify_lemma_suite(corpus=None, trials: int = DEFAULT_TRIALS,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    pairs = [(m, p, _case(m.spec, p)) for m, p in _member_primes(corpus)]
+    pairs = [(m, p, case) for m in _lattice_members(corpus)
+             for p, case in _cases(m.spec)]
     rng = random.Random(seed)
     report = VerdictReport("lemmas", seed)
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from commgraph import cli
+from commgraph import cli, lattice
 from commgraph.cli import (
     EXIT_LATTICE_CAP,
     EXIT_OK,
@@ -295,6 +295,19 @@ def test_lattice_cap_exit_code(monkeypatch, capsys):
                         functools.partial(enumerate_subgroups, lattice_cap=29))
     assert run_cli("subgroups", '{"sym": 4}') == EXIT_LATTICE_CAP
     assert capsys.readouterr().err == "error: more than 29 subgroups\n"
+
+
+def test_index_matrix_cap_exit_code(monkeypatch, capsys):
+    """A lattice whose index matrix would pass the byte cap exits 4 with
+    one error line, before the product is formed; sym(4) has 30
+    subgroups, so its float32 matrix takes 3600 bytes."""
+    monkeypatch.setattr(lattice, "INDEX_MATRIX_BYTE_CAP", 3599)
+    assert run_cli("analyze", '{"sym": 4}', "-p", "2") == EXIT_LATTICE_CAP
+    err = capsys.readouterr().err
+    assert err == ("error: 30 subgroups: their index matrix would take 3600 "
+                   "bytes, more than 3599\n")
+    monkeypatch.setattr(lattice, "INDEX_MATRIX_BYTE_CAP", 3600)
+    assert run_cli("analyze", '{"sym": 4}', "-p", "2") == EXIT_OK
 
 
 def test_failed_write_keeps_existing_cache(tmp_path, capsys):

@@ -161,10 +161,49 @@ def _alternating_5():
     return build_group_from_permutations(5, [[(1, 2, 3)], [(1, 2, 3, 4, 5)]])
 
 
+def _dicyclic(n: int):
+    """The dicyclic group <a, x | a^2n = 1, x² = aⁿ, xax⁻¹ = a⁻¹> of order
+    4n, as a table in which a^i x^e has id i + 2n·e; n = 2 gives Q₈ and
+    n = 4 Q₁₆."""
+    m = 2 * n
+    elements = [(i, e) for e in range(2) for i in range(m)]
+    return build_group_from_table([
+        [(i + (-j if e else j) + (n if e and f else 0)) % m + m * ((e + f) % 2)
+         for j, f in elements] for i, e in elements])
+
+
+def _sl_2_3():
+    """SL(2,3) acting on the nonzero vectors of F₃², numbered 1..8 in
+    lexicographic order: generated by [[1,1],[0,1]] and [[0,-1],[1,0]]."""
+    return build_group_from_permutations(
+        8, [[(1, 4, 7), (2, 8, 5)], [(1, 6, 2, 3), (4, 7, 8, 5)]])
+
+
+# Non-split extensions, which no spec family builds: name -> (builder,
+# order, subgroup count).  Each has one involution, which is central, while
+# its quotient by its centre Z₂ has involutions, so Z₂ has no complement.
+_NON_SPLIT = {"Q8": (lambda: _dicyclic(2), 8, 6),
+              "Q16": (lambda: _dicyclic(4), 16, 11),
+              "dicyclic12": (lambda: _dicyclic(3), 12, 8),
+              "dicyclic20": (lambda: _dicyclic(5), 20, 10),
+              "SL(2,3)": (_sl_2_3, 24, 15)}
+_NON_SPLIT_INPUTS = [pytest.param(build, id=name)
+                     for name, (build, _, _) in _NON_SPLIT.items()]
+
+
+@pytest.mark.parametrize("name", _NON_SPLIT)
+def test_non_split_inputs_are_the_named_groups(name):
+    build, order, subgroups = _NON_SPLIT[name]
+    table = build()
+    assert table.order == order and table.element_orders.count(2) == 1
+    assert len(enumerate_subgroups(table)) == subgroups
+
+
 @pytest.mark.parametrize("spec", [
     sym(3), sym(4), cyclic(6), cyclic(12), abelian([2, 4]), dihedral(6),
     direct([sym(3), cyclic(2)]), p2q(3), p2q(5),
     abelian([2, 2, 2, 2]), direct([dihedral(4), cyclic(2)]), _alternating_5,
+    *_NON_SPLIT_INPUTS,
 ])
 def test_enumeration_matches_oracle(spec):
     """The last three are cases where the prime-index cover skips many
@@ -191,7 +230,7 @@ def _first_of_class(lat, label) -> list[int]:
     sym(3), sym(4), cyclic(6), abelian([2, 4]), dihedral(4), dihedral(6),
     direct([sym(3), cyclic(2)]), p2q(3), p2q(5), abelian([2, 2, 2, 2]),
     direct([dihedral(4), cyclic(2)]), _alternating_5,
-    lambda: build_group_from_table(construct(sym(4)).mult),
+    lambda: build_group_from_table(construct(sym(4)).mult), *_NON_SPLIT_INPUTS,
 ])
 def test_class_record_matches_oracle_classes(spec):
     """The class each subgroup fell in during enumeration is its orbit

@@ -6,6 +6,7 @@ import hashlib
 import json
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from commgraph import (
@@ -100,22 +101,29 @@ def test_lemma_suite_stream_pinned(specs, digest):
 
 
 def test_class_facts_match_per_subgroup_routes():
-    """Normality, normal p-cores and nilpotency, which the suites ask once
+    """Normality, normal p-cores and nilpotency, which ``_cases`` asks once
     per conjugacy class, are what asking every subgroup gives, over the
-    default corpus."""
+    default corpus and every prime of each order."""
     for member in default_corpus():
         lat = verify._lattice(member.spec)
         G = lat.parent
         subs = lat.subgroups
-        assert verify._normal_indices(member.spec) == tuple(
-            i for i, s in enumerate(subs) if is_normal(s, full_subgroup(G)))
-        primes = [p for p, _ in G.order_factorization]
-        assert verify._p_cores(member.spec) == {
-            i: lat.index_of_members[normal_core(s, G).members]
-            for i, s in enumerate(subs)
-            if any(p_power_exponent(s.order, p) is not None for p in primes)}
-        assert verify._nilpotent(member.spec) \
-            == tuple(is_nilpotent_subgroup(s) for s in subs)
+        normal = tuple(i for i, s in enumerate(subs)
+                       if is_normal(s, full_subgroup(G)))
+        assert tuple(np.flatnonzero(verify._normal(lat))) == normal
+        nilpotent = [is_nilpotent_subgroup(s) for s in subs]
+        cases = verify._cases(member.spec)
+        assert [p for p, _ in cases] == [p for p, _ in G.order_factorization]
+        for p, case in cases:
+            assert case.lat is lat and case.normal == normal
+            assert case.p_subgroups == tuple(
+                i for i, s in enumerate(subs)
+                if p_power_exponent(s.order, p) is not None)
+            assert {i: case.cores[i] for i in case.p_subgroups} == {
+                i: lat.index_of_members[normal_core(subs[i], G).members]
+                for i in case.p_subgroups}
+            assert case.nilpotent_edges == tuple(
+                (i, j) for i, j in case.edges if nilpotent[i] and nilpotent[j])
 
 
 def test_lemma_identities_hold_on_every_case_of_the_default_corpus():
@@ -126,8 +134,8 @@ def test_lemma_identities_hold_on_every_case_of_the_default_corpus():
     by every normal N; and the p'-complements of every nilpotent p-edge."""
     cases = Counter()
     failures = []
-    for member, p in verify._member_primes(None):
-        case = verify._case(member.spec, p)
+    for member, p, case in ((m, p, case) for m in default_corpus()
+                            for p, case in verify._cases(m.spec)):
         subs = case.lat.subgroups
         normal_p = [q for q in case.p_subgroups if case.cores[q] == q]
         edges = case.edges
@@ -261,8 +269,9 @@ def test_unknown_suite_rejected():
 
 def test_lemma_suite_computes_each_fact_once(monkeypatch):
     """From cold (lattices aside), one lemma suite over the default corpus
-    asks each subgroup question once: no call to these operations repeats
-    its arguments, keyed by table, member masks and p."""
+    asks each subgroup question, and each table for its derived series,
+    once: no call to these operations repeats its arguments, keyed by
+    table, member masks and p."""
     for name, helper in vars(verify).items():
         if hasattr(helper, "cache_clear") and name != "_lattice":
             helper.cache_clear()
@@ -272,15 +281,15 @@ def test_lemma_suite_computes_each_fact_once(monkeypatch):
         return ((arg.parent, arg.members) if isinstance(arg, SubgroupSet)
                 else arg)
 
-    for name in ("normal_core", "is_nilpotent_subgroup", "product_set",
-                 "p_prime_complement"):
+    names = {"derived_series", "normal_core", "is_nilpotent_subgroup",
+             "product_set", "p_prime_complement", "sylow_subgroup"}
+    for name in names:
         def counting(*args, _name=name, _fn=getattr(verify, name)):
             calls[(_name, *map(key, args))] += 1
             return _fn(*args)
         monkeypatch.setattr(verify, name, counting)
     assert verify_lemma_suite().passed
-    assert {k[0] for k in calls} == {"normal_core", "is_nilpotent_subgroup",
-                                     "product_set", "p_prime_complement"}
+    assert {k[0] for k in calls} == names
     repeated = {k: n for k, n in calls.items() if n > 1}
     assert not repeated
 
