@@ -5,7 +5,8 @@ enumeration, optionally written as JSON), ``graph`` (DOT/JSON export),
 ``analyze`` (component report), ``verify`` (claim suites).  Every lattice
 comes from ``enumerate_subgroups``; none is read from a file.  Exit codes:
 0 pass, 1 a verification check failed, 2 parse/argument/file error, 3 order
-cap exceeded, 4 lattice cap exceeded.
+cap exceeded, 4 lattice cap exceeded, 141 standard output closed by its
+reader (128 + SIGPIPE, as a shell reports a writer that signal killed).
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ EXIT_VERDICT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_ORDER_CAP = 3
 EXIT_LATTICE_CAP = 4
+EXIT_BROKEN_PIPE = 141
 
 _KINDS = {"comm": KIND_COMMENSURABILITY, "cont": KIND_CONTAINMENT}
 
@@ -406,7 +408,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of standard output closed it (`| head`): exit as a
+        # writer killed by SIGPIPE, silently, with stdout pointed at
+        # devnull so that the interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (InvalidSpec, ValueError, OSError) as exc:
         # ValueError: an invalid argument value (-p 4, --trials 0) or a
         # malformed JSON file; OSError: an unusable path.

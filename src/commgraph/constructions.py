@@ -7,14 +7,21 @@ returns the concrete element representations, which the verification
 suites use to locate specific elements such as transpositions or
 coordinate-slot generators.
 
-Every family is built from data (``_decoded``): each element has an
+Every family is built from data (``_data``): each element has an
 integer code, the identity code 0, and each generator's right
-multiplication is a list over all codes, which ``groups._assemble_table``
-numbers and fills; the label and rep of each code are read off by the
-ids it gives.  Cyclic groups code k as k, dihedral groups r^k s^e as
-2k + e, and the other families code an element in mixed radix over its
-coordinates, all by one routine (``_coordinates``): the factors' ids for a
-direct product (and so abelian); the four H ids and the sym(4) id of the
+multiplication is a list over all codes, beside each code's label and
+rep.  ``construct_detailed`` hands the maps to
+``groups._assemble_table``, which numbers, proves and fills the table,
+and reads each code's label and rep off by the id it gives;
+``construct_action`` proves the same maps and keeps the group as its
+right-multiplication action over the codes (``GroupAction``), with no
+table: its order, a rep -> code index, and the closure of any elements
+as a member mask over codes.
+
+Cyclic groups code k as k, dihedral groups r^k s^e as 2k + e, and the
+other families code an element in mixed radix over its coordinates,
+all by one routine (``_coordinates``): the factors' ids for a direct
+product (and so abelian); the four H ids and the sym(4) id of the
 permutation for bs; a - 1, b and d - 1 for the upper-triangular matrix
 [[a, b], [0, d]] of p2q.  Their maps are computed with numpy over all
 codes at once, and direct and bs share the map that multiplies one
@@ -23,11 +30,12 @@ Sym4's maps, labels and reps off the table of sym(4), so only the
 closure that ``sym`` shares with ``build_group_from_permutations``
 composes two reps; it codes each permutation by the order it is found in.
 
-Every call builds a new table; nothing here is cached.  The program's one
-cache across calls is in ``commgraph.verify``, the layer that repeats work
-over a fixed corpus, beside its lemma suite's per-call memo and the values
-an object keeps about itself: ``Lattice.index_matrix``,
-``Lattice.pair_codes`` and ``SubgroupSet.witnesses``.
+Every call builds a new table or action; nothing here is cached.  The
+program's one cache across calls is in ``commgraph.verify``, the layer
+that repeats work over a fixed corpus, beside its lemma suite's per-call
+memo and the values an object keeps about itself:
+``Lattice.index_matrix``, ``Lattice.pair_codes`` and
+``SubgroupSet.witnesses``.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -48,6 +56,7 @@ from .groups import (
     _assemble_table,
     _is_int,
     _permutation_closure,
+    _prove_maps,
     is_prime,
     perm_from_cycles,
     perm_label,
@@ -220,14 +229,81 @@ class BuiltGroup:
     index: dict = field(repr=False)
 
 
-def construct_detailed(spec: GroupSpec, order_cap: int | None = None) -> BuiltGroup:
-    """Construct the group, returning the table plus element reps.
+class GroupAction:
+    """A group as its proven right-multiplication action over a builder's
+    codes, with no table (``construct_action``).
 
-    Every call builds a new table.  Each node of the spec is checked as
-    ``spec_from_doc`` checks it, and the cap is enforced against the
-    predicted order, computed only until it passes the cap, before any
-    materialization; a cap below 1, which no group meets, raises ValueError.
+    The builder's maps, right multiplication by each generator over the
+    codes, are proven to generate a group acting regularly on the codes
+    (``groups._prove_maps``), with the BFS tree that numbers a table's
+    ids; right multiplication by any element is the composition of the
+    maps along its BFS word (``_right``), so nothing is trusted beyond the
+    proven maps.  order is the group's order, every code being one of
+    its elements, and index maps each code's rep to the code.
     """
+
+    __slots__ = ("order", "index", "_maps", "_up", "_via")
+
+    def __init__(self, maps: list[list[int]], reps: Sequence):
+        order, parent, via, place, _ = _prove_maps(maps)
+        self.order = len(order)
+        self.index = dict(zip(reps, range(len(reps))))
+        self._maps = np.array(maps, dtype=np.intp).reshape(
+            len(maps), len(place))
+        # the BFS tree over codes: code c is _up[c] * g_{_via[c]}
+        self._up = [order[parent[i]] for i in place]
+        self._via = [via[i] for i in place]
+
+    def _right(self, code: int) -> np.ndarray:
+        """Right multiplication by the element with the given code, as the
+        array of x*code over every code x: the generator maps composed
+        along the code's BFS word, from the identity down."""
+        word = []
+        while code:
+            word.append(self._via[code])
+            code = self._up[code]
+        image = np.arange(self.order)
+        for j in reversed(word):
+            image = self._maps[j][image]
+        return image
+
+    def closure(self, codes: Iterable[int]) -> int:
+        """Member mask over codes of the subgroup that the elements with the
+        given codes generate: the orbit of the identity, code 0, under
+        their right multiplications, grown a level at a time.  Raises
+        ValueError for a code that is not an integer (Python or numpy, not
+        bool) or names no element."""
+        codes = list(codes)
+        for c in codes:
+            if not _is_int(c):
+                raise ValueError(f"element code {c!r} is not an integer")
+            if not 0 <= c < self.order:
+                raise ValueError(f"element code {c} out of range")
+        maps = [self._right(int(c)) for c in dict.fromkeys(codes) if c]
+        member = np.zeros(self.order, dtype=bool)
+        member[0] = True
+        level = np.zeros(1, dtype=np.intp)
+        while maps and level.size:
+            fresh = np.zeros_like(member)
+            for m in maps:
+                fresh[m[level]] = True
+            fresh &= ~member
+            member |= fresh
+            level = np.flatnonzero(fresh)
+        return int.from_bytes(
+            np.packbits(member, bitorder="little").tobytes(), "little")
+
+
+# a builder's data: right-multiplication maps over codes, labels and reps
+_Data = tuple[list[list[int]], list[str], Sequence]
+
+
+def _data(spec: GroupSpec, order_cap: int | None) -> tuple[_Data, int]:
+    """The builder's data for spec and the group's order, once the spec is
+    checked: each node of the spec is checked as ``spec_from_doc`` checks
+    it, and the cap is enforced against the predicted order, computed
+    only until it passes the cap, before any materialization; a cap below
+    1, which no group meets, raises ValueError."""
     cap = DEFAULT_ORDER_CAP if order_cap is None else order_cap
     if cap < 1:
         raise ValueError(f"order cap must be at least 1, got {cap}")
@@ -242,16 +318,40 @@ def construct_detailed(spec: GroupSpec, order_cap: int | None = None) -> BuiltGr
         if len(name) > _ERROR_NAME_CHARS:
             name = name[:_ERROR_NAME_CHARS] + "…"
         raise OrderCapExceeded(f"{name} has order above the cap {cap}")
-    built = _BUILDERS[spec.kind](spec, cap)
-    assert built.table.order == predicted
-    return built
+    return _BUILDERS[spec.kind](spec, cap), predicted
+
+
+def construct_detailed(spec: GroupSpec, order_cap: int | None = None) -> BuiltGroup:
+    """Construct the group, returning the table plus element reps.
+
+    Every call builds a new table from the builder's data
+    (``_assemble_table``): the label and rep of each element are read off
+    by the id it is given.  The spec and cap are checked first
+    (``_data``)."""
+    (maps, labels, reps), predicted = _data(spec, order_cap)
+    table, codes = _assemble_table(maps, labels)
+    assert table.order == predicted
+    elements = [reps[c] for c in codes]
+    return BuiltGroup(table, elements,
+                      dict(zip(elements, range(len(elements)))))
+
+
+def construct_action(spec: GroupSpec,
+                     order_cap: int | None = None) -> GroupAction:
+    """The group as its proven right-multiplication action over the
+    builder's codes, with no table: the same data, checks and proof as
+    ``construct_detailed``, whose n×n table is never filled."""
+    (maps, _, reps), predicted = _data(spec, order_cap)
+    action = GroupAction(maps, reps)
+    assert action.order == predicted
+    return action
 
 
 def construct(spec: GroupSpec, order_cap: int | None = None) -> GroupTable:
     return construct_detailed(spec, order_cap).table
 
 
-def _build_sym(spec: GroupSpec, cap: int) -> BuiltGroup:
+def _build_sym(spec: GroupSpec, cap: int) -> _Data:
     n = spec.n
     gens = []
     if n >= 2:
@@ -259,17 +359,17 @@ def _build_sym(spec: GroupSpec, cap: int) -> BuiltGroup:
     if n >= 3:
         gens.append(perm_from_cycles(n, [tuple(range(1, n + 1))]))
     maps, perms = _permutation_closure(n, gens, cap)
-    return _decoded(maps, list(map(perm_label, perms)), perms)
+    return maps, list(map(perm_label, perms)), perms
 
 
-def _build_cyclic(spec: GroupSpec, cap: int) -> BuiltGroup:
+def _build_cyclic(spec: GroupSpec, cap: int) -> _Data:
     """The integers mod n, each its own code, generated by 1."""
     n = spec.n
     maps = [[(x + 1) % n for x in range(n)]] if n > 1 else []
-    return _decoded(maps, [str(x) for x in range(n)], range(n))
+    return maps, [str(x) for x in range(n)], range(n)
 
 
-def _build_dihedral(spec: GroupSpec, cap: int) -> BuiltGroup:
+def _build_dihedral(spec: GroupSpec, cap: int) -> _Data:
     """r^k s^e, coded 2k + e, generated by r (code 2) and s (code 1):
     (r^k s^e)·r = r^(k ± 1) s^e, with - when e = 1, and (r^k s^e)·s
     flips e."""
@@ -279,16 +379,15 @@ def _build_dihedral(spec: GroupSpec, cap: int) -> BuiltGroup:
     s = [x ^ 1 for x in codes]
     labels = [("e" if x == 0 else f"r{x // 2}") if x % 2 == 0 else
               ("s" if x == 1 else f"r{x // 2}s") for x in codes]
-    return _decoded([r, s] if n > 1 else [s], labels,
-                    [(x // 2, x % 2) for x in codes])
+    return [r, s] if n > 1 else [s], labels, [(x // 2, x % 2) for x in codes]
 
 
-def _build_abelian(spec: GroupSpec, cap: int) -> BuiltGroup:
+def _build_abelian(spec: GroupSpec, cap: int) -> _Data:
     """The direct product of the cyclic factors, under the abelian spec."""
     return _build_direct(direct([cyclic(n) for n in spec.factors]), cap)
 
 
-def _build_direct(spec: GroupSpec, cap: int) -> BuiltGroup:
+def _build_direct(spec: GroupSpec, cap: int) -> _Data:
     # a repeated factor is built once; the factor tables are only read
     built = {p: construct_detailed(p, cap).table for p in dict.fromkeys(spec.parts)}
     tables = [built[p] for p in spec.parts]
@@ -297,7 +396,7 @@ def _build_direct(spec: GroupSpec, cap: int) -> BuiltGroup:
             for m in _coordinate_maps(coding, i, t)]
     labels = ["(" + ",".join(parts) + ")"
               for parts in product(*(t.labels for t in tables))]
-    return _decoded(maps, labels, list(map(tuple, coding[1].tolist())))
+    return maps, labels, list(map(tuple, coding[1].tolist()))
 
 
 def _coordinates(orders: Sequence[int]):
@@ -323,7 +422,7 @@ def _coordinate_maps(coding, coord, table: GroupTable) -> list[list[int]]:
             for g in table.generators]
 
 
-def _build_p2q(spec: GroupSpec, cap: int) -> BuiltGroup:
+def _build_p2q(spec: GroupSpec, cap: int) -> _Data:
     """Invertible upper-triangular 2x2 matrices mod q, as (a, b, d) triples
     encoding [[a, b], [0, d]].  Right multiplication by y is
     (a, b, d)·y = (a·y_a, a·y_b + b·y_d, d·y_d) mod q, so each generator's
@@ -340,7 +439,7 @@ def _build_p2q(spec: GroupSpec, cap: int) -> BuiltGroup:
     maps = [(strides @ (np.stack([a * y[0], a * y[1] + b * y[2], d * y[2]])
                         % q - shift)).tolist() for y in gens]
     reps = list(zip(a.tolist(), b.tolist(), d.tolist()))
-    return _decoded(maps, [f"({x},{y},{z})" for x, y, z in reps], reps)
+    return maps, [f"({x},{y},{z})" for x, y, z in reps], reps
 
 
 def _primitive_root(q: int) -> int:
@@ -354,7 +453,7 @@ def _primitive_root(q: int) -> int:
     raise InvalidSpec(f"no primitive root mod {q}")  # pragma: no cover
 
 
-def _build_bs(spec: GroupSpec, cap: int) -> BuiltGroup:
+def _build_bs(spec: GroupSpec, cap: int) -> _Data:
     """H^4 x| Sym4, coded in mixed radix over the four H ids and the
     sym(4) id of the permutation.  Sym4 acts on the four coordinate slots
     from the left: (sigma.v)_i = v_{sigma^-1(i)}, and (u, sigma)(v, tau) =
@@ -372,20 +471,9 @@ def _build_bs(spec: GroupSpec, cap: int) -> BuiltGroup:
     hl = h.labels
     labels = [f"(({a},{b},{c},{d}),{p})"
               for a, b, c, d, p in product(hl, hl, hl, hl, s4.table.labels)]
-    return _decoded(maps, labels, list(zip(
+    return maps, labels, list(zip(
         map(tuple, ids[:, :4].tolist()),
-        map(s4.elements.__getitem__, ids[:, 4].tolist()))))
-
-
-def _decoded(maps: list[list[int]], labels: list[str],
-             reps: Sequence) -> BuiltGroup:
-    """The built group that the right-multiplication maps over codes
-    generate (see ``_assemble_table``), where labels[c] and reps[c] are
-    the label and rep of code c: the one place a BuiltGroup is made."""
-    table, codes = _assemble_table(maps, labels)
-    elements = [reps[c] for c in codes]
-    return BuiltGroup(table, elements,
-                      dict(zip(elements, range(len(elements)))))
+        map(s4.elements.__getitem__, ids[:, 4].tolist())))
 
 
 _BUILDERS = {

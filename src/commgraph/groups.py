@@ -13,28 +13,30 @@ A table is built from data, not from composing elements: each family
 hands ``_assemble_table`` the right-multiplication map of each generator
 over a space of integer codes, with the identity at code 0, and the
 labels of the codes.  One breadth-first search, ``_bfs``, numbers the
-elements, and ``_fill_rows`` makes every row from its parent's row and
-a generator's.  The same search checks a table from outside, over its
+elements, ``_generator_rows`` reads each generator's row along the BFS
+tree, and ``_fill_rows`` makes every row from its parent's row and a
+generator's.  The same search checks a table from outside, over its
 generator columns.  Only a permutation group's closure
 (``_permutation_closure``) composes elements, to find its code space.
 
-Every table is proven a group once, as it is wrapped (``GroupTable``),
-on both input routes.  Associativity is proven, not sampled, by
-Schreier's lemma (Seress, *Permutation Group Algorithms*, 2003) over
-generators whose rows generate every row: the rows of a transitive
-group of row maps make a group table exactly when that group acts
-regularly, and its point stabiliser is generated by Schreier generators,
-so the proof reads only the generators' rows and columns, k²·n entries
-for k generators.  A built table meets the premise by construction:
-each row is a product of its parent's row and a generator's
-(``_fill_rows``).  A table from outside is first checked against a tree
-of right products over its generators, which reads every entry once.
-One routine picks every generating set, ``_greedy_witnesses``: it keeps
-each candidate that the kept ones do not yet generate.  An outside
-table is proven over the ids 1, 2, ... it keeps, a built table's
-conjugations are those by the construction generators it keeps, and a
-subgroup's witnesses are the members it keeps in ascending order.
-A table is built row by row and proven as an int16 ndarray (int32 above
+Every group is proven a group once, by ``_prove_group``, which reads
+only its generators' k rows and k columns, k²·n entries, with or
+without a table: associativity is proven, not sampled, by Schreier's
+lemma (Seress, *Permutation Group Algorithms*, 2003).  A transitive
+group of permutations acts regularly exactly when its point stabiliser,
+which Schreier generators generate, fixes each generator's point.  Maps
+are proven before any table is filled (``_prove_maps``): the group is
+the one their right multiplications generate, each right product read
+along a BFS word, so ``constructions`` can also keep a group as its
+proven action alone.  A table from outside is proven over the rows its
+generators' left multiplications generate, after a check of every row
+against a tree of right products over them, which reads every entry
+once.  One routine picks every generating set, ``_greedy_witnesses``:
+it keeps each candidate that the kept ones do not yet generate.  An
+outside table is proven over the ids 1, 2, ... it keeps, a built
+table's conjugations are those by the construction generators it keeps,
+and a subgroup's witnesses are the members it keeps in ascending order.
+A table is built row by row as an int16 ndarray (int32 above
 order 2**15), which is then made read-only and kept as the table's only
 storage: ``mult`` is a list of memoryviews of its rows, so
 ``mult[a][b]`` is a plain int and no row can be written.
@@ -221,28 +223,25 @@ def perm_label(images: Sequence[int]) -> str:
 class GroupTable:
     """A finite group with elements 0..order-1 and identity 0.
 
-    A table is proven a group once, here, on both input routes: given a
-    square array of ids in range (a table from outside has passed
-    ``_validate_table``), it checks that row 0 and column 0 are the
-    identity maps, and ``_prove_group`` proves the rest by Schreier's
-    lemma over a set of generators whose rows generate every row.  Given
-    generators mean a built table (``_assemble_table``): every row y > 0
-    is the row of its BFS parent composed with the row of one of them, by
-    construction (``_fill_rows``), and the proof runs over all of them.
-    None means a table from outside: the proof runs over the candidates that
-    ``_greedy_witnesses`` keeps with the whole table as its mask, and
-    first checks every row against a tree of their right products.  The
-    array, narrowed to ``_entry_dtype``, is made read-only and kept as
-    ``array``, the only storage: mult lists memoryviews of its rows, so
-    mult[a][b], the id of a*b, is a plain int that cannot be written.
-    labels hold display strings for DOT/JSON output.  generators lists the
-    construction generators' ids (empty for the trivial group), or the
-    kept candidates when None is given.  conjugations holds
-    ``_conjugation`` by each kept candidate g that is not central (row g
-    equals column g); with the centre these generate G, and central
-    elements conjugate trivially, so an orbit under conjugations is a
-    whole conjugacy class.  element_orders and inv come from one walk
-    over powers (``_element_orders``).
+    Given a square array of ids in range, it checks that row 0 and
+    column 0 are the identity maps.  Given generators mean a built table
+    (``_assemble_table``), whose group its maps proved before the table
+    was filled (``_prove_maps``), and which is that group's table by
+    construction (``_fill_rows``).  None means a table from outside,
+    which has passed ``_validate_table``: it is proven here, over the
+    candidates that ``_greedy_witnesses`` keeps with the whole table as
+    its mask, by ``_prove_group`` on their rows and columns after
+    ``_check_rows``.  The array, narrowed to ``_entry_dtype``, is made
+    read-only and kept as ``array``, the only storage: mult lists
+    memoryviews of its rows, so mult[a][b], the id of a*b, is a plain int
+    that cannot be written.  labels hold display strings for DOT/JSON
+    output.  generators lists the construction generators' ids (empty
+    for the trivial group), or the kept candidates when None is given.
+    conjugations holds ``_conjugation`` by each kept candidate g that is
+    not central (row g equals column g); with the centre these generate
+    G, and central elements conjugate trivially, so an orbit under
+    conjugations is a whole conjugacy class.  element_orders and inv come
+    from one walk over powers (``_element_orders``).
     """
 
     identity = 0
@@ -263,9 +262,10 @@ class GroupTable:
         self.array = tbl
         self.mult = _rows(tbl)
         kept = _greedy_witnesses(self.mult, candidates, (1 << self.order) - 1)
-        outside = generators is None
-        self.generators = kept if outside else generators
-        _prove_group(tbl, self.generators, outside)
+        if generators is None:
+            generators = kept
+            _prove_group(tbl[list(kept)], tbl[:, list(kept)].T, kept, tbl)
+        self.generators = generators
         self.labels = labels
         self.order_factorization = factorize(self.order)
         self.element_orders, self.inv = _element_orders(tbl)
@@ -321,39 +321,52 @@ def _validate_table(tbl: np.ndarray) -> None:
         raise InvalidGenerator("table entry out of range")
 
 
-def _prove_group(tbl: np.ndarray, gens: Sequence[int],
-                 outside: bool) -> None:
-    """Prove that a table of ids in range whose row 0 and column 0 are the
-    identity maps is a group, over generators gens whose rows generate
-    every row; raise InvalidGenerator if it is not.
+def _prove_group(rows: np.ndarray, cols: np.ndarray, gens: Sequence[int],
+                 outside: np.ndarray | None = None) -> None:
+    """Prove that a product x*y over the ids 0..n-1, with identity 0, is a
+    group, from the rows rows[i][y] = gens[i]*y and the columns
+    cols[j][y] = y*gens[j] of generators gens, k x n arrays of ids in
+    range; raise InvalidGenerator if it is not.  Nothing else is read:
+    either premise below makes the generators generate the whole product.
 
-    Let L_x: y -> x*y be the row maps and P the group that the rows of
-    gens generate, once one ``bincount`` per row has shown each to be a
-    permutation.  Every row must lie in P: a built table's rows do by
-    construction (``_fill_rows``), and a table from outside (outside=True)
-    is first checked against a tree of right products (``_check_rows``).
-    As row 0 and column 0 are identity maps, L_y maps 0 to y, so P is
-    transitive, and the table is a group exactly when P is regular: then
-    L_x∘L_y is the one element of P that maps 0 to x*y, which is L_{x*y},
-    and that is associativity.  A transitive P is regular exactly when its
-    point stabiliser P_0 is normal, and P_0 is normal exactly when it
-    fixes every point h of gens (L_h maps 0 to h, so it then normalizes
-    P_0, and the L_h generate P).  By Schreier's lemma (Seress,
-    *Permutation Group Algorithms*, 2003), the maps
-    L_{g*b}^-1∘L_g∘L_b over every b and every g of gens generate P_0, so
-    the proof is that each fixes each h of gens:
-    T[g][T[b][h]] == T[T[g][b]][h], two n x k gathers per generator.
+    A product given by maps (outside=None, ``_prove_maps``) is
+    x*y = x·R_y, where the columns are the maps R_j: y -> y*gens[j], R_y
+    composes them along y's BFS word, so it maps 0 to y, and each row was
+    read along those words, rows[i][y] = gens[i]·R_y.  Let P be the group
+    the R_j generate, once one ``bincount`` per column has shown each to
+    be a permutation; P is transitive, and the product is a group exactly
+    when P acts regularly, with x*y = x·R_y for R_y the one element of P
+    that maps 0 to y.  A transitive P is regular exactly when its point
+    stabiliser P_0 is trivial, that is normal, and P_0 is normal exactly
+    when it fixes every point h of gens (R_h maps 0 to h, so it then
+    normalizes P_0, and the R_h generate P).  By Schreier's lemma
+    (Seress, *Permutation Group Algorithms*, 2003), the maps
+    x -> ((x·R_y)·R_j)·R_{y*g_j}^-1 over every y and every j generate
+    P_0, so the proof is that each fixes each h of gens,
+    (h*y)*g_j == h*(y*g_j): cols[j][rows[i][y]] == rows[i][cols[j][y]],
+    two k x n gathers per generator.
+
+    A table from outside (outside, the table itself, with rows and
+    columns read off it) is proven by the mirror argument over its row
+    maps L_x: y -> x*y.  Its generators' rows must be permutations, and
+    every row must lie in the group P they generate, which
+    ``_check_rows`` checks against a tree of right products; as row 0
+    and column 0 are identity maps, L_y maps 0 to y, P is transitive,
+    and the Schreier generators L_{g*b}^-1∘L_g∘L_b of P_0 fix each h of
+    gens exactly when g*(b*h) == (g*b)*h: the same equation.  Each
+    route checks the permutations its argument needs: the columns of
+    maps, the rows of a table.
     """
-    n = tbl.shape[0]
-    for g in gens:
-        if np.bincount(tbl[g], minlength=n).max() > 1:
-            raise InvalidGenerator(f"row of generator {g} is not a permutation")
-    if outside:
-        _check_rows(tbl, gens)
-    cols = tbl[:, list(gens)]  # cols[b][j] = b * gens[j]
-    for g in gens:
-        row = tbl[g]
-        if not np.array_equal(row[cols], cols[row]):
+    n = rows.shape[1]
+    kind, lines = ("column", cols) if outside is None else ("row", rows)
+    for g, line in zip(gens, lines):
+        if np.bincount(line, minlength=n).max() > 1:
+            raise InvalidGenerator(
+                f"{kind} of generator {g} is not a permutation")
+    if outside is not None:
+        _check_rows(outside, gens)
+    for g, row in zip(gens, rows):
+        if not np.array_equal(row[cols], cols[:, row]):
             raise InvalidGenerator(f"associativity fails at generator {g}")
 
 
@@ -410,58 +423,61 @@ def _bfs(maps: Sequence[Sequence[int]]) -> tuple[list[int], list[int],
     return order, parent, via, place
 
 
+def _prove_maps(maps: Sequence[Sequence[int]]):
+    """Number and prove the group that right-multiplication maps generate.
+
+    maps[j][x] is the code of x*g_j over the codes range(len(maps[0])),
+    with the identity at code 0, for distinct generators g_j other than
+    the identity.  ``_bfs`` numbers the elements, the generator columns
+    over ids, cols[j][i], are the maps read at each id's code, and
+    ``_generator_rows`` reads the generator rows along the BFS tree; the
+    generators get ids 1..k, in order, as the BFS reaches them first from
+    the identity.  ``_prove_group`` then proves that the maps generate a
+    group that acts regularly on the ids it reaches, with x*y the image
+    of x under the composition of the maps along y's BFS word.  Returns
+    (order, parent, via, place, rows), the BFS and the generator rows.
+    """
+    order, parent, via, place = _bfs(maps)
+    # take(..., axis=1) keeps cols C-contiguous, where [:, order] gives a
+    # transposed layout on which the gathers are half as fast
+    cols = np.array(place)[np.array(maps, dtype=np.intp).reshape(
+        len(maps), len(place)).take(order, axis=1)]
+    rows = _generator_rows(cols, parent, via)
+    _prove_group(rows, cols, cols[:, 0].tolist())  # the generators' ids
+    return order, parent, via, place, rows
+
+
 def _assemble_table(maps: Sequence[Sequence[int]], labels: Sequence[str]):
     """The table of the group that right-multiplication maps generate.
 
     maps[j][x] is the code of x*g_j over the codes range(len(labels)),
-    with the identity at code 0, for distinct generators g_j other than
-    the identity; labels[c] is the label of code c.  ``_bfs`` numbers the
-    elements, and the generator columns over ids, cols[j][i], are the maps
-    read at each id's code.  The rest needs no product of two elements:
-    ``_fill_rows`` makes each row y = x*g_j from row x and the row of
-    g_j.
-
-    The generators get ids 1..k, in order, as the BFS reaches them first
-    from the identity; so every row y > 0 is, by construction, the row of
-    its parent composed with the row of generator via[y] + 1, and every
-    row lies in the group that the generators' rows generate.  That is
-    the premise of the ``GroupTable``'s proof that the array is a group,
-    which runs over all k generators and reads nothing but their rows and
-    columns.  The table keeps the array as its rows and conjugates by the
-    generators that ``_greedy_witnesses`` keeps when it scans them from
-    last to first until they generate the whole table.
+    and labels[c] is the label of code c.  ``_prove_maps`` numbers and
+    proves the group, and ``_fill_rows`` fills its table from the
+    generator rows with no product of two elements.  The table keeps the
+    array as its rows and conjugates by the generators that
+    ``_greedy_witnesses`` keeps when it scans them from last to first
+    until they generate the whole table.
 
     Returns (GroupTable, codes), where codes[i] is the code of id i.
     """
-    order, parent, via, place = _bfs(maps)
-    # take(..., axis=1) keeps cols C-contiguous, where [:, order] gives a
-    # transposed layout on which _fill_rows's gathers are half as fast
-    cols = np.array(place)[np.array(maps, dtype=np.intp).reshape(
-        len(maps), len(labels)).take(order, axis=1)]
-    gen_ids = [place[m[0]] for m in maps]
-    table = GroupTable(_fill_rows(cols, parent, via),
+    order, parent, via, _, rows = _prove_maps(maps)
+    gen_ids = rows[:, 0].tolist()  # g*0 = g
+    table = GroupTable(_fill_rows(rows, parent, via),
                        [labels[c] for c in order],
                        tuple(gen_ids), reversed(gen_ids))
     return table, order
 
 
-def _fill_rows(cols: np.ndarray, parent: list[int],
-               via: list[int]) -> np.ndarray:
-    """The n x n table of a ``_bfs`` numbering: cols[j][y] is the id of
+def _generator_rows(cols: np.ndarray, parent: list[int],
+                    via: list[int]) -> np.ndarray:
+    """The generator rows of a ``_bfs`` numbering: cols[j][y] is the id of
     y*g_j, and each id y > 0 is parent[y] * g_{via[y]}, with parent[y] in
     an earlier level.
 
     rows[j][y] = g_j*y starts at rows[j][0] = cols[j][0], the id of g_j,
     and comes from rows[j][parent[y]] by one column lookup, level by
-    level; a level is the run of ids whose parents precede its first id,
-    and parent is ascending.  Row y of the table is row parent[y]
-    gathered at rows[via[y]].  Each g_j is reached first from the
-    identity, so its row is row 0 gathered at rows[j], which is rows[j]
-    itself; so T[y] = T[parent[y]][T[g_{via[y]}]] for every y > 0,
-    whatever the entries: every row is a product of generator rows, the
-    invariant ``_prove_group`` takes on trust for a built table.  Row 0
-    is arange(n) and every other row is gathered from rows already
-    written, so every entry is an id in range by construction.
+    level: g_j*y is g_j carried along y's BFS word.  A level is the run
+    of ids whose parents precede its first id, and parent is ascending.
     """
     rows = np.empty_like(cols)
     rows[:, 0] = cols[:, 0]
@@ -473,6 +489,19 @@ def _fill_rows(cols: np.ndarray, parent: list[int],
         hi = int(np.searchsorted(parents, lo))
         rows[:, lo:hi] = cols[vias[lo:hi], rows[:, parents[lo:hi]]]
         lo = hi
+    return rows
+
+
+def _fill_rows(rows: np.ndarray, parent: list[int],
+               via: list[int]) -> np.ndarray:
+    """The n x n table of a group that ``_prove_maps`` proved, from its
+    generator rows: row y > 0 is row parent[y] gathered at
+    rows[via[y]], as y = parent[y] * g_{via[y]} and the product is
+    associative.  Row 0 is arange(n) and every other row is gathered from
+    rows already written, so every entry is an id in range by
+    construction.
+    """
+    n = rows.shape[1]
     tbl = np.empty((n, n), dtype=_entry_dtype(n))
     tbl[0] = np.arange(n)
     for y in range(1, n):

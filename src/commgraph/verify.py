@@ -36,6 +36,7 @@ from .constructions import (
     GroupSpec,
     abelian,
     bs,
+    construct_action,
     construct_detailed,
     cyclic,
     dihedral,
@@ -554,15 +555,22 @@ def verify_construction(h_spec: GroupSpec | None = None) -> VerdictReport:
     H^4 ⋊ sym(4), and checks every consecutive index is a positive power
     of 3 while the endpoints are distinct, mutually non-containing members
     of one component (hence that component has diameter >= 2).
+
+    H^4 ⋊ sym(4) is kept as its proven right-multiplication action, with
+    no table (``construct_action``): each path vertex is the closure of
+    its slot witnesses and of a permutation group, which is closed in
+    sym(4)'s table, and is held as a member mask over the action's codes.
     """
     h_spec = cyclic(3) if h_spec is None else h_spec
     is_default = h_spec == cyclic(3)
     report = VerdictReport("construction", 0)
 
-    # bs(H) is built first: its order, 24|H|^4, is checked against the cap
-    # before any materialization, which covers H as well.
+    # bs(H) comes first: its spec and its order, 24|H|^4, are checked
+    # against the cap as construct_detailed checks them, before any
+    # materialization, which covers H as well.
     g_spec = bs(h_spec)
-    g_built = construct_detailed(g_spec)
+    g_action = construct_action(g_spec)
+    s4 = construct_detailed(sym(4))
     h_name = spec_name(h_spec)
     h_lat = _lattice(h_spec)
     h_graph = _graph(h_spec, 3, KIND_CONTAINMENT)
@@ -590,21 +598,22 @@ def verify_construction(h_spec: GroupSpec | None = None) -> VerdictReport:
     expected_order = 24 * h_lat.parent.order ** 4
     report.records.append(CheckRecord(
         g_name, 3, {"check": "group_order"},
-        expected_order, g_built.table.order,
-        g_built.table.order == expected_order))
+        expected_order, g_action.order, g_action.order == expected_order))
 
     identity_perm = (0, 1, 2, 3)
 
-    def vertex(slots, perm_cycles) -> SubgroupSet:
+    def vertex(slots, perm_cycles) -> int:
+        """Member mask over the action's codes."""
         gens = []
         for slot, hs in enumerate(slots):
             for w in hs.witnesses:
                 delta = tuple(w if t == slot else 0 for t in range(4))
-                gens.append(g_built.index[(delta, identity_perm)])
-        for cycles in perm_cycles:
-            img = perm_from_cycles(4, cycles)
-            gens.append(g_built.index[((0, 0, 0, 0), img)])
-        return subgroup_closure(g_built.table, gens)
+                gens.append(g_action.index[(delta, identity_perm)])
+        perms = subgroup_closure(s4.table, [
+            s4.index[perm_from_cycles(4, cycles)] for cycles in perm_cycles])
+        gens.extend(g_action.index[((0, 0, 0, 0), s4.elements[x])]
+                    for x in perms.witnesses)
+        return g_action.closure(gens)
 
     v_last = chain_subs[-1]
     top = [v_last] * 4
@@ -616,30 +625,31 @@ def verify_construction(h_spec: GroupSpec | None = None) -> VerdictReport:
     path.extend(vertex([v_last, v_last, s, s], [[(3, 4)]])
                 for s in reversed(chain_subs[:-1]))
 
+    orders = [v.bit_count() for v in path]
     e1, e2 = path[0], path[-1]
     if is_default:
         report.records.append(CheckRecord(
             g_name, 3, {"check": "first_endpoint_order"},
-            18, e1.order, e1.order == 18))
+            18, orders[0], orders[0] == 18))
 
     for step, (x, y) in enumerate(zip(path, path[1:])):
-        small, big = (x, y) if x.order <= y.order else (y, x)
-        contained = small.members & big.members == small.members
-        exp = (p_power_exponent(big.order // small.order, 3)
+        ox, oy = orders[step], orders[step + 1]
+        small, big = (x, y) if ox <= oy else (y, x)
+        contained = small & big == small
+        exp = (p_power_exponent(max(ox, oy) // min(ox, oy), 3)
                if contained else None)
         ok = contained and exp is not None and exp >= 1
         report.records.append(CheckRecord(
             g_name, 3,
-            {"check": "path_step", "step": step,
-             "orders": [x.order, y.order]},
+            {"check": "path_step", "step": step, "orders": [ox, oy]},
             "containment with positive 3-power index",
             {"contained": contained, "exponent": exp}, ok))
 
-    distinct = e1.members != e2.members
-    non_containing = (e1.members & e2.members not in (e1.members, e2.members))
+    distinct = e1 != e2
+    non_containing = e1 & e2 not in (e1, e2)
     report.records.append(CheckRecord(
         g_name, 3,
-        {"check": "endpoints", "orders": [e1.order, e2.order],
+        {"check": "endpoints", "orders": [orders[0], orders[-1]],
          "path_vertices": len(path)},
         {"distinct": True, "mutually_non_containing": True,
          "component_diameter_at_least": 2},

@@ -5,7 +5,10 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -502,3 +505,25 @@ def test_exports_byte_identical_across_runs(tmp_path, capsys):
     capsys.readouterr()
     assert (tmp_path / "x.dot").read_bytes() == (tmp_path / "y.dot").read_bytes()
     assert (tmp_path / "x.json").read_bytes() == (tmp_path / "y.json").read_bytes()
+
+
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_141_silently(unbuffered):
+    """A reader that closes standard output before the command writes, as
+    in `commgraph group '{"sym": 4}' | true`, is no unusable path: the
+    command exits 141 (128 + SIGPIPE) with nothing on stderr, whether the
+    write fails inside the command or at the flush of buffered output."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "commgraph.cli", "group", '{"sym": 4}'],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # long before the child has imported numpy
+    with proc.stderr:
+        stderr = proc.stderr.read()
+    assert proc.wait(timeout=120) == cli.EXIT_BROKEN_PIPE == 141
+    assert stderr == b""

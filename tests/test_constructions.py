@@ -6,6 +6,8 @@ import hashlib
 import json
 import math
 import os
+import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -40,8 +42,8 @@ from commgraph import (
     subgroup_closure,
     sym,
 )
-from commgraph import constructions, groups
-from commgraph.constructions import _order
+from commgraph import constructions, groups, verify
+from commgraph.constructions import GroupAction, _order, construct_action
 from commgraph.groups import perm_from_cycles
 
 
@@ -277,13 +279,13 @@ def test_product_reps_and_labels_pinned(spec, built_group):
     assert all(built.index[rep] == i for i, rep in enumerate(built.elements))
 
 
-def _right_product_closure(tbl, gens):
-    """Ids reached from the identity by right products with gens, read
-    entry by entry from the table."""
+def _right_product_closure(cols):
+    """Ids reached from the identity by right products with the
+    generators whose columns are cols[j][y] = y*g_j, read entry by entry."""
     seen, todo = {0}, [0]
     for x in todo:  # also visits the ids appended below
-        for g in gens:
-            y = int(tbl[x, g])
+        for col in cols:
+            y = int(col[x])
             if y not in seen:
                 seen.add(y)
                 todo.append(y)
@@ -292,14 +294,14 @@ def _right_product_closure(tbl, gens):
 
 @pytest.fixture
 def proof_calls(monkeypatch):
-    """Every (table, generators, outside) triple handed to the proof that
-    a table is a group while the fixture is active."""
+    """Every (rows, cols, generators, outside) handed to the proof that a
+    product is a group while the fixture is active."""
     calls = []
     prove = groups._prove_group
 
-    def recording(tbl, gens, outside):
-        calls.append((tbl, list(gens), outside))
-        prove(tbl, gens, outside)
+    def recording(rows, cols, gens, outside=None):
+        calls.append((rows, cols, list(gens), outside))
+        prove(rows, cols, gens, outside)
 
     monkeypatch.setattr(groups, "_prove_group", recording)
     return calls
@@ -307,17 +309,19 @@ def proof_calls(monkeypatch):
 
 @pytest.mark.parametrize("spec,order", CONSTRUCTED_ORDERS)
 def test_associativity_subset_reaches_every_id(spec, order, proof_calls):
-    """The Schreier proof needs every row to be a product of its
-    generators' rows; a built table meets that by its tree of right
-    products, so the builders hand the proof all their BFS generators,
-    whose right products reach every id, for the table itself and for
-    each factor it is built from."""
+    """The Schreier proof of maps needs every id to be a right product of
+    the generators, so the builders hand the proof all their BFS
+    generators, whose right products reach every id, for the table itself
+    and for each factor it is built from; the last proof read exactly the
+    generator rows and columns of the table that was then filled."""
     table = construct(spec)
-    assert proof_calls[-1][0] is table.array
-    for tbl, gens, outside in proof_calls:
-        assert not outside
+    rows, cols, gens, _ = proof_calls[-1]
+    assert np.array_equal(rows, table.array[gens].reshape(rows.shape))
+    assert np.array_equal(cols, table.array[:, gens].T.reshape(cols.shape))
+    for rows, cols, gens, outside in proof_calls:
+        assert outside is None
         assert gens == list(range(1, len(gens) + 1))
-        assert _right_product_closure(tbl, gens) == set(range(len(tbl)))
+        assert _right_product_closure(cols) == set(range(rows.shape[1]))
 
 
 def test_bs_associativity_subset(proof_calls, conjugating_generators):
@@ -327,7 +331,7 @@ def test_bs_associativity_subset(proof_calls, conjugating_generators):
     the slot-3 generator."""
     built = construct_detailed(bs(cyclic(3)))
     assert built.table.generators == (1, 2, 3, 4, 5, 6)
-    assert proof_calls[-1][1:] == ([1, 2, 3, 4, 5, 6], False)
+    assert proof_calls[-1][2:] == ([1, 2, 3, 4, 5, 6], None)
     owners = conjugating_generators(built.table)
     assert [built.elements[g] for g in owners] == [
         ((0, 0, 0, 0), perm_from_cycles(4, [(1, 2, 3, 4)])),
@@ -409,30 +413,53 @@ def test_built_ids_follow_the_shared_bfs(spec, built_group):
 
 def test_schreier_proof_rejects_a_non_regular_action(monkeypatch):
     """S5 on 5 points: BFS over two generators' right action reaches 5
-    points, and the table assembled from it passes validation, its
+    points, and both maps are permutations; but S5 does not act
+    regularly, so the Schreier check fails before any table is filled.
+    The table that would have been filled passes validation, its
     generators' rows are permutations, and every row is a product of
-    them; but S5 does not act regularly, so the Schreier check fails.
-    Given from outside, the table passes the check of its rows against
-    the tree of right products as well, and fails the same way."""
+    them: given from outside, it passes the check of its rows against the
+    tree of right products as well, and fails the same way."""
     prove, seen = groups._prove_group, []
 
-    def recording(tbl, gens, outside):
-        seen.append(tbl)
-        for g in gens:
-            assert sorted(tbl[g].tolist()) == list(range(len(tbl)))
-        groups._check_rows(tbl, gens)
-        prove(tbl, gens, outside)
+    def recording(rows, cols, gens, outside=None):
+        seen.append(outside)
+        for line in (cols if outside is None else rows):
+            assert sorted(line.tolist()) == list(range(5))
+        if outside is not None:
+            groups._check_rows(outside, gens)
+        prove(rows, cols, gens, outside)
 
     monkeypatch.setattr(groups, "_prove_group", recording)
+    maps = [[1, 3, 4, 2, 0], [2, 4, 3, 0, 1]]
     with pytest.raises(InvalidGenerator,
                        match="^associativity fails at generator 1$"):
-        groups._assemble_table([[1, 3, 4, 2, 0], [2, 4, 3, 0, 1]],
-                               [str(c) for c in range(5)])
-    assert len(seen) == 1 and len(seen[0]) == 5
+        groups._assemble_table(maps, [str(c) for c in range(5)])
+    assert seen == [None]
+    order, parent, via, place = groups._bfs(maps)
+    assert order == place == list(range(5))
+    rows = groups._generator_rows(np.array(maps), parent, via)
+    tbl = groups._fill_rows(rows, parent, via)
+    groups._validate_table(tbl)
     with pytest.raises(InvalidGenerator,
                        match="^associativity fails at generator 1$"):
-        build_group_from_table(seen[0].tolist())
-    assert len(seen) == 2
+        build_group_from_table(tbl.tolist())
+    assert len(seen) == 2 and np.array_equal(seen[1], tbl)
+
+
+@pytest.mark.parametrize("maps", [[[1, 1]], [[1, 2, 2]],
+                                  [[1, 2, 0], [1, 1, 1]]],
+                         ids=["semilattice", "cyclic-monoid", "constant-map"])
+def test_maps_proof_rejects_a_map_that_is_no_permutation(maps):
+    """Maps whose products are associative but which do not permute the
+    codes, the monoids among them, pass the Schreier check: each map must
+    be shown a permutation first, with or without a table."""
+    reps = range(len(maps[0]))
+    for build in (lambda: groups._assemble_table(maps, list(map(str, reps))),
+                  lambda: GroupAction(maps, reps)):
+        with pytest.raises(InvalidGenerator,
+                           match="^column of generator [12] is not a "
+                                 "permutation$"):
+            build()
 
 
 @pytest.mark.parametrize("spec", [sym(4), p2q(5), bs(cyclic(2)),
@@ -653,3 +680,101 @@ def test_bs_coordinate_action_swaps_slots():
     slot1 = built.index[((1, 0, 0, 0), (0, 1, 2, 3))]
     conj = built.table.mult[built.table.mult[swap][slot1]][built.table.inv[swap]]
     assert built.elements[conj] == ((0, 1, 0, 0), (0, 1, 2, 3))
+
+
+# the proven action (``construct_action``) against the table route
+ACTION_SPECS = [bs(cyclic(2)), bs(cyclic(3)), p2q(5), sym(4)]
+
+
+def _code_of_ids(spec, built_group):
+    """The action of spec, its table, and the action's code of each id of
+    the table, through the rep both give each element."""
+    action = construct_action(spec)
+    built = built_group(spec)
+    return action, built, [action.index[rep] for rep in built.elements]
+
+
+def _table_closure_as_codes(built, codes, action, gen_codes):
+    """subgroup_closure over the table of the elements with the given
+    action codes, as a member mask over codes."""
+    rep_of = {c: rep for rep, c in action.index.items()}
+    ids = [built.index[rep_of[c]] for c in gen_codes]
+    members = subgroup_closure(built.table, ids).members
+    return sum(1 << codes[i] for i in groups._bits(members))
+
+
+@pytest.mark.parametrize("spec", ACTION_SPECS, ids=spec_name)
+def test_action_closures_match_table_closures(spec, built_group):
+    """Both routes give the same order, and the closure of seeded random
+    element sets over codes is the table's closure mapped to codes."""
+    action, built, codes = _code_of_ids(spec, built_group)
+    assert action.order == built.table.order == len(action.index)
+    assert sorted(codes) == list(range(action.order))
+    rng = random.Random(20261021)
+    for _ in range(25):
+        gen_codes = rng.sample(range(action.order), rng.randint(0, 3))
+        assert action.closure(gen_codes) == _table_closure_as_codes(
+            built, codes, action, gen_codes)
+
+
+@pytest.mark.parametrize("base", [cyclic(2), cyclic(3)], ids=spec_name)
+def test_action_closes_every_construction_path_vertex(base, built_group,
+                                                      monkeypatch):
+    """Each path vertex of the construction suite, closed over bs(H)'s
+    action, is the closure of the same elements in bs(H)'s table."""
+    calls = []
+    closure = GroupAction.closure
+
+    def recording(self, gen_codes):
+        gen_codes = list(gen_codes)
+        calls.append((gen_codes, closure(self, gen_codes)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(GroupAction, "closure", recording)
+    report = verify.verify_construction(base)
+    monkeypatch.undo()
+    ends = next(r for r in report.records
+                if r.params["check"] == "endpoints")
+    assert len(calls) == ends.params["path_vertices"]
+    action, built, codes = _code_of_ids(bs(base), built_group)
+    for gen_codes, mask in calls:
+        assert mask == _table_closure_as_codes(built, codes, action,
+                                               gen_codes)
+
+
+@pytest.mark.parametrize("spec", ACTION_SPECS, ids=spec_name)
+def test_action_proof_rejects_a_changed_map_entry(spec):
+    """Changing one entry of one generator map breaks the proof: the map
+    is then no permutation of the codes, or the action not regular."""
+    (maps, _, reps), _ = constructions._data(spec, None)
+    GroupAction(maps, reps)
+    rng = random.Random(7)
+    for _ in range(10):
+        j, x = rng.randrange(len(maps)), rng.randrange(len(reps))
+        bad = [list(m) for m in maps]
+        bad[j][x] = (bad[j][x] + rng.randrange(1, len(reps))) % len(reps)
+        with pytest.raises(InvalidGenerator):
+            GroupAction(bad, reps)
+
+
+def test_action_closure_rejects_bad_codes():
+    action = construct_action(sym(3))
+    assert action.closure([]) == action.closure([0]) == 1
+    assert action.closure(range(6)) == (1 << 6) - 1
+    for bad in (6, -1, True, 1.0):
+        with pytest.raises(ValueError):
+            action.closure([bad])
+
+
+@pytest.mark.parametrize("spec,error", [(bs(sym(4)), OrderCapExceeded),
+                                        (sym(1600), OrderCapExceeded),
+                                        (p2q(4), InvalidSpec),
+                                        (cyclic(0), InvalidSpec)],
+                         ids=["bs-sym4", "sym1600", "p2q4", "cyclic0"])
+def test_action_checks_spec_and_cap_as_tables_do(spec, error):
+    """Both routes check a spec and its cap by one routine, before anything
+    is built, and raise the same error with the same text."""
+    with pytest.raises(error) as table_error:
+        construct_detailed(spec)
+    with pytest.raises(error, match=f"^{re.escape(str(table_error.value))}$"):
+        construct_action(spec)

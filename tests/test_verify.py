@@ -23,6 +23,7 @@ from commgraph import (
     verify_lemma_suite,
     verify_p2q,
 )
+from commgraph import groups
 from commgraph.graphs import commensurability_exponents
 from commgraph.groups import (
     SubgroupSet,
@@ -45,7 +46,8 @@ def test_default_corpus_contents():
     assert "cyclic(12)" in names
     assert "dihedral(8)" in names
     assert "p2q(7)" in names
-    # bs(cyclic(3)) is built by the construction suite, not read from here
+    # bs(cyclic(3)) is kept as its action by the construction suite, with
+    # no table or lattice: it is not a corpus member
     assert "bs(cyclic(3))" not in names
     assert _lattice_members(corpus) == corpus
 
@@ -246,11 +248,32 @@ def test_p2q_classification_at_q_17_examines_p_equal_q():
 
 def test_construction_suite_on_alternate_base():
     # cyclic(2) has containment diameter 0 at p=3; the explicit path still
-    # certifies two non-adjacent connected endpoints inside C2^4 x sym(4)
+    # certifies two non-adjacent connected endpoints inside C2^4 x sym(4).
+    # The digest pins the whole report as the suite gave it when it closed
+    # the path in bs(cyclic(2))'s table, before it kept the group as its
+    # action; cyclic(3) is pinned by the `verify all` digests.
     report = verify_construction(cyclic(2))
     assert report.passed
     orders = [r for r in report.records if r.params.get("check") == "group_order"]
     assert orders[0].observed == 24 * 16
+    text = json.dumps(report.to_doc(), indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "22d885adfd4d4f1189cae9489f0f5dd37c6071bb94f92e2e665f6b9dd82273aa")
+
+
+def test_construction_suite_builds_no_large_table(monkeypatch):
+    """bs(H) is kept as its proven action: the suite fills no table of
+    order above sym(4)'s 24, where it once filled bs(cyclic(3))'s 1944²."""
+    orders = []
+    init = groups.GroupTable.__init__
+
+    def recording(self, tbl, *args):
+        orders.append(len(tbl))
+        init(self, tbl, *args)
+
+    monkeypatch.setattr(groups.GroupTable, "__init__", recording)
+    assert verify_construction().passed
+    assert max(orders) == 24
 
 
 def test_custom_corpus_restriction():
