@@ -49,7 +49,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidSpec, OrderCapExceeded, SpecSyntaxError
+from .errors import (InvalidGenerator, InvalidSpec, OrderCapExceeded,
+                     SpecSyntaxError)
 from .groups import (
     DEFAULT_ORDER_CAP,
     GroupTable,
@@ -239,13 +240,19 @@ class GroupAction:
     ids; right multiplication by any element is the composition of the
     maps along its BFS word (``_right``), so nothing is trusted beyond the
     proven maps.  order is the group's order, every code being one of
-    its elements, and index maps each code's rep to the code.
+    its elements, and index maps each code's rep to the code.  Raises
+    InvalidGenerator for maps that do not reach every code from code 0,
+    or reps that do not name each code once.
     """
 
     __slots__ = ("order", "index", "_maps", "_up", "_via")
 
     def __init__(self, maps: list[list[int]], reps: Sequence):
         order, parent, via, place, _ = _prove_maps(maps)
+        if len(order) != len(place):
+            raise InvalidGenerator("the maps do not reach every code")
+        if len(reps) != len(place):
+            raise InvalidGenerator("reps do not match the codes")
         self.order = len(order)
         self.index = dict(zip(reps, range(len(reps))))
         self._maps = np.array(maps, dtype=np.intp).reshape(
@@ -336,12 +343,12 @@ def construct_detailed(spec: GroupSpec, order_cap: int | None = None) -> BuiltGr
                       dict(zip(elements, range(len(elements)))))
 
 
-def construct_action(spec: GroupSpec,
-                     order_cap: int | None = None) -> GroupAction:
+def construct_action(spec: GroupSpec) -> GroupAction:
     """The group as its proven right-multiplication action over the
     builder's codes, with no table: the same data, checks and proof as
-    ``construct_detailed``, whose n×n table is never filled."""
-    (maps, _, reps), predicted = _data(spec, order_cap)
+    ``construct_detailed`` under the default cap, whose n×n table is
+    never filled."""
+    (maps, _, reps), predicted = _data(spec, None)
     action = GroupAction(maps, reps)
     assert action.order == predicted
     return action

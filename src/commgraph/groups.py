@@ -230,13 +230,15 @@ class GroupTable:
     construction (``_fill_rows``).  None means a table from outside,
     which has passed ``_validate_table``: it is proven here, over the
     candidates that ``_greedy_witnesses`` keeps with the whole table as
-    its mask, by ``_prove_group`` on their rows and columns after
-    ``_check_rows``.  The array, narrowed to ``_entry_dtype``, is made
-    read-only and kept as ``array``, the only storage: mult lists
-    memoryviews of its rows, so mult[a][b], the id of a*b, is a plain int
-    that cannot be written.  labels hold display strings for DOT/JSON
-    output.  generators lists the construction generators' ids (empty
-    for the trivial group), or the kept candidates when None is given.
+    its mask, by ``_prove_group`` on their rows and columns, once one
+    ``bincount`` per row has shown each of their rows to be a permutation
+    and ``_check_rows`` has passed.  The array, narrowed to
+    ``_entry_dtype``, is made read-only and kept as ``array``, the only
+    storage: mult lists memoryviews of its rows, so mult[a][b], the id of
+    a*b, is a plain int that cannot be written.  labels hold display
+    strings for DOT/JSON output.  generators lists the construction
+    generators' ids (empty for the trivial group), or the kept candidates
+    when None is given.
     conjugations holds ``_conjugation`` by each kept candidate g that is
     not central (row g equals column g); with the centre these generate
     G, and central elements conjugate trivially, so an orbit under
@@ -264,7 +266,13 @@ class GroupTable:
         kept = _greedy_witnesses(self.mult, candidates, (1 << self.order) - 1)
         if generators is None:
             generators = kept
-            _prove_group(tbl[list(kept)], tbl[:, list(kept)].T, kept, tbl)
+            rows = tbl[list(kept)]
+            for g, row in zip(kept, rows):
+                if np.bincount(row, minlength=self.order).max() > 1:
+                    raise InvalidGenerator(
+                        f"row of generator {g} is not a permutation")
+            _check_rows(tbl, kept)
+            _prove_group(rows, tbl[:, list(kept)].T, kept)
         self.generators = generators
         self.labels = labels
         self.order_factorization = factorize(self.order)
@@ -321,15 +329,16 @@ def _validate_table(tbl: np.ndarray) -> None:
         raise InvalidGenerator("table entry out of range")
 
 
-def _prove_group(rows: np.ndarray, cols: np.ndarray, gens: Sequence[int],
-                 outside: np.ndarray | None = None) -> None:
+def _prove_group(rows: np.ndarray, cols: np.ndarray,
+                 gens: Sequence[int]) -> None:
     """Prove that a product x*y over the ids 0..n-1, with identity 0, is a
     group, from the rows rows[i][y] = gens[i]*y and the columns
     cols[j][y] = y*gens[j] of generators gens, k x n arrays of ids in
     range; raise InvalidGenerator if it is not.  Nothing else is read:
-    either premise below makes the generators generate the whole product.
+    either premise below, which each caller checks first, makes the
+    generators generate the whole product.
 
-    A product given by maps (outside=None, ``_prove_maps``) is
+    A product given by maps (``_prove_maps``) is
     x*y = x·R_y, where the columns are the maps R_j: y -> y*gens[j], R_y
     composes them along y's BFS word, so it maps 0 to y, and each row was
     read along those words, rows[i][y] = gens[i]·R_y.  Let P be the group
@@ -346,25 +355,15 @@ def _prove_group(rows: np.ndarray, cols: np.ndarray, gens: Sequence[int],
     (h*y)*g_j == h*(y*g_j): cols[j][rows[i][y]] == rows[i][cols[j][y]],
     two k x n gathers per generator.
 
-    A table from outside (outside, the table itself, with rows and
-    columns read off it) is proven by the mirror argument over its row
-    maps L_x: y -> x*y.  Its generators' rows must be permutations, and
-    every row must lie in the group P they generate, which
-    ``_check_rows`` checks against a tree of right products; as row 0
-    and column 0 are identity maps, L_y maps 0 to y, P is transitive,
-    and the Schreier generators L_{g*b}^-1∘L_g∘L_b of P_0 fix each h of
-    gens exactly when g*(b*h) == (g*b)*h: the same equation.  Each
-    route checks the permutations its argument needs: the columns of
-    maps, the rows of a table.
+    A table from outside (``GroupTable``) is proven by the mirror
+    argument over its row maps L_x: y -> x*y.  Its generators' rows must
+    be permutations, and every row must lie in the group P they
+    generate, which ``_check_rows`` checks against a tree of right
+    products; as row 0 and column 0 are identity maps, L_y maps 0 to y,
+    P is transitive, and the Schreier generators L_{g*b}^-1∘L_g∘L_b of
+    P_0 fix each h of gens exactly when g*(b*h) == (g*b)*h: the same
+    equation.
     """
-    n = rows.shape[1]
-    kind, lines = ("column", cols) if outside is None else ("row", rows)
-    for g, line in zip(gens, lines):
-        if np.bincount(line, minlength=n).max() > 1:
-            raise InvalidGenerator(
-                f"{kind} of generator {g} is not a permutation")
-    if outside is not None:
-        _check_rows(outside, gens)
     for g, row in zip(gens, rows):
         if not np.array_equal(row[cols], cols[:, row]):
             raise InvalidGenerator(f"associativity fails at generator {g}")
@@ -432,7 +431,8 @@ def _prove_maps(maps: Sequence[Sequence[int]]):
     over ids, cols[j][i], are the maps read at each id's code, and
     ``_generator_rows`` reads the generator rows along the BFS tree; the
     generators get ids 1..k, in order, as the BFS reaches them first from
-    the identity.  ``_prove_group`` then proves that the maps generate a
+    the identity.  Once one ``bincount`` per column has shown each map
+    to permute the ids, ``_prove_group`` proves that the maps generate a
     group that acts regularly on the ids it reaches, with x*y the image
     of x under the composition of the maps along y's BFS word.  Returns
     (order, parent, via, place, rows), the BFS and the generator rows.
@@ -442,8 +442,13 @@ def _prove_maps(maps: Sequence[Sequence[int]]):
     # transposed layout on which the gathers are half as fast
     cols = np.array(place)[np.array(maps, dtype=np.intp).reshape(
         len(maps), len(place)).take(order, axis=1)]
+    gens = cols[:, 0].tolist()  # the generators' ids
+    for g, col in zip(gens, cols):
+        if np.bincount(col, minlength=len(order)).max() > 1:
+            raise InvalidGenerator(
+                f"column of generator {g} is not a permutation")
     rows = _generator_rows(cols, parent, via)
-    _prove_group(rows, cols, cols[:, 0].tolist())  # the generators' ids
+    _prove_group(rows, cols, gens)
     return order, parent, via, place, rows
 
 

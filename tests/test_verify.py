@@ -273,7 +273,7 @@ def test_construction_suite_builds_no_large_table(monkeypatch):
 
     monkeypatch.setattr(groups.GroupTable, "__init__", recording)
     assert verify_construction().passed
-    assert max(orders) == 24
+    assert all(n <= 24 for n in orders)
 
 
 def test_custom_corpus_restriction():
