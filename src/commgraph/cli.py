@@ -63,6 +63,11 @@ _KINDS = {"comm": KIND_COMMENSURABILITY, "cont": KIND_CONTAINMENT}
 
 LATTICE_FORMAT_VERSION = 1
 
+# JSON output: a list of more items than JSON_SHORT_LIST is written in
+# batches of about JSON_BATCH_BYTES of text each
+JSON_BATCH_BYTES = 1 << 16
+JSON_SHORT_LIST = 16
+
 
 # ---------------------------------------------------------------------------
 # serialization
@@ -127,76 +132,146 @@ def lattice_doc(spec: GroupSpec, lat: Lattice) -> dict:
     }
 
 
-def _dump_json(doc) -> str:
-    """``json.dumps(doc, indent=2) + "\n"``, byte for byte.
+def _json_pieces(doc):
+    """``json.dumps(doc, indent=2) + "\n"``, byte for byte, as strings of
+    bounded size, so that no step holds the whole text.
 
     Given an indent, ``json`` encodes in pure Python, one small string per
-    token; on the `verify all` report that took about three times as long,
-    with a larger peak of memory, as this route.  So the C encoder writes
-    the compact text (ASCII, since ``ensure_ascii`` is on), and numpy puts
-    the line breaks back.  A structural character is one of ``{}[],``
-    outside a string; a quote after an odd run of backslashes is escaped
-    and does not end a string.  The depth is a running sum over the opens
-    and closes.  A newline and two spaces per level follow each non-empty
-    open and each comma and precede each non-empty close; an empty ``[]``
-    or ``{}`` stays as it is.  Every document is a fresh tree, built by
-    ``to_doc`` or a ``*_doc`` helper, which cannot contain itself: the
-    encoder skips its check for circular references.
+    token, about three times as slow as the C encoder's compact text
+    re-indented with numpy (``_reindent``); but the encoder and that pass
+    each hold several times the text they write.  So the writer walks
+    the spine of the document (``_pieces``), its dicts and short lists,
+    and writes each long list in batches of items (``_list_pieces``):
+    only a batch goes through the C encoder and numpy.  Every document is
+    a fresh tree, built by ``to_doc`` or a ``*_doc`` helper, which cannot
+    contain itself: the encoder skips its check for circular references.
     """
-    raw = json.dumps(doc, separators=(",", ": "),
-                     check_circular=False).encode("ascii")
-    a = np.frombuffer(raw, dtype=np.uint8)
+    yield from _pieces(doc, 0)
+    yield "\n"
+
+
+def _pieces(value, depth: int):
+    """The indented text of value, which starts at the given depth, from
+    its first character to its last."""
+    if isinstance(value, dict) and value:
+        inner = "\n" + "  " * (depth + 1)
+        sep = "{"
+        for key, item in value.items():
+            # a key as json writes it: 1.5, True and None as "1.5", "true"
+            # and "null"
+            yield f"{sep}{inner}{json.dumps({key: 0})[1:-4]}: "
+            yield from _pieces(item, depth + 1)
+            sep = ","
+        yield "\n" + "  " * depth + "}"
+    elif isinstance(value, (list, tuple)) and value:
+        yield from _list_pieces(value, depth)
+    else:  # a scalar or an empty container
+        yield json.dumps(value)
+
+
+def _list_pieces(items, depth: int):
+    """A non-empty list at the given depth, item by item if it is short,
+    else in batches of about JSON_BATCH_BYTES of text.
+
+    The first batch of a long list is one item, and each later batch
+    takes as many items as the bytes per item of the one before say will
+    fit, but at most eight times as many as it, so that a small first
+    item does not size a batch of larger ones.  A batch of one item is
+    walked by ``_pieces``, so an item larger than a batch is never encoded
+    whole; a batch of more is encoded compactly and re-indented without
+    its own brackets.  The items of a short list, such as the reports of
+    ``verify all``, are each walked, so that a large one is not encoded
+    beside a small one.
+    """
+    inner = "\n" + "  " * (depth + 1)
+    sep = "["
+    start, count = 0, 1
+    while start < len(items):
+        yield sep + inner
+        if count == 1:
+            size = 0
+            for piece in _pieces(items[start], depth + 1):
+                size += len(piece)
+                yield piece
+        else:
+            batch = items[start:start + count]
+            raw = json.dumps(batch, separators=(",", ": "),
+                             check_circular=False).encode("ascii")
+            text = _reindent(np.frombuffer(raw, dtype=np.uint8)[1:-1],
+                             depth + 1)
+            size = len(text)
+            yield text
+        start += count
+        if len(items) > JSON_SHORT_LIST:
+            count = max(1, min(8 * count, count * JSON_BATCH_BYTES // size))
+        sep = ","
+    yield "\n" + "  " * depth + "]"
+
+
+def _reindent(a: np.ndarray, depth: int) -> str:
+    """The compact text a (ASCII bytes, as ``ensure_ascii`` gives) of
+    values that start at the given depth, indented as ``json.dumps(...,
+    indent=2)`` indents them.
+
+    A structural character is one of ``{}[],`` outside a string; a quote
+    after an odd run of backslashes is escaped and does not end a string.
+    The depth is the given one plus a running sum over the opens and
+    closes.  A newline and two spaces per level follow each non-empty
+    open and each comma and precede each non-empty close; an empty ``[]``
+    or ``{}`` stays as it is.
+    """
     quote = a == ord('"')
-    if b"\\" in raw:
+    slash = a == ord("\\")
+    if slash.any():
         # last[i]: the last position <= i that holds no backslash
-        last = np.where(a == ord("\\"), -1, np.arange(a.size, dtype=np.int32))
+        last = np.where(slash, -1, np.arange(a.size, dtype=np.int32))
         np.maximum.accumulate(last, out=last)
         q = np.flatnonzero(quote[1:]) + 1
         quote[q[(q - 1 - last[q - 1]) % 2 == 1]] = False
         del last
     marks = np.zeros(256, dtype=np.uint8)  # 1 open, 2 close, 3 comma
     marks[list(b"[{")], marks[list(b"]}")], marks[ord(",")] = 1, 2, 3
-    kind = marks[a]
-    kind[np.logical_xor.accumulate(quote)] = 0  # inside a string
+    kind = marks.take(a)
+    kind *= ~np.logical_xor.accumulate(quote)  # 0 inside a string
     del quote
-    at = np.flatnonzero(kind)
+    at = np.flatnonzero(kind != 0)
     kind = kind[at]
     is_open, is_close = kind == 1, kind == 2
-    depth = np.cumsum(is_open.astype(np.int32) - is_close, dtype=np.int32)
+    level = np.cumsum(is_open.astype(np.int32) - is_close, dtype=np.int32)
     # an open followed at once by a close is an empty container
     empty = is_open[:-1] & is_close[1:] & (at[1:] == at[:-1] + 1)
     keep = np.ones(at.size, dtype=bool)
     keep[:-1] &= ~empty
     keep[1:] &= ~empty
-    at, width, before = at[keep], 1 + 2 * depth[keep], is_close[keep]
-    # break k is a newline and its indent, width[k] characters, in front of
-    # character at[k] (a close) or at[k] + 1; body is the output before its
-    # final newline
-    body = a.size + int(width.sum(dtype=np.int64))
-    index = np.int32 if body < 2**31 else np.int64
-    start = (at + ~before).astype(index)
-    start += np.cumsum(width, dtype=index) - width
-    gap = np.zeros(body, dtype=np.int8)
-    gap[start] = 1
-    gap[start + width] = -1
-    np.cumsum(gap, dtype=np.int8, out=gap)
-    out = np.full(body + 1, ord(" "), dtype=np.uint8)
-    out[:body][gap == 0] = a
-    del gap, a, raw
-    out[start] = ord("\n")
-    out[-1] = ord("\n")
+    at, width, before = at[keep], 1 + 2 * (depth + level[keep]), is_close[keep]
+    size = a.size + int(width.sum(dtype=np.int64))
+    index = np.int32 if size < 2**31 else np.int64
+    # break k, a newline and its indent, width[k] characters, goes in front
+    # of character cut[k]: at[k] (a close) or at[k] + 1.  The run of text
+    # from cut[k] to the next cut moves right by shift[k + 1], the widths
+    # of breaks 0..k.
+    cut = at + ~before
+    shift = np.zeros(cut.size + 1, dtype=index)
+    np.cumsum(width, dtype=index, out=shift[1:])
+    pos = np.repeat(shift, np.diff(cut, prepend=0, append=a.size))
+    pos += np.arange(a.size, dtype=index)
+    out = np.full(size, ord(" "), dtype=np.uint8)
+    out[pos] = a
+    del pos
+    out[cut + shift[:-1]] = ord("\n")
     return str(out, "ascii")
 
 
-def _write_text(path: str, text: str) -> None:
-    """Replace the file at path with text atomically: write a temporary file
-    beside it, then rename it over path, so that a run killed mid-write
-    leaves the previous file whole instead of a truncated one.  An OSError
-    names path, not the temporary file."""
+def _write_text(path: str, pieces) -> None:
+    """Replace the file at path with the concatenated string pieces
+    atomically: write each piece to a temporary file beside it as it
+    comes, then rename that over path, so that a run killed or failing
+    mid-write leaves the previous file whole instead of a truncated one.
+    An OSError names path, not the temporary file."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
         os.replace(tmp, path)
     except BaseException as exc:
         with contextlib.suppress(OSError):
@@ -236,7 +311,7 @@ def cmd_group(args) -> int:
                "is_metabelian": flags.is_metabelian,
                "is_solvable": flags.is_solvable,
                "derived_series_orders": series_orders}
-        print(_dump_json(doc), end="")
+        sys.stdout.writelines(_json_pieces(doc))
     else:
         print(f"group {spec_name(spec)}")
         print(f"order {table.order} = {factorization}")
@@ -252,7 +327,7 @@ def cmd_subgroups(args) -> int:
     table = construct(spec, args.order_cap)
     lat = enumerate_subgroups(table)
     if args.json:
-        _write_text(args.json, _dump_json(lattice_doc(spec, lat)))
+        _write_text(args.json, _json_pieces(lattice_doc(spec, lat)))
     print(f"group {spec_name(spec)}: order {table.order}, "
           f"{len(lat.subgroups)} subgroups")
     for order, count in sorted(Counter(s.order for s in lat.subgroups).items()):
@@ -274,9 +349,9 @@ def _graph_for(args) -> tuple[GroupSpec, CommGraph]:
 def cmd_graph(args) -> int:
     spec, graph = _graph_for(args)
     if args.dot:
-        _write_text(args.dot, export_dot(graph))
+        _write_text(args.dot, [export_dot(graph)])
     if args.json:
-        _write_text(args.json, _dump_json(graph_json_doc(spec, graph)))
+        _write_text(args.json, _json_pieces(graph_json_doc(spec, graph)))
     print(f"{graph.kind} graph of {spec_name(spec)} at p={args.p}: "
           f"{graph.vertex_count} vertices, {graph.edge_count} edges")
     return EXIT_OK
@@ -285,10 +360,9 @@ def cmd_graph(args) -> int:
 def cmd_analyze(args) -> int:
     spec, graph = _graph_for(args)
     doc = analyze_doc(spec, graph)
-    text = _dump_json(doc)
     if args.json:
-        _write_text(args.json, text)
-    print(text, end="")
+        _write_text(args.json, _json_pieces(doc))
+    sys.stdout.writelines(_json_pieces(doc))
     return EXIT_OK
 
 
@@ -334,7 +408,7 @@ def cmd_verify(args) -> int:
                              seed=args.seed)]
         doc = reports[0].to_doc()
     if args.json:
-        _write_text(args.json, _dump_json(doc))
+        _write_text(args.json, _json_pieces(doc))
     all_pass = True
     for rep in reports:
         # a suite that made no check failed none, but did not pass either

@@ -9,10 +9,11 @@ coordinate-slot generators.
 
 Every family is built from data (``_data``): each element has an
 integer code, the identity code 0, and each generator's right
-multiplication is a list over all codes, beside each code's label and
-rep.  ``construct_detailed`` hands the maps to
-``groups._assemble_table``, which numbers, proves and fills the table,
-and reads each code's label and rep off by the id it gives;
+multiplication is a list over all codes, beside each code's label,
+formatted only when a table reads it, and rep.  ``construct_detailed``
+hands the maps to ``groups._assemble_table``, which numbers, proves and
+fills the table, and reads each code's label and rep off by the id it
+gives;
 ``construct_action`` proves the same maps and keeps the group as its
 right-multiplication action over the codes (``GroupAction``), with no
 table: its order, a rep -> code index, and the closure of any elements
@@ -301,8 +302,9 @@ class GroupAction:
             np.packbits(member, bitorder="little").tobytes(), "little")
 
 
-# a builder's data: right-multiplication maps over codes, labels and reps
-_Data = tuple[list[list[int]], list[str], Sequence]
+# a builder's data: right-multiplication maps over codes, labels and reps;
+# the labels are a lazy iterable, formatted only when a table reads them
+_Data = tuple[list[list[int]], Iterable[str], Sequence]
 
 
 def _data(spec: GroupSpec, order_cap: int | None) -> tuple[_Data, int]:
@@ -336,7 +338,7 @@ def construct_detailed(spec: GroupSpec, order_cap: int | None = None) -> BuiltGr
     by the id it is given.  The spec and cap are checked first
     (``_data``)."""
     (maps, labels, reps), predicted = _data(spec, order_cap)
-    table, codes = _assemble_table(maps, labels)
+    table, codes = _assemble_table(maps, list(labels))
     assert table.order == predicted
     elements = [reps[c] for c in codes]
     return BuiltGroup(table, elements,
@@ -347,7 +349,7 @@ def construct_action(spec: GroupSpec) -> GroupAction:
     """The group as its proven right-multiplication action over the
     builder's codes, with no table: the same data, checks and proof as
     ``construct_detailed`` under the default cap, whose n×n table is
-    never filled."""
+    never filled, and whose labels are never formatted."""
     (maps, _, reps), predicted = _data(spec, None)
     action = GroupAction(maps, reps)
     assert action.order == predicted
@@ -366,14 +368,14 @@ def _build_sym(spec: GroupSpec, cap: int) -> _Data:
     if n >= 3:
         gens.append(perm_from_cycles(n, [tuple(range(1, n + 1))]))
     maps, perms = _permutation_closure(n, gens, cap)
-    return maps, list(map(perm_label, perms)), perms
+    return maps, map(perm_label, perms), perms
 
 
 def _build_cyclic(spec: GroupSpec, cap: int) -> _Data:
     """The integers mod n, each its own code, generated by 1."""
     n = spec.n
     maps = [[(x + 1) % n for x in range(n)]] if n > 1 else []
-    return maps, [str(x) for x in range(n)], range(n)
+    return maps, map(str, range(n)), range(n)
 
 
 def _build_dihedral(spec: GroupSpec, cap: int) -> _Data:
@@ -384,8 +386,8 @@ def _build_dihedral(spec: GroupSpec, cap: int) -> _Data:
     codes = range(2 * n)
     r = [2 * ((x // 2 + 1 - 2 * (x % 2)) % n) + x % 2 for x in codes]
     s = [x ^ 1 for x in codes]
-    labels = [("e" if x == 0 else f"r{x // 2}") if x % 2 == 0 else
-              ("s" if x == 1 else f"r{x // 2}s") for x in codes]
+    labels = (("e" if x == 0 else f"r{x // 2}") if x % 2 == 0 else
+              ("s" if x == 1 else f"r{x // 2}s") for x in codes)
     return [r, s] if n > 1 else [s], labels, [(x // 2, x % 2) for x in codes]
 
 
@@ -401,8 +403,8 @@ def _build_direct(spec: GroupSpec, cap: int) -> _Data:
     coding = _coordinates([t.order for t in tables])
     maps = [m for i, t in enumerate(tables)
             for m in _coordinate_maps(coding, i, t)]
-    labels = ["(" + ",".join(parts) + ")"
-              for parts in product(*(t.labels for t in tables))]
+    labels = ("(" + ",".join(parts) + ")"
+              for parts in product(*(t.labels for t in tables)))
     return maps, labels, list(map(tuple, coding[1].tolist()))
 
 
@@ -446,7 +448,7 @@ def _build_p2q(spec: GroupSpec, cap: int) -> _Data:
     maps = [(strides @ (np.stack([a * y[0], a * y[1] + b * y[2], d * y[2]])
                         % q - shift)).tolist() for y in gens]
     reps = list(zip(a.tolist(), b.tolist(), d.tolist()))
-    return maps, [f"({x},{y},{z})" for x, y, z in reps], reps
+    return maps, (f"({x},{y},{z})" for x, y, z in reps), reps
 
 
 def _primitive_root(q: int) -> int:
@@ -476,8 +478,8 @@ def _build_bs(spec: GroupSpec, cap: int) -> _Data:
             for m in _coordinate_maps(coding, sigma[:, slot], h)]
     maps += _coordinate_maps(coding, 4, s4.table)
     hl = h.labels
-    labels = [f"(({a},{b},{c},{d}),{p})"
-              for a, b, c, d, p in product(hl, hl, hl, hl, s4.table.labels)]
+    labels = (f"(({a},{b},{c},{d}),{p})"
+              for a, b, c, d, p in product(hl, hl, hl, hl, s4.table.labels))
     return maps, labels, list(zip(
         map(tuple, ids[:, :4].tolist()),
         map(s4.elements.__getitem__, ids[:, 4].tolist())))

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -321,8 +322,28 @@ def test_failed_write_keeps_existing_cache(tmp_path, capsys):
     before = path.read_bytes()
     # a lone surrogate cannot be encoded, so the write fails part way
     with pytest.raises(UnicodeEncodeError):
-        cli._write_text(str(path), '{"subgroups": "\ud800"}')
+        cli._write_text(str(path), ['{"subgroups": ', '"\ud800"}'])
     assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_write_failing_after_pieces_reached_the_disk(tmp_path):
+    """Pieces go to the temporary file as they come; when a later piece
+    raises, the file to be replaced is left whole and the temporary file
+    is removed."""
+    path = tmp_path / "report.json"
+    path.write_text("previous report\n", encoding="utf-8")
+
+    def pieces():
+        for _ in range(64):  # 1 MB, far more than a write buffer holds
+            yield "x" * 2**14
+        [tmp] = [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+        assert tmp.stat().st_size > 0
+        raise RuntimeError("a piece failed")
+
+    with pytest.raises(RuntimeError, match="a piece failed"):
+        cli._write_text(str(path), pieces())
+    assert path.read_text(encoding="utf-8") == "previous report\n"
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
@@ -475,18 +496,33 @@ _json_strings = st.text(
     st.sampled_from('"\\{}[],: a\n\t\x00\x1f\x7fé€😀') | st.characters(),
     max_size=8)
 _json_strings = _json_strings | _json_strings.map(lambda s: s + "\\")
+# json writes a key that is no string as a string: 1.5 as "1.5", True as
+# "true", None as "null"
+_json_keys = (_json_strings | st.integers() | st.floats() | st.booleans()
+              | st.none())
 _json_docs = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | _json_strings,
-    lambda inner: (st.lists(inner, max_size=4)
-                   | st.dictionaries(_json_strings, inner, max_size=4)),
-    max_leaves=40)
+    lambda inner: (st.lists(inner, max_size=12)
+                   | st.dictionaries(_json_keys, inner, max_size=4)),
+    max_leaves=60)
 
 
-@given(_json_docs)
-def test_dump_json_matches_indented_dumps(doc):
-    """The writer re-indents the C encoder's compact text; it must give
-    exactly what ``json.dumps(doc, indent=2)`` gives."""
-    assert cli._dump_json(doc) == json.dumps(doc, indent=2) + "\n"
+def _json_text(doc) -> str:
+    return "".join(cli._json_pieces(doc))
+
+
+@given(_json_docs, st.just(cli.JSON_BATCH_BYTES) | st.integers(1, 300),
+       st.sampled_from([cli.JSON_SHORT_LIST, 0, 1, 3]))
+def test_dump_json_matches_indented_dumps(doc, target, short):
+    """The writer walks the document and re-indents the C encoder's
+    compact text in batches; it must give exactly what
+    ``json.dumps(doc, indent=2)`` gives, also when a byte target of a few
+    bytes cuts every list into batches of one item or a few, each walked
+    or re-indented at its own depth."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "JSON_BATCH_BYTES", target)
+        mp.setattr(cli, "JSON_SHORT_LIST", short)
+        assert _json_text(doc) == json.dumps(doc, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("doc", [
@@ -494,7 +530,71 @@ def test_dump_json_matches_indented_dumps(doc):
     "\\", 'a\\"b', "{[,]}", [[]], {"": {}}, [{}, [], [[{}]]],
 ])
 def test_dump_json_edge_documents(doc):
-    assert cli._dump_json(doc) == json.dumps(doc, indent=2) + "\n"
+    assert _json_text(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+# strings that end in a backslash or an escaped quote, so that a batch may
+# begin or end at one
+_EDGE_STRINGS = ["a\\", '"', '\\"', "\\\\", 'x\\"\\', "", "[", "}", ","]
+
+
+def _batch_doc(n: int) -> dict:
+    """Long lists at depth 1 to 3, lists of long lists, empty containers,
+    and strings with escapes at every place in a batch."""
+    items = [_EDGE_STRINGS[i % len(_EDGE_STRINGS)] * (i % 3) for i in range(n)]
+    rows = [{"id": i, "tags": items[:i % 40], "empty": [[], {}][i % 2],
+             "nested": [[j, items[j]] for j in range(i % 7)]}
+            for i in range(n)]
+    return {"top": {"mid": {"items": items, "rows": rows}},
+            "lists": [items[:k] for k in range(0, n, 9)],
+            "empty": [[], {}, [[]], {"": []}],
+            "reports": [{"records": rows[:k]} for k in (1, n, 2)]}
+
+
+@pytest.mark.parametrize("target", [1, 8, 64, 500, 4096])
+@pytest.mark.parametrize("short", [0, 16])
+def test_json_batches_split_every_long_list(monkeypatch, target, short):
+    """Every list long or short, cut at byte targets from one item per
+    batch to many, in a document and in a long list at depth 0; with
+    short lists walked, as by default, no piece passes a few targets'
+    worth of text."""
+    monkeypatch.setattr(cli, "JSON_SHORT_LIST", short)
+    doc = _batch_doc(120)
+    for part in (doc, doc["top"]["mid"]["rows"]):
+        want = json.dumps(part, indent=2) + "\n"
+        # a target above the document's size: each long list is its
+        # first item, then all the others in one batch
+        monkeypatch.setattr(cli, "JSON_BATCH_BYTES", 1 << 30)
+        whole = list(cli._json_pieces(part))
+        monkeypatch.setattr(cli, "JSON_BATCH_BYTES", target)
+        pieces = list(cli._json_pieces(part))
+        assert "".join(whole) == "".join(pieces) == want
+        assert len(pieces) > len(whole)
+        if short:
+            assert max(map(len, pieces)) < 8 * max(target, 128)
+
+
+def test_json_writer_memory_does_not_grow_with_the_document(tmp_path):
+    """A document of 2.4 MB of compact text is written with a peak of
+    traced memory well below its size: the writer holds a batch of about
+    JSON_BATCH_BYTES at a time, with the C encoder's and numpy's buffers
+    over it, not the whole text."""
+    rows = [{"id": i, "name": f"row {i}\\", "values": list(range(i % 60)),
+             "empty": {}} for i in range(9000)]
+    doc = {"suite": "all",
+           "reports": [{"suite": s, "records": rows[:k]}
+                       for s, k in (("a", 300), ("b", 9000), ("c", 20))],
+           "rows": rows}
+    assert len(json.dumps(doc, separators=(",", ":"))) > 2_000_000
+    path = tmp_path / "big.json"
+    tracemalloc.start()
+    try:
+        cli._write_text(str(path), cli._json_pieces(doc))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert path.read_text(encoding="ascii") == json.dumps(doc, indent=2) + "\n"
 
 
 def test_exports_byte_identical_across_runs(tmp_path, capsys):
