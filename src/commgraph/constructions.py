@@ -10,14 +10,13 @@ coordinate-slot generators.
 Every family is built from data (``_data``): each element has an
 integer code, the identity code 0, and each generator's right
 multiplication is a list over all codes, beside each code's label,
-formatted only when a table reads it, and rep.  ``construct_detailed``
-hands the maps to ``groups._assemble_table``, which numbers, proves and
-fills the table, and reads each code's label and rep off by the id it
-gives;
-``construct_action`` proves the same maps and keeps the group as its
-right-multiplication action over the codes (``GroupAction``), with no
-table: its order, a rep -> code index, and the closure of any elements
-as a member mask over codes.
+formatted only when a table reads it, and rep.  Both routes hand the
+maps and reps to one ``groups.GroupAction``, which proves the group and
+numbers its elements by the ids its table has: ``construct_detailed``
+has it fill the table, and reads each element's label off by its id,
+while ``construct_action`` keeps the action alone, with no table: its
+order, each id's rep, a rep -> id index, and the closure of any ids as
+a member mask over ids.
 
 Cyclic groups code k as k, dihedral groups r^k s^e as 2k + e, and the
 other families code an element in mixed radix over its coordinates,
@@ -50,15 +49,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (InvalidGenerator, InvalidSpec, OrderCapExceeded,
-                     SpecSyntaxError)
+from .errors import InvalidSpec, OrderCapExceeded, SpecSyntaxError
 from .groups import (
     DEFAULT_ORDER_CAP,
+    GroupAction,
     GroupTable,
-    _assemble_table,
     _is_int,
     _permutation_closure,
-    _prove_maps,
     is_prime,
     perm_from_cycles,
     perm_label,
@@ -231,77 +228,6 @@ class BuiltGroup:
     index: dict = field(repr=False)
 
 
-class GroupAction:
-    """A group as its proven right-multiplication action over a builder's
-    codes, with no table (``construct_action``).
-
-    The builder's maps, right multiplication by each generator over the
-    codes, are proven to generate a group acting regularly on the codes
-    (``groups._prove_maps``), with the BFS tree that numbers a table's
-    ids; right multiplication by any element is the composition of the
-    maps along its BFS word (``_right``), so nothing is trusted beyond the
-    proven maps.  order is the group's order, every code being one of
-    its elements, and index maps each code's rep to the code.  Raises
-    InvalidGenerator for maps that do not reach every code from code 0,
-    or reps that do not name each code once.
-    """
-
-    __slots__ = ("order", "index", "_maps", "_up", "_via")
-
-    def __init__(self, maps: list[list[int]], reps: Sequence):
-        order, parent, via, place, _ = _prove_maps(maps)
-        if len(order) != len(place):
-            raise InvalidGenerator("the maps do not reach every code")
-        if len(reps) != len(place):
-            raise InvalidGenerator("reps do not match the codes")
-        self.order = len(order)
-        self.index = dict(zip(reps, range(len(reps))))
-        self._maps = np.array(maps, dtype=np.intp).reshape(
-            len(maps), len(place))
-        # the BFS tree over codes: code c is _up[c] * g_{_via[c]}
-        self._up = [order[parent[i]] for i in place]
-        self._via = [via[i] for i in place]
-
-    def _right(self, code: int) -> np.ndarray:
-        """Right multiplication by the element with the given code, as the
-        array of x*code over every code x: the generator maps composed
-        along the code's BFS word, from the identity down."""
-        word = []
-        while code:
-            word.append(self._via[code])
-            code = self._up[code]
-        image = np.arange(self.order)
-        for j in reversed(word):
-            image = self._maps[j][image]
-        return image
-
-    def closure(self, codes: Iterable[int]) -> int:
-        """Member mask over codes of the subgroup that the elements with the
-        given codes generate: the orbit of the identity, code 0, under
-        their right multiplications, grown a level at a time.  Raises
-        ValueError for a code that is not an integer (Python or numpy, not
-        bool) or names no element."""
-        codes = list(codes)
-        for c in codes:
-            if not _is_int(c):
-                raise ValueError(f"element code {c!r} is not an integer")
-            if not 0 <= c < self.order:
-                raise ValueError(f"element code {c} out of range")
-        maps = [self._right(int(c)) for c in dict.fromkeys(codes) if c]
-        member = np.zeros(self.order, dtype=bool)
-        member[0] = True
-        level = np.zeros(1, dtype=np.intp)
-        while maps and level.size:
-            fresh = np.zeros_like(member)
-            for m in maps:
-                fresh[m[level]] = True
-            fresh &= ~member
-            member |= fresh
-            level = np.flatnonzero(fresh)
-        return int.from_bytes(
-            np.packbits(member, bitorder="little").tobytes(), "little")
-
-
 # a builder's data: right-multiplication maps over codes, labels and reps;
 # the labels are a lazy iterable, formatted only when a table reads them
 _Data = tuple[list[list[int]], Iterable[str], Sequence]
@@ -333,23 +259,22 @@ def _data(spec: GroupSpec, order_cap: int | None) -> tuple[_Data, int]:
 def construct_detailed(spec: GroupSpec, order_cap: int | None = None) -> BuiltGroup:
     """Construct the group, returning the table plus element reps.
 
-    Every call builds a new table from the builder's data
-    (``_assemble_table``): the label and rep of each element are read off
-    by the id it is given.  The spec and cap are checked first
-    (``_data``)."""
+    Every call builds a new table from the builder's data: its
+    ``GroupAction`` proves the group, numbers the elements and fills the
+    table, and the label and rep of each element are read off by the id
+    it is given.  The spec and cap are checked first (``_data``)."""
     (maps, labels, reps), predicted = _data(spec, order_cap)
-    table, codes = _assemble_table(maps, list(labels))
-    assert table.order == predicted
-    elements = [reps[c] for c in codes]
-    return BuiltGroup(table, elements,
-                      dict(zip(elements, range(len(elements)))))
+    action = GroupAction(maps, reps)
+    assert action.order == predicted
+    return BuiltGroup(action.table(list(labels)), action.elements,
+                      action.index)
 
 
 def construct_action(spec: GroupSpec) -> GroupAction:
-    """The group as its proven right-multiplication action over the
-    builder's codes, with no table: the same data, checks and proof as
-    ``construct_detailed`` under the default cap, whose n×n table is
-    never filled, and whose labels are never formatted."""
+    """The group as its proven right-multiplication action, with no
+    table: the same data, checks, proof and ids as ``construct_detailed``
+    under the default cap, whose n×n table is never filled, and whose
+    labels are never formatted."""
     (maps, _, reps), predicted = _data(spec, None)
     action = GroupAction(maps, reps)
     assert action.order == predicted

@@ -9,37 +9,33 @@ subgroup is its member mask: its witnesses are the canonical greedy ones
 over its members, the one deferred value, computed on first read; every
 read, in any thread, gives the same tuple.
 
-A table is built from data, not from composing elements: each family
-hands ``_assemble_table`` the right-multiplication map of each generator
-over a space of integer codes, with the identity at code 0, and the
-labels of the codes.  One breadth-first search, ``_bfs``, numbers the
+Every group is proven a group one way, from data, not from composing
+elements: a ``GroupAction`` takes the right-multiplication map of each
+generator over a space of integer codes, with the identity at code 0,
+and one rep per code.  One breadth-first search, ``_bfs``, numbers the
 elements, ``_generator_rows`` reads each generator's row along the BFS
-tree, and ``_fill_rows`` makes every row from its parent's row and a
-generator's.  The same search checks a table from outside, over its
-generator columns.  Only a permutation group's closure
+tree, and ``_prove_group`` proves that the maps generate a group acting
+regularly, reading only the generators' k rows and k columns, k²·n
+entries: associativity is proven, not sampled, by Schreier's lemma
+(Seress, *Permutation Group Algorithms*, 2003).  A transitive group of
+permutations acts regularly exactly when its point stabiliser, which
+Schreier generators generate, fixes each generator's point.  The action
+closes any elements with no table, and fills its table on request
+(``GroupAction.table``): ``_fill_rows`` makes every row from its
+parent's row and a generator's.  Each family's builder hands it maps
+over its own codes, and only a permutation group's closure
 (``_permutation_closure``) composes elements, to find its code space.
-
-Every group is proven a group once, by ``_prove_group``, which reads
-only its generators' k rows and k columns, k²·n entries, with or
-without a table: associativity is proven, not sampled, by Schreier's
-lemma (Seress, *Permutation Group Algorithms*, 2003).  A transitive
-group of permutations acts regularly exactly when its point stabiliser,
-which Schreier generators generate, fixes each generator's point.  Maps
-are proven before any table is filled (``_prove_maps``): the group is
-the one their right multiplications generate, each right product read
-along a BFS word, so ``constructions`` can also keep a group as its
-proven action alone.  A table from outside is proven over the rows its
-generators' left multiplications generate, after a check of every row
-against a tree of right products over them, which reads every entry
-once.  One routine picks every generating set, ``_greedy_witnesses``:
-it keeps each candidate that the kept ones do not yet generate.  An
-outside table is proven over the ids 1, 2, ... it keeps, a built
-table's conjugations are those by the construction generators it keeps,
-and a subgroup's witnesses are the members it keeps in ascending order.
-A table is built row by row as an int16 ndarray (int32 above
-order 2**15), which is then made read-only and kept as the table's only
-storage: ``mult`` is a list of memoryviews of its rows, so
-``mult[a][b]`` is a plain int and no row can be written.
+A table from outside is the action of its generators' columns: it must
+equal that action's filled table under the BFS numbering, one array
+comparison.  One routine picks every generating set,
+``_greedy_witnesses``: it keeps each candidate that the kept ones do not
+yet generate.  An outside table is proven over the ids 1, 2, ... it
+keeps, a built table's conjugations are those by the construction
+generators it keeps, and a subgroup's witnesses are the members it
+keeps in ascending order.  A table is built row by row as an int16
+ndarray (int32 above order 2**15), which is then made read-only and
+kept as the table's only storage: ``mult`` is a list of memoryviews of
+its rows, so ``mult[a][b]`` is a plain int and no row can be written.
 
 A subgroup passes between functions as its member mask and generators;
 member lists exist only inside a closure, a class orbit and the lattice
@@ -223,27 +219,22 @@ def perm_label(images: Sequence[int]) -> str:
 class GroupTable:
     """A finite group with elements 0..order-1 and identity 0.
 
-    Given a square array of ids in range, it checks that row 0 and
-    column 0 are the identity maps.  Given generators mean a built table
-    (``_assemble_table``), whose group its maps proved before the table
-    was filled (``_prove_maps``), and which is that group's table by
-    construction (``_fill_rows``).  None means a table from outside,
-    which has passed ``_validate_table``: it is proven here, over the
-    candidates that ``_greedy_witnesses`` keeps with the whole table as
-    its mask, by ``_prove_group`` on their rows and columns, once one
-    ``bincount`` per row has shown each of their rows to be a permutation
-    and ``_check_rows`` has passed.  The array, narrowed to
-    ``_entry_dtype``, is made read-only and kept as ``array``, the only
-    storage: mult lists memoryviews of its rows, so mult[a][b], the id of
-    a*b, is a plain int that cannot be written.  labels hold display
-    strings for DOT/JSON output.  generators lists the construction
-    generators' ids (empty for the trivial group), or the kept candidates
-    when None is given.
-    conjugations holds ``_conjugation`` by each kept candidate g that is
-    not central (row g equals column g); with the centre these generate
-    G, and central elements conjugate trivially, so an orbit under
-    conjugations is a whole conjugacy class.  element_orders and inv come
-    from one walk over powers (``_element_orders``).
+    It takes proven tables only: the table that a ``GroupAction`` fills,
+    or a table from outside that equals one up to the numbering of its
+    elements (``build_group_from_table``), as a C-contiguous array in
+    ``_entry_dtype``.  The array is made read-only and kept as
+    ``array``, the only storage: mult lists memoryviews of its rows, so
+    mult[a][b], the id of a*b, is a plain int that cannot be written.
+    labels hold display strings for DOT/JSON output.  generators lists
+    the generators' ids (empty for the trivial group): the construction
+    generators of a built table, the greedy ones of a table from outside.
+    conjugations holds ``_conjugation`` by each generator g that
+    ``_greedy_witnesses`` keeps when it scans them from last to first
+    until they generate the whole table, and that is not central (row g
+    equals column g); with the centre these generate G, and central
+    elements conjugate trivially, so an orbit under conjugations is a
+    whole conjugacy class.  element_orders and inv come from one walk
+    over powers (``_element_orders``).
     """
 
     identity = 0
@@ -253,26 +244,13 @@ class GroupTable:
                  "element_orders")
 
     def __init__(self, tbl: np.ndarray, labels: list[str],
-                 generators: tuple[int, ...] | None,
-                 candidates: Iterable[int]):
-        e = np.arange(len(tbl))  # the identity map
-        if not (np.array_equal(tbl[0], e) and np.array_equal(tbl[:, 0], e)):
-            raise InvalidGenerator("row/column 0 must be the identity maps")
-        tbl = tbl.astype(_entry_dtype(len(tbl)), copy=False)
+                 generators: tuple[int, ...]):
         tbl.flags.writeable = False
         self.order = len(tbl)
         self.array = tbl
         self.mult = _rows(tbl)
-        kept = _greedy_witnesses(self.mult, candidates, (1 << self.order) - 1)
-        if generators is None:
-            generators = kept
-            rows = tbl[list(kept)]
-            for g, row in zip(kept, rows):
-                if np.bincount(row, minlength=self.order).max() > 1:
-                    raise InvalidGenerator(
-                        f"row of generator {g} is not a permutation")
-            _check_rows(tbl, kept)
-            _prove_group(rows, tbl[:, list(kept)].T, kept)
+        kept = _greedy_witnesses(self.mult, reversed(generators),
+                                 (1 << self.order) - 1)
         self.generators = generators
         self.labels = labels
         self.order_factorization = factorize(self.order)
@@ -316,10 +294,10 @@ def _element_orders(tbl: np.ndarray) -> tuple[list[int], list[int]]:
 
 def _validate_table(tbl: np.ndarray) -> None:
     """Check that a table from outside is a non-empty square table of ids
-    in range: raise InvalidGenerator with a reason otherwise.  A built
-    table meets all three by construction (``_fill_rows``); the rest of
-    the proof that a table is a group, identity first, is the
-    ``GroupTable``'s, on both routes."""
+    in range whose row 0 and column 0 are the identity maps: raise
+    InvalidGenerator with a reason otherwise.  A built table meets all
+    four by construction (``_fill_rows``); the proof that a table is a
+    group is the ``GroupAction``'s, on both routes."""
     n = tbl.shape[0]
     if tbl.shape != (n, n):
         raise InvalidGenerator("multiplication table must be square")
@@ -327,67 +305,37 @@ def _validate_table(tbl: np.ndarray) -> None:
         raise InvalidGenerator("empty multiplication table")
     if tbl.min() < 0 or tbl.max() >= n:
         raise InvalidGenerator("table entry out of range")
+    e = np.arange(n)  # the identity map
+    if not (np.array_equal(tbl[0], e) and np.array_equal(tbl[:, 0], e)):
+        raise InvalidGenerator("row/column 0 must be the identity maps")
 
 
 def _prove_group(rows: np.ndarray, cols: np.ndarray,
                  gens: Sequence[int]) -> None:
-    """Prove that a product x*y over the ids 0..n-1, with identity 0, is a
-    group, from the rows rows[i][y] = gens[i]*y and the columns
-    cols[j][y] = y*gens[j] of generators gens, k x n arrays of ids in
-    range; raise InvalidGenerator if it is not.  Nothing else is read:
-    either premise below, which each caller checks first, makes the
-    generators generate the whole product.
+    """Prove that a product x*y over the ids 0..n-1, with identity 0,
+    given by maps (``GroupAction``), is a group, from the rows
+    rows[i][y] = g_i*y and the columns cols[j][y] = y*g_j of its
+    generators, k x n arrays of ids in range; raise InvalidGenerator,
+    naming the generator by gens[i], if it is not.  Nothing else is read.
 
-    A product given by maps (``_prove_maps``) is
-    x*y = x·R_y, where the columns are the maps R_j: y -> y*gens[j], R_y
-    composes them along y's BFS word, so it maps 0 to y, and each row was
-    read along those words, rows[i][y] = gens[i]·R_y.  Let P be the group
-    the R_j generate, once one ``bincount`` per column has shown each to
-    be a permutation; P is transitive, and the product is a group exactly
-    when P acts regularly, with x*y = x·R_y for R_y the one element of P
-    that maps 0 to y.  A transitive P is regular exactly when its point
-    stabiliser P_0 is trivial, that is normal, and P_0 is normal exactly
-    when it fixes every point h of gens (R_h maps 0 to h, so it then
-    normalizes P_0, and the R_h generate P).  By Schreier's lemma
-    (Seress, *Permutation Group Algorithms*, 2003), the maps
+    The product is x*y = x·R_y, where the columns are the maps
+    R_j: y -> y*g_j, R_y composes them along y's BFS word, so it maps 0
+    to y, and each row was read along those words, rows[i][y] = g_i·R_y.
+    Let P be the group the R_j generate, once one ``bincount`` per column
+    has shown each to be a permutation; P is transitive, and the product
+    is a group exactly when P acts regularly, with x*y = x·R_y for R_y the
+    one element of P that maps 0 to y.  A transitive P is regular exactly
+    when its point stabiliser P_0 is trivial, that is normal, and P_0 is
+    normal exactly when it fixes every generator's point h (R_h maps 0 to
+    h, so it then normalizes P_0, and the R_h generate P).  By Schreier's
+    lemma (Seress, *Permutation Group Algorithms*, 2003), the maps
     x -> ((x·R_y)·R_j)·R_{y*g_j}^-1 over every y and every j generate
-    P_0, so the proof is that each fixes each h of gens,
+    P_0, so the proof is that each fixes each h = g_i,
     (h*y)*g_j == h*(y*g_j): cols[j][rows[i][y]] == rows[i][cols[j][y]],
     two k x n gathers per generator.
-
-    A table from outside (``GroupTable``) is proven by the mirror
-    argument over its row maps L_x: y -> x*y.  Its generators' rows must
-    be permutations, and every row must lie in the group P they
-    generate, which ``_check_rows`` checks against a tree of right
-    products; as row 0 and column 0 are identity maps, L_y maps 0 to y,
-    P is transitive, and the Schreier generators L_{g*b}^-1∘L_g∘L_b of
-    P_0 fix each h of gens exactly when g*(b*h) == (g*b)*h: the same
-    equation.
     """
     for g, row in zip(gens, rows):
         if not np.array_equal(row[cols], cols[:, row]):
-            raise InvalidGenerator(f"associativity fails at generator {g}")
-
-
-def _check_rows(tbl: np.ndarray, gens: Sequence[int]) -> None:
-    """Check that every row of a table from outside lies in the group that
-    the rows of gens generate, for ``_prove_group``: ``_bfs`` over the
-    generator columns, the maps x -> x*g, reaches every id, and each row y
-    it first reaches as x*g is row x gathered at the row of g,
-    T[y] == T[x][T[g]], so L_y = L_x∘L_g.  Rows are compared in one block
-    per generator, the rows its tree edges reach: every entry is read
-    once.  Raise InvalidGenerator otherwise: in a group, the right
-    products of generators reach every element and the rows compose."""
-    order, parent, via, _ = _bfs(tbl[:, list(gens)].T.tolist())
-    if len(order) < len(tbl):
-        raise InvalidGenerator("associativity fails: the generators' "
-                               "right products miss an element")
-    order, vias = np.array(order), np.array(via)
-    parents = order[parent]
-    for j, g in enumerate(gens):
-        at = np.flatnonzero(vias == j)
-        ys, xs = order[at], parents[at]
-        if not np.array_equal(tbl[ys], tbl[xs[:, None], tbl[g]]):
             raise InvalidGenerator(f"associativity fails at generator {g}")
 
 
@@ -407,7 +355,7 @@ def _bfs(maps: Sequence[Sequence[int]]) -> tuple[list[int], list[int],
     reached; id i > 0 was first reached as parent[i] * g_{via[i]}, parent
     being an id (parent[0] = 0, via[0] = -1); place[c] is the id of code
     c, or -1 for a code not reached.  The one numbering of a group's
-    elements: it numbers built tables and checks tables from outside."""
+    elements (``GroupAction``), built or from outside."""
     place = [-1] * (len(maps[0]) if maps else 1)
     place[0] = 0
     order, parent, via = [0], [0], [-1]
@@ -422,55 +370,96 @@ def _bfs(maps: Sequence[Sequence[int]]) -> tuple[list[int], list[int],
     return order, parent, via, place
 
 
-def _prove_maps(maps: Sequence[Sequence[int]]):
-    """Number and prove the group that right-multiplication maps generate.
+class GroupAction:
+    """A group as its proven right-multiplication action, numbered by the
+    ids its table has, with no table until one is asked for.
 
-    maps[j][x] is the code of x*g_j over the codes range(len(maps[0])),
-    with the identity at code 0, for distinct generators g_j other than
-    the identity.  ``_bfs`` numbers the elements, the generator columns
-    over ids, cols[j][i], are the maps read at each id's code, and
-    ``_generator_rows`` reads the generator rows along the BFS tree; the
-    generators get ids 1..k, in order, as the BFS reaches them first from
-    the identity.  Once one ``bincount`` per column has shown each map
-    to permute the ids, ``_prove_group`` proves that the maps generate a
-    group that acts regularly on the ids it reaches, with x*y the image
-    of x under the composition of the maps along y's BFS word.  Returns
-    (order, parent, via, place, rows), the BFS and the generator rows.
+    maps[j][x] is the code of x*g_j over the codes range(len(reps)), with
+    the identity at code 0, for distinct generators g_j other than the
+    identity, and reps[c] is the rep of code c.  ``_bfs`` numbers the
+    elements, so the generators get ids 1..k in order.  InvalidGenerator
+    is raised for maps whose right products from code 0 do not reach
+    every code, or reps that do not name each code once.  The generator
+    columns over ids, cols[j][i], are the maps read at each id's code;
+    once one ``bincount`` per column has shown each to permute the ids,
+    ``_generator_rows`` reads the generator rows along the BFS tree and
+    ``_prove_group`` proves that the maps generate a group acting
+    regularly, with x*y the image of x under the maps composed along y's
+    BFS word.  Its errors name a generator by its code.  Nothing else is
+    trusted.
+
+    order is the group's order, elements[i] the rep of id i, and index
+    the id of each rep.
     """
-    order, parent, via, place = _bfs(maps)
-    # take(..., axis=1) keeps cols C-contiguous, where [:, order] gives a
-    # transposed layout on which the gathers are half as fast
-    cols = np.array(place)[np.array(maps, dtype=np.intp).reshape(
-        len(maps), len(place)).take(order, axis=1)]
-    gens = cols[:, 0].tolist()  # the generators' ids
-    for g, col in zip(gens, cols):
-        if np.bincount(col, minlength=len(order)).max() > 1:
-            raise InvalidGenerator(
-                f"column of generator {g} is not a permutation")
-    rows = _generator_rows(cols, parent, via)
-    _prove_group(rows, cols, gens)
-    return order, parent, via, place, rows
 
+    __slots__ = ("order", "elements", "index", "_codes", "_parent", "_via",
+                 "_cols", "_rows")
 
-def _assemble_table(maps: Sequence[Sequence[int]], labels: Sequence[str]):
-    """The table of the group that right-multiplication maps generate.
+    def __init__(self, maps: Sequence[Sequence[int]], reps: Sequence):
+        codes, parent, via, place = _bfs(maps)
+        n = len(codes)
+        if n != len(place):
+            raise InvalidGenerator("the maps do not reach every code")
+        self.elements = [reps[c] for c in codes] if len(reps) == n else []
+        self.index = dict(zip(self.elements, range(n)))
+        if len(self.index) != n:
+            raise InvalidGenerator("reps do not match the codes")
+        # take(..., axis=1) keeps cols C-contiguous, where [:, codes] gives
+        # a transposed layout on which the gathers are half as fast
+        cols = np.array(place)[np.array(maps, dtype=np.intp).reshape(
+            len(maps), n).take(codes, axis=1)]
+        gens = [m[0] for m in maps]  # each generator's code, 0*g_j
+        for g, col in zip(gens, cols):
+            if np.bincount(col, minlength=n).max() > 1:
+                raise InvalidGenerator(
+                    f"column of generator {g} is not a permutation")
+        rows = _generator_rows(cols, parent, via)
+        _prove_group(rows, cols, gens)
+        self.order = n
+        self._codes, self._parent, self._via = codes, parent, via
+        self._cols, self._rows = cols, rows
 
-    maps[j][x] is the code of x*g_j over the codes range(len(labels)),
-    and labels[c] is the label of code c.  ``_prove_maps`` numbers and
-    proves the group, and ``_fill_rows`` fills its table from the
-    generator rows with no product of two elements.  The table keeps the
-    array as its rows and conjugates by the generators that
-    ``_greedy_witnesses`` keeps when it scans them from last to first
-    until they generate the whole table.
+    def table(self, labels: Sequence[str]) -> GroupTable:
+        """The group's table, labels[c] being the label of code c, filled
+        from the generator rows with no product of two elements
+        (``_fill_rows``)."""
+        return GroupTable(_fill_rows(self._rows, self._parent, self._via),
+                          [labels[c] for c in self._codes],
+                          tuple(self._rows[:, 0].tolist()))  # g*0 = g
 
-    Returns (GroupTable, codes), where codes[i] is the code of id i.
-    """
-    order, parent, via, _, rows = _prove_maps(maps)
-    gen_ids = rows[:, 0].tolist()  # g*0 = g
-    table = GroupTable(_fill_rows(rows, parent, via),
-                       [labels[c] for c in order],
-                       tuple(gen_ids), reversed(gen_ids))
-    return table, order
+    def _right(self, x: int) -> np.ndarray:
+        """Right multiplication by element x, as the array of y*x over
+        every id y: the generator columns composed along x's BFS word,
+        from the identity down."""
+        word = []
+        while x:
+            word.append(self._via[x])
+            x = self._parent[x]
+        image = np.arange(self.order)
+        for j in reversed(word):
+            image = self._cols[j][image]
+        return image
+
+    def closure(self, seed: Iterable[int]) -> int:
+        """Member mask of the subgroup that the elements of seed generate,
+        as ``subgroup_closure`` gives it over the table, with no table:
+        the orbit of the identity under their right multiplications, grown
+        a level at a time.  Raises ValueError as ``subgroup_closure``
+        does."""
+        maps = [self._right(x) for x in dict.fromkeys(_ids(seed, self.order))
+                if x]
+        member = np.zeros(self.order, dtype=bool)
+        member[0] = True
+        level = np.zeros(1, dtype=np.intp)
+        while maps and level.size:
+            fresh = np.zeros_like(member)
+            for m in maps:
+                fresh[m[level]] = True
+            fresh &= ~member
+            member |= fresh
+            level = np.flatnonzero(fresh)
+        return int.from_bytes(
+            np.packbits(member, bitorder="little").tobytes(), "little")
 
 
 def _generator_rows(cols: np.ndarray, parent: list[int],
@@ -499,7 +488,7 @@ def _generator_rows(cols: np.ndarray, parent: list[int],
 
 def _fill_rows(rows: np.ndarray, parent: list[int],
                via: list[int]) -> np.ndarray:
-    """The n x n table of a group that ``_prove_maps`` proved, from its
+    """The n x n table of a group that ``GroupAction`` proved, from its
     generator rows: row y > 0 is row parent[y] gathered at
     rows[via[y]], as y = parent[y] * g_{via[y]} and the product is
     associative.  Row 0 is arange(n) and every other row is gathered from
@@ -519,7 +508,7 @@ def _fill_rows(rows: np.ndarray, parent: list[int],
 def _permutation_closure(degree: int, reps: Sequence[tuple[int, ...]],
                          order_cap: int):
     """The group that permutation image tuples of {0..degree-1} generate,
-    as ``_assemble_table``'s data: returns (maps, perms), where perms lists
+    as ``GroupAction``'s data: returns (maps, perms), where perms lists
     the elements in the order first reached, each a code (its index), and
     maps[j][x] is the code of perms[x] * g_j.  The generators are reps
     without the identity and repeats, in order.  Raises OrderCapExceeded
@@ -560,7 +549,7 @@ def build_group_from_permutations(degree: int, generators: Iterable,
         raise InvalidGenerator(f"degree must be an integer >= 1, got {degree!r}")
     reps = [perm_from_cycles(degree, cycles) for cycles in generators]
     maps, perms = _permutation_closure(degree, reps, order_cap)
-    return _assemble_table(maps, list(map(perm_label, perms)))[0]
+    return GroupAction(maps, perms).table(list(map(perm_label, perms)))
 
 
 def build_group_from_table(mult: Sequence[Sequence[int]],
@@ -571,10 +560,13 @@ def build_group_from_table(mult: Sequence[Sequence[int]],
     This is the library's input route for a group known only by its
     table, outside the spec families.  Every entry must be an integer
     (Python or numpy, not bool) in range; anything else raises
-    InvalidGenerator, before the table is narrowed to ``_entry_dtype``.
-    It is then proven a group as a built table is, over the ids 1, 2, ...
-    that ``_greedy_witnesses`` keeps, its generators: that is all its
-    validation.
+    InvalidGenerator, before the table is narrowed to ``_entry_dtype``,
+    and row 0 and column 0 must be the identity maps.  It is then proven
+    a group as a built table is: the columns of its generators, the ids
+    1, 2, ... that ``_greedy_witnesses`` keeps, are the maps of a
+    ``GroupAction``, and the table must equal that action's filled table
+    under the BFS numbering.  That is all its validation; the table keeps
+    its own ids.
     """
     if order_cap < 1:
         raise ValueError(f"order cap must be at least 1, got {order_cap}")
@@ -598,7 +590,15 @@ def build_group_from_table(mult: Sequence[Sequence[int]],
     elif len(labels) != n:
         raise InvalidGenerator("labels length does not match table order")
     _validate_table(tbl)
-    return GroupTable(tbl, list(labels), None, range(1, n))
+    tbl = tbl.astype(_entry_dtype(n))
+    gens = _greedy_witnesses(_rows(tbl), range(1, n), (1 << n) - 1)
+    action = GroupAction(tbl[:, list(gens)].T.tolist(), range(n))
+    codes = np.array(action.elements, dtype=tbl.dtype)  # codes are ids here
+    filled = _fill_rows(action._rows, action._parent, action._via)
+    if not np.array_equal(codes[filled], tbl[np.ix_(codes, codes)]):
+        raise InvalidGenerator("associativity fails: the table is not the "
+                               "group its generators' columns generate")
+    return GroupTable(tbl, list(labels), gens)
 
 
 # ---------------------------------------------------------------------------
@@ -645,8 +645,8 @@ def _greedy_witnesses(mult: list[list[int]], candidates: Iterable[int],
     members it gives canonical witnesses that depend only on the member
     set, so serialized lattices reproduce identical witnesses; over a
     table's generators it gives the set whose conjugations the class
-    orbits run over, and for a table from outside also the set that
-    ``_prove_group`` runs over.  Raises ValueError when the closure ends
+    orbits run over, and for a table from outside also the generators
+    whose columns prove it.  Raises ValueError when the closure ends
     anywhere other than mask: when the candidates do not generate it, or
     when mask is not a subgroup and the closure grows past it."""
     wits: list[int] = []
@@ -723,13 +723,19 @@ def subgroup_closure(G: GroupTable, seed: Iterable[int]) -> SubgroupSet:
     """Smallest subgroup containing the seed; raises ValueError for an id
     that is not an integer (Python or numpy, not bool) or names no
     element of G."""
+    return SubgroupSet(G, _grow(G.mult, 1, [0], _ids(seed, G.order))[0])
+
+
+def _ids(seed: Iterable[int], order: int) -> list[int]:
+    """The element ids of seed as ints; raises ValueError for one that is
+    not an integer (Python or numpy, not bool) or not below order."""
     ids = list(seed)
     for x in ids:
         if not _is_int(x):
             raise ValueError(f"element id {x!r} is not an integer")
-        if not 0 <= x < G.order:
+        if not 0 <= x < order:
             raise ValueError(f"element id {x} out of range")
-    return SubgroupSet(G, _grow(G.mult, 1, [0], map(int, ids))[0])
+    return list(map(int, ids))
 
 
 def _require_same_parent(A: SubgroupSet, B: SubgroupSet) -> None:

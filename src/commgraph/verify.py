@@ -559,7 +559,8 @@ def verify_construction(h_spec: GroupSpec | None = None) -> VerdictReport:
     H^4 ⋊ sym(4) is kept as its proven right-multiplication action, with
     no table (``construct_action``): each path vertex is the closure of
     its slot witnesses and of a permutation group, which is closed in
-    sym(4)'s table, and is held as a member mask over the action's codes.
+    sym(4)'s table, and is held as a member mask over the ids that the
+    group's table would have.
     """
     h_spec = cyclic(3) if h_spec is None else h_spec
     is_default = h_spec == cyclic(3)
@@ -573,7 +574,8 @@ def verify_construction(h_spec: GroupSpec | None = None) -> VerdictReport:
     # The permutation groups are closed in sym(4)'s table only so that this
     # module still uses subgroup_closure, a name the benchmark's tracer
     # wraps here (perfbench/spans.py, GROUP_OPS); closing their generators
-    # in the action gives the same vertices.
+    # in the action, which numbers its elements as tables do, gives the
+    # same vertices.
     s4 = construct_detailed(sym(4))
     h_name = spec_name(h_spec)
     h_lat = _lattice(h_spec)
@@ -607,7 +609,7 @@ def verify_construction(h_spec: GroupSpec | None = None) -> VerdictReport:
     identity_perm = (0, 1, 2, 3)
 
     def vertex(slots, perm_cycles) -> int:
-        """Member mask over the action's codes."""
+        """Member mask over the action's ids."""
         gens = []
         for slot, hs in enumerate(slots):
             for w in hs.witnesses:

@@ -43,8 +43,8 @@ from commgraph import (
     sym,
 )
 from commgraph import constructions, groups, verify
-from commgraph.constructions import GroupAction, _order, construct_action
-from commgraph.groups import perm_from_cycles
+from commgraph.constructions import _order, construct_action
+from commgraph.groups import GroupAction, perm_from_cycles
 
 
 def test_parse_examples():
@@ -294,13 +294,15 @@ def _right_product_closure(cols):
 
 @pytest.fixture
 def proof_calls(monkeypatch):
-    """Every (rows, cols, generators) handed to the proof that a product is
-    a group while the fixture is active."""
+    """The (rows, cols) of every product that a ``GroupAction`` proves a
+    group while the fixture is active: its generators' rows and columns
+    over ids, the only entries the proof reads; cols[j][0] is the id of
+    generator j."""
     calls = []
     prove = groups._prove_group
 
     def recording(rows, cols, gens):
-        calls.append((rows, cols, list(gens)))
+        calls.append((rows, cols))
         prove(rows, cols, gens)
 
     monkeypatch.setattr(groups, "_prove_group", recording)
@@ -315,11 +317,12 @@ def test_associativity_subset_reaches_every_id(spec, order, proof_calls):
     and for each factor it is built from; the last proof read exactly the
     generator rows and columns of the table that was then filled."""
     table = construct(spec)
-    rows, cols, gens = proof_calls[-1]
+    rows, cols = proof_calls[-1]
+    gens = list(table.generators)
     assert np.array_equal(rows, table.array[gens].reshape(rows.shape))
     assert np.array_equal(cols, table.array[:, gens].T.reshape(cols.shape))
-    for rows, cols, gens in proof_calls:
-        assert gens == list(range(1, len(gens) + 1))
+    for rows, cols in proof_calls:
+        assert cols[:, 0].tolist() == list(range(1, len(cols) + 1))
         assert _right_product_closure(cols) == set(range(rows.shape[1]))
 
 
@@ -330,7 +333,7 @@ def test_bs_associativity_subset(proof_calls, conjugating_generators):
     the slot-3 generator."""
     built = construct_detailed(bs(cyclic(3)))
     assert built.table.generators == (1, 2, 3, 4, 5, 6)
-    assert proof_calls[-1][2] == [1, 2, 3, 4, 5, 6]
+    assert proof_calls[-1][1][:, 0].tolist() == [1, 2, 3, 4, 5, 6]
     owners = conjugating_generators(built.table)
     assert [built.elements[g] for g in owners] == [
         ((0, 0, 0, 0), perm_from_cycles(4, [(1, 2, 3, 4)])),
@@ -410,44 +413,33 @@ def test_built_ids_follow_the_shared_bfs(spec, built_group):
     assert order == place == list(range(table.order))
 
 
-def test_schreier_proof_rejects_a_non_regular_action(monkeypatch):
+def test_schreier_proof_rejects_a_non_regular_action(proof_calls):
     """S5 on 5 points: BFS over two generators' right action reaches 5
     points, and both maps are permutations; but S5 does not act
     regularly, so the Schreier check fails before any table is filled.
-    The table that would have been filled passes validation, and the one
-    generator that ``_greedy_witnesses`` keeps from it has a permutation
-    as its row: given from outside, it fails the check of its rows
-    against the tree of right products, before the Schreier check, with
-    the same message."""
-    prove, seen = groups._prove_group, []
-
-    def recording(rows, cols, gens):
-        seen.append(cols)
-        prove(rows, cols, gens)
-
-    monkeypatch.setattr(groups, "_prove_group", recording)
+    The table the maps would fill, read along the BFS with no proof,
+    passes the input checks.  Given from outside, the column of its one
+    greedy generator, 1, is the 5-cycle of the first map: the proof
+    accepts that action, of a cyclic group, and the table is rejected as
+    not equal to its filled table."""
     maps = [[1, 3, 4, 2, 0], [2, 4, 3, 0, 1]]
     with pytest.raises(InvalidGenerator,
                        match="^associativity fails at generator 1$"):
-        groups._assemble_table(maps, [str(c) for c in range(5)])
-    assert len(seen) == 1
-    for col in seen[0]:  # the maps were shown to be permutations
+        GroupAction(maps, range(5))
+    assert len(proof_calls) == 1
+    for col in proof_calls[0][1]:  # the maps were shown to be permutations
         assert sorted(col.tolist()) == list(range(5))
     order, parent, via, place = groups._bfs(maps)
     assert order == place == list(range(5))
     rows = groups._generator_rows(np.array(maps), parent, via)
     tbl = groups._fill_rows(rows, parent, via)
     groups._validate_table(tbl)
-    assert groups._greedy_witnesses(groups._rows(tbl), range(1, 5),
-                                    (1 << 5) - 1) == (1,)
-    assert sorted(tbl[1].tolist()) == list(range(5))
     with pytest.raises(InvalidGenerator,
-                       match="^associativity fails at generator 1$"):
-        groups._check_rows(tbl, (1,))
-    with pytest.raises(InvalidGenerator,
-                       match="^associativity fails at generator 1$"):
+                       match="^associativity fails: the table is not the "
+                             "group its generators' columns generate$"):
         build_group_from_table(tbl.tolist())
-    assert len(seen) == 1
+    assert len(proof_calls) == 2  # a 5-cycle, numbered along itself
+    assert proof_calls[1][1].tolist() == [[1, 2, 3, 4, 0]]
 
 
 @pytest.mark.parametrize("maps", [[[1, 1]], [[1, 2, 2]],
@@ -456,21 +448,19 @@ def test_schreier_proof_rejects_a_non_regular_action(monkeypatch):
 def test_maps_proof_rejects_a_map_that_is_no_permutation(maps):
     """Maps whose products are associative but which do not permute the
     codes, the monoids among them, pass the Schreier check: each map must
-    be shown a permutation first, with or without a table."""
-    reps = range(len(maps[0]))
-    for build in (lambda: groups._assemble_table(maps, list(map(str, reps))),
-                  lambda: GroupAction(maps, reps)):
-        with pytest.raises(InvalidGenerator,
-                           match="^column of generator [12] is not a "
-                                 "permutation$"):
-            build()
+    be shown a permutation first."""
+    with pytest.raises(InvalidGenerator,
+                       match="^column of generator 1 is not a permutation$"):
+        GroupAction(maps, range(len(maps[0])))
 
 
 @pytest.mark.parametrize("maps,reps,message", [
     ([[2, 1, 0]], range(3), "the maps do not reach every code"),
     ([[1, 0, 2, 3]], range(4), "the maps do not reach every code"),
-    ([[1, 2, 0]], range(4), "reps do not match the codes")],
-    ids=["code-1-unreached", "codes-2-3-unreached", "rep-without-code"])
+    ([[1, 2, 0]], range(4), "reps do not match the codes"),
+    ([[1, 2, 0]], [0, 0, 1], "reps do not match the codes")],
+    ids=["code-1-unreached", "codes-2-3-unreached", "rep-without-code",
+         "repeated-rep"])
 def test_action_rejects_maps_or_reps_that_miss_a_code(maps, reps, message):
     """Permutations whose right products from code 0 do not reach every
     code prove a group on the codes they reach, but an action holds every
@@ -703,48 +693,33 @@ def test_bs_coordinate_action_swaps_slots():
 ACTION_SPECS = [bs(cyclic(2)), bs(cyclic(3)), p2q(5), sym(4)]
 
 
-def _code_of_ids(spec, built_group):
-    """The action of spec, its table, and the action's code of each id of
-    the table, through the rep both give each element."""
-    action = construct_action(spec)
-    built = built_group(spec)
-    return action, built, [action.index[rep] for rep in built.elements]
-
-
-def _table_closure_as_codes(built, codes, action, gen_codes):
-    """subgroup_closure over the table of the elements with the given
-    action codes, as a member mask over codes."""
-    rep_of = {c: rep for rep, c in action.index.items()}
-    ids = [built.index[rep_of[c]] for c in gen_codes]
-    members = subgroup_closure(built.table, ids).members
-    return sum(1 << codes[i] for i in groups._bits(members))
-
-
 @pytest.mark.parametrize("spec", ACTION_SPECS, ids=spec_name)
 def test_action_closures_match_table_closures(spec, built_group):
-    """Both routes give the same order, and the closure of seeded random
-    element sets over codes is the table's closure mapped to codes."""
-    action, built, codes = _code_of_ids(spec, built_group)
-    assert action.order == built.table.order == len(action.index)
-    assert sorted(codes) == list(range(action.order))
+    """Both routes number the elements alike, and the closure of seeded
+    random ids over the action is their closure over the table."""
+    action = construct_action(spec)
+    built = built_group(spec)
+    assert action.elements == built.elements
+    assert action.index == built.index
+    assert action.order == built.table.order
     rng = random.Random(20261021)
     for _ in range(25):
-        gen_codes = rng.sample(range(action.order), rng.randint(0, 3))
-        assert action.closure(gen_codes) == _table_closure_as_codes(
-            built, codes, action, gen_codes)
+        ids = rng.sample(range(action.order), rng.randint(0, 3))
+        assert action.closure(ids) == subgroup_closure(built.table,
+                                                       ids).members
 
 
 @pytest.mark.parametrize("base", [cyclic(2), cyclic(3)], ids=spec_name)
 def test_action_closes_every_construction_path_vertex(base, built_group,
                                                       monkeypatch):
     """Each path vertex of the construction suite, closed over bs(H)'s
-    action, is the closure of the same elements in bs(H)'s table."""
+    action, is the closure of the same ids in bs(H)'s table."""
     calls = []
     closure = GroupAction.closure
 
-    def recording(self, gen_codes):
-        gen_codes = list(gen_codes)
-        calls.append((gen_codes, closure(self, gen_codes)))
+    def recording(self, ids):
+        ids = list(ids)
+        calls.append((ids, closure(self, ids)))
         return calls[-1][1]
 
     monkeypatch.setattr(GroupAction, "closure", recording)
@@ -753,10 +728,9 @@ def test_action_closes_every_construction_path_vertex(base, built_group,
     ends = next(r for r in report.records
                 if r.params["check"] == "endpoints")
     assert len(calls) == ends.params["path_vertices"]
-    action, built, codes = _code_of_ids(bs(base), built_group)
-    for gen_codes, mask in calls:
-        assert mask == _table_closure_as_codes(built, codes, action,
-                                               gen_codes)
+    table = built_group(bs(base)).table
+    for ids, mask in calls:
+        assert mask == subgroup_closure(table, ids).members
 
 
 @pytest.mark.parametrize("spec", ACTION_SPECS, ids=spec_name)

@@ -248,11 +248,19 @@ def test_table_route_rejects_a_cap_below_one(cap):
         build_group_from_table([[0, 5]], order_cap=cap)
 
 
-def test_explicit_table_roundtrip():
-    z3 = construct(cyclic(3))
-    rebuilt = build_group_from_table(z3.mult, z3.labels)
-    assert rebuilt.mult == z3.mult
-    assert rebuilt.inv == z3.inv
+@pytest.mark.parametrize("spec", [cyclic(3), sym(6), bs(cyclic(2)), p2q(13),
+                                  direct([sym(4), sym(3)])], ids=spec_name)
+def test_explicit_table_roundtrip(spec):
+    """A built table given back from outside is proven and kept as it
+    is: the same products, inverses, element orders, generators and
+    conjugations."""
+    table = construct(spec)
+    rebuilt = build_group_from_table(table.mult, table.labels)
+    assert rebuilt.mult == table.mult
+    assert rebuilt.inv == table.inv
+    assert rebuilt.element_orders == table.element_orders
+    assert rebuilt.generators == table.generators
+    assert rebuilt.conjugations == table.conjugations
 
 
 def test_explicit_table_rejects_non_group():
@@ -308,22 +316,23 @@ def test_explicit_table_rejects_non_associative_loop():
 def test_explicit_table_rejects_right_products_that_miss_an_element():
     """Every row is a permutation and the greedy closure of 1 and 3
     reaches every id, but only by a bracketed product, 4 = (0*3)*2: the
-    right products of the generators reach 0, 1, 2 and 3 alone, so no
-    tree ties row 4 to the generators' rows, and the table is no group."""
+    right products of the generators, the maps of their columns, reach
+    0, 1, 2 and 3 alone, so no action of them numbers id 4, and the
+    table is no group."""
     mult = [[0, 1, 2, 3, 4],
             [1, 2, 4, 3, 0],
             [2, 1, 4, 0, 3],
             [3, 2, 4, 1, 0],
             [4, 3, 2, 1, 0]]
-    with pytest.raises(InvalidGenerator, match="^associativity fails: the "
-                       "generators' right products miss an element$"):
+    with pytest.raises(InvalidGenerator,
+                       match="^the maps do not reach every code$"):
         build_group_from_table(mult)
 
 
 def test_explicit_table_rejects_one_swapped_pair_in_sym6():
-    """Once in an early row and once in a late one: an outside table's
-    rows are checked against a tree of right products before the
-    Schreier proof, and that check reads every entry."""
+    """Once in an early row and once in a late one, outside the columns
+    of the generators (1, 2): their action is proven, and the table is
+    compared with its filled table on every entry."""
     table = construct(sym(6))
     for r in (5, 715):
         mult = [list(row) for row in table.mult]
@@ -335,28 +344,23 @@ def test_explicit_table_rejects_one_swapped_pair_in_sym6():
 
 
 def test_explicit_table_rejects_missing_inverse_in_any_row_block():
-    """A row without a 0 entry has no inverse.  Outside the rows of the
-    generators the proof runs over, sym(6)'s greedy generators (1, 2), it
-    breaks associativity, caught by the check of rows against the tree of
-    right products: the error names the first generator whose block of
-    rows fails, 1 for row 5 (a row reached from row 5 by generator 1) and
-    2 for row 715.  1 is always the first of those generators, and its
-    own row is then no permutation."""
+    """A row without a 0 entry has no inverse.  Outside the columns of
+    sym(6)'s greedy generators (1, 2), as in rows 5 and 715, it leaves
+    their action a group, and the table then differs from that group's
+    filled table.  Generator 1 is its own inverse, so in row 1 the 0
+    sits in column 1, which is then no permutation."""
     table = construct(sym(6))
     assert build_group_from_table(table.mult).generators == (1, 2)
-    for r, g in ((5, 1), (715, 2)):
+    for r, message in ((5, "associativity fails: the table is not the group "
+                           "its generators' columns generate"),
+                       (715, "associativity fails: the table is not the group "
+                             "its generators' columns generate"),
+                       (1, "column of generator 1 is not a permutation")):
         mult = [list(row) for row in table.mult]
         row = mult[r]
         row[row.index(0)] = row[0]
-        with pytest.raises(InvalidGenerator,
-                           match=f"^associativity fails at generator {g}$"):
+        with pytest.raises(InvalidGenerator, match=f"^{message}$"):
             build_group_from_table(mult)
-    mult = [list(row) for row in table.mult]
-    row = mult[1]
-    row[row.index(0)] = row[0]
-    with pytest.raises(InvalidGenerator,
-                       match="^row of generator 1 is not a permutation$"):
-        build_group_from_table(mult)
 
 
 @pytest.mark.parametrize("mult", [[[0, 1], [1, 1]],
@@ -365,12 +369,11 @@ def test_explicit_table_rejects_missing_inverse_in_any_row_block():
                          ids=["semilattice", "cyclic-monoid", "left-zero"])
 def test_explicit_table_rejects_monoid(mult):
     """Associative tables with identity 0 that are monoids, not groups:
-    every row is a product of the generators' rows and the Schreier
-    proof passes them, so the rows of the generators it runs over must be
-    permutations.  Without that check, the walk over the powers
-    of an element would never reach the identity."""
+    the Schreier proof passes them, so the columns of the generators it
+    runs over must be permutations.  Without that check, the walk over
+    the powers of an element would never reach the identity."""
     with pytest.raises(InvalidGenerator,
-                       match="^row of generator 1 is not a permutation$"):
+                       match="^column of generator 1 is not a permutation$"):
         build_group_from_table(mult)
 
 

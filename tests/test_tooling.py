@@ -2,8 +2,8 @@
 with its falsifying example, also when warnings are errors; every source
 file parses as the oldest supported Python; every module of the package
 uses what it imports, with the CLI and the verify suites importing no
-private name of another module, and only the verify suites sampling;
-the lattice oracle imports no private name of ``commgraph.groups``; and
+private name of another module, only the verify suites sampling, and
+only ``commgraph.groups`` making a ``GroupTable``; the lattice oracle imports no private name of ``commgraph.groups``; and
 the benchmark's tracer finds every name it wraps."""
 
 from __future__ import annotations
@@ -112,6 +112,20 @@ def test_only_the_lemma_suite_samples():
                for module, imported, _ in _imports(
                    ast.parse(path.read_text(encoding="utf-8")))))
     assert sampling == ["verify.py"]
+
+
+def test_only_groups_makes_tables():
+    """Every table comes from the one proof that a product is a group: only
+    ``commgraph.groups`` calls ``GroupTable(...)``, on a ``GroupAction``'s
+    filled table or on a table from outside proven equal to one."""
+    makers = sorted(
+        path.name for path in SOURCE_MODULES
+        if any(isinstance(node, ast.Call) and "GroupTable" in (
+                   getattr(node.func, "id", None),
+                   getattr(node.func, "attr", None))
+               for node in ast.walk(ast.parse(
+                   path.read_text(encoding="utf-8")))))
+    assert makers == ["groups.py"]
 
 
 def test_benchmark_tracer_wraps_every_name():
