@@ -32,9 +32,8 @@ composes two reps; it codes each permutation by the order it is found in.
 
 Every call builds a new table or action; nothing here is cached.  The
 program's one cache across calls is in ``commgraph.verify``, the layer
-that repeats work over a fixed corpus, beside its lemma suite's per-call
-memo and the values an object keeps about itself:
-``Lattice.index_matrix``, ``Lattice.pair_codes`` and
+that repeats work over a fixed corpus, beside the values an object keeps
+about itself: ``Lattice.index_matrix``, ``Lattice.pair_codes`` and
 ``SubgroupSet.witnesses``.
 """
 

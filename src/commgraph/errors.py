@@ -37,10 +37,6 @@ class NotConnected(CommGraphError):
     """Two vertices lie in different graph components."""
 
 
-class NotFound(CommGraphError):
-    """A lattice lookup failed (corrupt or foreign lattice)."""
-
-
 class InvalidSpec(CommGraphError):
     """A group-spec document is structurally or semantically invalid."""
 

@@ -84,7 +84,12 @@ DEFAULT_ORDER_CAP = 5000
 
 def _is_int(x) -> bool:
     """Whether x is a Python or numpy integer, not a bool."""
-    return type(x) is not bool and isinstance(x, (int, np.integer))
+    return _is_int_type(type(x))
+
+
+def _is_int_type(t: type) -> bool:
+    """Whether t is a Python or numpy integer type, not bool."""
+    return t is not bool and issubclass(t, (int, np.integer))
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -573,11 +578,11 @@ def build_group_from_table(mult: Sequence[Sequence[int]],
     n = len(mult)
     if n > order_cap:
         raise OrderCapExceeded(f"table order {n} exceeds the cap ({order_cap})")
-    try:  # one entry of each type
-        samples = {type(x): x for x in chain.from_iterable(mult)}
+    try:
+        types = set(map(type, chain.from_iterable(mult)))
     except TypeError:
         raise InvalidGenerator("malformed table: a row is not a sequence") from None
-    if not all(map(_is_int, samples.values())):
+    if not all(map(_is_int_type, types)):
         raise InvalidGenerator("table entries must be integers")
     try:
         tbl = np.array(mult, dtype=np.int64)

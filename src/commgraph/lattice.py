@@ -43,7 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import LatticeCapExceeded, NotFound
+from .errors import LatticeCapExceeded
 from .groups import (
     GroupTable,
     SubgroupSet,
@@ -53,7 +53,6 @@ from .groups import (
     _normalizes,
     derived_series,
     factorize,
-    subgroup_closure,
 )
 
 DEFAULT_LATTICE_CAP = 100000
@@ -330,14 +329,3 @@ def enumerate_subgroups(G: GroupTable,
             worklist.append((t_mask, t_elems, t_gens, len(cls) == 1))
 
     return _finish_lattice(G, known)
-
-
-def locate_subgroup(lat: Lattice, generator_ids) -> int:
-    """Index of the lattice member generated by the given element ids;
-    raises ValueError for an id that is not an integer or lies outside
-    the table."""
-    mask = subgroup_closure(lat.parent, generator_ids).members
-    idx = lat.index_of_members.get(mask)
-    if idx is None:
-        raise NotFound("closure of the generators is missing from the lattice")
-    return idx

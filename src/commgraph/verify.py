@@ -19,8 +19,7 @@ call of ``_cases(spec)`` per group before the first trial: it asks the
 facts that conjugation preserves (normal cores, nilpotency) once per
 conjugacy class of the lattice, which records the classes
 (``Lattice.class_of``, from which ``_normal`` reads normality), and the
-derived series once.  Inside the trial loop only a memo of products,
-intersections and complements, kept for one call, is read.
+derived series once.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ from .graphs import (
     components_and_diameters,
 )
 from .groups import (
-    SubgroupSet,
     derived_series,
     intersect,
     is_nilpotent_subgroup,
@@ -72,7 +70,7 @@ from .groups import (
     subgroup_closure,
     sylow_subgroup,
 )
-from .lattice import Lattice, enumerate_subgroups, locate_subgroup
+from .lattice import Lattice, enumerate_subgroups
 
 PRIMES_UP_TO_13 = (2, 3, 5, 7, 11, 13)
 SUITE_NAMES = ("totaldisc", "bounds", "lemmas", "sym4", "construction", "cd", "p2q")
@@ -368,24 +366,12 @@ def verify_lemma_suite(corpus=None, trials: int = DEFAULT_TRIALS,
     q_orders = []  # the order of each Q sampled by _sample_q
 
     # Trials ask for the same products, intersections and complements many
-    # times over; each is computed once per (operation, lattice, lattice
-    # indices or index and p) in this call.  The cases of one spec share
-    # its lattice and keep it alive, so its id names it.
-    memo: dict = {}
-
-    def once(fn, lat: Lattice, i: int, j: int) -> SubgroupSet:
-        """fn(L[i], L[j])."""
-        key = (fn, id(lat), i, j)
-        if key not in memo:
-            memo[key] = fn(lat.subgroups[i], lat.subgroups[j])
-        return memo[key]
-
-    def complement(lat: Lattice, i: int, p: int) -> int:
-        """The member mask of L[i]'s p'-complement."""
-        key = (p_prime_complement, id(lat), i, p)
-        if key not in memo:
-            memo[key] = p_prime_complement(lat.subgroups[i], p).members
-        return memo[key]
+    # times over; each is computed once in this call.  The caches wrap the
+    # names as they are bound now, so a wrapper installed on them sees
+    # each distinct call.
+    product = functools.cache(product_set)
+    meet = functools.cache(intersect)
+    complement = functools.cache(p_prime_complement)
 
     for trial in range(trials):
         prop = properties[rng.randrange(len(properties))]
@@ -405,7 +391,7 @@ def verify_lemma_suite(corpus=None, trials: int = DEFAULT_TRIALS,
             v = rng.randrange(len(subs))
             v_order = subs[v].order
             exp = p_power_exponent(
-                once(product_set, lat, v, qi).order // v_order, p)
+                product(subs[v], subs[qi]).order // v_order, p)
             params = {"q_order": q_order, "v_order": v_order}
             check = ("p-power index", {"exponent": exp}, exp is not None)
         elif prop == "extension_preserves_adjacency":
@@ -414,8 +400,8 @@ def verify_lemma_suite(corpus=None, trials: int = DEFAULT_TRIALS,
             q_order = subs[qi].order
             q_orders.append(q_order)
             exps = commensurability_exponents(
-                once(product_set, lat, i, qi),
-                once(product_set, lat, j, qi), p)
+                product(subs[i], subs[qi]),
+                product(subs[j], subs[qi]), p)
             params = {"edge": [i, j], "q_order": q_order}
             check = ("p-power index pair", {"exponents": exps},
                      exps is not None)
@@ -423,7 +409,7 @@ def verify_lemma_suite(corpus=None, trials: int = DEFAULT_TRIALS,
             i, j = rng.choice(case.edges)
             n = rng.choice(case.normal)
             exps = commensurability_exponents(
-                once(intersect, lat, i, n), once(intersect, lat, j, n), p)
+                meet(subs[i], subs[n]), meet(subs[j], subs[n]), p)
             params = {"edge": [i, j], "n_order": subs[n].order}
             check = ("p-power index pair", {"exponents": exps},
                      exps is not None)
@@ -434,8 +420,8 @@ def verify_lemma_suite(corpus=None, trials: int = DEFAULT_TRIALS,
             for _ in range(8):
                 v = rng.randrange(len(subs))
                 w = rng.randrange(len(subs))
-                vq = once(product_set, lat, v, qi).members
-                wq = once(product_set, lat, w, qi).members
+                vq = product(subs[v], subs[qi]).members
+                wq = product(subs[w], subs[qi]).members
                 if (comp_of[lat.index_of_members[vq]]
                         != comp_of[lat.index_of_members[wq]]):
                     continue
@@ -449,8 +435,8 @@ def verify_lemma_suite(corpus=None, trials: int = DEFAULT_TRIALS,
         else:  # complement_absorbed_by_adjacency
             i, j = rng.choice(case.nilpotent_edges)
             inter = subs[i].members & subs[j].members
-            comp1 = complement(lat, i, p)
-            comp2 = complement(lat, j, p)
+            comp1 = complement(subs[i], p).members
+            comp2 = complement(subs[j], p).members
             ok = (comp1 & inter == comp1) and (comp2 & inter == comp2)
             params = {"edge": [i, j]}
             check = ("complement inside intersection", {"contained": ok}, ok)
@@ -493,13 +479,17 @@ def verify_sym4_geodesics() -> VerdictReport:
         # a sym table labels each element by its cycle notation
         return lat.parent.labels.index(perm_label(perm_from_cycles(4, cycles)))
 
+    def locate(*ids) -> int:
+        """The lattice index of the subgroup that the ids generate."""
+        return lat.index_of_members[subgroup_closure(lat.parent, ids).members]
+
     _, cd3 = _components(sym(4), 3, KIND_CONTAINMENT)
     report.records.append(CheckRecord(
         "sym(4)", 3, {"kind": KIND_CONTAINMENT, "check": "connected_diameter"},
         4, cd3, cd3 == 4))
 
-    u = locate_subgroup(lat, [el((1, 2))])
-    v = locate_subgroup(lat, [el((3, 4))])
+    u = locate(el((1, 2)))
+    v = locate(el((3, 4)))
     geodesics = all_geodesics(graph, u, v)
     lengths_ok = all(len(path) == 5 for path in geodesics)
     report.records.append(CheckRecord(
@@ -512,9 +502,9 @@ def verify_sym4_geodesics() -> VerdictReport:
         for i in (1, 2):
             templates.append([
                 u,
-                locate_subgroup(lat, [el((1, 2)), el((1, 2, k))]),
-                locate_subgroup(lat, [el((i, k))]),
-                locate_subgroup(lat, [el((i, k)), el((i, j, k))]),
+                locate(el((1, 2)), el((1, 2, k))),
+                locate(el((i, k))),
+                locate(el((i, k)), el((i, j, k))),
                 v,
             ])
     templates.sort()
@@ -557,10 +547,10 @@ def verify_construction(h_spec: GroupSpec | None = None) -> VerdictReport:
     of one component (hence that component has diameter >= 2).
 
     H^4 ⋊ sym(4) is kept as its proven right-multiplication action, with
-    no table (``construct_action``): each path vertex is the closure of
-    its slot witnesses and of a permutation group, which is closed in
-    sym(4)'s table, and is held as a member mask over the ids that the
-    group's table would have.
+    no table (``construct_action``): each path vertex is the closure, in
+    the action, of its slot witnesses and its permutation generators, and
+    is held as a member mask over the ids that the group's table would
+    have.
     """
     h_spec = cyclic(3) if h_spec is None else h_spec
     is_default = h_spec == cyclic(3)
@@ -571,12 +561,6 @@ def verify_construction(h_spec: GroupSpec | None = None) -> VerdictReport:
     # materialization, which covers H as well.
     g_spec = bs(h_spec)
     g_action = construct_action(g_spec)
-    # The permutation groups are closed in sym(4)'s table only so that this
-    # module still uses subgroup_closure, a name the benchmark's tracer
-    # wraps here (perfbench/spans.py, GROUP_OPS); closing their generators
-    # in the action, which numbers its elements as tables do, gives the
-    # same vertices.
-    s4 = construct_detailed(sym(4))
     h_name = spec_name(h_spec)
     h_lat = _lattice(h_spec)
     h_graph = _graph(h_spec, 3, KIND_CONTAINMENT)
@@ -615,10 +599,8 @@ def verify_construction(h_spec: GroupSpec | None = None) -> VerdictReport:
             for w in hs.witnesses:
                 delta = tuple(w if t == slot else 0 for t in range(4))
                 gens.append(g_action.index[(delta, identity_perm)])
-        perms = subgroup_closure(s4.table, [
-            s4.index[perm_from_cycles(4, cycles)] for cycles in perm_cycles])
-        gens.extend(g_action.index[((0, 0, 0, 0), s4.elements[x])]
-                    for x in perms.witnesses)
+        gens.extend(g_action.index[((0, 0, 0, 0), perm_from_cycles(4, c))]
+                    for c in perm_cycles)
         return g_action.closure(gens)
 
     v_last = chain_subs[-1]

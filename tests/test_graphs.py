@@ -52,6 +52,11 @@ def el(built, *cycles):
     return built.index[perm_from_cycles(4, cycles)]
 
 
+def locate(lat, *ids):
+    """The lattice index of the subgroup that the element ids generate."""
+    return lat.index_of_members[subgroup_closure(lat.parent, ids).members]
+
+
 def test_exponents_examples(s4):
     a = subgroup_closure(s4.table, [el(s4, (1, 2))])
     b = subgroup_closure(s4.table, [el(s4, (3, 4))])
@@ -378,24 +383,19 @@ def test_dense_p2_graphs_take_no_product(spec, kind):
 
 def test_geodesics_trivial_cases(s4, s4_lattice):
     graph = build_graph(s4_lattice, 3, KIND_CONTAINMENT)
-    from commgraph import locate_subgroup
-
-    u = locate_subgroup(s4_lattice, [el(s4, (1, 2))])
+    u = locate(s4_lattice, el(s4, (1, 2)))
     assert all_geodesics(graph, u, u) == [[u]]
-    w = locate_subgroup(s4_lattice, [el(s4, (1, 2)), el(s4, (1, 2, 3))])
+    w = locate(s4_lattice, el(s4, (1, 2)), el(s4, (1, 2, 3)))
     assert all_geodesics(graph, u, w) == [[u, w]]
-    v4 = locate_subgroup(s4_lattice, [el(s4, (1, 2), (3, 4)),
-                                      el(s4, (1, 3), (2, 4))])
+    v4 = locate(s4_lattice, el(s4, (1, 2), (3, 4)), el(s4, (1, 3), (2, 4)))
     with pytest.raises(NotConnected):
         all_geodesics(graph, u, v4)
 
 
 def test_simple_paths_superset_of_geodesics(s4, s4_lattice):
     graph = build_graph(s4_lattice, 3, KIND_CONTAINMENT)
-    from commgraph import locate_subgroup
-
-    u = locate_subgroup(s4_lattice, [el(s4, (1, 2))])
-    v = locate_subgroup(s4_lattice, [el(s4, (3, 4))])
+    u = locate(s4_lattice, el(s4, (1, 2)))
+    v = locate(s4_lattice, el(s4, (3, 4)))
     geos = all_geodesics(graph, u, v)
     paths = all_simple_paths(graph, u, v)
     assert set(map(tuple, geos)) <= set(map(tuple, paths))

@@ -489,6 +489,14 @@ def test_closure_rejects_non_integer_ids(s4, seed):
         subgroup_closure(s4.table, seed)
 
 
+@pytest.mark.parametrize("seed", [[-1], [24], [1, 24]], ids=["-1", "24", "1,24"])
+def test_closure_rejects_ids_outside_table(s4, seed):
+    """An id that names no element of sym(4) is a ValueError, not a shift
+    error or an IndexError from inside the closure."""
+    with pytest.raises(ValueError, match="out of range"):
+        subgroup_closure(s4.table, seed)
+
+
 def test_closure_accepts_numpy_integer_ids(s4):
     assert (subgroup_closure(s4.table, [np.int64(1), np.uint8(2)])
             == subgroup_closure(s4.table, [1, 2]))

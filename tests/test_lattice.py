@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import itertools
 import math
@@ -15,7 +14,6 @@ from commgraph import (
     KIND_COMMENSURABILITY,
     KIND_CONTAINMENT,
     LatticeCapExceeded,
-    NotFound,
     SubgroupSet,
     abelian,
     bs,
@@ -24,7 +22,6 @@ from commgraph import (
     build_group_from_table,
     components_and_diameters,
     construct,
-    construct_detailed,
     cyclic,
     derived_series,
     dihedral,
@@ -32,7 +29,6 @@ from commgraph import (
     enumerate_subgroups,
     full_subgroup,
     is_normal,
-    locate_subgroup,
     p2q,
     spec_name,
     subgroup_closure,
@@ -45,7 +41,6 @@ from commgraph.groups import (
     _conjugacy_class,
     _conjugation,
     _greedy_witnesses,
-    perm_from_cycles,
 )
 from lattice_oracle import (
     OracleScaleExceeded,
@@ -554,35 +549,11 @@ def test_lattice_cap_below_one_is_rejected(cap, monkeypatch):
         enumerate_subgroups(construct(cyclic(1)), lattice_cap=cap)
 
 
-def test_locate_subgroup():
-    built = construct_detailed(sym(4))
-    lat = enumerate_subgroups(built.table)
-
-    def el(*cycles):
-        return built.index[perm_from_cycles(4, cycles)]
-
-    assert lat.subgroups[locate_subgroup(lat, [])].order == 1
-    idx = locate_subgroup(lat, [el((1, 2))])
-    assert lat.subgroups[idx].order == 2
-    idx = locate_subgroup(lat, [el((1, 2)), el((3, 4)), el((1, 3), (2, 4))])
-    assert lat.subgroups[idx].order == 8
-    corrupt = dataclasses.replace(lat, index_of_members={1: 0})
-    with pytest.raises(NotFound):
-        locate_subgroup(corrupt, [el((1, 2))])
-
-
 @pytest.mark.parametrize("ids", [[2.9], [True], ["2"]], ids=["2.9", "True", "'2'"])
 def test_locate_subgroup_rejects_non_integer_ids(ids):
-    """[2.9] does not locate the subgroup that [2] generates."""
+    """Locating a lattice member from ids, as `verify` does it (the
+    closure's mask looked up in `index_of_members`): [2.9] does not
+    locate the subgroup that [2] generates."""
     lat = enumerate_subgroups(construct(sym(4)))
     with pytest.raises(ValueError, match="is not an integer"):
-        locate_subgroup(lat, ids)
-
-
-@pytest.mark.parametrize("ids", [[-1], [24], [1, 24]], ids=["-1", "24", "1,24"])
-def test_locate_subgroup_rejects_ids_outside_table(ids):
-    """An id that names no element of sym(4) is a ValueError, not a shift
-    error or an IndexError from inside the closure."""
-    lat = enumerate_subgroups(construct(sym(4)))
-    with pytest.raises(ValueError, match="out of range"):
-        locate_subgroup(lat, ids)
+        lat.index_of_members[subgroup_closure(lat.parent, ids).members]

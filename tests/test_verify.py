@@ -276,6 +276,25 @@ def test_construction_suite_builds_no_large_table(monkeypatch):
     assert all(n <= 24 for n in orders)
 
 
+def test_construction_suite_builds_sym4_once(monkeypatch):
+    """From cold, the suite fills one order-24 table, sym(4)'s inside
+    bs(cyclic(3))'s builder: each path vertex's permutation generators are
+    closed in the action, not in a second sym(4) table."""
+    for helper in vars(verify).values():
+        if hasattr(helper, "cache_clear"):
+            helper.cache_clear()
+    orders = Counter()
+    init = groups.GroupTable.__init__
+
+    def recording(self, tbl, *args):
+        orders[len(tbl)] += 1
+        init(self, tbl, *args)
+
+    monkeypatch.setattr(groups.GroupTable, "__init__", recording)
+    assert verify_construction().passed
+    assert orders[24] == 1
+
+
 def test_custom_corpus_restriction():
     corpus = [CorpusMember(spec_name(cyclic(6)), cyclic(6))]
     report = run_suite("totaldisc", corpus=corpus)
@@ -304,8 +323,9 @@ def test_lemma_suite_computes_each_fact_once(monkeypatch):
         return ((arg.parent, arg.members) if isinstance(arg, SubgroupSet)
                 else arg)
 
-    names = {"derived_series", "normal_core", "is_nilpotent_subgroup",
-             "product_set", "p_prime_complement", "sylow_subgroup"}
+    names = {"derived_series", "intersect", "normal_core",
+             "is_nilpotent_subgroup", "product_set", "p_prime_complement",
+             "sylow_subgroup"}
     for name in names:
         def counting(*args, _name=name, _fn=getattr(verify, name)):
             calls[(_name, *map(key, args))] += 1
